@@ -47,6 +47,7 @@ from .composite import (
     evaluate,
 )
 from .reputation import (
+    PropagationMatrix,
     ReputationModel,
     build_reputation,
     pagerank,
@@ -88,6 +89,7 @@ __all__ = [
     "InvariantError",
     "LogParseError",
     "ParseError",
+    "PropagationMatrix",
     "PropagationProbability",
     "PropagationTable",
     "RatingModel",

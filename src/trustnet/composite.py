@@ -151,6 +151,11 @@ def evaluate(
             f"environment snapshot_time {env.snapshot_time!r} does not match "
             f"evaluation time {eval_time!r}"
         )
+    if env.decay_rate != config.decay_rate:
+        raise ValueError(
+            f"environment decay_rate {env.decay_rate!r} does not match "
+            f"config decay_rate {config.decay_rate!r}"
+        )
 
     profile = env.agents[trustee]
     if category not in profile.able:

@@ -64,24 +64,24 @@ class Interaction:
     time: float
 
 
-def check_interaction(record: Interaction) -> Optional[str]:
-    """Return a problem description for an invalid record, else None."""
+def check_interaction(record: Interaction) -> Optional[tuple[str, str]]:
+    """Return (field, problem) for an invalid record, else None."""
     if not record.trustor:
-        return "trustor must be a non-empty id"
+        return "trustor", "trustor must be a non-empty id"
     if not record.trustee:
-        return "trustee must be a non-empty id"
+        return "trustee", "trustee must be a non-empty id"
     if record.trustor == record.trustee:
-        return "trustor and trustee must differ"
+        return "trustee", "trustor and trustee must differ"
     if not record.category:
-        return "category must be a non-empty label"
+        return "category", "category must be a non-empty label"
     if not isinstance(record.rating, (int, float)) or isinstance(record.rating, bool):
-        return "rating must be a number"
+        return "rating", "rating must be a number"
     if not (0.0 <= record.rating <= 1.0):
-        return f"rating {record.rating!r} outside [0, 1]"
+        return "rating", f"rating {record.rating!r} outside [0, 1]"
     if not isinstance(record.time, (int, float)) or isinstance(record.time, bool):
-        return "time must be a number"
+        return "time", "time must be a number"
     if not math.isfinite(record.time) or record.time < 0:
-        return f"time {record.time!r} must be finite and >= 0"
+        return "time", f"time {record.time!r} must be finite and >= 0"
     return None
 
 
@@ -135,8 +135,14 @@ class Environment:
     snapshot_time: float
     decay_rate: float = 0.0
     _out: dict[AgentId, tuple[AgentId, ...]] = field(
-        default_factory=dict, compare=False, repr=False
+        init=False, compare=False, repr=False
     )
+
+    def __post_init__(self):
+        out: dict[AgentId, list[AgentId]] = {}
+        for src, dst in self.edges:
+            out.setdefault(src, []).append(dst)
+        self._out = {src: tuple(sorted(dsts)) for src, dsts in out.items()}
 
     def neighbours(self, agent: AgentId) -> tuple[AgentId, ...]:
         """Out-neighbours of ``agent`` in ascending id order."""
@@ -225,7 +231,7 @@ def build_environment(
     for idx, record in enumerate(log):
         problem = check_interaction(record)
         if problem is not None:
-            raise InvalidRecordError(idx, problem)
+            raise InvalidRecordError(idx, problem[1])
         if record.time < snapshot_time:
             selected.append(record)
 
@@ -268,17 +274,11 @@ def build_environment(
         else:
             agents[agent_id] = AgentProfile(id=agent_id, completed=done, able=done)
 
-    out: dict[AgentId, list[AgentId]] = {}
-    for src, dst in edges:
-        out.setdefault(src, []).append(dst)
-    adjacency = {src: tuple(sorted(dsts)) for src, dsts in out.items()}
-
     return Environment(
         agents=agents,
         edges=edges,
         snapshot_time=snapshot_time,
         decay_rate=decay_rate,
-        _out=adjacency,
     )
 
 

@@ -24,7 +24,7 @@ from .core import (
     build_environment,
 )
 from .indirect import aggregate, find_paths
-from .reputation import build_reputation
+from .reputation import build_reputation, propagation_matrix
 from .simulate import SplitMix64, agent_name, category_name
 
 
@@ -352,7 +352,8 @@ def compare_reputation(
             if deviation > tolerance:
                 problems.append(f"vector deviation {deviation}")
         if len(model.nodes):
-            row_sums = np.asarray(model.matrix.sum(axis=1)).ravel()
+            matrix = propagation_matrix(env, model.nodes, cfg.trust_threshold)
+            row_sums = np.asarray(matrix.explicit.sum(axis=1)).ravel() + matrix.spread
             row_err = float(np.max(np.abs(row_sums - 1.0)))
             report["max_row_sum_error"] = max(report["max_row_sum_error"], row_err)
             if row_err > row_sum_tolerance:

@@ -14,7 +14,6 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence, TextIO, Union
 
 import numpy as np
-from scipy import sparse
 
 from .core import (
     AgentProfile,
@@ -29,7 +28,7 @@ from .core import (
 from .reputation import ReputationModel
 
 SNAPSHOT_FORMAT = "trustnet-snapshot"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 LOG_FIELDS = ("trustor", "trustee", "rating", "category", "time")
 
@@ -153,11 +152,7 @@ def _check_wire_record(obj: dict) -> tuple[Optional[str], Optional[str]]:
         category=obj["category"],
         time=float(obj["time"]),
     )
-    problem = check_interaction(candidate)
-    if problem is None:
-        return None, None
-    field = "rating" if "rating" in problem else "time" if "time" in problem else "trustee"
-    return field, problem
+    return check_interaction(candidate) or (None, None)
 
 
 def dump_log(records: Sequence[Interaction], target: Union[str, Path, TextIO]) -> None:
@@ -313,13 +308,8 @@ def _env_payload(env: Environment) -> dict:
 
 
 def _model_payload(model: ReputationModel) -> dict:
-    coo = model.matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
     return {
         "nodes": list(model.nodes),
-        "entries": [
-            [int(coo.row[k]), int(coo.col[k]), float(coo.data[k])] for k in order
-        ],
         "vector": [float(x) for x in model.vector],
         "iterations_used": model.iterations_used,
         "converged": model.converged,
@@ -371,7 +361,14 @@ def load_snapshot(
     actual = hashlib.sha256(body.encode("utf-8")).hexdigest()
     if actual != expected:
         raise SnapshotError("checksum mismatch: snapshot is corrupt")
-    document = json.loads(body)
+    try:
+        return _parse_document(json.loads(body))
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise SnapshotError(f"malformed snapshot: {type(exc).__name__}: {exc}") from None
+
+
+def _parse_document(document: dict) -> tuple[Environment, Optional[ReputationModel]]:
+    """Rebuild the environment and model from a checksum-verified document."""
     header = document.get("header", {})
     if header.get("format") != SNAPSHOT_FORMAT:
         raise SnapshotError("not a snapshot file")
@@ -396,27 +393,18 @@ def load_snapshot(
             for cat, s in e["categories"].items()
         }
         edges[(e["src"], e["dst"])] = EdgeStats(weight=e["weight"], per_category=per_cat)
-    out: dict[str, list[str]] = {}
-    for src, dst in edges:
-        out.setdefault(src, []).append(dst)
     env = Environment(
         agents=agents,
         edges=edges,
         snapshot_time=header["snapshot_time"],
         decay_rate=header["decay_rate"],
-        _out={src: tuple(sorted(dsts)) for src, dsts in out.items()},
     )
 
     model = None
     rep = document.get("reputation")
     if rep is not None:
-        n = len(rep["nodes"])
-        rows = [e[0] for e in rep["entries"]]
-        cols = [e[1] for e in rep["entries"]]
-        data = [e[2] for e in rep["entries"]]
         model = ReputationModel(
             nodes=list(rep["nodes"]),
-            matrix=sparse.csr_matrix((data, (rows, cols)), shape=(n, n)),
             vector=np.array(rep["vector"], dtype=float),
             iterations_used=rep["iterations_used"],
             converged=rep["converged"],

@@ -19,28 +19,50 @@ from scipy import sparse
 from .core import AgentId, Environment, TrustConfig
 
 
+@dataclass(frozen=True, eq=False)
+class PropagationMatrix:
+    """Row-stochastic propagation matrix M = explicit + diag(spread)(J - I)/(n - 1).
+
+    ``explicit`` holds only the out-edge shares.  ``spread[i]`` is the mass
+    row i sends evenly to each of the other n - 1 nodes, so the uniform part
+    of a row costs one scalar instead of n - 1 entries.
+    """
+
+    explicit: sparse.csr_matrix
+    spread: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        return self.explicit.nnz
+
+    def toarray(self) -> np.ndarray:
+        n = self.explicit.shape[0]
+        others = (np.ones((n, n)) - np.eye(n)) / max(n - 1, 1)
+        return self.explicit.toarray() + self.spread[:, None] * others
+
+
 @dataclass
 class ReputationModel:
     """Converged reputation over the node set.
 
     ``vector`` is max-normalized (its largest entry is 1 when nodes exist);
     ``mean_reputation`` is its mean and doubles as the newcomer value.
+    ``matrix`` is the built model's input, kept for ``perfbench/scaling.py``;
+    being derivable, it is neither saved (a loaded model has None) nor compared.
     """
 
     nodes: list[AgentId]
-    matrix: sparse.csr_matrix
     vector: np.ndarray
     iterations_used: int
     converged: bool
     mean_reputation: float
+    matrix: Optional[PropagationMatrix] = None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ReputationModel):
             return NotImplemented
         return (
             self.nodes == other.nodes
-            and self.matrix.shape == other.matrix.shape
-            and (self.matrix != other.matrix).nnz == 0
             and np.array_equal(self.vector, other.vector)
             and self.iterations_used == other.iterations_used
             and self.converged == other.converged
@@ -58,8 +80,8 @@ def reputation_nodes(env: Environment, trust_threshold: float) -> list[AgentId]:
 
 def propagation_matrix(
     env: Environment, nodes: list[AgentId], trust_threshold: float
-) -> sparse.csr_matrix:
-    """Row-stochastic reputation-propagation matrix over ``nodes``.
+) -> PropagationMatrix:
+    """Reputation-propagation matrix over ``nodes``.
 
     Row i: out-edges into the node set share mass r_max (the row's maximum
     weight) proportionally to weight when trusted, and the remaining
@@ -69,16 +91,14 @@ def propagation_matrix(
     are uniform over the other nodes (a single-node set keeps its mass).
     """
     n = len(nodes)
+    if n == 1:
+        # no other node to spread over (edges never loop): it keeps its mass
+        return PropagationMatrix(sparse.csr_matrix([[1.0]]), np.zeros(1))
     index = {a: i for i, a in enumerate(nodes)}
     data: list[float] = []
     rows: list[int] = []
     cols: list[int] = []
-
-    def put(i: int, j: int, value: float) -> None:
-        if value != 0.0:
-            rows.append(i)
-            cols.append(j)
-            data.append(value)
+    spread = np.zeros(n)
 
     for i, agent in enumerate(nodes):
         out = [
@@ -87,48 +107,29 @@ def propagation_matrix(
             if nbr in index
         ]
         if not out:
-            if n == 1:
-                put(i, i, 1.0)
-            else:
-                share = 1.0 / (n - 1)
-                for j in range(n):
-                    if j != i:
-                        put(i, j, share)
+            spread[i] = 1.0
             continue
 
         r_max = max(w for _, w in out)
-        trusted = [(j, w) for j, w in out if w >= trust_threshold]
-        untrusted = [(j, w) for j, w in out if w < trust_threshold]
-        entries: dict[int, float] = {}
+        total = sum(w for _, w in out if w >= trust_threshold)
+        n_untrusted = sum(w < trust_threshold for _, w in out)
+        rows += [i] * len(out)
+        cols += [j for j, _ in out]
+        data += [
+            w * r_max / total if w >= trust_threshold else (1.0 - r_max) / n_untrusted
+            for _, w in out
+        ]
+        if n_untrusted == len(out):
+            spread[i] += r_max
+        if n_untrusted == 0:
+            spread[i] += 1.0 - r_max
 
-        if trusted:
-            total = sum(w for _, w in trusted)
-            for j, w in trusted:
-                entries[j] = entries.get(j, 0.0) + w * r_max / total
-        elif n > 1:
-            share = r_max / (n - 1)
-            for j in range(n):
-                if j != i:
-                    entries[j] = entries.get(j, 0.0) + share
-
-        if untrusted:
-            share = (1.0 - r_max) / len(untrusted)
-            for j, _ in untrusted:
-                entries[j] = entries.get(j, 0.0) + share
-        elif r_max < 1.0 and n > 1:
-            share = (1.0 - r_max) / (n - 1)
-            for j in range(n):
-                if j != i:
-                    entries[j] = entries.get(j, 0.0) + share
-
-        for j in sorted(entries):
-            put(i, j, entries[j])
-
-    return sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
+    explicit = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
+    return PropagationMatrix(explicit, spread)
 
 
 def pagerank(
-    matrix: sparse.csr_matrix,
+    matrix: PropagationMatrix,
     damping: float,
     tolerance: float,
     max_iterations: int,
@@ -136,14 +137,16 @@ def pagerank(
 ) -> tuple[np.ndarray, int, bool]:
     """Damped power iteration: v <- damping * M^T v + (1 - damping) * e.
 
+    M^T v = explicit^T v + ((s.v) 1 - s*v) / (n - 1) for the spread s.
     Starts from the uniform vector e and stops when the L1 change drops to
     ``tolerance``, the iteration cap is hit, or the wall-clock budget runs
     out.  Returns (vector, iterations, converged).
     """
-    n = matrix.shape[0]
+    n = matrix.explicit.shape[0]
     if n == 0:
         raise ValueError("node set must be non-empty")
-    transposed = matrix.transpose().tocsr()
+    transposed = matrix.explicit.transpose().tocsr()
+    share = matrix.spread / max(n - 1, 1)
     uniform = np.full(n, 1.0 / n)
     vec = uniform.copy()
     started = _time.monotonic()
@@ -152,7 +155,8 @@ def pagerank(
     while iterations < max_iterations:
         if time_budget is not None and _time.monotonic() - started >= time_budget:
             break
-        nxt = damping * (transposed @ vec) + (1.0 - damping) * uniform
+        spread_in = float(share @ vec) - share * vec
+        nxt = damping * (transposed @ vec + spread_in) + (1.0 - damping) * uniform
         iterations += 1
         delta = float(np.abs(nxt - vec).sum())
         vec = nxt
@@ -168,7 +172,6 @@ def build_reputation(env: Environment, config: TrustConfig) -> ReputationModel:
     if not nodes:
         return ReputationModel(
             nodes=[],
-            matrix=sparse.csr_matrix((0, 0)),
             vector=np.zeros(0),
             iterations_used=0,
             converged=True,
@@ -185,11 +188,11 @@ def build_reputation(env: Environment, config: TrustConfig) -> ReputationModel:
     vector = raw / raw.max()
     return ReputationModel(
         nodes=nodes,
-        matrix=matrix,
         vector=vector,
         iterations_used=iterations,
         converged=converged,
         mean_reputation=float(np.mean(vector)),
+        matrix=matrix,
     )
 
 

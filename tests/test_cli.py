@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -172,6 +173,16 @@ def test_snapshot_save_and_load(capsys, world):
     assert loaded["agents"] == saved["agents"]
     assert loaded["has_reputation"] is True
     assert loaded["snapshot_time"] == 100.0
+
+
+def test_malformed_snapshot_body_is_input_error(capsys, tmp_path):
+    body = "[1, 2]"
+    snap = tmp_path / "bad.snap"
+    snap.write_text(body + "\nsha256:" + hashlib.sha256(body.encode()).hexdigest() + "\n")
+    code, out, err = run(capsys, ["snapshot", "load", "--in", str(snap)])
+    assert code == 1
+    assert out == ""
+    assert "malformed snapshot" in err
 
 
 def test_oracle_suite_reports_clean_comparison(capsys):

@@ -223,6 +223,15 @@ def test_evaluate_rejects_unknown_and_incapable():
         evaluate(env, log, "C", "D", "c1", 11.0, CFG)
 
 
+def test_evaluate_rejects_decay_rate_mismatch():
+    # built at rate 0.5, the edge holds a discounted mean the query at rate 0
+    # would silently mix with undiscounted direct trust
+    log = [rec("A", "B", 1.0, "c1", 0.0), rec("A", "B", 0.0, "c1", 9.0)]
+    env = build_environment(log, 10.0, 0.5)
+    with pytest.raises(ValueError, match="decay_rate"):
+        evaluate(env, log, "A", "B", "c1", 10.0, CFG)
+
+
 def test_report_serialization_fields_and_precision():
     log = backdrop_log()
     env = build_environment(log, 10.0, 0.0)

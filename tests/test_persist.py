@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -20,6 +21,8 @@ from trustnet import (
     parse_profiles,
     save_snapshot,
 )
+
+from helpers import rec
 
 
 # --- log parsing -----------------------------------------------------------
@@ -215,15 +218,34 @@ def test_flipped_byte_fails_checksum(tmp_path):
         load_snapshot(path)
 
 
-def test_version_mismatch_rejected(tmp_path):
-    import hashlib
+def rewrite_body(path, body):
+    checksum = hashlib.sha256(body.encode()).hexdigest()
+    path.write_text(body + "\nsha256:" + checksum + "\n")
 
+
+def test_version_mismatch_rejected(tmp_path):
     env = build_environment([], 42.0)
     path = tmp_path / "t.snap"
     save_snapshot(env, path)
     body = path.read_text().split("\n")[0]
-    doctored = body.replace('"version": 1', '"version": 99')
-    checksum = hashlib.sha256(doctored.encode()).hexdigest()
-    path.write_text(doctored + "\nsha256:" + checksum + "\n")
+    rewrite_body(path, body.replace('"version": 2', '"version": 99'))
     with pytest.raises(SnapshotError, match="version"):
+        load_snapshot(path)
+
+
+def test_body_that_is_not_an_object_rejected(tmp_path):
+    path = tmp_path / "t.snap"
+    rewrite_body(path, "[1, 2]")
+    with pytest.raises(SnapshotError, match="malformed"):
+        load_snapshot(path)
+
+
+def test_edge_without_weight_rejected(tmp_path):
+    env = build_environment([rec("A", "B", 0.9)], 42.0)
+    path = tmp_path / "t.snap"
+    save_snapshot(env, path)
+    document = json.loads(path.read_text().split("\n")[0])
+    del document["edges"][0]["weight"]
+    rewrite_body(path, json.dumps(document))
+    with pytest.raises(SnapshotError, match="weight"):
         load_snapshot(path)

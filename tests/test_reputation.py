@@ -3,6 +3,7 @@ import pytest
 from scipy import sparse
 
 from trustnet import (
+    PropagationMatrix,
     TrustConfig,
     build_environment,
     build_reputation,
@@ -16,6 +17,10 @@ from trustnet.oracles import oracle_reputation, reputation_instance
 from helpers import rec
 
 CFG = TrustConfig(decay_rate=0.0)
+
+
+def unspread(dense):
+    return PropagationMatrix(sparse.csr_matrix(dense), np.zeros(dense.shape[0]))
 
 
 def env_of(log, profiles=(), at=10.0):
@@ -89,19 +94,27 @@ def test_rows_are_stochastic_on_random_instances():
         if not nodes:
             continue
         matrix = propagation_matrix(env, nodes, 0.5)
-        sums = np.asarray(matrix.sum(axis=1)).ravel()
+        sums = matrix.toarray().sum(axis=1)
         assert np.max(np.abs(sums - 1.0)) <= 1e-9
 
 
+def test_matrix_stores_at_most_one_entry_per_edge_and_node():
+    for seed in range(12):
+        profiles, log = reputation_instance(seed, max_agents=50)
+        env = build_environment(log, 100.0, 0.0, profiles)
+        nodes = reputation_nodes(env, 0.5)
+        assert propagation_matrix(env, nodes, 0.5).nnz <= len(env.edges) + len(nodes)
+
+
 def test_pagerank_single_node_fixed_point():
-    matrix = sparse.csr_matrix(np.array([[1.0]]))
+    matrix = unspread(np.array([[1.0]]))
     vec, iterations, converged = pagerank(matrix, 0.85, 1e-10, 1000)
     assert vec[0] == pytest.approx(1.0, abs=1e-12)
     assert converged
 
 
 def test_pagerank_two_node_swap_is_symmetric():
-    matrix = sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    matrix = unspread(np.array([[0.0, 1.0], [1.0, 0.0]]))
     vec, _, converged = pagerank(matrix, 0.85, 1e-10, 1000)
     assert converged
     assert vec[0] == pytest.approx(0.5, abs=1e-10)
@@ -110,14 +123,14 @@ def test_pagerank_two_node_swap_is_symmetric():
 
 def test_pagerank_empty_matrix_rejected():
     with pytest.raises(ValueError):
-        pagerank(sparse.csr_matrix((0, 0)), 0.85, 1e-10, 100)
+        pagerank(unspread(np.zeros((0, 0))), 0.85, 1e-10, 100)
 
 
 def test_pagerank_matches_dense_reference():
     rng = np.random.default_rng(7)
     raw = rng.uniform(size=(20, 20)) + 1e-3
     dense = raw / raw.sum(axis=1, keepdims=True)
-    vec, iterations, converged = pagerank(sparse.csr_matrix(dense), 0.85, 1e-10, 1000)
+    vec, iterations, converged = pagerank(unspread(dense), 0.85, 1e-10, 1000)
 
     uniform = np.full(20, 1.0 / 20)
     ref = uniform.copy()
