@@ -10,6 +10,7 @@ the aggregation step combines the survivors of the path-trust filter.
 
 from __future__ import annotations
 
+import heapq
 import math
 import time as _time
 from dataclasses import dataclass, field
@@ -67,7 +68,12 @@ class PropagationProbability:
 
 @dataclass
 class PropagationTable:
-    """Search state and result: reached agents plus trustee-path records."""
+    """Search state and result: reached agents plus trustee-path records.
+
+    ``stop_reason`` says why the search ended: ``"exhausted"`` (the frontier
+    emptied), ``"steps"`` or ``"seconds"`` (a budget ran out first).  It is
+    left out of :meth:`to_dict`, which dumps only the table.
+    """
 
     trustor: AgentId
     trustee: AgentId
@@ -76,6 +82,7 @@ class PropagationTable:
     rows: dict[AgentId, TableRow] = field(default_factory=dict)
     trustee_rows: list[TrusteeRow] = field(default_factory=list)
     expansions: int = 0
+    stop_reason: str = "exhausted"
 
     def put_trustee_row(self, advisor: AgentId, rating: float, path: tuple[AgentId, ...]) -> None:
         for row in self.trustee_rows:
@@ -220,17 +227,53 @@ def _ratings_of_trustee(
     return out
 
 
-def _detach(table: PropagationTable, agent: AgentId) -> None:
-    """Remove a row and rescale the probabilities of its old sibling subtrees."""
+@dataclass(slots=True)
+class _Prefix:
+    """One node of the index over stored paths, keyed by the path it stands for.
+
+    ``agents`` are the reached agents whose stored path is exactly this one;
+    ``branches`` maps each next hop ever stored under it to the longer path's
+    node.  Stored paths are not rewritten when an ancestor is re-attached, so
+    the index follows them, stale chains included.
+    """
+
+    agents: set[AgentId] = field(default_factory=set)
+    branches: dict[AgentId, "_Prefix"] = field(default_factory=dict)
+
+
+def _key(row: TableRow) -> float:
+    return -(row.cum_prob * row.cum_trust)
+
+
+def _detach(
+    table: PropagationTable,
+    agent: AgentId,
+    prefix_of: dict[AgentId, _Prefix],
+    frontier: set[AgentId],
+    heap: list[tuple[float, AgentId]],
+) -> None:
+    """Remove a row and rescale the probabilities of its old sibling subtrees.
+
+    Every row whose stored path extends the removed row's path and does not
+    pass through the removed agent is rescaled; frontier rows are re-pushed
+    with their new key.
+    """
     old = table.rows.pop(agent)
+    node = prefix_of.pop(agent)
+    node.agents.discard(agent)
     if old.cum_prob >= 1.0:
         # Siblings (if any) carry zero probability; no mass to redistribute.
         return
     factor = 1.0 / (1.0 - old.cum_prob)
-    depth = len(old.path)
-    for row in table.rows.values():
-        if row.path[:depth] == old.path and agent not in row.path:
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        for other in node.agents:
+            row = table.rows[other]
             row.cum_prob = min(1.0, row.cum_prob * factor)
+            if other in frontier:
+                heapq.heappush(heap, (_key(row), other))
+        stack.extend(child for hop, child in node.branches.items() if hop != agent)
 
 
 def find_paths(
@@ -243,15 +286,18 @@ def find_paths(
 ) -> PropagationTable:
     """Best-first search for trust propagation paths from trustor to trustee.
 
-    The frontier is re-ranked every step by cum_prob * cum_trust (ties go to
-    the lexicographically smallest agent id).  Expanding an agent considers
-    each out-neighbour: the trustee yields a path record when the agent has
-    rated it on the category; an unvisited trusted neighbour with category
-    history is attached as a child; a visited one is re-attached when the
-    new chain carries strictly more trust and introduces no loop.  A hop
-    into an agent the trustor trusts directly is skipped unless it is the
-    trustor's own expansion.  The search stops when the frontier empties or
-    the step / wall-clock budget runs out.
+    Each step expands the frontier agent with the largest cum_prob * cum_trust
+    (ties go to the lexicographically smallest agent id), taken from a heap
+    whose stale entries are skipped, so a step costs O(out-degree · log
+    frontier) plus the rows its re-attachments rescale.  Expanding an agent
+    considers each out-neighbour: the trustee yields a path record when the
+    agent has rated it on the category; an unvisited trusted neighbour with
+    category history is attached as a child; a visited one is re-attached
+    when the new chain carries strictly more trust and introduces no loop.
+    A hop into an agent the trustor trusts directly is skipped unless it is
+    the trustor's own expansion.  The search stops when the frontier empties
+    or the step / wall-clock budget runs out, and records which in
+    ``stop_reason``.
     """
     if trustor not in env.agents:
         raise UnknownAgentError(trustor)
@@ -268,22 +314,32 @@ def find_paths(
         trustor=trustor, trustee=trustee, category=category, eval_time=eval_time
     )
     table.rows[trustor] = TableRow(agent=trustor, cum_prob=1.0, cum_trust=1.0, path=())
+    prefix_of = {trustor: _Prefix(agents={trustor})}
+    trusted_by_trustor = {
+        nbr
+        for nbr in env.neighbours(trustor)
+        if env.edges[(trustor, nbr)].weight >= config.trust_threshold
+    }
     frontier: set[AgentId] = {trustor}
+    heap: list[tuple[float, AgentId]] = [(-1.0, trustor)]
     started = _time.monotonic()
-
-    def rank(agent: AgentId) -> tuple[float, AgentId]:
-        row = table.rows[agent]
-        return (-(row.cum_prob * row.cum_trust), agent)
 
     while frontier:
         if config.search_steps is not None and table.expansions >= config.search_steps:
+            table.stop_reason = "steps"
             break
         if (
             config.search_seconds is not None
             and _time.monotonic() - started >= config.search_seconds
         ):
+            table.stop_reason = "seconds"
             break
-        current = min(frontier, key=rank)
+        # Lazy deletion: an entry is live while its agent is on the frontier
+        # with that key; every key change pushed a fresh entry.
+        while True:
+            key, current = heapq.heappop(heap)
+            if current in frontier and key == _key(table.rows[current]):
+                break
         frontier.discard(current)
         table.expansions += 1
         row = table.rows[current]
@@ -297,9 +353,7 @@ def find_paths(
                     rating = sum(rated) / len(rated)
                     table.put_trustee_row(current, rating, row.path + (current,))
                 continue
-            if current != trustor and env.has_trusted_edge(
-                trustor, nbr, config.trust_threshold
-            ):
+            if current != trustor and nbr in trusted_by_trustor:
                 continue
             if weight < config.trust_threshold:
                 continue
@@ -309,20 +363,24 @@ def find_paths(
             if existing is None:
                 attach.append(nbr)
             elif nbr not in row.path and existing.cum_trust < row.cum_trust * weight:
-                _detach(table, nbr)
+                _detach(table, nbr, prefix_of, frontier, heap)
                 attach.append(nbr)
 
         if attach:
             probs = _probabilities(counts, last, attach, eval_time, config.recency_rate)
+            node = prefix_of[current].branches.setdefault(current, _Prefix())
             for nbr in attach:
                 weight = env.edges[(current, nbr)].weight
-                table.rows[nbr] = TableRow(
+                child = table.rows[nbr] = TableRow(
                     agent=nbr,
                     cum_prob=min(1.0, row.cum_prob * probs[nbr].value),
                     cum_trust=row.cum_trust * weight,
                     path=row.path + (current,),
                 )
+                node.agents.add(nbr)
+                prefix_of[nbr] = node
                 frontier.add(nbr)
+                heapq.heappush(heap, (_key(child), nbr))
 
     table.check(env, config.trust_threshold)
     return table

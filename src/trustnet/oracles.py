@@ -156,7 +156,7 @@ def oracle_reputation(env: Environment, config: TrustConfig) -> tuple[list[Agent
         if trusted:
             total = sum(w for _, w in trusted)
             for j, w in trusted:
-                matrix[i, j] += w * r_max / total
+                matrix[i, j] += w * r_max / total if total > 0 else 0.0
         elif n > 1:
             for j in range(n):
                 if j != i:

@@ -367,8 +367,41 @@ def load_snapshot(
         raise SnapshotError(f"malformed snapshot: {type(exc).__name__}: {exc}") from None
 
 
+# Exact JSON value types: json.loads builds no subclasses, and a bool must
+# not pass for a number although bool subclasses int.
+_STRING = (str,)
+_NUMBER = (int, float)
+_INTEGER = (int,)
+_BOOLEAN = (bool,)
+_KIND_NAMES = {
+    _STRING: "a string",
+    _NUMBER: "a number",
+    _INTEGER: "an integer",
+    _BOOLEAN: "a boolean",
+}
+
+
+def _typed(value, kind: tuple[type, ...], what: str):
+    """Return ``value`` if it is a JSON value of ``kind``, else raise SnapshotError."""
+    if type(value) not in kind:
+        raise SnapshotError(
+            f"malformed snapshot: {what} must be {_KIND_NAMES[kind]}, got {value!r}"
+        )
+    return value
+
+
+def _typed_list(values, kind: tuple[type, ...], what: str) -> list:
+    if not isinstance(values, list):
+        raise SnapshotError(f"malformed snapshot: {what} must be in a list, got {values!r}")
+    return [_typed(v, kind, what) for v in values]
+
+
 def _parse_document(document: dict) -> tuple[Environment, Optional[ReputationModel]]:
-    """Rebuild the environment and model from a checksum-verified document."""
+    """Rebuild the environment and model from a checksum-verified document.
+
+    Besides the shape of the document, every value's JSON type is checked,
+    so a bad value ends here as SnapshotError and not later in a query.
+    """
     header = document.get("header", {})
     if header.get("format") != SNAPSHOT_FORMAT:
         raise SnapshotError("not a snapshot file")
@@ -378,36 +411,49 @@ def _parse_document(document: dict) -> tuple[Environment, Optional[ReputationMod
             f"expected {SNAPSHOT_VERSION}"
         )
 
-    agents = {
-        a["id"]: AgentProfile(
-            id=a["id"], completed=frozenset(a["completed"]), able=frozenset(a["able"])
+    agents = {}
+    for a in document["agents"]:
+        agent = _typed(a["id"], _STRING, "agent id")
+        agents[agent] = AgentProfile(
+            id=agent,
+            completed=frozenset(_typed_list(a["completed"], _STRING, "completed category")),
+            able=frozenset(_typed_list(a["able"], _STRING, "able category")),
         )
-        for a in document["agents"]
-    }
     edges = {}
     for e in document["edges"]:
+        pair = (_typed(e["src"], _STRING, "edge src"), _typed(e["dst"], _STRING, "edge dst"))
+        if pair[0] not in agents or pair[1] not in agents:
+            raise SnapshotError(f"malformed snapshot: edge {pair!r} names an unknown agent")
         per_cat = {
-            cat: CategoryStats(
-                count=s["count"], decayed_trust=s["trust"], last_time=s["last_time"]
+            _typed(cat, _STRING, "edge category"): CategoryStats(
+                count=_typed(s["count"], _INTEGER, "category count"),
+                decayed_trust=_typed(s["trust"], _NUMBER, "category trust"),
+                last_time=_typed(s["last_time"], _NUMBER, "category last_time"),
             )
             for cat, s in e["categories"].items()
         }
-        edges[(e["src"], e["dst"])] = EdgeStats(weight=e["weight"], per_category=per_cat)
+        edges[pair] = EdgeStats(
+            weight=_typed(e["weight"], _NUMBER, "edge weight"), per_category=per_cat
+        )
     env = Environment(
         agents=agents,
         edges=edges,
-        snapshot_time=header["snapshot_time"],
-        decay_rate=header["decay_rate"],
+        snapshot_time=_typed(header["snapshot_time"], _NUMBER, "snapshot_time"),
+        decay_rate=_typed(header["decay_rate"], _NUMBER, "decay_rate"),
     )
 
     model = None
     rep = document.get("reputation")
     if rep is not None:
+        nodes = _typed_list(rep["nodes"], _STRING, "reputation node")
+        vector = _typed_list(rep["vector"], _NUMBER, "reputation entry")
+        if len(vector) != len(nodes):
+            raise SnapshotError("malformed snapshot: reputation nodes and vector differ in length")
         model = ReputationModel(
-            nodes=list(rep["nodes"]),
-            vector=np.array(rep["vector"], dtype=float),
-            iterations_used=rep["iterations_used"],
-            converged=rep["converged"],
-            mean_reputation=rep["mean_reputation"],
+            nodes=nodes,
+            vector=np.array(vector, dtype=float),
+            iterations_used=_typed(rep["iterations_used"], _INTEGER, "iterations_used"),
+            converged=_typed(rep["converged"], _BOOLEAN, "converged"),
+            mean_reputation=_typed(rep["mean_reputation"], _NUMBER, "mean_reputation"),
         )
     return env, model

@@ -111,7 +111,9 @@ def propagation_matrix(
             continue
 
         r_max = max(w for _, w in out)
-        total = sum(w for _, w in out if w >= trust_threshold)
+        # A zero trusted total (theta_r = 0, all weights 0) means r_max = 0:
+        # the trusted shares are 0 and the row spreads its whole unit.
+        total = sum(w for _, w in out if w >= trust_threshold) or 1.0
         n_untrusted = sum(w < trust_threshold for _, w in out)
         rows += [i] * len(out)
         cols += [j for j, _ in out]

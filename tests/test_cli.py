@@ -4,7 +4,7 @@ import json
 import pytest
 
 from trustnet.cli import main
-from trustnet import GenParams, dump_log, dump_profiles, generate
+from trustnet import GenParams, Interaction, dump_log, dump_profiles, generate
 
 
 @pytest.fixture
@@ -131,6 +131,21 @@ def test_reputation_vector_normalized(capsys, world):
     assert max(payload["vector"]) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_reputation_with_zero_threshold_and_zero_ratings(capsys, tmp_path):
+    log = tmp_path / "log.jsonl"
+    dump_log([Interaction("a", "b", 0.0, "c0", 1.0), Interaction("b", "a", 0.0, "c0", 2.0)], log)
+    config = tmp_path / "cfg.json"
+    config.write_text('{"theta_r": 0}')
+    code, out, _ = run(
+        capsys,
+        ["reputation", "--log", str(log), "--config", str(config), "--time", "10"],
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["nodes"] == ["a", "b"]
+    assert payload["vector"] == [1.0, 1.0]
+
+
 def test_generate_twice_is_identical(capsys, tmp_path):
     out_a = tmp_path / "a.jsonl"
     out_b = tmp_path / "b.jsonl"
@@ -183,6 +198,19 @@ def test_malformed_snapshot_body_is_input_error(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert "malformed snapshot" in err
+
+
+def test_snapshot_value_of_wrong_type_is_input_error(capsys, world):
+    snap = world["tmp"] / "world.snap"
+    run(capsys, ["snapshot", "save", "--log", world["log"], "--time", "100", "--out", str(snap)])
+    document = json.loads(snap.read_text().split("\n")[0])
+    document["edges"][0]["weight"] = "high"
+    body = json.dumps(document)
+    snap.write_text(body + "\nsha256:" + hashlib.sha256(body.encode()).hexdigest() + "\n")
+    code, out, err = run(capsys, ["snapshot", "load", "--in", str(snap)])
+    assert code == 1
+    assert out == ""
+    assert "edge weight must be a number" in err
 
 
 def test_oracle_suite_reports_clean_comparison(capsys):

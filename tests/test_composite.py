@@ -18,6 +18,7 @@ from trustnet import (
     combine,
     dt_min,
     evaluate,
+    find_paths,
 )
 
 from helpers import rec
@@ -278,6 +279,26 @@ def test_full_blend_combines_all_three_components():
     assert report.beta == pytest.approx((1 - 2 / 3.2) * 2 / 3.2, abs=1e-12)
     expected = combine(report.alpha, report.beta, report.direct, report.indirect, report.reputation)
     assert report.trust == expected
+
+
+@pytest.mark.parametrize(
+    "budget, reason",
+    [({}, "exhausted"), ({"search_steps": 2}, "steps"), ({"search_seconds": 0.0}, "seconds")],
+)
+def test_search_stop_reason_is_reported(budget, reason):
+    # the chain A -> C -> D -> B takes three expansions to exhaust
+    log = [
+        rec("A", "C", 0.9, "c1", 1.0),
+        rec("C", "D", 0.9, "c1", 2.0),
+        rec("D", "B", 0.8, "c1", 3.0),
+    ]
+    env = build_environment(log, 10.0, 0.0)
+    cfg = TrustConfig(decay_rate=0.0, recency_rate=0.0, **budget)
+    report = evaluate(env, log, "A", "B", "c1", 10.0, cfg)
+    assert report.diagnostics["search_stop"] == reason
+    table = find_paths(env, log, "A", "B", "c1", cfg)
+    assert table.stop_reason == reason
+    assert "stop_reason" not in table.to_dict()
 
 
 def test_reports_are_byte_identical_across_runs():

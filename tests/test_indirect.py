@@ -237,6 +237,70 @@ def test_reattachment_updates_trust_and_rescales_siblings():
     assert value == pytest.approx(reference, abs=1e-12)
 
 
+def test_detach_rescales_old_descendants_through_a_stale_chain():
+    # Busy outsiders make a, x and c the likely consultations.  Expansion
+    # order: tr, a, x (attaches y under tr-a-x), y, b (re-attaches x under
+    # tr-b, y keeps its stored chain tr-a-x), w, c.  c then re-attaches w,
+    # whose old path tr-a prefixes y's stale chain, so y is rescaled.
+    log = [
+        rec("tr", "a", 1.0),
+        rec("tr", "b", 0.9),
+        rec("a", "x", 0.8),
+        rec("a", "w", 0.6),
+        rec("x", "y", 0.9),
+        rec("y", "te", 0.8),
+        rec("b", "x", 0.95),
+        rec("b", "c", 0.95),
+        rec("c", "w", 0.95),
+    ] + [rec("o", agent, 0.5) for agent, n in (("a", 60), ("x", 60), ("c", 100)) for _ in range(n)]
+    env = env_of(log)
+
+    def search(steps):
+        cfg = TrustConfig(decay_rate=0.0, recency_rate=0.0, search_steps=steps)
+        return find_paths(env, log, "tr", "te", "c1", cfg)
+
+    before, table = search(6), search(7)
+    p_w, p_y = before.rows["w"].cum_prob, before.rows["y"].cum_prob
+    assert table.rows["y"].cum_prob == pytest.approx(p_y / (1.0 - p_w), abs=1e-15)
+    # recorded from the earlier _detach that scanned every row
+    assert table.to_dict() == {
+        "trustor": "tr",
+        "trustee": "te",
+        "category": "c1",
+        "time": 10.0,
+        "rows": [
+            {"agent": "tr", "cum_prob": 1.0, "cum_trust": 1.0, "path": []},
+            {"agent": "a", "cum_prob": 0.7499999999999999, "cum_trust": 1.0, "path": ["tr"]},
+            {"agent": "b", "cum_prob": 0.25, "cum_trust": 0.9, "path": ["tr"]},
+            {
+                "agent": "y",
+                "cum_prob": 0.9651960110519825,
+                "cum_trust": 0.7200000000000001,
+                "path": ["tr", "a", "x"],
+            },
+            {
+                "agent": "c",
+                "cum_prob": 0.13176408484073546,
+                "cum_trust": 0.855,
+                "path": ["tr", "b"],
+            },
+            {
+                "agent": "x",
+                "cum_prob": 0.11823591515926454,
+                "cum_trust": 0.855,
+                "path": ["tr", "b"],
+            },
+            {
+                "agent": "w",
+                "cum_prob": 0.13176408484073546,
+                "cum_trust": 0.8122499999999999,
+                "path": ["tr", "b", "c"],
+            },
+        ],
+        "trustee_rows": [{"advisor": "y", "rating": 0.8, "path": ["tr", "a", "x", "y"]}],
+    }
+
+
 def test_cycles_terminate_and_stay_loop_free():
     log = [
         rec("tr", "a", 0.9, "c1", 1.0),

@@ -249,3 +249,26 @@ def test_edge_without_weight_rejected(tmp_path):
     rewrite_body(path, json.dumps(document))
     with pytest.raises(SnapshotError, match="weight"):
         load_snapshot(path)
+
+
+@pytest.mark.parametrize(
+    "corrupt, problem",
+    [
+        (lambda d: d["edges"][0].update(weight="high"), "edge weight must be a number"),
+        (lambda d: d["edges"][0]["categories"]["c1"].update(count=True), "category count"),
+        (lambda d: d["agents"][0].update(able="c1"), "able category must be in a list"),
+        (lambda d: d["edges"][0].update(dst="Z"), "unknown agent"),
+        (lambda d: d["reputation"].update(converged="yes"), "converged must be a boolean"),
+        (lambda d: d["reputation"]["vector"].append(0.5), "differ in length"),
+    ],
+    ids=["weight", "count", "able", "endpoint", "converged", "vector-length"],
+)
+def test_value_of_wrong_type_rejected(tmp_path, corrupt, problem):
+    env = build_environment([rec("A", "B", 0.9)], 42.0)
+    path = tmp_path / "t.snap"
+    save_snapshot(env, path, build_reputation(env, TrustConfig()))
+    document = json.loads(path.read_text().split("\n")[0])
+    corrupt(document)
+    rewrite_body(path, json.dumps(document))
+    with pytest.raises(SnapshotError, match=problem):
+        load_snapshot(path)

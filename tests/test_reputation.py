@@ -106,6 +106,18 @@ def test_matrix_stores_at_most_one_entry_per_edge_and_node():
         assert propagation_matrix(env, nodes, 0.5).nnz <= len(env.edges) + len(nodes)
 
 
+def test_zero_threshold_row_of_zero_weights_spreads_its_unit():
+    # theta_r = 0 trusts both edges, yet they weigh 0: the trusted total is 0
+    env = env_of([rec("A", "B", 0.0), rec("B", "A", 0.0)])
+    cfg = TrustConfig(decay_rate=0.0, trust_threshold=0.0)
+    matrix = propagation_matrix(env, ["A", "B"], 0.0)
+    assert np.array_equal(matrix.toarray(), [[0.0, 1.0], [1.0, 0.0]])
+    model = build_reputation(env, cfg)
+    nodes, reference = oracle_reputation(env, cfg)
+    assert model.nodes == nodes == ["A", "B"]
+    assert np.max(np.abs(model.vector - reference)) <= 1e-8
+
+
 def test_pagerank_single_node_fixed_point():
     matrix = unspread(np.array([[1.0]]))
     vec, iterations, converged = pagerank(matrix, 0.85, 1e-10, 1000)
