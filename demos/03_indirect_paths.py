@@ -24,7 +24,8 @@ log = [
 env = build_environment(log, 10.0, 0.0)
 cfg = TrustConfig(decay_rate=0.0, recency_rate=0.0)
 
-table = find_paths(env, log, "tr", "te", "c", cfg)
+# the search reads only the snapshot; its log argument is ignored
+table = find_paths(env, [], "tr", "te", "c", cfg)
 print(json.dumps(table.to_dict(), indent=2))
 
 # two advisors with path trusts 0.63 and 0.72 and ratings 0.7 and 0.8:
@@ -34,7 +35,7 @@ print("indirect trust:", aggregate(table, path_threshold=0.6, path_decay=0.9))
 # a single surviving path instead decays per hop
 lonely = [r for r in log if r.trustor != "x2" and r.trustee != "x2"]
 env2 = build_environment(lonely, 10.0, 0.0)
-table2 = find_paths(env2, lonely, "tr", "te", "c", cfg)
+table2 = find_paths(env2, [], "tr", "te", "c", cfg)
 print("single path:", aggregate(table2, path_threshold=0.6, path_decay=0.9))
 
 # first-hand evidence outranks a chain: with a trusted direct edge tr -> b,
@@ -46,5 +47,5 @@ shortcut = [
     Interaction("b", "te", 0.9, "c", 1.0),
 ]
 env3 = build_environment(shortcut, 10.0, 0.0)
-table3 = find_paths(env3, shortcut, "tr", "te", "c", cfg)
+table3 = find_paths(env3, [], "tr", "te", "c", cfg)
 print("b reached via:", table3.rows["b"].path, "trust", table3.rows["b"].cum_trust)

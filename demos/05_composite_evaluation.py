@@ -36,12 +36,13 @@ env = build_environment(log, 100.0, cfg.decay_rate, profiles)
 # reuse one reputation model across queries of the same snapshot
 model = build_reputation(env, cfg)
 
-report = evaluate(env, log, "a01", "a05", "c0", 100.0, cfg, reputation_model=model)
+# every component is read from the snapshot; the log argument is ignored
+report = evaluate(env, [], "a01", "a05", "c0", 100.0, cfg, reputation_model=model)
 print("seasoned trustee:")
 print(json.dumps(report.to_dict(), indent=2))
 
 # the last 10% of agents were generated as silent newcomers
-newcomer_report = evaluate(env, log, "a01", "a29", "c0", 100.0, cfg, reputation_model=model)
+newcomer_report = evaluate(env, [], "a01", "a29", "c0", 100.0, cfg, reputation_model=model)
 print("\nnewcomer trustee:")
 print("alpha:", newcomer_report.alpha, "beta:", newcomer_report.beta)
 print("trust == mean reputation:", newcomer_report.trust == model.mean_reputation)

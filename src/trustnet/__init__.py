@@ -12,6 +12,7 @@ from .core import (
     AgentId,
     AgentProfile,
     CapabilityError,
+    CategoryActivity,
     CategoryStats,
     EdgeStats,
     Environment,
@@ -23,9 +24,10 @@ from .core import (
     TrustError,
     UnknownAgentError,
     build_environment,
+    decay_weight,
     edge_weight,
 )
-from .direct import DirectTrustResult, DirectTrustSource, decay_weight, direct_trust
+from .direct import DirectTrustResult, DirectTrustSource, direct_trust
 from .indirect import (
     PropagationProbability,
     PropagationTable,
@@ -76,6 +78,7 @@ __all__ = [
     "AgentId",
     "AgentProfile",
     "CapabilityError",
+    "CategoryActivity",
     "CategoryStats",
     "CompositeInputs",
     "ConfigError",

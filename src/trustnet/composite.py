@@ -24,7 +24,7 @@ from .core import (
 )
 from .direct import direct_trust
 from .indirect import aggregate, find_paths, retained_paths
-from .reputation import ReputationModel, build_reputation, reputation_of
+from .reputation import ReputationModel, build_reputation, model_params, reputation_of
 
 
 @dataclass(frozen=True)
@@ -70,18 +70,9 @@ class TrustReport:
         return json.dumps(self.to_dict())
 
 
-def dt_min(log: Sequence[Interaction], category: TaskCategory, eval_time: float) -> float:
+def dt_min(env: Environment, category: TaskCategory) -> float:
     """Average interaction count per participant on ``category``, floored at 1."""
-    total = 0
-    participants: set[AgentId] = set()
-    for r in log:
-        if r.category == category and r.time < eval_time:
-            total += 1
-            participants.add(r.trustor)
-            participants.add(r.trustee)
-    if not participants:
-        return 1.0
-    return max(total / len(participants), 1.0)
+    return env.activity(category).dt_min
 
 
 def alpha(inputs: CompositeInputs) -> float:
@@ -137,8 +128,9 @@ def evaluate(
     """Run the full pipeline and assemble the report.
 
     ``env`` must be the snapshot taken at ``eval_time`` (with the config's
-    decay rate); pass ``reputation_model`` to reuse one across evaluations
-    of the same snapshot.
+    decay rate) and is the only input read: ``log`` is ignored.  Pass
+    ``reputation_model`` to reuse one across evaluations of the same
+    snapshot; it must have been built with this config.
     """
     if trustor not in env.agents:
         raise UnknownAgentError(trustor)
@@ -156,6 +148,11 @@ def evaluate(
             f"environment decay_rate {env.decay_rate!r} does not match "
             f"config decay_rate {config.decay_rate!r}"
         )
+    if reputation_model is not None and reputation_model.params != model_params(config):
+        raise ValueError(
+            f"reputation model parameters {reputation_model.params!r} do not match "
+            f"the config's {model_params(config)!r}"
+        )
 
     profile = env.agents[trustee]
     if category not in profile.able:
@@ -163,7 +160,7 @@ def evaluate(
             f"trustee {trustee!r} lacks capability for category {category!r}"
         )
 
-    direct_result = direct_trust(log, trustor, trustee, category, eval_time, config.decay_rate)
+    direct_result = direct_trust(env, trustor, trustee, category)
     table = find_paths(env, log, trustor, trustee, category, config)
     indirect_value = aggregate(table, config.path_threshold, config.path_decay)
     kept = retained_paths(table, config.path_threshold)
@@ -175,7 +172,7 @@ def evaluate(
         n_same=direct_result.n_same,
         n_other=direct_result.n_other,
         n_paths=len(kept),
-        dt_min=dt_min(log, category, eval_time),
+        dt_min=dt_min(env, category),
         trustee_did_category=category in profile.completed,
         trustee_can_category=category in profile.able,
     )

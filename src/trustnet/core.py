@@ -2,10 +2,10 @@
 
 The environment is a weighted directed graph snapshot built from a log of
 rated interactions.  Each edge carries per-category statistics (interaction
-count, time-discounted mean rating, most recent time) and an overall weight:
-the unweighted mean of the per-category discounted trusts.  All downstream
-trust computations (direct, indirect, reputation) read from this snapshot
-plus the raw log.
+count, time-discounted and plain mean ratings, most recent time) and an
+overall weight: the unweighted mean of the per-category discounted trusts.
+Every query statistic (direct trust, consultation probabilities, the
+evidence bar) is derived from this snapshot alone; no query reads the log.
 """
 
 from __future__ import annotations
@@ -102,10 +102,16 @@ class AgentProfile:
 
 @dataclass(frozen=True)
 class CategoryStats:
-    """Per-category statistics of one directed edge."""
+    """Per-category statistics of one directed edge.
+
+    ``decayed_trust`` is the discount-weighted mean rating (the pair's direct
+    trust on the category), ``mean_rating`` the plain mean (what the trustor
+    reports when consulted as an advisor).
+    """
 
     count: int
     decayed_trust: float
+    mean_rating: float
     last_time: float
 
 
@@ -113,12 +119,34 @@ class CategoryStats:
 class EdgeStats:
     """Aggregate statistics of one directed edge.
 
-    ``weight`` is the unweighted mean of ``decayed_trust`` over the active
-    categories and serves as the edge's overall trust value.
+    ``weight`` is worked out from ``per_category``, which must not be empty:
+    the unweighted mean of ``decayed_trust`` over the categories in id order.
+    It serves as the edge's overall trust value.
     """
 
-    weight: float
     per_category: Mapping[TaskCategory, CategoryStats]
+    weight: float = field(init=False)
+
+    def __post_init__(self):
+        trusts = [self.per_category[cat].decayed_trust for cat in sorted(self.per_category)]
+        object.__setattr__(self, "weight", sum(trusts) / len(trusts))
+
+
+@dataclass(frozen=True)
+class CategoryActivity:
+    """One category's activity in a snapshot, derived from its edges.
+
+    ``counts[a]`` is the number of interactions agent ``a`` took part in on
+    either side and ``last[a]`` the time of its latest one; ``dt_min`` is
+    the evidence bar, the average count per participant floored at 1.
+    """
+
+    counts: Mapping[AgentId, int]
+    last: Mapping[AgentId, float]
+    dt_min: float
+
+
+_NO_ACTIVITY = CategoryActivity(counts={}, last={}, dt_min=1.0)
 
 
 @dataclass
@@ -126,8 +154,9 @@ class Environment:
     """Immutable graph snapshot of all interactions strictly before ``snapshot_time``.
 
     Treat instances as read-only after construction; concurrent readers are
-    safe.  ``decay_rate`` records the discount rate the snapshot was built
-    with.
+    safe (the activity cache filled on first use holds the same value
+    whichever reader fills it).  ``decay_rate`` records the discount rate
+    the snapshot was built with.
     """
 
     agents: dict[AgentId, AgentProfile]
@@ -137,12 +166,32 @@ class Environment:
     _out: dict[AgentId, tuple[AgentId, ...]] = field(
         init=False, compare=False, repr=False
     )
+    _activity: Optional[dict[TaskCategory, CategoryActivity]] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         out: dict[AgentId, list[AgentId]] = {}
         for src, dst in self.edges:
             out.setdefault(src, []).append(dst)
         self._out = {src: tuple(sorted(dsts)) for src, dsts in out.items()}
+
+    def activity(self, category: TaskCategory) -> CategoryActivity:
+        """Per-agent activity on ``category``; every category is worked out on first use."""
+        if self._activity is None:
+            seen: dict[TaskCategory, tuple[dict[AgentId, int], dict[AgentId, float]]] = {}
+            for pair, stats in self.edges.items():
+                for cat, s in stats.per_category.items():
+                    counts, last = seen.setdefault(cat, ({}, {}))
+                    for agent in pair:
+                        counts[agent] = counts.get(agent, 0) + s.count
+                        last[agent] = max(last.get(agent, s.last_time), s.last_time)
+            self._activity = {}
+            for cat, (counts, last) in seen.items():
+                records = sum(counts.values()) // 2  # counted once per participant
+                bar = max(records / len(counts), 1.0)
+                self._activity[cat] = CategoryActivity(counts, last, bar)
+        return self._activity.get(category, _NO_ACTIVITY)
 
     def neighbours(self, agent: AgentId) -> tuple[AgentId, ...]:
         """Out-neighbours of ``agent`` in ascending id order."""
@@ -207,6 +256,15 @@ def validate_config(cfg: TrustConfig) -> None:
         raise ValueError("pagerank_seconds must be >= 0")
 
 
+def decay_weight(time: float, eval_time: float, decay_rate: float) -> float:
+    """Discount factor exp(-decay_rate * (eval_time - time)).
+
+    Equals 1 at zero elapsed time or zero rate; the caller is responsible
+    for filtering out interactions at or after ``eval_time``.
+    """
+    return math.exp(-decay_rate * (eval_time - time))
+
+
 def build_environment(
     log: Sequence[Interaction],
     snapshot_time: float,
@@ -216,8 +274,8 @@ def build_environment(
     """Build the graph snapshot from ``log`` at ``snapshot_time``.
 
     Only interactions with ``time < snapshot_time`` are included.  Ratings
-    are discounted by ``exp(-decay_rate * (snapshot_time - time))`` before
-    averaging per category; the edge weight is the unweighted mean over the
+    are discounted by :func:`decay_weight` before averaging per category,
+    and also averaged plainly; the edge weight is the unweighted mean over the
     categories that have interactions.  Declared ``profiles`` add agents
     (possibly with no interactions) and declared ability sets; agents that
     appear only in the log are assumed able in exactly the categories they
@@ -246,22 +304,27 @@ def build_environment(
         ids.add(r.trustee)
         completed.setdefault(r.trustee, set()).add(r.category)
         per_cat = sums.setdefault((r.trustor, r.trustee), {})
-        acc = per_cat.setdefault(r.category, [0.0, 0.0, 0, float("-inf")])
-        w = math.exp(-decay_rate * (snapshot_time - r.time))
+        acc = per_cat.setdefault(r.category, [0.0, 0.0, 0.0, 0, float("-inf")])
+        w = decay_weight(r.time, snapshot_time, decay_rate)
         acc[0] += r.rating * w
         acc[1] += w
-        acc[2] += 1
-        acc[3] = max(acc[3], r.time)
+        acc[2] += r.rating
+        acc[3] += 1
+        acc[4] = max(acc[4], r.time)
 
     edges: dict[tuple[AgentId, AgentId], EdgeStats] = {}
     for pair in sorted(sums):
-        per_cat = sums[pair]
-        stats = {
-            cat: CategoryStats(count=acc[2], decayed_trust=acc[0] / acc[1], last_time=acc[3])
-            for cat, acc in sorted(per_cat.items())
-        }
-        weight = sum(s.decayed_trust for s in stats.values()) / len(stats)
-        edges[pair] = EdgeStats(weight=weight, per_category=stats)
+        edges[pair] = EdgeStats(
+            {
+                cat: CategoryStats(
+                    count=acc[3],
+                    decayed_trust=acc[0] / acc[1],
+                    mean_rating=acc[2] / acc[3],
+                    last_time=acc[4],
+                )
+                for cat, acc in sorted(sums[pair].items())
+            }
+        )
 
     agents: dict[AgentId, AgentProfile] = {}
     for agent_id in sorted(ids):

@@ -8,11 +8,10 @@ categories the pair interacted on.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-from .core import AgentId, Interaction, TaskCategory
+from .core import AgentId, Environment, TaskCategory
 
 
 class DirectTrustSource(enum.Enum):
@@ -26,7 +25,7 @@ class DirectTrustResult:
     """Outcome of a direct-trust query.
 
     ``n_same`` counts the pair's interactions on the requested category
-    before the evaluation time; ``n_other`` counts those on every other
+    before the snapshot time; ``n_other`` counts those on every other
     category.  ``value`` is None exactly when both counts are zero.
     """
 
@@ -36,54 +35,23 @@ class DirectTrustResult:
     n_other: int
 
 
-def decay_weight(time: float, eval_time: float, decay_rate: float) -> float:
-    """Discount factor exp(-decay_rate * (eval_time - time)).
-
-    Equals 1 at zero elapsed time or zero rate; the caller is responsible
-    for filtering out interactions at or after ``eval_time``.
-    """
-    return math.exp(-decay_rate * (eval_time - time))
-
-
-def _weighted_mean(pairs: list[tuple[float, float]], eval_time: float, decay_rate: float) -> float:
-    weights = [decay_weight(t, eval_time, decay_rate) for _, t in pairs]
-    num = sum(r * w for (r, _), w in zip(pairs, weights))
-    return num / sum(weights)
-
-
 def direct_trust(
-    log: Sequence[Interaction],
-    trustor: AgentId,
-    trustee: AgentId,
-    category: TaskCategory,
-    eval_time: float,
-    decay_rate: float,
+    env: Environment, trustor: AgentId, trustee: AgentId, category: TaskCategory
 ) -> DirectTrustResult:
-    """Direct trust of ``trustor`` in ``trustee`` for ``category``.
+    """Direct trust of ``trustor`` in ``trustee`` for ``category``, read from ``env``.
 
-    Same-category ratings before ``eval_time`` are combined by a
-    discount-weighted mean.  With none available, each other category's
-    ratings are averaged the same way and the per-category values are then
-    averaged unweighted (a category counts once regardless of volume).
+    The same-category value is the edge's discount-weighted mean rating.
+    Without one, the discount-weighted means of the other categories are
+    averaged unweighted (a category counts once regardless of volume), which
+    is the edge weight.
     """
-    same: list[tuple[float, float]] = []
-    others: dict[TaskCategory, list[tuple[float, float]]] = {}
-    for r in log:
-        if r.trustor != trustor or r.trustee != trustee or r.time >= eval_time:
-            continue
-        if r.category == category:
-            same.append((r.rating, r.time))
-        else:
-            others.setdefault(r.category, []).append((r.rating, r.time))
-
-    n_other = sum(len(v) for v in others.values())
-    if same:
-        value = _weighted_mean(same, eval_time, decay_rate)
-        return DirectTrustResult(value, DirectTrustSource.SAME_CATEGORY, len(same), n_other)
-    if others:
-        per_cat = [
-            _weighted_mean(others[cat], eval_time, decay_rate) for cat in sorted(others)
-        ]
-        value = sum(per_cat) / len(per_cat)
-        return DirectTrustResult(value, DirectTrustSource.CROSS_CATEGORY, 0, n_other)
-    return DirectTrustResult(None, DirectTrustSource.NONE, 0, 0)
+    edge = env.edges.get((trustor, trustee))
+    if edge is None:
+        return DirectTrustResult(None, DirectTrustSource.NONE, 0, 0)
+    same = edge.per_category.get(category)
+    n_other = sum(s.count for cat, s in edge.per_category.items() if cat != category)
+    if same is not None:
+        return DirectTrustResult(
+            same.decayed_trust, DirectTrustSource.SAME_CATEGORY, same.count, n_other
+        )
+    return DirectTrustResult(edge.weight, DirectTrustSource.CROSS_CATEGORY, 0, n_other)

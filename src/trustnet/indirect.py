@@ -153,58 +153,16 @@ def trusted_neighbours(
     return result
 
 
-def _category_activity(
-    log: Sequence[Interaction], category: TaskCategory, eval_time: float
-) -> tuple[dict[AgentId, int], dict[AgentId, float]]:
-    """Per-agent interaction count and latest time on ``category`` before ``eval_time``."""
-    counts: dict[AgentId, int] = {}
-    last: dict[AgentId, float] = {}
-    for r in log:
-        if r.category != category or r.time >= eval_time:
-            continue
-        for agent in (r.trustor, r.trustee):
-            counts[agent] = counts.get(agent, 0) + 1
-            if agent not in last or r.time > last[agent]:
-                last[agent] = r.time
-    return counts, last
-
-
-def _probabilities(
-    counts: dict[AgentId, int],
-    last: dict[AgentId, float],
-    neighbours: Sequence[AgentId],
-    eval_time: float,
-    recency_rate: float,
-) -> dict[AgentId, PropagationProbability]:
-    max_count = max((counts.get(a, 0) for a in neighbours), default=0)
-    raw: list[float] = []
-    parts: list[tuple[float, float]] = []
-    for a in neighbours:
-        n = counts.get(a, 0)
-        volume = math.log(1 + n) / math.log(1 + max_count) if max_count > 0 else 0.0
-        last_time = last.get(a)
-        recency = 0.0 if last_time is None else math.exp(-recency_rate * (eval_time - last_time))
-        parts.append((volume, recency))
-        raw.append(volume * recency)
-    total = sum(raw)
-    out = {}
-    for a, (volume, recency), r in zip(neighbours, parts, raw):
-        value = r / total if total > 0 else 1.0 / len(neighbours)
-        out[a] = PropagationProbability(volume=volume, recency=recency, value=value)
-    return out
-
-
 def propagation_probabilities(
     env: Environment,
-    log: Sequence[Interaction],
     agent: AgentId,
     neighbours: Sequence[AgentId],
     category: TaskCategory,
-    eval_time: float,
     recency_rate: float,
 ) -> dict[AgentId, PropagationProbability]:
     """Normalized consultation probabilities over a trusted-neighbour set.
 
+    Activity counts and recency are read from ``env`` at its snapshot time.
     The neighbour set must be non-empty; callers are expected to pass
     neighbours that qualify under :func:`trusted_neighbours`.
     """
@@ -213,17 +171,23 @@ def propagation_probabilities(
     if not neighbours:
         raise ValueError("neighbour set must be non-empty")
     ordered = sorted(neighbours)
-    counts, last = _category_activity(log, category, eval_time)
-    return _probabilities(counts, last, ordered, eval_time, recency_rate)
-
-
-def _ratings_of_trustee(
-    log: Sequence[Interaction], trustee: AgentId, category: TaskCategory, eval_time: float
-) -> dict[AgentId, list[float]]:
-    out: dict[AgentId, list[float]] = {}
-    for r in log:
-        if r.trustee == trustee and r.category == category and r.time < eval_time:
-            out.setdefault(r.trustor, []).append(r.rating)
+    activity, now = env.activity(category), env.snapshot_time
+    counts, last = activity.counts, activity.last
+    max_count = max(counts.get(a, 0) for a in ordered)
+    raw: list[float] = []
+    parts: list[tuple[float, float]] = []
+    for a in ordered:
+        n = counts.get(a, 0)
+        volume = math.log(1 + n) / math.log(1 + max_count) if max_count > 0 else 0.0
+        last_time = last.get(a)
+        recency = 0.0 if last_time is None else math.exp(-recency_rate * (now - last_time))
+        parts.append((volume, recency))
+        raw.append(volume * recency)
+    total = sum(raw)
+    out = {}
+    for a, (volume, recency), r in zip(ordered, parts, raw):
+        value = r / total if total > 0 else 1.0 / len(ordered)
+        out[a] = PropagationProbability(volume=volume, recency=recency, value=value)
     return out
 
 
@@ -286,6 +250,8 @@ def find_paths(
 ) -> PropagationTable:
     """Best-first search for trust propagation paths from trustor to trustee.
 
+    Only ``env`` is read; ``log`` is ignored.
+
     Each step expands the frontier agent with the largest cum_prob * cum_trust
     (ties go to the lexicographically smallest agent id), taken from a heap
     whose stale entries are skipped, so a step costs O(out-degree · log
@@ -306,12 +272,8 @@ def find_paths(
     if trustor == trustee:
         raise ValueError("trustor and trustee must differ")
 
-    eval_time = env.snapshot_time
-    counts, last = _category_activity(log, category, eval_time)
-    ratings = _ratings_of_trustee(log, trustee, category, eval_time)
-
     table = PropagationTable(
-        trustor=trustor, trustee=trustee, category=category, eval_time=eval_time
+        trustor=trustor, trustee=trustee, category=category, eval_time=env.snapshot_time
     )
     table.rows[trustor] = TableRow(agent=trustor, cum_prob=1.0, cum_trust=1.0, path=())
     prefix_of = {trustor: _Prefix(agents={trustor})}
@@ -346,12 +308,12 @@ def find_paths(
 
         attach: list[AgentId] = []
         for nbr in env.neighbours(current):
-            weight = env.edges[(current, nbr)].weight
+            edge = env.edges[(current, nbr)]
+            weight = edge.weight
             if nbr == trustee:
-                rated = ratings.get(current)
-                if rated:
-                    rating = sum(rated) / len(rated)
-                    table.put_trustee_row(current, rating, row.path + (current,))
+                rated = edge.per_category.get(category)
+                if rated is not None:
+                    table.put_trustee_row(current, rated.mean_rating, row.path + (current,))
                 continue
             if current != trustor and nbr in trusted_by_trustor:
                 continue
@@ -367,7 +329,7 @@ def find_paths(
                 attach.append(nbr)
 
         if attach:
-            probs = _probabilities(counts, last, attach, eval_time, config.recency_rate)
+            probs = propagation_probabilities(env, current, attach, category, config.recency_rate)
             node = prefix_of[current].branches.setdefault(current, _Prefix())
             for nbr in attach:
                 weight = env.edges[(current, nbr)].weight

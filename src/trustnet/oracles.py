@@ -1,9 +1,10 @@
 """Brute-force references and the comparison suites built on them.
 
 These deliberately re-derive the engine's results by different means:
-exhaustive simple-path enumeration instead of best-first search, and a
-dense matrix pipeline instead of the sparse one.  They stay independent of
-the engine code paths they check.
+scans of the raw log instead of the snapshot's statistics, exhaustive
+simple-path enumeration instead of best-first search, and a dense matrix
+pipeline instead of the sparse one.  They stay independent of the engine
+code paths they check.
 """
 
 from __future__ import annotations
@@ -39,6 +40,71 @@ def is_acyclic(env: Environment) -> bool:
         return False
 
 
+def oracle_direct_trust(
+    log: Sequence[Interaction],
+    trustor: AgentId,
+    trustee: AgentId,
+    category: TaskCategory,
+    eval_time: float,
+    decay_rate: float,
+) -> tuple[Optional[float], str, int, int]:
+    """Direct trust by a scan of the log: (value, source, n_same, n_other).
+
+    Same-category ratings before ``eval_time`` are combined by their mean
+    weighted with exp(-decay_rate * age); without any, each other category
+    is averaged that way and the per-category means are averaged unweighted.
+    """
+    per_cat: dict[TaskCategory, list[tuple[float, float]]] = {}
+    for r in log:
+        if r.trustor == trustor and r.trustee == trustee and r.time < eval_time:
+            weight = math.exp(-decay_rate * (eval_time - r.time))
+            per_cat.setdefault(r.category, []).append((r.rating * weight, weight))
+
+    def mean(pairs: list[tuple[float, float]]) -> float:
+        return sum(p for p, _ in pairs) / sum(w for _, w in pairs)
+
+    n_other = sum(len(v) for cat, v in per_cat.items() if cat != category)
+    if category in per_cat:
+        return mean(per_cat[category]), "same_category", len(per_cat[category]), n_other
+    if per_cat:
+        values = [mean(per_cat[cat]) for cat in sorted(per_cat)]
+        return sum(values) / len(values), "cross_category", 0, n_other
+    return None, "none", 0, 0
+
+
+def oracle_category_activity(
+    log: Sequence[Interaction], category: TaskCategory, eval_time: float
+) -> tuple[dict[AgentId, int], dict[AgentId, float], float]:
+    """Per-agent interaction count and latest time on ``category``, and dt_min.
+
+    dt_min is the number of interactions before ``eval_time`` divided by the
+    number of agents taking part in them, floored at 1.
+    """
+    counts: dict[AgentId, int] = {}
+    last: dict[AgentId, float] = {}
+    total = 0
+    for r in log:
+        if r.category != category or r.time >= eval_time:
+            continue
+        total += 1
+        for agent in (r.trustor, r.trustee):
+            counts[agent] = counts.get(agent, 0) + 1
+            if agent not in last or r.time > last[agent]:
+                last[agent] = r.time
+    return counts, last, max(total / len(counts), 1.0) if counts else 1.0
+
+
+def oracle_advisor_ratings(
+    log: Sequence[Interaction], trustee: AgentId, category: TaskCategory, eval_time: float
+) -> dict[AgentId, float]:
+    """Each advisor's plain mean rating of ``trustee`` on ``category``."""
+    rated: dict[AgentId, list[float]] = {}
+    for r in log:
+        if r.trustee == trustee and r.category == category and r.time < eval_time:
+            rated.setdefault(r.trustor, []).append(r.rating)
+    return {advisor: sum(values) / len(values) for advisor, values in rated.items()}
+
+
 def oracle_indirect(
     env: Environment,
     log: Sequence[Interaction],
@@ -60,11 +126,7 @@ def oracle_indirect(
     if trustor == trustee or trustor not in env.agents or trustee not in env.agents:
         raise ValueError("trustor and trustee must be distinct known agents")
 
-    eval_time = env.snapshot_time
-    ratings: dict[AgentId, list[float]] = {}
-    for r in log:
-        if r.trustee == trustee and r.category == category and r.time < eval_time:
-            ratings.setdefault(r.trustor, []).append(r.rating)
+    ratings = oracle_advisor_ratings(log, trustee, category, env.snapshot_time)
 
     threshold = config.trust_threshold
     # advisor -> (best product, hops to trustee, node chain) with deterministic ties
@@ -104,8 +166,7 @@ def oracle_indirect(
     for advisor in sorted(best):
         product, hops, _ = best[advisor]
         if product > config.path_threshold:
-            rated = ratings[advisor]
-            kept.append((sum(rated) / len(rated), product, hops))
+            kept.append((ratings[advisor], product, hops))
     if not kept:
         return None
     if len(kept) == 1:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, TextIO, Union
@@ -25,10 +26,10 @@ from .core import (
     TrustConfig,
     check_interaction,
 )
-from .reputation import ReputationModel
+from .reputation import MODEL_PARAMS, ReputationModel
 
 SNAPSHOT_FORMAT = "trustnet-snapshot"
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 LOG_FIELDS = ("trustor", "trustee", "rating", "category", "time")
 
@@ -80,6 +81,47 @@ def _as_stream(source: Union[str, Path, TextIO]) -> TextIO:
     return source
 
 
+def _read_json_lines(source: Union[str, Path, TextIO], strict: bool, parse) -> tuple[list, list]:
+    """Parse each non-blank JSON line of ``source`` with ``parse``.
+
+    ``parse(obj)`` returns ``(item, None)`` or ``(None, (field, problem))``.
+    Returns the items in input order and the per-line errors; with
+    ``strict`` the first error raises LogParseError instead.
+    """
+    items: list = []
+    errors: list[ParseError] = []
+    stream = _as_stream(source)
+    try:
+        for line_no, line in enumerate(stream, start=1):
+            if not line.strip():
+                continue
+            try:
+                item, problem = parse(json.loads(line))
+            except json.JSONDecodeError as exc:
+                item, problem = None, (None, f"invalid JSON: {exc.msg}")
+            if problem is None:
+                items.append(item)
+                continue
+            error = ParseError(line_no, *problem)
+            if strict:
+                raise LogParseError(error)
+            errors.append(error)
+    finally:
+        if stream is not source:
+            stream.close()
+    return items, errors
+
+
+def _write_json_lines(target: Union[str, Path, TextIO], objs: Iterable[dict]) -> None:
+    stream = open(target, "w", encoding="utf-8") if isinstance(target, (str, Path)) else target
+    try:
+        for obj in objs:
+            stream.write(json.dumps(obj) + "\n")
+    finally:
+        if stream is not target:
+            stream.close()
+
+
 def parse_log(
     source: Union[str, Path, TextIO], strict: bool = False
 ) -> tuple[list[Interaction], list[ParseError]]:
@@ -89,154 +131,65 @@ def parse_log(
     per-line errors.  With ``strict`` the first error raises LogParseError
     instead.  Blank lines are ignored.
     """
-    records: list[Interaction] = []
-    errors: list[ParseError] = []
-
-    def fail(line_no: int, field: Optional[str], message: str) -> None:
-        err = ParseError(line_no, field, message)
-        if strict:
-            raise LogParseError(err)
-        errors.append(err)
-
-    stream = _as_stream(source)
-    try:
-        for line_no, line in enumerate(stream, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                fail(line_no, None, f"invalid JSON: {exc.msg}")
-                continue
-            if not isinstance(obj, dict):
-                fail(line_no, None, "record must be a JSON object")
-                continue
-            unknown = sorted(set(obj) - set(LOG_FIELDS))
-            if unknown:
-                fail(line_no, unknown[0], "unexpected field")
-                continue
-            missing = [f for f in LOG_FIELDS if f not in obj]
-            if missing:
-                fail(line_no, missing[0], "missing field")
-                continue
-            problem_field, problem = _check_wire_record(obj)
-            if problem is not None:
-                fail(line_no, problem_field, problem)
-                continue
-            records.append(
-                Interaction(
-                    trustor=obj["trustor"],
-                    trustee=obj["trustee"],
-                    rating=float(obj["rating"]),
-                    category=obj["category"],
-                    time=float(obj["time"]),
-                )
-            )
-    finally:
-        if isinstance(source, (str, Path)):
-            stream.close()
-    return records, errors
+    return _read_json_lines(source, strict, _wire_record)
 
 
-def _check_wire_record(obj: dict) -> tuple[Optional[str], Optional[str]]:
+def _wire_record(obj) -> tuple[Optional[Interaction], Optional[tuple[Optional[str], str]]]:
+    """The record a log line holds, or (None, (field, problem)) when it is invalid."""
+    if not isinstance(obj, dict):
+        return None, (None, "record must be a JSON object")
+    unknown = sorted(set(obj) - set(LOG_FIELDS))
+    if unknown:
+        return None, (unknown[0], "unexpected field")
+    missing = [f for f in LOG_FIELDS if f not in obj]
+    if missing:
+        return None, (missing[0], "missing field")
     for name in ("trustor", "trustee", "category"):
         if not isinstance(obj[name], str) or not obj[name]:
-            return name, "must be a non-empty string"
+            return None, (name, "must be a non-empty string")
     for name in ("rating", "time"):
         if isinstance(obj[name], bool) or not isinstance(obj[name], (int, float)):
-            return name, "must be a number"
-    candidate = Interaction(
+            return None, (name, "must be a number")
+    record = Interaction(
         trustor=obj["trustor"],
         trustee=obj["trustee"],
         rating=float(obj["rating"]),
         category=obj["category"],
         time=float(obj["time"]),
     )
-    return check_interaction(candidate) or (None, None)
+    problem = check_interaction(record)
+    return (record, None) if problem is None else (None, problem)
 
 
 def dump_log(records: Sequence[Interaction], target: Union[str, Path, TextIO]) -> None:
-    """Write records as JSON lines with a fixed field order."""
-    own = isinstance(target, (str, Path))
-    stream = open(target, "w", encoding="utf-8") if own else target
-    try:
-        for r in records:
-            stream.write(
-                json.dumps(
-                    {
-                        "trustor": r.trustor,
-                        "trustee": r.trustee,
-                        "rating": r.rating,
-                        "category": r.category,
-                        "time": r.time,
-                    }
-                )
-                + "\n"
-            )
-    finally:
-        if own:
-            stream.close()
+    """Write records as JSON lines with the fields in ``LOG_FIELDS`` order."""
+    _write_json_lines(target, ({f: getattr(r, f) for f in LOG_FIELDS} for r in records))
 
 
 def parse_profiles(
     source: Union[str, Path, TextIO], strict: bool = False
 ) -> tuple[list[AgentProfile], list[ParseError]]:
     """Read JSON-lines agent declarations: {"id", "able", "completed"}."""
-    profiles: list[AgentProfile] = []
-    errors: list[ParseError] = []
+    return _read_json_lines(source, strict, _wire_profile)
 
-    def fail(line_no: int, field: Optional[str], message: str) -> None:
-        err = ParseError(line_no, field, message)
-        if strict:
-            raise LogParseError(err)
-        errors.append(err)
 
-    stream = _as_stream(source)
-    try:
-        for line_no, line in enumerate(stream, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                fail(line_no, None, f"invalid JSON: {exc.msg}")
-                continue
-            if not isinstance(obj, dict) or not isinstance(obj.get("id"), str) or not obj["id"]:
-                fail(line_no, "id", "must be a non-empty string")
-                continue
-            able = obj.get("able", [])
-            completed = obj.get("completed", [])
-            ok = all(isinstance(c, str) and c for c in able) and all(
-                isinstance(c, str) and c for c in completed
-            )
-            if not isinstance(able, list) or not isinstance(completed, list) or not ok:
-                fail(line_no, "able", "category lists must contain non-empty strings")
-                continue
-            profiles.append(
-                AgentProfile(
-                    id=obj["id"], completed=frozenset(completed), able=frozenset(able)
-                )
-            )
-    finally:
-        if isinstance(source, (str, Path)):
-            stream.close()
-    return profiles, errors
+def _wire_profile(obj) -> tuple[Optional[AgentProfile], Optional[tuple[str, str]]]:
+    if not isinstance(obj, dict) or not isinstance(obj.get("id"), str) or not obj["id"]:
+        return None, ("id", "must be a non-empty string")
+    able, completed = obj.get("able", []), obj.get("completed", [])
+    for categories in (able, completed):
+        if not isinstance(categories, list) or not all(
+            isinstance(c, str) and c for c in categories
+        ):
+            return None, ("able", "category lists must contain non-empty strings")
+    return AgentProfile(id=obj["id"], completed=frozenset(completed), able=frozenset(able)), None
 
 
 def dump_profiles(profiles: Iterable[AgentProfile], target: Union[str, Path, TextIO]) -> None:
-    own = isinstance(target, (str, Path))
-    stream = open(target, "w", encoding="utf-8") if own else target
-    try:
-        for p in profiles:
-            stream.write(
-                json.dumps(
-                    {"id": p.id, "able": sorted(p.able), "completed": sorted(p.completed)}
-                )
-                + "\n"
-            )
-    finally:
-        if own:
-            stream.close()
+    _write_json_lines(
+        target,
+        ({"id": p.id, "able": sorted(p.able), "completed": sorted(p.completed)} for p in profiles),
+    )
 
 
 def config_from_dict(data: dict) -> TrustConfig:
@@ -270,7 +223,7 @@ def load_config(source: Union[str, Path, TextIO]) -> TrustConfig:
     try:
         text = stream.read()
     finally:
-        if isinstance(source, (str, Path)):
+        if stream is not source:
             stream.close()
     if not text.strip():
         return TrustConfig()
@@ -296,9 +249,13 @@ def _env_payload(env: Environment) -> dict:
         {
             "src": src,
             "dst": dst,
-            "weight": stats.weight,
             "categories": {
-                cat: {"count": s.count, "trust": s.decayed_trust, "last_time": s.last_time}
+                cat: {
+                    "count": s.count,
+                    "trust": s.decayed_trust,
+                    "rating": s.mean_rating,
+                    "last_time": s.last_time,
+                }
                 for cat, s in sorted(stats.per_category.items())
             },
         }
@@ -314,6 +271,7 @@ def _model_payload(model: ReputationModel) -> dict:
         "iterations_used": model.iterations_used,
         "converged": model.converged,
         "mean_reputation": model.mean_reputation,
+        "params": model.params,
     }
 
 
@@ -323,15 +281,11 @@ def save_snapshot(
     model: Optional[ReputationModel] = None,
 ) -> str:
     """Write the snapshot file; returns the checksum of the body."""
-    digest_src = json.dumps(
-        {"snapshot_time": env.snapshot_time, "decay_rate": env.decay_rate}
-    ).encode()
     header = {
         "format": SNAPSHOT_FORMAT,
         "version": SNAPSHOT_VERSION,
         "snapshot_time": env.snapshot_time,
         "decay_rate": env.decay_rate,
-        "config_digest": hashlib.sha256(digest_src).hexdigest(),
     }
     document = {
         "header": header,
@@ -373,12 +327,16 @@ _STRING = (str,)
 _NUMBER = (int, float)
 _INTEGER = (int,)
 _BOOLEAN = (bool,)
+_OPTIONAL_NUMBER = (int, float, type(None))
 _KIND_NAMES = {
     _STRING: "a string",
     _NUMBER: "a number",
     _INTEGER: "an integer",
     _BOOLEAN: "a boolean",
+    _OPTIONAL_NUMBER: "a number or null",
 }
+# Reputation parameters that are not plain numbers.
+_PARAM_KINDS = {"max_iterations": _INTEGER, "pagerank_seconds": _OPTIONAL_NUMBER}
 
 
 def _typed(value, kind: tuple[type, ...], what: str):
@@ -396,11 +354,33 @@ def _typed_list(values, kind: tuple[type, ...], what: str) -> list:
     return [_typed(v, kind, what) for v in values]
 
 
+def _category_stats(s: dict, snapshot_time: float) -> CategoryStats:
+    """One edge category's statistics, type- and range-checked."""
+    stats = CategoryStats(
+        count=_typed(s["count"], _INTEGER, "category count"),
+        decayed_trust=_typed(s["trust"], _NUMBER, "category trust"),
+        mean_rating=_typed(s["rating"], _NUMBER, "category rating"),
+        last_time=_typed(s["last_time"], _NUMBER, "category last_time"),
+    )
+    if stats.count < 1:
+        problem = f"count {stats.count!r} below 1"
+    elif not 0.0 <= stats.decayed_trust <= 1.0:
+        problem = f"trust {stats.decayed_trust!r} outside [0, 1]"
+    elif not 0.0 <= stats.mean_rating <= 1.0:
+        problem = f"rating {stats.mean_rating!r} outside [0, 1]"
+    elif not (math.isfinite(stats.last_time) and stats.last_time < snapshot_time):
+        problem = f"last_time {stats.last_time!r} is not a finite time before snapshot_time"
+    else:
+        return stats
+    raise SnapshotError(f"malformed snapshot: category {problem}")
+
+
 def _parse_document(document: dict) -> tuple[Environment, Optional[ReputationModel]]:
     """Rebuild the environment and model from a checksum-verified document.
 
     Besides the shape of the document, every value's JSON type is checked,
-    so a bad value ends here as SnapshotError and not later in a query.
+    and the edge statistics the query path reads are range-checked, so a
+    bad value ends here as SnapshotError and not later in a query.
     """
     header = document.get("header", {})
     if header.get("format") != SNAPSHOT_FORMAT:
@@ -410,6 +390,7 @@ def _parse_document(document: dict) -> tuple[Environment, Optional[ReputationMod
             f"unsupported snapshot version {header.get('version')!r}, "
             f"expected {SNAPSHOT_VERSION}"
         )
+    snapshot_time = _typed(header["snapshot_time"], _NUMBER, "snapshot_time")
 
     agents = {}
     for a in document["agents"]:
@@ -424,21 +405,18 @@ def _parse_document(document: dict) -> tuple[Environment, Optional[ReputationMod
         pair = (_typed(e["src"], _STRING, "edge src"), _typed(e["dst"], _STRING, "edge dst"))
         if pair[0] not in agents or pair[1] not in agents:
             raise SnapshotError(f"malformed snapshot: edge {pair!r} names an unknown agent")
-        per_cat = {
-            _typed(cat, _STRING, "edge category"): CategoryStats(
-                count=_typed(s["count"], _INTEGER, "category count"),
-                decayed_trust=_typed(s["trust"], _NUMBER, "category trust"),
-                last_time=_typed(s["last_time"], _NUMBER, "category last_time"),
-            )
-            for cat, s in e["categories"].items()
-        }
+        if not e["categories"]:
+            raise SnapshotError(f"malformed snapshot: edge {pair!r} has no categories")
         edges[pair] = EdgeStats(
-            weight=_typed(e["weight"], _NUMBER, "edge weight"), per_category=per_cat
+            {
+                _typed(cat, _STRING, "edge category"): _category_stats(s, snapshot_time)
+                for cat, s in e["categories"].items()
+            }
         )
     env = Environment(
         agents=agents,
         edges=edges,
-        snapshot_time=_typed(header["snapshot_time"], _NUMBER, "snapshot_time"),
+        snapshot_time=snapshot_time,
         decay_rate=_typed(header["decay_rate"], _NUMBER, "decay_rate"),
     )
 
@@ -449,11 +427,17 @@ def _parse_document(document: dict) -> tuple[Environment, Optional[ReputationMod
         vector = _typed_list(rep["vector"], _NUMBER, "reputation entry")
         if len(vector) != len(nodes):
             raise SnapshotError("malformed snapshot: reputation nodes and vector differ in length")
+        params = rep["params"]
+        if type(params) is not dict or set(params) != set(MODEL_PARAMS):
+            raise SnapshotError(f"malformed snapshot: reputation params must name {MODEL_PARAMS}")
+        for name in MODEL_PARAMS:
+            _typed(params[name], _PARAM_KINDS.get(name, _NUMBER), f"reputation {name}")
         model = ReputationModel(
             nodes=nodes,
             vector=np.array(vector, dtype=float),
             iterations_used=_typed(rep["iterations_used"], _INTEGER, "iterations_used"),
             converged=_typed(rep["converged"], _BOOLEAN, "converged"),
             mean_reputation=_typed(rep["mean_reputation"], _NUMBER, "mean_reputation"),
+            params=params,
         )
     return env, model

@@ -41,14 +41,25 @@ class PropagationMatrix:
         return self.explicit.toarray() + self.spread[:, None] * others
 
 
+# The config fields a reputation model depends on.
+MODEL_PARAMS = ("trust_threshold", "damping", "tolerance", "max_iterations", "pagerank_seconds")
+
+
+def model_params(config: TrustConfig) -> dict:
+    """The values of ``MODEL_PARAMS`` in ``config``, as a model records them."""
+    return {name: getattr(config, name) for name in MODEL_PARAMS}
+
+
 @dataclass
 class ReputationModel:
     """Converged reputation over the node set.
 
     ``vector`` is max-normalized (its largest entry is 1 when nodes exist);
     ``mean_reputation`` is its mean and doubles as the newcomer value.
-    ``matrix`` is the built model's input, kept for ``perfbench/scaling.py``;
-    being derivable, it is neither saved (a loaded model has None) nor compared.
+    ``params`` holds the config values the model was built with (see
+    :func:`model_params`).  ``matrix`` is the built model's input, kept for
+    ``perfbench/scaling.py``; being derivable, it is neither saved (a loaded
+    model has None) nor compared.
     """
 
     nodes: list[AgentId]
@@ -56,6 +67,7 @@ class ReputationModel:
     iterations_used: int
     converged: bool
     mean_reputation: float
+    params: dict
     matrix: Optional[PropagationMatrix] = None
 
     def __eq__(self, other) -> bool:
@@ -67,6 +79,7 @@ class ReputationModel:
             and self.iterations_used == other.iterations_used
             and self.converged == other.converged
             and self.mean_reputation == other.mean_reputation
+            and self.params == other.params
         )
 
 
@@ -178,6 +191,7 @@ def build_reputation(env: Environment, config: TrustConfig) -> ReputationModel:
             iterations_used=0,
             converged=True,
             mean_reputation=0.5,
+            params=model_params(config),
         )
     matrix = propagation_matrix(env, nodes, config.trust_threshold)
     raw, iterations, converged = pagerank(
@@ -194,6 +208,7 @@ def build_reputation(env: Environment, config: TrustConfig) -> ReputationModel:
         iterations_used=iterations,
         converged=converged,
         mean_reputation=float(np.mean(vector)),
+        params=model_params(config),
         matrix=matrix,
     )
 

@@ -183,20 +183,21 @@ def test_criterion_5_newcomer_mean_reputation():
 def test_criterion_6_direct_trust_properties():
     ratings = [0.9, 0.1, 0.5, 0.7, 0.3]
     log = [rec("A", "B", r, "c1", float(i)) for i, r in enumerate(ratings)]
-    plain = direct_trust(log, "A", "B", "c1", 100.0, 0.0).value
+    plain = direct_trust(build_environment(log, 100.0, 0.0), "A", "B", "c1").value
     mean_ok = abs(plain - sum(ratings) / len(ratings)) <= 1e-12
 
     base_log = [rec("A", "B", 0.9, "c1", 2.0), rec("A", "B", 0.1, "c1", 7.0)]
-    base = direct_trust(base_log, "A", "B", "c1", 10.0, 0.3).value
+    base = direct_trust(build_environment(base_log, 10.0, 0.3), "A", "B", "c1").value
     shift_ok = True
     for shift in (1.0, 64.0, 4096.0):
         shifted = [rec("A", "B", r.rating, "c1", r.time + shift) for r in base_log]
         shift_ok = shift_ok and (
-            direct_trust(shifted, "A", "B", "c1", 10.0 + shift, 0.3).value == base
+            direct_trust(build_environment(shifted, 10.0 + shift, 0.3), "A", "B", "c1").value
+            == base
         )
 
     decayed_log = [rec("A", "B", 1.0, "c1", 0.0), rec("A", "B", 0.0, "c1", 9.0)]
-    decayed = direct_trust(decayed_log, "A", "B", "c1", 10.0, 0.1).value
+    decayed = direct_trust(build_environment(decayed_log, 10.0, 0.1), "A", "B", "c1").value
     decay_ok = abs(decayed - 0.289050) <= 1e-6
 
     ok = mean_ok and shift_ok and decay_ok

@@ -204,13 +204,13 @@ def test_snapshot_value_of_wrong_type_is_input_error(capsys, world):
     snap = world["tmp"] / "world.snap"
     run(capsys, ["snapshot", "save", "--log", world["log"], "--time", "100", "--out", str(snap)])
     document = json.loads(snap.read_text().split("\n")[0])
-    document["edges"][0]["weight"] = "high"
+    next(iter(document["edges"][0]["categories"].values()))["trust"] = "high"
     body = json.dumps(document)
     snap.write_text(body + "\nsha256:" + hashlib.sha256(body.encode()).hexdigest() + "\n")
     code, out, err = run(capsys, ["snapshot", "load", "--in", str(snap)])
     assert code == 1
     assert out == ""
-    assert "edge weight must be a number" in err
+    assert "category trust must be a number" in err
 
 
 def test_oracle_suite_reports_clean_comparison(capsys):

@@ -40,7 +40,7 @@ def inputs(n_same=0, n_other=0, n_paths=0, bar=4.0, did=True, can=True):
 # --- evidence bar ----------------------------------------------------------
 
 def test_dt_min_floor_without_interactions():
-    assert dt_min([], "c1", 10.0) == 1.0
+    assert dt_min(build_environment([], 10.0), "c1") == 1.0
 
 
 def test_dt_min_counts_per_participant():
@@ -49,7 +49,7 @@ def test_dt_min_counts_per_participant():
         rec(agents[i % 5], agents[(i + 1) % 5], 0.5, "c1", float(i)) for i in range(10)
     ]
     assert len({r.trustor for r in log} | {r.trustee for r in log}) == 5
-    assert dt_min(log, "c1", 100.0) == 2.0
+    assert dt_min(build_environment(log, 100.0), "c1") == 2.0
 
 
 def test_dt_min_floors_small_ratios():
@@ -58,12 +58,12 @@ def test_dt_min_floors_small_ratios():
         rec("B", "C", 0.5, "c1", 2.0),
         rec("C", "D", 0.5, "c1", 3.0),
     ]
-    assert dt_min(log, "c1", 100.0) == 1.0
+    assert dt_min(build_environment(log, 100.0), "c1") == 1.0
 
 
 def test_dt_min_ignores_other_categories_and_future():
     log = [rec("A", "B", 0.5, "c2", 1.0), rec("A", "B", 0.5, "c1", 50.0)]
-    assert dt_min(log, "c1", 10.0) == 1.0
+    assert dt_min(build_environment(log, 10.0), "c1") == 1.0
 
 
 # --- weights ---------------------------------------------------------------
@@ -231,6 +231,17 @@ def test_evaluate_rejects_decay_rate_mismatch():
     env = build_environment(log, 10.0, 0.5)
     with pytest.raises(ValueError, match="decay_rate"):
         evaluate(env, log, "A", "B", "c1", 10.0, CFG)
+
+
+def test_evaluate_rejects_reputation_model_built_with_other_config():
+    # a model ranked at theta_r 0.5 would silently stand in for one at 0.6
+    log = backdrop_log()
+    env = build_environment(log, 10.0, 0.0)
+    model = build_reputation(env, TrustConfig(decay_rate=0.0, trust_threshold=0.5))
+    other = TrustConfig(decay_rate=0.0, recency_rate=0.0, trust_threshold=0.6)
+    with pytest.raises(ValueError, match="trust_threshold"):
+        evaluate(env, log, "C", "E", "c1", 10.0, other, model)
+    evaluate(env, log, "C", "E", "c1", 10.0, TrustConfig(decay_rate=0.0), model)
 
 
 def test_report_serialization_fields_and_precision():

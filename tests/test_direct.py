@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trustnet import DirectTrustSource, decay_weight, direct_trust
+from trustnet import DirectTrustSource, build_environment, decay_weight, direct_trust
 
 from helpers import rec
 
@@ -26,7 +26,8 @@ def test_decay_weight_exponential():
 
 
 def test_single_interaction_same_category():
-    result = direct_trust([rec("A", "B", 0.6, "c1", 3.0)], "A", "B", "c1", 10.0, 0.7)
+    env = build_environment([rec("A", "B", 0.6, "c1", 3.0)], 10.0, 0.7)
+    result = direct_trust(env, "A", "B", "c1")
     assert result.value == 0.6
     assert result.source is DirectTrustSource.SAME_CATEGORY
     assert result.n_same == 1 and result.n_other == 0
@@ -34,7 +35,7 @@ def test_single_interaction_same_category():
 
 def test_two_interaction_decay_example():
     log = [rec("A", "B", 1.0, "c1", 0.0), rec("A", "B", 0.0, "c1", 9.0)]
-    result = direct_trust(log, "A", "B", "c1", 10.0, 0.1)
+    result = direct_trust(build_environment(log, 10.0, 0.1), "A", "B", "c1")
     w_old, w_new = math.exp(-1.0), math.exp(-0.1)
     expected = (1.0 * w_old + 0.0 * w_new) / (w_old + w_new)
     assert result.value == pytest.approx(expected, abs=1e-15)
@@ -48,7 +49,7 @@ def test_cross_category_fallback_unweighted_over_categories():
         rec("A", "B", 0.4, "c1", 3.0),
         rec("A", "B", 0.8, "c2", 4.0),
     ]
-    result = direct_trust(log, "A", "B", "c9", 10.0, 0.0)
+    result = direct_trust(build_environment(log, 10.0, 0.0), "A", "B", "c9")
     # per-category means 0.4 and 0.8, then the unweighted mean over the
     # two categories regardless of their interaction counts
     assert result.value == pytest.approx(0.6, abs=1e-12)
@@ -57,14 +58,15 @@ def test_cross_category_fallback_unweighted_over_categories():
 
 
 def test_no_history_yields_none():
-    result = direct_trust([], "A", "B", "c1", 10.0, 0.1)
+    result = direct_trust(build_environment([], 10.0, 0.1), "A", "B", "c1")
     assert result.value is None
     assert result.source is DirectTrustSource.NONE
     assert result.n_same == result.n_other == 0
 
 
 def test_only_future_interactions_yield_none():
-    result = direct_trust([rec("A", "B", 0.9, "c1", 10.0)], "A", "B", "c1", 10.0, 0.0)
+    env = build_environment([rec("A", "B", 0.9, "c1", 10.0)], 10.0, 0.0)
+    result = direct_trust(env, "A", "B", "c1")
     assert result.value is None
 
 
@@ -72,7 +74,7 @@ def test_only_future_interactions_yield_none():
 @settings(max_examples=80)
 def test_zero_decay_equals_plain_mean(values):
     log = [rec("A", "B", r, "c1", float(i)) for i, r in enumerate(values)]
-    result = direct_trust(log, "A", "B", "c1", 100.0, 0.0)
+    result = direct_trust(build_environment(log, 100.0, 0.0), "A", "B", "c1")
     assert result.value == sum(values) / len(values)
 
 
@@ -80,14 +82,17 @@ def test_zero_decay_equals_plain_mean(values):
 @settings(max_examples=60)
 def test_value_stays_in_unit_interval(values, rate):
     log = [rec("A", "B", r, "c1", float(i)) for i, r in enumerate(values)]
-    result = direct_trust(log, "A", "B", "c1", 100.0, rate)
+    result = direct_trust(build_environment(log, 100.0, rate), "A", "B", "c1")
     assert 0.0 <= result.value <= 1.0
 
 
 def test_increasing_decay_rate_moves_toward_recent():
     log = [rec("A", "B", 1.0, "c1", 0.0), rec("A", "B", 0.2, "c1", 9.0)]
     recent = 0.2
-    values = [direct_trust(log, "A", "B", "c1", 10.0, rate).value for rate in (0.0, 0.5, 1.0, 2.0)]
+    values = [
+        direct_trust(build_environment(log, 10.0, rate), "A", "B", "c1").value
+        for rate in (0.0, 0.5, 1.0, 2.0)
+    ]
     gaps = [abs(v - recent) for v in values]
     assert gaps == sorted(gaps, reverse=True)
     assert gaps[-1] < gaps[0]
@@ -95,10 +100,11 @@ def test_increasing_decay_rate_moves_toward_recent():
 
 def test_time_shift_covariance_exact_for_representable_shifts():
     log = [rec("A", "B", 0.9, "c1", 2.0), rec("A", "B", 0.1, "c1", 7.0)]
-    base = direct_trust(log, "A", "B", "c1", 10.0, 0.3).value
+    base = direct_trust(build_environment(log, 10.0, 0.3), "A", "B", "c1").value
     for shift in (1.0, 64.0, 1024.0):
         shifted_log = [rec("A", "B", r.rating, "c1", r.time + shift) for r in log]
-        shifted = direct_trust(shifted_log, "A", "B", "c1", 10.0 + shift, 0.3).value
+        shifted_env = build_environment(shifted_log, 10.0 + shift, 0.3)
+        shifted = direct_trust(shifted_env, "A", "B", "c1").value
         assert shifted == base
 
 
@@ -110,7 +116,8 @@ def test_time_shift_covariance_exact_for_representable_shifts():
 @settings(max_examples=60)
 def test_time_shift_covariance_approximate(values, rate, shift):
     log = [rec("A", "B", r, "c1", float(i)) for i, r in enumerate(values)]
-    base = direct_trust(log, "A", "B", "c1", 100.0, rate).value
+    base = direct_trust(build_environment(log, 100.0, rate), "A", "B", "c1").value
     shifted_log = [rec("A", "B", r.rating, "c1", r.time + shift) for r in log]
-    shifted = direct_trust(shifted_log, "A", "B", "c1", 100.0 + shift, rate).value
+    shifted_env = build_environment(shifted_log, 100.0 + shift, rate)
+    shifted = direct_trust(shifted_env, "A", "B", "c1").value
     assert shifted == pytest.approx(base, rel=1e-9, abs=1e-12)

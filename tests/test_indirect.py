@@ -56,14 +56,14 @@ def test_unknown_agent_rejected():
 def test_single_neighbour_gets_all_mass():
     log = [rec("A", "B", 0.9, "c1", 1.0)]
     env = env_of(log)
-    probs = propagation_probabilities(env, log, "A", ["B"], "c1", 10.0, 0.0)
+    probs = propagation_probabilities(env, "A", ["B"], "c1", 0.0)
     assert probs["B"].value == 1.0
 
 
 def test_symmetric_neighbours_split_evenly():
     log = [rec("A", "B", 0.9, "c1", 1.0), rec("A", "C", 0.9, "c1", 1.0)]
     env = env_of(log)
-    probs = propagation_probabilities(env, log, "A", ["B", "C"], "c1", 10.0, 0.2)
+    probs = propagation_probabilities(env, "A", ["B", "C"], "c1", 0.2)
     assert probs["B"].value == pytest.approx(0.5, abs=1e-15)
     assert probs["C"].value == pytest.approx(0.5, abs=1e-15)
 
@@ -76,7 +76,7 @@ def test_log_count_normalization():
         rec("A", "C", 0.9, "c1", 3.0),
     ]
     env = env_of(log)
-    probs = propagation_probabilities(env, log, "A", ["B", "C"], "c1", 10.0, 0.0)
+    probs = propagation_probabilities(env, "A", ["B", "C"], "c1", 0.0)
     raw_b = math.log(2) / math.log(4)
     expected_b = raw_b / (raw_b + 1.0)
     assert probs["B"].value == pytest.approx(0.3333, abs=1e-4)
@@ -87,7 +87,7 @@ def test_log_count_normalization():
 def test_zero_activity_falls_back_to_uniform():
     log = [rec("A", "B", 0.9, "c2", 1.0), rec("A", "C", 0.9, "c2", 1.0)]
     env = env_of(log)
-    probs = propagation_probabilities(env, log, "A", ["B", "C"], "c1", 10.0, 0.1)
+    probs = propagation_probabilities(env, "A", ["B", "C"], "c1", 0.1)
     assert probs["B"].value == probs["C"].value == 0.5
 
 
@@ -95,7 +95,7 @@ def test_empty_neighbour_set_rejected():
     log = [rec("A", "B", 0.9)]
     env = env_of(log)
     with pytest.raises(ValueError):
-        propagation_probabilities(env, log, "A", [], "c1", 10.0, 0.0)
+        propagation_probabilities(env, "A", [], "c1", 0.0)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=6))
@@ -110,7 +110,7 @@ def test_probabilities_sum_to_one(counts):
             t += 0.25
     log.append(rec("A", "B", 0.9, "c2", 1.0))  # anchors A in the environment
     env = env_of(log, at=100.0)
-    probs = propagation_probabilities(env, log, "A", neighbours, "c1", 100.0, 0.05)
+    probs = propagation_probabilities(env, "A", neighbours, "c1", 0.05)
     assert sum(p.value for p in probs.values()) == pytest.approx(1.0, abs=1e-12)
     assert all(0.0 <= p.value <= 1.0 for p in probs.values())
 

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 
 import pytest
 
@@ -95,6 +96,13 @@ def test_profiles_round_trip(tmp_path):
     parsed, errors = parse_profiles(path)
     assert errors == []
     assert parsed == profiles
+
+
+def test_profile_category_list_that_is_not_a_list_is_reported():
+    text = '{"id": "x", "able": 5}\n{"id": "y", "completed": ["c1", ""]}\n{"id": "z"}\n'
+    profiles, errors = parse_profiles(io.StringIO(text))
+    assert [p.id for p in profiles] == ["z"]
+    assert [(e.line, e.field) for e in errors] == [(1, "able"), (2, "able")]
 
 
 # --- config ------------------------------------------------------------------
@@ -228,7 +236,7 @@ def test_version_mismatch_rejected(tmp_path):
     path = tmp_path / "t.snap"
     save_snapshot(env, path)
     body = path.read_text().split("\n")[0]
-    rewrite_body(path, body.replace('"version": 2', '"version": 99'))
+    rewrite_body(path, body.replace('"version": 3', '"version": 99'))
     with pytest.raises(SnapshotError, match="version"):
         load_snapshot(path)
 
@@ -240,28 +248,36 @@ def test_body_that_is_not_an_object_rejected(tmp_path):
         load_snapshot(path)
 
 
-def test_edge_without_weight_rejected(tmp_path):
-    env = build_environment([rec("A", "B", 0.9)], 42.0)
-    path = tmp_path / "t.snap"
-    save_snapshot(env, path)
-    document = json.loads(path.read_text().split("\n")[0])
-    del document["edges"][0]["weight"]
-    rewrite_body(path, json.dumps(document))
-    with pytest.raises(SnapshotError, match="weight"):
-        load_snapshot(path)
-
-
 @pytest.mark.parametrize(
     "corrupt, problem",
     [
-        (lambda d: d["edges"][0].update(weight="high"), "edge weight must be a number"),
+        (lambda d: d["edges"][0].update(categories={}), "has no categories"),
         (lambda d: d["edges"][0]["categories"]["c1"].update(count=True), "category count"),
+        (lambda d: d["edges"][0]["categories"]["c1"].update(count=-3), "count -3 below 1"),
+        (lambda d: d["edges"][0]["categories"]["c1"].update(trust=1.5), "trust 1.5 outside"),
+        (lambda d: d["edges"][0]["categories"]["c1"].update(rating=-0.1), "rating -0.1 outside"),
+        (lambda d: d["edges"][0]["categories"]["c1"].update(last_time=42.0), "last_time 42.0"),
+        (lambda d: d["edges"][0]["categories"]["c1"].update(last_time=math.inf), "last_time inf"),
+        (lambda d: d["reputation"]["params"].update(damping="0.85"), "damping must be a number"),
         (lambda d: d["agents"][0].update(able="c1"), "able category must be in a list"),
         (lambda d: d["edges"][0].update(dst="Z"), "unknown agent"),
         (lambda d: d["reputation"].update(converged="yes"), "converged must be a boolean"),
         (lambda d: d["reputation"]["vector"].append(0.5), "differ in length"),
     ],
-    ids=["weight", "count", "able", "endpoint", "converged", "vector-length"],
+    ids=[
+        "no-categories",
+        "count",
+        "count-below-one",
+        "trust-range",
+        "rating-range",
+        "last-time-at-snapshot",
+        "last-time-infinite",
+        "able",
+        "endpoint",
+        "converged",
+        "vector-length",
+        "params",
+    ],
 )
 def test_value_of_wrong_type_rejected(tmp_path, corrupt, problem):
     env = build_environment([rec("A", "B", 0.9)], 42.0)
