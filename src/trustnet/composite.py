@@ -210,6 +210,7 @@ def evaluate(
             "mean": model.mean_reputation,
             "defaulted": not model.nodes,
         },
+        "reputation_stop": model.stop_reason,
     }
     return TrustReport(
         trustor=trustor,

@@ -103,10 +103,10 @@ class PropagationTable:
                 raise InvariantError(f"cumulative values out of range for {row.agent!r}")
             product = 1.0
             for a, b in zip(chain, chain[1:]):
-                stats = env.edges.get((a, b))
-                if stats is None or stats.weight < trust_threshold:
+                weight = env.out_weights(a).get(b)
+                if weight is None or weight < trust_threshold:
                     raise InvariantError(f"untrusted hop {a!r}->{b!r} on stored path")
-                product *= stats.weight
+                product *= weight
             if abs(product - row.cum_trust) > 1e-12:
                 raise InvariantError(
                     f"cum_trust of {row.agent!r} diverges from its path product"
@@ -142,15 +142,11 @@ def trusted_neighbours(
     env: Environment, agent: AgentId, category: TaskCategory, trust_threshold: float
 ) -> set[AgentId]:
     """Out-neighbours trusted at or above the threshold with history in ``category``."""
-    if agent not in env.agents:
-        raise UnknownAgentError(agent)
-    result = set()
-    for nbr in env.neighbours(agent):
-        if env.edges[(agent, nbr)].weight < trust_threshold:
-            continue
-        if category in env.agents[nbr].completed:
-            result.add(nbr)
-    return result
+    return {
+        nbr
+        for nbr, weight in env.out_weights(agent).items()
+        if weight >= trust_threshold and category in env.agents[nbr].completed
+    }
 
 
 def propagation_probabilities(
@@ -278,9 +274,7 @@ def find_paths(
     table.rows[trustor] = TableRow(agent=trustor, cum_prob=1.0, cum_trust=1.0, path=())
     prefix_of = {trustor: _Prefix(agents={trustor})}
     trusted_by_trustor = {
-        nbr
-        for nbr in env.neighbours(trustor)
-        if env.edges[(trustor, nbr)].weight >= config.trust_threshold
+        nbr for nbr, weight in env.out_weights(trustor).items() if weight >= config.trust_threshold
     }
     frontier: set[AgentId] = {trustor}
     heap: list[tuple[float, AgentId]] = [(-1.0, trustor)]
@@ -307,11 +301,10 @@ def find_paths(
         row = table.rows[current]
 
         attach: list[AgentId] = []
-        for nbr in env.neighbours(current):
-            edge = env.edges[(current, nbr)]
-            weight = edge.weight
+        out = env.out_weights(current)
+        for nbr, weight in out.items():
             if nbr == trustee:
-                rated = edge.per_category.get(category)
+                rated = env.edges[(current, nbr)].per_category.get(category)
                 if rated is not None:
                     table.put_trustee_row(current, rated.mean_rating, row.path + (current,))
                 continue
@@ -332,7 +325,7 @@ def find_paths(
             probs = propagation_probabilities(env, current, attach, category, config.recency_rate)
             node = prefix_of[current].branches.setdefault(current, _Prefix())
             for nbr in attach:
-                weight = env.edges[(current, nbr)].weight
+                weight = out[nbr]
                 child = table.rows[nbr] = TableRow(
                     agent=nbr,
                     cum_prob=min(1.0, row.cum_prob * probs[nbr].value),

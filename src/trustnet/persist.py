@@ -1,13 +1,15 @@
 """Ingestion and persistence: logs, profiles, config files, snapshots.
 
 Interaction logs and agent profiles travel as JSON lines; configuration is
-a flat JSON object; snapshots are a single file holding one JSON document
-plus a trailing SHA-256 checksum line.
+a flat JSON object; a snapshot is a single file holding one JSON header
+line, the environment's raw arrays in ``.npy`` format and a trailing SHA-256
+checksum line.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -17,35 +19,33 @@ from typing import Iterable, Optional, Sequence, TextIO, Union
 import numpy as np
 
 from .core import (
+    CONFIG_BOUNDS,
     AgentProfile,
-    CategoryStats,
-    EdgeStats,
     Environment,
     Interaction,
     TrustError,
     TrustConfig,
     check_interaction,
 )
-from .reputation import MODEL_PARAMS, ReputationModel
+from .reputation import MODEL_PARAMS, STOP_REASONS, ReputationModel
 
 SNAPSHOT_FORMAT = "trustnet-snapshot"
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
+
+# The arrays after a snapshot's header line, in file order; the model's two
+# follow only when the header has a reputation block.  ``profile`` indexes
+# the header's distinct profiles and ``nodes`` the agents.  The float arrays
+# are "<f8", the others "<i8".
+ENV_ARRAYS = ("profile",) + Environment.ARRAYS
+MODEL_ARRAYS = ("nodes", "vector")
+_FLOAT_ARRAYS = ("decayed_trust", "mean_rating", "last_time", "vector")
+# The model's scalars, kept in the header line.
+_MODEL_FIELDS = ("iterations_used", "converged", "stop_reason", "mean_reputation", "params")
 
 LOG_FIELDS = ("trustor", "trustee", "rating", "category", "time")
 
-CONFIG_KEYS = {
-    "theta_r": "trust_threshold",
-    "theta_r_p": "path_threshold",
-    "lambda_d": "decay_rate",
-    "lambda_p": "recency_rate",
-    "d": "path_decay",
-    "q": "damping",
-    "epsilon": "tolerance",
-    "max_iter": "max_iterations",
-    "search_steps": "search_steps",
-    "search_seconds": "search_seconds",
-    "pagerank_seconds": "pagerank_seconds",
-}
+# Config file key -> TrustConfig field.
+CONFIG_KEYS = {key: name for name, (key, _, _) in CONFIG_BOUNDS.items()}
 
 
 @dataclass(frozen=True)
@@ -236,208 +236,207 @@ def load_config(source: Union[str, Path, TextIO]) -> TrustConfig:
     return config_from_dict(data)
 
 
-def _env_payload(env: Environment) -> dict:
-    agents = [
-        {
-            "id": p.id,
-            "completed": sorted(p.completed),
-            "able": sorted(p.able),
-        }
-        for p in (env.agents[a] for a in sorted(env.agents))
-    ]
-    edges = [
-        {
-            "src": src,
-            "dst": dst,
-            "categories": {
-                cat: {
-                    "count": s.count,
-                    "trust": s.decayed_trust,
-                    "rating": s.mean_rating,
-                    "last_time": s.last_time,
-                }
-                for cat, s in sorted(stats.per_category.items())
-            },
-        }
-        for (src, dst), stats in sorted(env.edges.items())
-    ]
-    return {"agents": agents, "edges": edges}
-
-
-def _model_payload(model: ReputationModel) -> dict:
-    return {
-        "nodes": list(model.nodes),
-        "vector": [float(x) for x in model.vector],
-        "iterations_used": model.iterations_used,
-        "converged": model.converged,
-        "mean_reputation": model.mean_reputation,
-        "params": model.params,
-    }
-
-
 def save_snapshot(
-    env: Environment,
-    path: Union[str, Path],
-    model: Optional[ReputationModel] = None,
+    env: Environment, path: Union[str, Path], model: Optional[ReputationModel] = None
 ) -> str:
-    """Write the snapshot file; returns the checksum of the body."""
-    header = {
-        "format": SNAPSHOT_FORMAT,
-        "version": SNAPSHOT_VERSION,
-        "snapshot_time": env.snapshot_time,
-        "decay_rate": env.decay_rate,
-    }
+    """Write the snapshot file; returns the checksum of the body.
+
+    The body is one JSON line (header, agent ids, distinct profiles,
+    categories and the model's scalars), padded so that the arrays start
+    64-byte aligned, then the arrays of ``ENV_ARRAYS`` (and ``MODEL_ARRAYS``
+    with a model) as ``np.save`` writes them.
+    """
+    kinds: dict[tuple[frozenset, frozenset], int] = {}
+    profile = [kinds.setdefault((p.completed, p.able), len(kinds)) for p in env.agents.values()]
+    arrays = {"profile": profile, **{name: getattr(env, name) for name in ENV_ARRAYS[1:]}}
+    if model is not None:
+        unknown = set(model.nodes) - env.index.keys()
+        if unknown:
+            raise ValueError(f"reputation nodes {sorted(unknown)!r} are not in the environment")
+        arrays.update(nodes=[env.index[a] for a in model.nodes], vector=model.vector)
+    header = {"format": SNAPSHOT_FORMAT, "version": SNAPSHOT_VERSION}
+    header.update(snapshot_time=env.snapshot_time, decay_rate=env.decay_rate)
     document = {
         "header": header,
-        **_env_payload(env),
-        "reputation": _model_payload(model) if model is not None else None,
+        "agents": list(env.agents),
+        "profiles": [[sorted(completed), sorted(able)] for completed, able in kinds],
+        "categories": list(env.categories),
+        "reputation": None if model is None else {k: getattr(model, k) for k in _MODEL_FIELDS},
     }
-    body = json.dumps(document)
-    checksum = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(body + "\n" + "sha256:" + checksum + "\n")
+    line = json.dumps(document).encode("utf-8")
+    buffer = io.BytesIO()
+    buffer.write(line + b" " * (-(len(line) + 1) % 64) + b"\n")
+    for name, values in arrays.items():
+        dtype = "<f8" if name in _FLOAT_ARRAYS else "<i8"
+        np.save(buffer, np.asarray(values, dtype=dtype), allow_pickle=False)
+    body = buffer.getbuffer()
+    checksum = hashlib.sha256(body).hexdigest()
+    with open(path, "wb") as fh:
+        fh.write(body)
+        fh.write(b"\nsha256:" + checksum.encode("ascii") + b"\n")
     return checksum
 
 
-def load_snapshot(
-    path: Union[str, Path],
-) -> tuple[Environment, Optional[ReputationModel]]:
+def load_snapshot(path: Union[str, Path]) -> tuple[Environment, Optional[ReputationModel]]:
     """Read a snapshot file, verifying checksum and version before parsing."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise SnapshotError(f"cannot read snapshot: {exc}") from None
-    lines = text.rstrip("\n").split("\n")
-    if len(lines) != 2 or not lines[1].startswith("sha256:"):
+    body, separator, tail = data.rpartition(b"\nsha256:")
+    if not separator:
         raise SnapshotError("checksum mismatch: truncated or malformed snapshot")
-    body, tail = lines
-    expected = tail[len("sha256:"):]
-    actual = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    if actual != expected:
+    if hashlib.sha256(body).hexdigest().encode("ascii") != tail.rstrip(b"\n"):
         raise SnapshotError("checksum mismatch: snapshot is corrupt")
     try:
-        return _parse_document(json.loads(body))
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        return _parse_body(body)
+    except (KeyError, TypeError, AttributeError, ValueError, IndexError, OverflowError) as exc:
         raise SnapshotError(f"malformed snapshot: {type(exc).__name__}: {exc}") from None
 
 
-# Exact JSON value types: json.loads builds no subclasses, and a bool must
-# not pass for a number although bool subclasses int.
-_STRING = (str,)
-_NUMBER = (int, float)
-_INTEGER = (int,)
-_BOOLEAN = (bool,)
-_OPTIONAL_NUMBER = (int, float, type(None))
-_KIND_NAMES = {
-    _STRING: "a string",
-    _NUMBER: "a number",
-    _INTEGER: "an integer",
-    _BOOLEAN: "a boolean",
-    _OPTIONAL_NUMBER: "a number or null",
-}
-# Reputation parameters that are not plain numbers.
-_PARAM_KINDS = {"max_iterations": _INTEGER, "pagerank_seconds": _OPTIONAL_NUMBER}
+def _require(ok, problem: str) -> None:
+    if not ok:
+        raise SnapshotError(f"malformed snapshot: {problem}")
 
 
-def _typed(value, kind: tuple[type, ...], what: str):
-    """Return ``value`` if it is a JSON value of ``kind``, else raise SnapshotError."""
-    if type(value) not in kind:
-        raise SnapshotError(
-            f"malformed snapshot: {what} must be {_KIND_NAMES[kind]}, got {value!r}"
-        )
-    return value
+def _is_number(value) -> bool:
+    # json.loads builds no subclasses, and a bool must not pass for a number.
+    return type(value) in (int, float)
 
 
-def _typed_list(values, kind: tuple[type, ...], what: str) -> list:
-    if not isinstance(values, list):
-        raise SnapshotError(f"malformed snapshot: {what} must be in a list, got {values!r}")
-    return [_typed(v, kind, what) for v in values]
-
-
-def _category_stats(s: dict, snapshot_time: float) -> CategoryStats:
-    """One edge category's statistics, type- and range-checked."""
-    stats = CategoryStats(
-        count=_typed(s["count"], _INTEGER, "category count"),
-        decayed_trust=_typed(s["trust"], _NUMBER, "category trust"),
-        mean_rating=_typed(s["rating"], _NUMBER, "category rating"),
-        last_time=_typed(s["last_time"], _NUMBER, "category last_time"),
+def _ascending_strings(values, what: str) -> list[str]:
+    _require(
+        type(values) is list and all(type(v) is str for v in values),
+        f"{what} must be a list of strings",
     )
-    if stats.count < 1:
-        problem = f"count {stats.count!r} below 1"
-    elif not 0.0 <= stats.decayed_trust <= 1.0:
-        problem = f"trust {stats.decayed_trust!r} outside [0, 1]"
-    elif not 0.0 <= stats.mean_rating <= 1.0:
-        problem = f"rating {stats.mean_rating!r} outside [0, 1]"
-    elif not (math.isfinite(stats.last_time) and stats.last_time < snapshot_time):
-        problem = f"last_time {stats.last_time!r} is not a finite time before snapshot_time"
-    else:
-        return stats
-    raise SnapshotError(f"malformed snapshot: category {problem}")
+    _require(all(map(str.__lt__, values, values[1:])), f"{what} must be distinct and ascending")
+    return values
 
 
-def _parse_document(document: dict) -> tuple[Environment, Optional[ReputationModel]]:
-    """Rebuild the environment and model from a checksum-verified document.
+def _ascending_within(values: np.ndarray, ptr: np.ndarray) -> bool:
+    """Whether ``values`` strictly increase within each CSR segment of ``ptr``."""
+    step = np.diff(values) > 0
+    starts = ptr[1:-1]
+    step[starts[(starts > 0) & (starts < len(values))] - 1] = True
+    return bool(step.all())
 
-    Besides the shape of the document, every value's JSON type is checked,
-    and the edge statistics the query path reads are range-checked, so a
-    bad value ends here as SnapshotError and not later in a query.
+
+def _is_pointer(ptr: np.ndarray, segments: int, size: int) -> bool:
+    """Whether ``ptr`` splits ``size`` values into ``segments`` CSR segments."""
+    ends = len(ptr) == segments + 1 and ptr[0] == 0 and ptr[-1] == size
+    return ends and bool(np.all(ptr[1:] >= ptr[:-1]))
+
+
+def _within(values: np.ndarray, stop: int) -> bool:
+    return bool(np.all((values >= 0) & (values < stop)))
+
+
+def _read_arrays(body: bytes, offset: int, names: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """The ``.npy`` arrays from ``offset`` to the end of ``body``, as read-only views.
+
+    Each must be one-dimensional with exactly its dtype; the length in its
+    header is checked against the bytes present before any data is read.
     """
+    stream = io.BytesIO(body)
+    stream.seek(offset)
+    arrays = {}
+    for name in names:
+        dtype = np.dtype("<f8" if name in _FLOAT_ARRAYS else "<i8")
+        try:
+            version = np.lib.format.read_magic(stream)
+            shape, _, found = np.lib.format.read_array_header_1_0(stream)
+        except Exception as exc:  # numpy's parser of a header dict raises many kinds
+            raise SnapshotError(f"malformed snapshot: array {name} has no .npy header") from exc
+        ok = version == (1, 0) and found == dtype and len(shape) == 1
+        _require(ok, f"array {name} must be 1-D {dtype} in .npy 1.0")
+        start = stream.tell()
+        end = start + shape[0] * dtype.itemsize
+        _require(0 <= shape[0] and end <= len(body), f"array {name} is truncated")
+        arrays[name] = np.frombuffer(body, dtype, shape[0], start)
+        stream.seek(end)
+    _require(stream.tell() == len(body), "unexpected bytes after the arrays")
+    return arrays
+
+
+def _parse_body(body: bytes) -> tuple[Environment, Optional[ReputationModel]]:
+    """Rebuild the environment and model from a checksum-verified body.
+
+    Header values are type-checked and the arrays checked whole (CSR pointers,
+    indices in range and strictly ascending within a row, statistics in range),
+    so a bad value ends here as SnapshotError and not later in a query.
+    """
+    end = body.find(b"\n")
+    document = json.loads(body[: end if end >= 0 else len(body)])
     header = document.get("header", {})
     if header.get("format") != SNAPSHOT_FORMAT:
         raise SnapshotError("not a snapshot file")
-    if header.get("version") != SNAPSHOT_VERSION:
+    if (version := header.get("version")) != SNAPSHOT_VERSION:
         raise SnapshotError(
-            f"unsupported snapshot version {header.get('version')!r}, "
-            f"expected {SNAPSHOT_VERSION}"
+            f"unsupported snapshot version {version!r}, expected {SNAPSHOT_VERSION}"
         )
-    snapshot_time = _typed(header["snapshot_time"], _NUMBER, "snapshot_time")
+    time, rate = header["snapshot_time"], header["decay_rate"]
+    _require(_is_number(time) and math.isfinite(time), f"snapshot_time {time!r} is not finite")
+    _require(_is_number(rate) and 0 <= rate < math.inf, f"decay_rate {rate!r} is not finite")
+    ids = _ascending_strings(document["agents"], "agent ids")
+    categories = _ascending_strings(document["categories"], "categories")
+    kinds = [
+        (frozenset(_ascending_strings(done, "completed categories")),
+         frozenset(_ascending_strings(able, "able categories")))
+        for done, able in document["profiles"]
+    ]
+    rep = document["reputation"]
+    arrays = _read_arrays(body, end + 1, ENV_ARRAYS + (MODEL_ARRAYS if rep is not None else ()))
 
-    agents = {}
-    for a in document["agents"]:
-        agent = _typed(a["id"], _STRING, "agent id")
-        agents[agent] = AgentProfile(
-            id=agent,
-            completed=frozenset(_typed_list(a["completed"], _STRING, "completed category")),
-            able=frozenset(_typed_list(a["able"], _STRING, "able category")),
-        )
-    edges = {}
-    for e in document["edges"]:
-        pair = (_typed(e["src"], _STRING, "edge src"), _typed(e["dst"], _STRING, "edge dst"))
-        if pair[0] not in agents or pair[1] not in agents:
-            raise SnapshotError(f"malformed snapshot: edge {pair!r} names an unknown agent")
-        if not e["categories"]:
-            raise SnapshotError(f"malformed snapshot: edge {pair!r} has no categories")
-        edges[pair] = EdgeStats(
-            {
-                _typed(cat, _STRING, "edge category"): _category_stats(s, snapshot_time)
-                for cat, s in e["categories"].items()
-            }
-        )
-    env = Environment(
-        agents=agents,
-        edges=edges,
-        snapshot_time=snapshot_time,
-        decay_rate=_typed(header["decay_rate"], _NUMBER, "decay_rate"),
+    n, profile, indptr, dst, cat_ptr, cat, count, trust, rating, last_time = (
+        len(ids), *(arrays[name] for name in ENV_ARRAYS)
     )
+    _require(len(profile) == n and _within(profile, len(kinds)), "agent profile out of range")
+    _require(_is_pointer(indptr, n, len(dst)), "indptr is not a CSR pointer over dst")
+    _require(_within(dst, n), "edge to an unknown agent")
+    _require(np.all(np.repeat(np.arange(n), np.diff(indptr)) != dst), "edge to its own source")
+    _require(_ascending_within(dst, indptr), "neighbours must be distinct and ascending")
+    _require(_is_pointer(cat_ptr, len(dst), len(cat)), "cat_ptr is not a CSR pointer over cat")
+    _require(np.all(cat_ptr[1:] > cat_ptr[:-1]), "edge has no categories")
+    _require(_within(cat, len(categories)), "category index out of range")
+    _require(np.all(np.bincount(cat, minlength=len(categories)) > 0), "category without edges")
+    _require(_ascending_within(cat, cat_ptr), "edge categories must be distinct and ascending")
+    for values in (count, trust, rating, last_time):
+        _require(len(values) == len(cat), "edge statistics must have one entry per edge category")
+    _require(np.all(count >= 1), "category count below 1")
+    _require(np.all((trust >= 0) & (trust <= 1)), "category trust outside [0, 1]")
+    _require(np.all((rating >= 0) & (rating <= 1)), "category rating outside [0, 1]")
+    before = np.isfinite(last_time) & (last_time < time)
+    _require(np.all(before), "category last_time is not a finite time before snapshot_time")
+    env = Environment(
+        agents={a: AgentProfile(a, *kinds[k]) for a, k in zip(ids, profile.tolist())},
+        snapshot_time=time,
+        decay_rate=rate,
+        categories=tuple(categories),
+        **{name: arrays[name] for name in ENV_ARRAYS[1:]},
+    )
+    if rep is None:
+        return env, None
 
-    model = None
-    rep = document.get("reputation")
-    if rep is not None:
-        nodes = _typed_list(rep["nodes"], _STRING, "reputation node")
-        vector = _typed_list(rep["vector"], _NUMBER, "reputation entry")
-        if len(vector) != len(nodes):
-            raise SnapshotError("malformed snapshot: reputation nodes and vector differ in length")
-        params = rep["params"]
-        if type(params) is not dict or set(params) != set(MODEL_PARAMS):
-            raise SnapshotError(f"malformed snapshot: reputation params must name {MODEL_PARAMS}")
-        for name in MODEL_PARAMS:
-            _typed(params[name], _PARAM_KINDS.get(name, _NUMBER), f"reputation {name}")
-        model = ReputationModel(
-            nodes=nodes,
-            vector=np.array(vector, dtype=float),
-            iterations_used=_typed(rep["iterations_used"], _INTEGER, "iterations_used"),
-            converged=_typed(rep["converged"], _BOOLEAN, "converged"),
-            mean_reputation=_typed(rep["mean_reputation"], _NUMBER, "mean_reputation"),
-            params=params,
-        )
+    for name, ok in (
+        ("iterations_used", type(rep["iterations_used"]) is int),
+        ("converged", type(rep["converged"]) is bool),
+        ("stop_reason", rep["stop_reason"] in STOP_REASONS),
+        ("mean_reputation", _is_number(rep["mean_reputation"])),
+        ("params", type(rep["params"]) is dict and set(rep["params"]) == set(MODEL_PARAMS)),
+    ):
+        _require(ok, f"reputation {name} {rep[name]!r} has the wrong type or value")
+    for name, value in rep["params"].items():
+        number = type(value) is int if name == "max_iterations" else _is_number(value)
+        unlimited = name == "pagerank_seconds" and value is None
+        _require(number or unlimited, f"reputation {name} must be a number")
+    nodes, vector = arrays["nodes"], arrays["vector"]
+    _require(
+        _within(nodes, n) and np.all(nodes[1:] > nodes[:-1]),
+        "reputation nodes must be known agents in ascending order",
+    )
+    _require(len(vector) == len(nodes), "reputation nodes and vector differ in length")
+    _require(np.all((vector >= 0) & (vector <= 1)), "reputation vector outside [0, 1]")
+    model = ReputationModel(
+        nodes=env.id_array[nodes].tolist(), vector=vector, **{k: rep[k] for k in _MODEL_FIELDS}
+    )
     return env, model

@@ -9,6 +9,7 @@ damped chain, max-normalized to [0, 1], is the reputation.
 
 from __future__ import annotations
 
+import bisect
 import time as _time
 from dataclasses import dataclass
 from typing import Optional
@@ -41,6 +42,9 @@ class PropagationMatrix:
         return self.explicit.toarray() + self.spread[:, None] * others
 
 
+# Why a power iteration ended.
+STOP_REASONS = ("converged", "iterations", "seconds")
+
 # The config fields a reputation model depends on.
 MODEL_PARAMS = ("trust_threshold", "damping", "tolerance", "max_iterations", "pagerank_seconds")
 
@@ -57,9 +61,11 @@ class ReputationModel:
     ``vector`` is max-normalized (its largest entry is 1 when nodes exist);
     ``mean_reputation`` is its mean and doubles as the newcomer value.
     ``params`` holds the config values the model was built with (see
-    :func:`model_params`).  ``matrix`` is the built model's input, kept for
-    ``perfbench/scaling.py``; being derivable, it is neither saved (a loaded
-    model has None) nor compared.
+    :func:`model_params`).  ``stop_reason`` says why the power iteration
+    ended: ``"converged"``, or the ``"iterations"`` or ``"seconds"`` budget
+    ran out (an empty node set counts as converged).  ``matrix`` is the
+    built model's input, kept for ``perfbench/scaling.py``; being derivable,
+    it is neither saved (a loaded model has None) nor compared.
     """
 
     nodes: list[AgentId]
@@ -68,6 +74,7 @@ class ReputationModel:
     converged: bool
     mean_reputation: float
     params: dict
+    stop_reason: str
     matrix: Optional[PropagationMatrix] = None
 
     def __eq__(self, other) -> bool:
@@ -80,15 +87,13 @@ class ReputationModel:
             and self.converged == other.converged
             and self.mean_reputation == other.mean_reputation
             and self.params == other.params
+            and self.stop_reason == other.stop_reason
         )
 
 
 def reputation_nodes(env: Environment, trust_threshold: float) -> list[AgentId]:
     """Agents with at least one incoming edge of weight >= threshold, sorted."""
-    nodes = {
-        dst for (_, dst), stats in env.edges.items() if stats.weight >= trust_threshold
-    }
-    return sorted(nodes)
+    return env.id_array[np.unique(env.dst[env.weight >= trust_threshold])].tolist()
 
 
 def propagation_matrix(
@@ -102,42 +107,37 @@ def propagation_matrix(
     remainder is spread uniformly over all other nodes, as is the orphaned
     trusted share when no trusted out-edges exist.  Rows without out-edges
     are uniform over the other nodes (a single-node set keeps its mass).
+
+    Worked out from the environment's edge arrays; per row, sums run in
+    neighbour id order.
     """
     n = len(nodes)
     if n == 1:
         # no other node to spread over (edges never loop): it keeps its mass
         return PropagationMatrix(sparse.csr_matrix([[1.0]]), np.zeros(1))
-    index = {a: i for i, a in enumerate(nodes)}
-    data: list[float] = []
-    rows: list[int] = []
-    cols: list[int] = []
-    spread = np.zeros(n)
+    position = np.full(len(env.agents), -1)
+    position[np.fromiter(map(env.index.__getitem__, nodes), np.int64, n)] = np.arange(n)
+    inside = (position[env.src] >= 0) & (position[env.dst] >= 0)
+    rows, cols, weights = position[env.src[inside]], position[env.dst[inside]], env.weight[inside]
 
-    for i, agent in enumerate(nodes):
-        out = [
-            (index[nbr], env.edges[(agent, nbr)].weight)
-            for nbr in env.neighbours(agent)
-            if nbr in index
-        ]
-        if not out:
-            spread[i] = 1.0
-            continue
-
-        r_max = max(w for _, w in out)
-        # A zero trusted total (theta_r = 0, all weights 0) means r_max = 0:
-        # the trusted shares are 0 and the row spreads its whole unit.
-        total = sum(w for _, w in out if w >= trust_threshold) or 1.0
-        n_untrusted = sum(w < trust_threshold for _, w in out)
-        rows += [i] * len(out)
-        cols += [j for j, _ in out]
-        data += [
-            w * r_max / total if w >= trust_threshold else (1.0 - r_max) / n_untrusted
-            for _, w in out
-        ]
-        if n_untrusted == len(out):
-            spread[i] += r_max
-        if n_untrusted == 0:
-            spread[i] += 1.0 - r_max
+    degree = np.bincount(rows, minlength=n)
+    r_max = np.zeros(n)
+    np.maximum.at(r_max, rows, weights)
+    trusted = weights >= trust_threshold
+    n_untrusted = np.bincount(rows[~trusted], minlength=n)
+    # A zero trusted total (theta_r = 0, all weights 0) means r_max = 0:
+    # the trusted shares are 0 and the row spreads its whole unit.
+    total = np.bincount(rows[trusted], weights=weights[trusted], minlength=n)
+    total[total == 0] = 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        data = np.where(
+            trusted,
+            weights * r_max[rows] / total[rows],
+            (1.0 - r_max[rows]) / n_untrusted[rows],
+        )
+    spread = np.where(degree == 0, 1.0, 0.0)
+    spread += np.where((degree > 0) & (n_untrusted == degree), r_max, 0.0)
+    spread += np.where((degree > 0) & (n_untrusted == 0), 1.0 - r_max, 0.0)
 
     explicit = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
     return PropagationMatrix(explicit, spread)
@@ -192,6 +192,7 @@ def build_reputation(env: Environment, config: TrustConfig) -> ReputationModel:
             converged=True,
             mean_reputation=0.5,
             params=model_params(config),
+            stop_reason="converged",
         )
     matrix = propagation_matrix(env, nodes, config.trust_threshold)
     raw, iterations, converged = pagerank(
@@ -202,6 +203,10 @@ def build_reputation(env: Environment, config: TrustConfig) -> ReputationModel:
         config.pagerank_seconds,
     )
     vector = raw / raw.max()
+    if converged:
+        stop_reason = "converged"
+    else:  # the loop only leaves early, unconverged, when its time ran out
+        stop_reason = "iterations" if iterations >= config.max_iterations else "seconds"
     return ReputationModel(
         nodes=nodes,
         vector=vector,
@@ -209,6 +214,7 @@ def build_reputation(env: Environment, config: TrustConfig) -> ReputationModel:
         converged=converged,
         mean_reputation=float(np.mean(vector)),
         params=model_params(config),
+        stop_reason=stop_reason,
         matrix=matrix,
     )
 
@@ -217,12 +223,11 @@ def reputation_of(model: ReputationModel, trustee: AgentId) -> float:
     """Trustee's normalized reputation, or the population mean for outsiders.
 
     An empty model (no agent ever received a trusted rating) yields the
-    neutral prior 0.5.
+    neutral prior 0.5.  The sorted node list is searched by bisection.
     """
     if not model.nodes:
         return 0.5
-    try:
-        idx = model.nodes.index(trustee)
-    except ValueError:
+    idx = bisect.bisect_left(model.nodes, trustee)
+    if idx == len(model.nodes) or model.nodes[idx] != trustee:
         return model.mean_reputation
     return float(model.vector[idx])

@@ -6,6 +6,8 @@ import pytest
 from trustnet.cli import main
 from trustnet import GenParams, Interaction, dump_log, dump_profiles, generate
 
+from helpers import read_snapshot, write_snapshot
+
 
 @pytest.fixture
 def world(tmp_path):
@@ -146,6 +148,44 @@ def test_reputation_with_zero_threshold_and_zero_ratings(capsys, tmp_path):
     assert payload["vector"] == [1.0, 1.0]
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize(
+    "key",
+    [
+        "theta_r", "theta_r_p", "lambda_d", "lambda_p", "d", "q", "epsilon",
+        "max_iter", "search_steps", "search_seconds", "pagerank_seconds",
+    ],
+)
+def test_non_finite_config_value_is_input_error(capsys, world, key, value):
+    config = world["tmp"] / "cfg.json"
+    config.write_text(f'{{"{key}": {value}}}')
+    code, out, err = run(
+        capsys,
+        ["reputation", "--log", world["log"], "--config", str(config), "--time", "100"],
+    )
+    assert code == 1
+    assert out == ""
+    assert f"error: {key} must be" in err
+
+
+@pytest.mark.parametrize("time", ["inf", "nan"])
+def test_non_finite_time_is_input_error(capsys, world, time):
+    code, out, err = run(
+        capsys,
+        [
+            "eval",
+            "--log", world["log"],
+            "--trustor", "a0",
+            "--trustee", "a3",
+            "--category", "c0",
+            "--time", time,
+        ],
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: snapshot time {float(time)!r} must be finite")
+
+
 def test_generate_twice_is_identical(capsys, tmp_path):
     out_a = tmp_path / "a.jsonl"
     out_b = tmp_path / "b.jsonl"
@@ -203,14 +243,13 @@ def test_malformed_snapshot_body_is_input_error(capsys, tmp_path):
 def test_snapshot_value_of_wrong_type_is_input_error(capsys, world):
     snap = world["tmp"] / "world.snap"
     run(capsys, ["snapshot", "save", "--log", world["log"], "--time", "100", "--out", str(snap)])
-    document = json.loads(snap.read_text().split("\n")[0])
-    next(iter(document["edges"][0]["categories"].values()))["trust"] = "high"
-    body = json.dumps(document)
-    snap.write_text(body + "\nsha256:" + hashlib.sha256(body.encode()).hexdigest() + "\n")
+    document, arrays = read_snapshot(snap)
+    arrays["decayed_trust"] = arrays["decayed_trust"].astype(str)
+    write_snapshot(snap, document, arrays)
     code, out, err = run(capsys, ["snapshot", "load", "--in", str(snap)])
     assert code == 1
     assert out == ""
-    assert "category trust must be a number" in err
+    assert "array decayed_trust must be 1-D float64" in err
 
 
 def test_oracle_suite_reports_clean_comparison(capsys):

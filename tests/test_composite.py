@@ -307,9 +307,19 @@ def test_search_stop_reason_is_reported(budget, reason):
     cfg = TrustConfig(decay_rate=0.0, recency_rate=0.0, **budget)
     report = evaluate(env, log, "A", "B", "c1", 10.0, cfg)
     assert report.diagnostics["search_stop"] == reason
+    assert report.diagnostics["reputation_stop"] == "converged"
     table = find_paths(env, log, "A", "B", "c1", cfg)
     assert table.stop_reason == reason
     assert "stop_reason" not in table.to_dict()
+
+
+def test_reputation_stop_reason_is_reported():
+    log = backdrop_log()
+    env = build_environment(log, 10.0, 0.0)
+    cfg = TrustConfig(decay_rate=0.0, max_iterations=1)
+    report = evaluate(env, log, "C", "E", "c1", 10.0, cfg)
+    assert report.diagnostics["reputation_stop"] == "iterations"
+    assert report.diagnostics["reputation"]["converged"] is False
 
 
 def test_reports_are_byte_identical_across_runs():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,8 @@ from trustnet import (
     build_environment,
     edge_weight,
 )
+
+from trustnet.core import check_interaction
 
 from helpers import logs, rec
 
@@ -143,3 +146,91 @@ def test_config_defaults():
     assert cfg.decay_rate == 0.01
     assert cfg.recency_rate == 0.01
     assert cfg.max_iterations == 1000
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("decay_rate", math.nan),
+        ("recency_rate", math.inf),
+        ("tolerance", math.inf),
+        ("max_iterations", math.inf),
+        ("search_steps", math.nan),
+        ("search_seconds", math.inf),
+        ("pagerank_seconds", -math.inf),
+        ("trust_threshold", math.nan),
+    ],
+)
+def test_config_rejects_non_finite_values(field, value):
+    with pytest.raises(ValueError, match="must be finite"):
+        TrustConfig(**{field: value})
+
+
+def test_config_none_means_unlimited_only_for_budgets():
+    TrustConfig(search_steps=None, search_seconds=None, pagerank_seconds=None)
+    with pytest.raises(TypeError):
+        TrustConfig(tolerance=None)
+
+
+@pytest.mark.parametrize("snapshot_time", [math.inf, -math.inf, math.nan])
+def test_build_rejects_non_finite_snapshot_time(snapshot_time):
+    with pytest.raises(ValueError, match="snapshot time"):
+        build_environment([rec("A", "B", 0.5)], snapshot_time)
+
+
+@pytest.mark.parametrize("decay_rate", [-0.1, math.inf, math.nan])
+def test_build_rejects_bad_decay_rate(decay_rate):
+    with pytest.raises(ValueError, match="decay rate"):
+        build_environment([rec("A", "B", 0.5)], 10.0, decay_rate)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        Interaction("", "B", 0.5, "c1", 0.0),
+        Interaction("A", None, 0.5, "c1", 0.0),
+        Interaction("A", "A", 0.5, "c1", 0.0),
+        Interaction("A", "B", 0.5, "", 0.0),
+        Interaction("A", "B", True, "c1", 0.0),
+        Interaction("A", "B", "0.5", "c1", 0.0),
+        Interaction("A", "B", math.nan, "c1", 0.0),
+        Interaction("A", "B", 0.5, "c1", -1.0),
+        Interaction("A", "B", 0.5, "c1", math.inf),
+    ],
+)
+def test_invalid_record_is_named_with_its_index_and_problem(bad):
+    log = [rec("A", "B", 0.5), rec("B", "C", 0.5), bad, Interaction("", "", 2.0, "", -1.0)]
+    with pytest.raises(InvalidRecordError) as exc:
+        build_environment(log, 10.0)
+    assert exc.value.index == 2
+    assert str(exc.value) == f"record 2: {check_interaction(bad)[1]}"
+
+
+def test_numbers_of_float_subclasses_build_like_floats():
+    plain = [rec("A", "B", 0.25, "c1", 1.0), rec("A", "B", 1, "c1", 2)]
+    numpy = [rec("A", "B", np.float64(0.25), "c1", np.float64(1.0)), rec("A", "B", 1, "c1", 2)]
+    assert build_environment(numpy, 10.0, 0.1) == build_environment(plain, 10.0, 0.1)
+
+
+def test_decayed_trust_equals_a_sequential_math_exp_reference():
+    # At these times, with rate 0.05 at time 10, np.exp and math.exp differ in
+    # the last bit of the weight.
+    times = [0.24, 0.48, 0.695, 0.74, 0.875, 1.11]
+    ratings = [0.1, 0.9, 0.35, 0.7, 0.2, 0.95]
+    exponents = [-0.05 * (10.0 - t) for t in times]
+    assert any(float(np.exp(x)) != math.exp(x) for x in exponents), "times no longer exercise np.exp"
+    # Built in reverse order, so only the canonical sort restores time order.
+    log = [rec("A", "B", r, "c1", t) for r, t in zip(ratings, times)][::-1]
+    env = build_environment(log, 10.0, 0.05)
+    num = den = 0.0
+    for r, t in zip(ratings, times):  # canonical order: ascending time
+        w = math.exp(-0.05 * (10.0 - t))
+        num += r * w
+        den += w
+    assert env.edges[("A", "B")].per_category["c1"].decayed_trust == num / den
+    # The same sums over np.exp weights miss the reference in the last bit.
+    num = den = 0.0
+    for r, x in zip(ratings, exponents):
+        num += r * float(np.exp(x))
+        den += float(np.exp(x))
+    assert num / den != env.edges[("A", "B")].per_category["c1"].decayed_trust

@@ -1,9 +1,11 @@
-import hashlib
 import io
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustnet import (
     ConfigError,
@@ -23,7 +25,16 @@ from trustnet import (
     save_snapshot,
 )
 
-from helpers import rec
+from helpers import (
+    AGENTS,
+    logs,
+    profiles_able_everywhere,
+    read_snapshot,
+    rec,
+    rewrite_body,
+    snapshot_body,
+    write_snapshot,
+)
 
 
 # --- log parsing -----------------------------------------------------------
@@ -220,49 +231,97 @@ def test_flipped_byte_fails_checksum(tmp_path):
     env = build_environment([], 42.0)
     path = tmp_path / "t.snap"
     save_snapshot(env, path)
-    text = path.read_text()
-    path.write_text(text.replace("42.0", "43.0", 1))
+    path.write_bytes(path.read_bytes().replace(b"42.0", b"43.0", 1))
     with pytest.raises(SnapshotError, match="checksum"):
         load_snapshot(path)
-
-
-def rewrite_body(path, body):
-    checksum = hashlib.sha256(body.encode()).hexdigest()
-    path.write_text(body + "\nsha256:" + checksum + "\n")
 
 
 def test_version_mismatch_rejected(tmp_path):
     env = build_environment([], 42.0)
     path = tmp_path / "t.snap"
     save_snapshot(env, path)
-    body = path.read_text().split("\n")[0]
-    rewrite_body(path, body.replace('"version": 3', '"version": 99'))
+    rewrite_body(path, snapshot_body(path).replace(b'"version": 4', b'"version": 99'))
     with pytest.raises(SnapshotError, match="version"):
+        load_snapshot(path)
+
+
+def test_version_3_snapshot_refused(tmp_path):
+    # A version 3 file: one JSON document and its checksum line.
+    body = {
+        "header": {
+            "format": "trustnet-snapshot", "version": 3, "snapshot_time": 42.0, "decay_rate": 0.0
+        },
+        "agents": [],
+        "edges": [],
+        "reputation": None,
+    }
+    path = tmp_path / "v3.snap"
+    rewrite_body(path, json.dumps(body).encode())
+    with pytest.raises(SnapshotError, match="unsupported snapshot version 3, expected 4"):
         load_snapshot(path)
 
 
 def test_body_that_is_not_an_object_rejected(tmp_path):
     path = tmp_path / "t.snap"
-    rewrite_body(path, "[1, 2]")
+    rewrite_body(path, b"[1, 2]")
     with pytest.raises(SnapshotError, match="malformed"):
         load_snapshot(path)
+
+
+# Edges A->B (c1, c2), A->C (c1) and B->C (c1); reputation nodes B and C.
+SMALL_WORLD = [
+    rec("A", "B", 0.9),
+    rec("A", "C", 0.8),
+    rec("A", "B", 0.7, "c2"),
+    rec("B", "C", 0.6),
+]
+
+
+def set_item(name, position, value):
+    def corrupt(document, arrays):
+        arrays[name][position] = value
+    return corrupt
+
+
+def replace(name, values):
+    def corrupt(document, arrays):
+        arrays[name] = np.asarray(values)
+    return corrupt
 
 
 @pytest.mark.parametrize(
     "corrupt, problem",
     [
-        (lambda d: d["edges"][0].update(categories={}), "has no categories"),
-        (lambda d: d["edges"][0]["categories"]["c1"].update(count=True), "category count"),
-        (lambda d: d["edges"][0]["categories"]["c1"].update(count=-3), "count -3 below 1"),
-        (lambda d: d["edges"][0]["categories"]["c1"].update(trust=1.5), "trust 1.5 outside"),
-        (lambda d: d["edges"][0]["categories"]["c1"].update(rating=-0.1), "rating -0.1 outside"),
-        (lambda d: d["edges"][0]["categories"]["c1"].update(last_time=42.0), "last_time 42.0"),
-        (lambda d: d["edges"][0]["categories"]["c1"].update(last_time=math.inf), "last_time inf"),
-        (lambda d: d["reputation"]["params"].update(damping="0.85"), "damping must be a number"),
-        (lambda d: d["agents"][0].update(able="c1"), "able category must be in a list"),
-        (lambda d: d["edges"][0].update(dst="Z"), "unknown agent"),
-        (lambda d: d["reputation"].update(converged="yes"), "converged must be a boolean"),
-        (lambda d: d["reputation"]["vector"].append(0.5), "differ in length"),
+        (replace("cat_ptr", [0, 0, 3, 4]), "edge has no categories"),
+        (lambda d, a: a.update(count=a["count"].astype(bool)), "array count must be 1-D int64"),
+        (set_item("count", 0, -3), "category count below 1"),
+        (set_item("decayed_trust", 0, 1.5), "category trust outside"),
+        (set_item("mean_rating", 0, -0.1), "category rating outside"),
+        (set_item("last_time", 0, 42.0), "last_time is not a finite time"),
+        (set_item("last_time", 0, np.inf), "last_time is not a finite time"),
+        (
+            lambda d, a: d["reputation"]["params"].update(damping="0.85"),
+            "reputation damping must be a number",
+        ),
+        (lambda d, a: d["profiles"][0].__setitem__(1, "c1"), "able categories must be a list"),
+        (set_item("dst", 0, 5), "edge to an unknown agent"),
+        (lambda d, a: d["reputation"].update(converged="yes"), "reputation converged"),
+        (lambda d, a: a.update(vector=np.append(a["vector"], 0.5)), "differ in length"),
+        (lambda d, a: a.update(decayed_trust=a["decayed_trust"].astype(np.float32)),
+         "array decayed_trust must be 1-D float64"),
+        (replace("indptr", [0, 3, 2, 3]), "indptr is not a CSR pointer"),
+        (replace("dst", [2, 1, 2]), "neighbours must be distinct and ascending"),
+        (replace("dst", [1, 1, 2]), "neighbours must be distinct and ascending"),
+        (set_item("dst", 2, 1), "edge to its own source"),
+        (replace("cat", [1, 0, 0, 0]), "edge categories must be distinct and ascending"),
+        (set_item("cat", 1, 7), "category index out of range"),
+        (set_item("profile", 0, 9), "agent profile out of range"),
+        (lambda d, a: d.update(agents=["B", "A", "C"]), "agent ids must be distinct"),
+        (replace("nodes", [2, 1]), "reputation nodes must be known agents in ascending order"),
+        (set_item("nodes", 1, 3), "reputation nodes must be known agents in ascending order"),
+        (set_item("vector", 0, 1.5), "reputation vector outside"),
+        (lambda d, a: d["reputation"].update(stop_reason="tired"), "reputation stop_reason"),
+        (lambda d, a: a.pop("vector"), "array vector has no .npy header"),
     ],
     ids=[
         "no-categories",
@@ -272,19 +331,97 @@ def test_body_that_is_not_an_object_rejected(tmp_path):
         "rating-range",
         "last-time-at-snapshot",
         "last-time-infinite",
+        "params",
         "able",
         "endpoint",
         "converged",
         "vector-length",
-        "params",
+        "dtype",
+        "indptr-not-monotone",
+        "unsorted-neighbours",
+        "duplicate-neighbours",
+        "self-loop",
+        "unsorted-categories",
+        "category-index",
+        "profile-index",
+        "unsorted-agents",
+        "unsorted-nodes",
+        "unknown-node",
+        "vector-range",
+        "stop-reason",
+        "missing-array",
     ],
 )
 def test_value_of_wrong_type_rejected(tmp_path, corrupt, problem):
-    env = build_environment([rec("A", "B", 0.9)], 42.0)
+    env = build_environment(SMALL_WORLD, 42.0)
     path = tmp_path / "t.snap"
     save_snapshot(env, path, build_reputation(env, TrustConfig()))
-    document = json.loads(path.read_text().split("\n")[0])
-    corrupt(document)
-    rewrite_body(path, json.dumps(document))
+    document, arrays = read_snapshot(path)
+    corrupt(document, arrays)
+    write_snapshot(path, document, arrays)
     with pytest.raises(SnapshotError, match=problem):
         load_snapshot(path)
+
+
+def test_uncorrupted_rewrite_loads(tmp_path):
+    env = build_environment(SMALL_WORLD, 42.0)
+    model = build_reputation(env, TrustConfig())
+    path = tmp_path / "t.snap"
+    save_snapshot(env, path, model)
+    write_snapshot(path, *read_snapshot(path))
+    assert load_snapshot(path) == (env, model)
+
+
+@pytest.mark.parametrize(
+    "cut, problem", [(8, "array vector is truncated"), (-4, "unexpected bytes after the arrays")]
+)
+def test_truncated_or_overlong_array_rejected(tmp_path, cut, problem):
+    env = build_environment(SMALL_WORLD, 42.0)
+    path = tmp_path / "t.snap"
+    save_snapshot(env, path, build_reputation(env, TrustConfig()))
+    body = snapshot_body(path)
+    rewrite_body(path, body[:-cut] if cut > 0 else body + bytes(-cut))
+    with pytest.raises(SnapshotError, match=problem):
+        load_snapshot(path)
+
+
+@given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_overwritten_bytes_end_in_snapshot_error(tmp_path_factory, edits):
+    env = build_environment(SMALL_WORLD, 42.0)
+    path = tmp_path_factory.mktemp("fuzz") / "t.snap"
+    save_snapshot(env, path, build_reputation(env, TrustConfig()))
+    body = bytearray(snapshot_body(path))
+    for position, value in edits:
+        body[position % len(body)] = value
+    rewrite_body(path, bytes(body))
+    try:
+        load_snapshot(path)
+    except SnapshotError:
+        pass
+
+
+def test_ids_differing_by_a_trailing_nul_stay_apart(tmp_path):
+    log = [rec("a", "a\x00", 0.9), rec("a\x00", "a", 0.4), rec("a\x00", "b", 0.7)]
+    env = build_environment(log, 42.0)
+    assert list(env.agents) == ["a", "a\x00", "b"]
+    assert env.edges[("a", "a\x00")].weight == 0.9
+    assert env.edges[("a\x00", "a")].weight == 0.4
+    path = tmp_path / "t.snap"
+    save_snapshot(env, path)
+    loaded, _ = load_snapshot(path)
+    assert loaded == env
+    assert list(loaded.agents) == ["a", "a\x00", "b"]
+    assert dict(loaded.edges.items()) == dict(env.edges.items())
+
+
+@given(logs(max_size=30), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_hypothesis_worlds_round_trip_exactly(tmp_path_factory, log, with_model):
+    env = build_environment(log, 60.0, 0.03, profiles_able_everywhere(AGENTS[:5]))
+    model = build_reputation(env, TrustConfig()) if with_model else None
+    path = tmp_path_factory.mktemp("world") / "w.snap"
+    save_snapshot(env, path, model)
+    loaded, loaded_model = load_snapshot(path)
+    assert loaded == env and loaded_model == model
+    assert dict(loaded.edges.items()) == dict(env.edges.items())

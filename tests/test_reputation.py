@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -233,3 +235,35 @@ def test_convergence_within_iteration_budget():
     model = build_reputation(env, CFG)
     assert model.converged
     assert model.iterations_used <= 1000
+
+
+@pytest.mark.parametrize(
+    "budget, reason",
+    [
+        ({}, "converged"),
+        ({"max_iterations": 1}, "iterations"),
+        ({"pagerank_seconds": 0.0}, "seconds"),
+    ],
+)
+def test_power_iteration_stop_reason_is_recorded(budget, reason):
+    profiles, log = reputation_instance(9, max_agents=50)
+    env = build_environment(log, 100.0, 0.0, profiles)
+    model = build_reputation(env, TrustConfig(decay_rate=0.0, **budget))
+    assert model.stop_reason == reason
+    assert model.converged == (reason == "converged")
+
+
+def test_stop_reason_takes_part_in_equality():
+    model = build_reputation(env_of([rec("A", "B", 0.9), rec("B", "C", 0.8)]), CFG)
+    assert model == dataclasses.replace(model)
+    assert model != dataclasses.replace(model, stop_reason="seconds")
+
+
+def test_reputation_of_outsiders_around_and_between_nodes():
+    env = env_of([rec("A", "B", 0.9), rec("C", "D", 0.9), rec("D", "B", 0.6), rec("E", "A", 0.2)])
+    model = build_reputation(env, CFG)
+    assert model.nodes == ["B", "D"]
+    assert reputation_of(model, "B") == float(model.vector[0])
+    assert reputation_of(model, "D") == float(model.vector[1])
+    for outsider in ("A", "C", "E", "", "Z"):
+        assert reputation_of(model, outsider) == model.mean_reputation
