@@ -71,24 +71,40 @@ class Interaction:
     time: float
 
 
+def is_number(value) -> bool:
+    """Whether ``value`` is an int or a float; a bool is not a number."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def finite_float(value) -> Optional[float]:
+    """``value`` as a finite float, or None: the number rule of every input."""
+    if not is_number(value):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range has no finite value
+        return None
+    return number if math.isfinite(number) else None
+
+
 def check_interaction(record: Interaction) -> Optional[tuple[str, str]]:
-    """Return (field, problem) for an invalid record, else None."""
-    if not record.trustor:
-        return "trustor", "trustor must be a non-empty id"
-    if not record.trustee:
-        return "trustee", "trustee must be a non-empty id"
+    """Return (field, problem) for an invalid record, else None; never raises.
+
+    Ids and category are non-empty strings, trustor != trustee, and rating
+    in [0, 1] and time >= 0 are numbers by :func:`finite_float`'s rule.
+    """
+    for name in ("trustor", "trustee", "category"):
+        value = getattr(record, name)
+        if not isinstance(value, str) or not value:
+            return name, f"{name} must be a non-empty string"
     if record.trustor == record.trustee:
-        return "trustee", "trustor and trustee must differ"
-    if not record.category:
-        return "category", "category must be a non-empty label"
-    if not isinstance(record.rating, (int, float)) or isinstance(record.rating, bool):
-        return "rating", "rating must be a number"
-    if not (0.0 <= record.rating <= 1.0):
-        return "rating", f"rating {record.rating!r} outside [0, 1]"
-    if not isinstance(record.time, (int, float)) or isinstance(record.time, bool):
-        return "time", "time must be a number"
-    if not math.isfinite(record.time) or record.time < 0:
-        return "time", f"time {record.time!r} must be finite and >= 0"
+        return "trustee", "trustee must differ from the trustor"
+    rating = finite_float(record.rating)
+    if rating is None or not 0.0 <= rating <= 1.0:
+        return "rating", "rating must be a finite number in [0, 1]"
+    time = finite_float(record.time)
+    if time is None or time < 0:
+        return "time", "time must be a finite number >= 0"
     return None
 
 
@@ -329,7 +345,7 @@ class TrustConfig:
     max_iterations >= 1.  ``search_steps`` caps the number of node
     expansions for reproducible searches; ``search_seconds`` and
     ``pagerank_seconds`` are wall-clock budgets.  ``None`` means unlimited;
-    every value given must be finite.
+    every value given must be finite (see :func:`validate_config`).
     """
 
     trust_threshold: float = 0.5
@@ -348,38 +364,54 @@ class TrustConfig:
         validate_config(self)
 
 
-# Per field: its key in config files (which errors name), its bound as
+# Per field: its key in config files (which errors name), its kind
+# ("number" or "integer"), whether None (unlimited) is allowed, its bound as
 # errors word it, and the test a finite value must pass.
 CONFIG_BOUNDS = {
-    "trust_threshold": ("theta_r", "must lie in [0, 1]", lambda x: 0.0 <= x <= 1.0),
-    "path_threshold": ("theta_r_p", "must lie in [0, 1]", lambda x: 0.0 <= x <= 1.0),
-    "decay_rate": ("lambda_d", "must be >= 0", lambda x: x >= 0),
-    "recency_rate": ("lambda_p", "must be >= 0", lambda x: x >= 0),
-    "path_decay": ("d", "must lie in (0, 1]", lambda x: 0.0 < x <= 1.0),
-    "damping": ("q", "must lie in (0,1)", lambda x: 0.0 < x < 1.0),
-    "tolerance": ("epsilon", "must be > 0", lambda x: x > 0),
-    "max_iterations": ("max_iter", "must be >= 1", lambda x: x >= 1),
-    "search_steps": ("search_steps", "must be >= 0", lambda x: x >= 0),
-    "search_seconds": ("search_seconds", "must be >= 0", lambda x: x >= 0),
-    "pagerank_seconds": ("pagerank_seconds", "must be >= 0", lambda x: x >= 0),
+    "trust_threshold": ("theta_r", "number", False, "must lie in [0, 1]", lambda x: 0 <= x <= 1),
+    "path_threshold": ("theta_r_p", "number", False, "must lie in [0, 1]", lambda x: 0 <= x <= 1),
+    "decay_rate": ("lambda_d", "number", False, "must be >= 0", lambda x: x >= 0),
+    "recency_rate": ("lambda_p", "number", False, "must be >= 0", lambda x: x >= 0),
+    "path_decay": ("d", "number", False, "must lie in (0, 1]", lambda x: 0 < x <= 1),
+    "damping": ("q", "number", False, "must lie in (0,1)", lambda x: 0 < x < 1),
+    "tolerance": ("epsilon", "number", False, "must be > 0", lambda x: x > 0),
+    "max_iterations": ("max_iter", "integer", False, "must be >= 1", lambda x: x >= 1),
+    "search_steps": ("search_steps", "integer", True, "must be >= 0", lambda x: x >= 0),
+    "search_seconds": ("search_seconds", "number", True, "must be >= 0", lambda x: x >= 0),
+    "pagerank_seconds": ("pagerank_seconds", "number", True, "must be >= 0", lambda x: x >= 0),
 }
-_UNLIMITED_ALLOWED = ("search_steps", "search_seconds", "pagerank_seconds")
 
 
 def validate_config(cfg: TrustConfig) -> None:
-    """Raise ValueError naming the wire key of the first value out of bounds.
+    """Check every field by its row of ``CONFIG_BOUNDS``; errors name the wire key.
 
-    NaN and infinities are refused everywhere; ``None`` is the only way to
-    say "unlimited", and only for the budgets.
+    Type, then finiteness, integrality and bound: a value that is not a number
+    (or None where unlimited is allowed), or an integer field's non-int, raises
+    TypeError; any other failure raises ValueError.
     """
-    for name, (key, bound, within) in CONFIG_BOUNDS.items():
+    for name, (key, kind, unlimited, bound, within) in CONFIG_BOUNDS.items():
         value = getattr(cfg, name)
-        if value is None and name in _UNLIMITED_ALLOWED:
+        if value is None and unlimited:
             continue
-        if not math.isfinite(value):
-            raise ValueError(f"{key} must be finite, got {value!r}")
+        wanted = "an integer" if kind == "integer" else "a number"
+        wanted += " or null" if unlimited else ""
+        if not is_number(value):
+            raise TypeError(f"{key} must be {wanted}")
+        if finite_float(value) is None:
+            raise ValueError(f"{key} must be finite")
+        if kind == "integer" and not isinstance(value, int):
+            raise TypeError(f"{key} must be {wanted}")
         if not within(value):
             raise ValueError(f"{key} {bound}")
+
+
+def check_snapshot_clock(snapshot_time, decay_rate) -> None:
+    """Raise ValueError unless the snapshot time is finite and the decay rate finite and >= 0."""
+    if finite_float(snapshot_time) is None:
+        raise ValueError(f"snapshot time {snapshot_time!r} must be finite")
+    rate = finite_float(decay_rate)
+    if rate is None or rate < 0:
+        raise ValueError(f"decay rate {decay_rate!r} must be finite and >= 0")
 
 
 def decay_weight(time: float, eval_time: float, decay_rate: float) -> float:
@@ -431,13 +463,9 @@ def build_environment(
     Records are checked column by column; only when a column is not plainly
     valid are they run through :func:`check_interaction` one by one, which
     raises InvalidRecordError naming the first offending record.  Raises
-    ValueError for a snapshot time that is not finite or a decay rate that
-    is negative or not finite.
+    ValueError from :func:`check_snapshot_clock`.
     """
-    if not math.isfinite(snapshot_time):
-        raise ValueError(f"snapshot time {snapshot_time!r} must be finite")
-    if not (math.isfinite(decay_rate) and decay_rate >= 0):
-        raise ValueError(f"decay rate {decay_rate!r} must be finite and >= 0")
+    check_snapshot_clock(snapshot_time, decay_rate)
     declared = {p.id: p for p in profiles}
     trustors, trustees, labels, ratings, times = (
         list(map(operator.attrgetter(name), log))

@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, TextIO, Union
@@ -26,11 +25,12 @@ from .core import (
     TrustError,
     TrustConfig,
     check_interaction,
+    check_snapshot_clock,
 )
 from .reputation import MODEL_PARAMS, STOP_REASONS, ReputationModel
 
 SNAPSHOT_FORMAT = "trustnet-snapshot"
-SNAPSHOT_VERSION = 4
+SNAPSHOT_VERSION = 5
 
 # The arrays after a snapshot's header line, in file order; the model's two
 # follow only when the header has a reputation block.  ``profile`` indexes
@@ -40,12 +40,12 @@ ENV_ARRAYS = ("profile",) + Environment.ARRAYS
 MODEL_ARRAYS = ("nodes", "vector")
 _FLOAT_ARRAYS = ("decayed_trust", "mean_rating", "last_time", "vector")
 # The model's scalars, kept in the header line.
-_MODEL_FIELDS = ("iterations_used", "converged", "stop_reason", "mean_reputation", "params")
+_MODEL_FIELDS = ("iterations_used", "stop_reason", "params")
 
 LOG_FIELDS = ("trustor", "trustee", "rating", "category", "time")
 
 # Config file key -> TrustConfig field.
-CONFIG_KEYS = {key: name for name, (key, _, _) in CONFIG_BOUNDS.items()}
+CONFIG_KEYS = {row[0]: name for name, row in CONFIG_BOUNDS.items()}
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,8 @@ def _read_json_lines(source: Union[str, Path, TextIO], strict: bool, parse) -> t
                 continue
             try:
                 item, problem = parse(json.loads(line))
-            except json.JSONDecodeError as exc:
-                item, problem = None, (None, f"invalid JSON: {exc.msg}")
+            except ValueError as exc:  # JSONDecodeError, or an int of too many digits
+                item, problem = None, (None, f"invalid JSON: {getattr(exc, 'msg', exc)}")
             if problem is None:
                 items.append(item)
                 continue
@@ -135,7 +135,10 @@ def parse_log(
 
 
 def _wire_record(obj) -> tuple[Optional[Interaction], Optional[tuple[Optional[str], str]]]:
-    """The record a log line holds, or (None, (field, problem)) when it is invalid."""
+    """The record a log line holds, or (None, (field, problem)) when it is invalid.
+
+    Only the line's shape is checked here; its values by :func:`check_interaction`.
+    """
     if not isinstance(obj, dict):
         return None, (None, "record must be a JSON object")
     unknown = sorted(set(obj) - set(LOG_FIELDS))
@@ -144,19 +147,7 @@ def _wire_record(obj) -> tuple[Optional[Interaction], Optional[tuple[Optional[st
     missing = [f for f in LOG_FIELDS if f not in obj]
     if missing:
         return None, (missing[0], "missing field")
-    for name in ("trustor", "trustee", "category"):
-        if not isinstance(obj[name], str) or not obj[name]:
-            return None, (name, "must be a non-empty string")
-    for name in ("rating", "time"):
-        if isinstance(obj[name], bool) or not isinstance(obj[name], (int, float)):
-            return None, (name, "must be a number")
-    record = Interaction(
-        trustor=obj["trustor"],
-        trustee=obj["trustee"],
-        rating=float(obj["rating"]),
-        category=obj["category"],
-        time=float(obj["time"]),
-    )
+    record = Interaction(**obj)
     problem = check_interaction(record)
     return (record, None) if problem is None else (None, problem)
 
@@ -176,6 +167,9 @@ def parse_profiles(
 def _wire_profile(obj) -> tuple[Optional[AgentProfile], Optional[tuple[str, str]]]:
     if not isinstance(obj, dict) or not isinstance(obj.get("id"), str) or not obj["id"]:
         return None, ("id", "must be a non-empty string")
+    unknown = sorted(set(obj) - {"id", "able", "completed"})
+    if unknown:
+        return None, (unknown[0], "unexpected field")
     able, completed = obj.get("able", []), obj.get("completed", [])
     for categories in (able, completed):
         if not isinstance(categories, list) or not all(
@@ -193,27 +187,13 @@ def dump_profiles(profiles: Iterable[AgentProfile], target: Union[str, Path, Tex
 
 
 def config_from_dict(data: dict) -> TrustConfig:
-    """Build a TrustConfig from flat wire keys, rejecting unknown ones."""
+    """Build a TrustConfig from flat wire keys; an unknown key or bad value raises ConfigError."""
     unknown = sorted(set(data) - set(CONFIG_KEYS))
     if unknown:
         raise ConfigError(f"unknown config key: {unknown[0]!r}")
-    kwargs = {}
-    for key, value in data.items():
-        attr = CONFIG_KEYS[key]
-        if attr == "max_iterations":
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError("max_iter must be an integer")
-        elif attr == "search_steps":
-            if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
-                raise ConfigError("search_steps must be an integer or null")
-        elif value is not None and (
-            isinstance(value, bool) or not isinstance(value, (int, float))
-        ):
-            raise ConfigError(f"{key} must be a number")
-        kwargs[attr] = value
     try:
-        return TrustConfig(**kwargs)
-    except ValueError as exc:
+        return TrustConfig(**{CONFIG_KEYS[key]: value for key, value in data.items()})
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
 
@@ -229,8 +209,8 @@ def load_config(source: Union[str, Path, TextIO]) -> TrustConfig:
         return TrustConfig()
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON: {exc.msg}") from None
+    except ValueError as exc:  # JSONDecodeError, or an int of too many digits
+        raise ConfigError(f"invalid JSON: {getattr(exc, 'msg', exc)}") from None
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     return config_from_dict(data)
@@ -299,11 +279,6 @@ def _require(ok, problem: str) -> None:
         raise SnapshotError(f"malformed snapshot: {problem}")
 
 
-def _is_number(value) -> bool:
-    # json.loads builds no subclasses, and a bool must not pass for a number.
-    return type(value) in (int, float)
-
-
 def _ascending_strings(values, what: str) -> list[str]:
     _require(
         type(values) is list and all(type(v) is str for v in values),
@@ -361,9 +336,10 @@ def _read_arrays(body: bytes, offset: int, names: tuple[str, ...]) -> dict[str, 
 def _parse_body(body: bytes) -> tuple[Environment, Optional[ReputationModel]]:
     """Rebuild the environment and model from a checksum-verified body.
 
-    Header values are type-checked and the arrays checked whole (CSR pointers,
-    indices in range and strictly ascending within a row, statistics in range),
-    so a bad value ends here as SnapshotError and not later in a query.
+    The header's time, rate and model ``params`` get the engine's own checks,
+    its other values are type-checked and the arrays checked whole (CSR
+    pointers, indices in range and strictly ascending within a row, statistics
+    in range), so a bad value ends here as SnapshotError and not in a query.
     """
     end = body.find(b"\n")
     document = json.loads(body[: end if end >= 0 else len(body)])
@@ -375,8 +351,7 @@ def _parse_body(body: bytes) -> tuple[Environment, Optional[ReputationModel]]:
             f"unsupported snapshot version {version!r}, expected {SNAPSHOT_VERSION}"
         )
     time, rate = header["snapshot_time"], header["decay_rate"]
-    _require(_is_number(time) and math.isfinite(time), f"snapshot_time {time!r} is not finite")
-    _require(_is_number(rate) and 0 <= rate < math.inf, f"decay_rate {rate!r} is not finite")
+    check_snapshot_clock(time, rate)
     ids = _ascending_strings(document["agents"], "agent ids")
     categories = _ascending_strings(document["categories"], "categories")
     kinds = [
@@ -419,16 +394,11 @@ def _parse_body(body: bytes) -> tuple[Environment, Optional[ReputationModel]]:
 
     for name, ok in (
         ("iterations_used", type(rep["iterations_used"]) is int),
-        ("converged", type(rep["converged"]) is bool),
         ("stop_reason", rep["stop_reason"] in STOP_REASONS),
-        ("mean_reputation", _is_number(rep["mean_reputation"])),
         ("params", type(rep["params"]) is dict and set(rep["params"]) == set(MODEL_PARAMS)),
     ):
         _require(ok, f"reputation {name} {rep[name]!r} has the wrong type or value")
-    for name, value in rep["params"].items():
-        number = type(value) is int if name == "max_iterations" else _is_number(value)
-        unlimited = name == "pagerank_seconds" and value is None
-        _require(number or unlimited, f"reputation {name} must be a number")
+    TrustConfig(**rep["params"])  # the config rule; its errors become SnapshotError
     nodes, vector = arrays["nodes"], arrays["vector"]
     _require(
         _within(nodes, n) and np.all(nodes[1:] > nodes[:-1]),

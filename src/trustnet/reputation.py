@@ -58,24 +58,31 @@ def model_params(config: TrustConfig) -> dict:
 class ReputationModel:
     """Converged reputation over the node set.
 
-    ``vector`` is max-normalized (its largest entry is 1 when nodes exist);
-    ``mean_reputation`` is its mean and doubles as the newcomer value.
+    ``vector`` is max-normalized (its largest entry is 1 when nodes exist).
     ``params`` holds the config values the model was built with (see
     :func:`model_params`).  ``stop_reason`` says why the power iteration
     ended: ``"converged"``, or the ``"iterations"`` or ``"seconds"`` budget
-    ran out (an empty node set counts as converged).  ``matrix`` is the
-    built model's input, kept for ``perfbench/scaling.py``; being derivable,
-    it is neither saved (a loaded model has None) nor compared.
+    ran out (an empty node set counts as converged).  ``converged`` and
+    ``mean_reputation`` are derived from these.  ``matrix`` is the built
+    model's input, kept for ``perfbench/scaling.py``; being derivable, it is
+    neither saved (a loaded model has None) nor compared.
     """
 
     nodes: list[AgentId]
     vector: np.ndarray
     iterations_used: int
-    converged: bool
-    mean_reputation: float
     params: dict
     stop_reason: str
     matrix: Optional[PropagationMatrix] = None
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
+
+    @property
+    def mean_reputation(self) -> float:
+        """The mean of ``vector``, which doubles as the newcomer value; 0.5 with no nodes."""
+        return float(np.mean(self.vector)) if self.nodes else 0.5
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ReputationModel):
@@ -84,8 +91,6 @@ class ReputationModel:
             self.nodes == other.nodes
             and np.array_equal(self.vector, other.vector)
             and self.iterations_used == other.iterations_used
-            and self.converged == other.converged
-            and self.mean_reputation == other.mean_reputation
             and self.params == other.params
             and self.stop_reason == other.stop_reason
         )
@@ -189,8 +194,6 @@ def build_reputation(env: Environment, config: TrustConfig) -> ReputationModel:
             nodes=[],
             vector=np.zeros(0),
             iterations_used=0,
-            converged=True,
-            mean_reputation=0.5,
             params=model_params(config),
             stop_reason="converged",
         )
@@ -211,8 +214,6 @@ def build_reputation(env: Environment, config: TrustConfig) -> ReputationModel:
         nodes=nodes,
         vector=vector,
         iterations_used=iterations,
-        converged=converged,
-        mean_reputation=float(np.mean(vector)),
         params=model_params(config),
         stop_reason=stop_reason,
         matrix=matrix,
@@ -222,11 +223,9 @@ def build_reputation(env: Environment, config: TrustConfig) -> ReputationModel:
 def reputation_of(model: ReputationModel, trustee: AgentId) -> float:
     """Trustee's normalized reputation, or the population mean for outsiders.
 
-    An empty model (no agent ever received a trusted rating) yields the
-    neutral prior 0.5.  The sorted node list is searched by bisection.
+    An empty model (no agent ever received a trusted rating) yields its mean,
+    the neutral prior 0.5.  The sorted node list is searched by bisection.
     """
-    if not model.nodes:
-        return 0.5
     idx = bisect.bisect_left(model.nodes, trustee)
     if idx == len(model.nodes) or model.nodes[idx] != trustee:
         return model.mean_reputation

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .core import AgentProfile, Interaction
+from .core import AgentProfile, Interaction, finite_float
 
 _MASK64 = (1 << 64) - 1
 
@@ -69,8 +69,9 @@ class GenParams:
             raise ValueError("agent/category/interaction counts out of range")
         if not 0.0 <= self.newcomer_fraction < 1.0:
             raise ValueError("newcomer_fraction must lie in [0, 1)")
-        if self.time_horizon <= 0:
-            raise ValueError("time_horizon must be positive")
+        horizon = finite_float(self.time_horizon)
+        if horizon is None or horizon <= 0:
+            raise ValueError("time_horizon must be a finite number > 0")
 
 
 def agent_name(index: int, n_agents: int) -> str:

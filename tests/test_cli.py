@@ -293,3 +293,65 @@ def test_malformed_log_is_input_error(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert "line 1" in err and "rating" in err
+
+
+BIG = "1" + "0" * 400  # an integer beyond the float range, as JSON text
+
+
+def assert_input_error(code, out, err, message):
+    assert code == 1
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"theta_r": null}', "error: theta_r must be a number"),
+        ('{"epsilon": %s}' % BIG, "error: epsilon must be finite"),
+        ('{"max_iter": %s}' % BIG, "error: max_iter must be finite"),
+    ],
+    ids=["null", "huge-number", "huge-integer"],
+)
+def test_config_value_beyond_the_number_rule_is_input_error(capsys, world, text, message):
+    config = world["tmp"] / "cfg.json"
+    config.write_text(text)
+    argv = ["reputation", "--log", world["log"], "--config", str(config), "--time", "100"]
+    assert_input_error(*run(capsys, argv), message)
+
+
+def test_log_time_beyond_the_float_range_is_input_error(capsys, tmp_path):
+    log = tmp_path / "log.jsonl"
+    log.write_text('{"trustor":"A","trustee":"B","rating":0.5,"category":"c","time":%s}\n' % BIG)
+    argv = [
+        "eval", "--log", str(log), "--trustor", "A", "--trustee", "B", "--category", "c",
+        "--time", "10",
+    ]
+    assert_input_error(*run(capsys, argv), "log error: line 1, field 'time'")
+
+
+def test_profile_with_an_unknown_field_is_input_error(capsys, world):
+    profiles = world["tmp"] / "profiles.jsonl"
+    profiles.write_text('{"id": "x", "abel": ["c1"]}\n')
+    argv = ["reputation", "--log", world["log"], "--profiles", str(profiles), "--time", "100"]
+    assert_input_error(*run(capsys, argv), "profiles error: line 1, field 'abel'")
+
+
+def test_generate_with_a_non_finite_time_horizon_is_input_error(capsys, tmp_path):
+    out = tmp_path / "g.jsonl"
+    argv = ["generate", "--seed", "1", "--time-horizon", "nan", "--out", str(out)]
+    assert_input_error(*run(capsys, argv), "error: time_horizon must be a finite number > 0")
+    assert not out.exists()
+
+
+def test_version_4_snapshot_is_input_error(capsys, world):
+    snap = world["tmp"] / "world.snap"
+    run(capsys, ["snapshot", "save", "--log", world["log"], "--time", "100", "--out", str(snap)])
+    document, arrays = read_snapshot(snap)
+    document["header"]["version"] = 4
+    write_snapshot(snap, document, arrays)
+    assert_input_error(
+        *run(capsys, ["snapshot", "load", "--in", str(snap)]),
+        "error: unsupported snapshot version 4, expected 5",
+    )

@@ -15,7 +15,7 @@ from trustnet import (
     edge_weight,
 )
 
-from trustnet.core import check_interaction
+from trustnet.core import check_interaction, finite_float
 
 from helpers import logs, rec
 
@@ -234,3 +234,67 @@ def test_decayed_trust_equals_a_sequential_math_exp_reference():
         num += r * float(np.exp(x))
         den += float(np.exp(x))
     assert num / den != env.edges[("A", "B")].per_category["c1"].decayed_trust
+
+
+# --- one number rule for every input -------------------------------------------
+
+HUGE = 10**400  # an int beyond the float range
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        (0, 0.0), (1, 1.0), (0.25, 0.25), (np.float64(0.5), 0.5), (-3, -3.0),
+        (True, None), (None, None), ("0.5", None), (math.nan, None), (math.inf, None),
+        (-math.inf, None), (HUGE, None), (-HUGE, None), (np.int64(1), None),
+    ],
+    ids=lambda v: repr(v) if len(repr(v)) < 20 else "huge",
+)
+def test_finite_float_is_the_number_rule(value, expected):
+    assert finite_float(value) == expected
+
+
+@pytest.mark.parametrize(
+    "bad, field",
+    [
+        (Interaction(1, "B", 0.5, "c1", 1), "trustor"),
+        (Interaction("A", b"B", 0.5, "c1", 1), "trustee"),
+        (Interaction("A", "B", 0.5, 7, 1), "category"),
+        (Interaction("A", "B", 0.5, "c1", HUGE), "time"),
+        (Interaction("A", "B", HUGE, "c1", 1), "rating"),
+        (Interaction("A", "B", None, "c1", 1), "rating"),
+    ],
+)
+def test_build_rejects_each_field_by_the_record_rule(bad, field):
+    with pytest.raises(InvalidRecordError) as exc:
+        build_environment([rec("A", "B", 0.5), bad], 10.0)
+    assert exc.value.index == 1
+    assert str(exc.value).startswith(f"record 1: {field} ")
+    assert check_interaction(bad)[0] == field
+
+
+@pytest.mark.parametrize(
+    "snapshot_time, decay_rate",
+    [(HUGE, 0.0), (10.0, HUGE), ("10", 0.0)],
+    ids=["huge-time", "huge-rate", "string-time"],
+)
+def test_build_rejects_a_clock_beyond_the_number_rule(snapshot_time, decay_rate):
+    with pytest.raises(ValueError, match="must be finite"):
+        build_environment([rec("A", "B", 0.5)], snapshot_time, decay_rate)
+
+
+def test_int_fields_of_the_config_take_only_ints():
+    with pytest.raises(TypeError, match="max_iter must be an integer"):
+        TrustConfig(max_iterations=2.5)
+    with pytest.raises(TypeError, match="search_steps must be an integer or null"):
+        TrustConfig(search_steps=3.0)
+    with pytest.raises(TypeError, match="theta_r must be a number"):
+        TrustConfig(trust_threshold=None)
+    with pytest.raises(TypeError, match="q must be a number"):
+        TrustConfig(damping=True)
+
+
+@pytest.mark.parametrize("field", ["tolerance", "max_iterations", "search_seconds"])
+def test_config_rejects_ints_beyond_the_float_range(field):
+    with pytest.raises(ValueError, match="must be finite"):
+        TrustConfig(**{field: HUGE})

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from trustnet import (
     ConfigError,
     GenParams,
+    Interaction,
+    InvalidRecordError,
     LogParseError,
     SnapshotError,
     TrustConfig,
@@ -24,6 +26,8 @@ from trustnet import (
     parse_profiles,
     save_snapshot,
 )
+from trustnet.core import CONFIG_BOUNDS
+from trustnet.persist import config_from_dict
 
 from helpers import (
     AGENTS,
@@ -240,7 +244,7 @@ def test_version_mismatch_rejected(tmp_path):
     env = build_environment([], 42.0)
     path = tmp_path / "t.snap"
     save_snapshot(env, path)
-    rewrite_body(path, snapshot_body(path).replace(b'"version": 4', b'"version": 99'))
+    rewrite_body(path, snapshot_body(path).replace(b'"version": 5', b'"version": 99'))
     with pytest.raises(SnapshotError, match="version"):
         load_snapshot(path)
 
@@ -257,7 +261,7 @@ def test_version_3_snapshot_refused(tmp_path):
     }
     path = tmp_path / "v3.snap"
     rewrite_body(path, json.dumps(body).encode())
-    with pytest.raises(SnapshotError, match="unsupported snapshot version 3, expected 4"):
+    with pytest.raises(SnapshotError, match="unsupported snapshot version 3, expected 5"):
         load_snapshot(path)
 
 
@@ -301,11 +305,10 @@ def replace(name, values):
         (set_item("last_time", 0, np.inf), "last_time is not a finite time"),
         (
             lambda d, a: d["reputation"]["params"].update(damping="0.85"),
-            "reputation damping must be a number",
+            "q must be a number",
         ),
         (lambda d, a: d["profiles"][0].__setitem__(1, "c1"), "able categories must be a list"),
         (set_item("dst", 0, 5), "edge to an unknown agent"),
-        (lambda d, a: d["reputation"].update(converged="yes"), "reputation converged"),
         (lambda d, a: a.update(vector=np.append(a["vector"], 0.5)), "differ in length"),
         (lambda d, a: a.update(decayed_trust=a["decayed_trust"].astype(np.float32)),
          "array decayed_trust must be 1-D float64"),
@@ -334,7 +337,6 @@ def replace(name, values):
         "params",
         "able",
         "endpoint",
-        "converged",
         "vector-length",
         "dtype",
         "indptr-not-monotone",
@@ -425,3 +427,170 @@ def test_hypothesis_worlds_round_trip_exactly(tmp_path_factory, log, with_model)
     loaded, loaded_model = load_snapshot(path)
     assert loaded == env and loaded_model == model
     assert dict(loaded.edges.items()) == dict(env.edges.items())
+
+
+# --- one rule per input value --------------------------------------------------
+
+BIG = "1" + "0" * 400  # an integer beyond the float range, as JSON text
+
+
+def test_log_line_with_an_integer_beyond_the_float_range_is_a_line_error():
+    text = '{"trustor":"A","trustee":"B","rating":0.5,"category":"c1","time":%s}\n' % BIG
+    records, errors = parse_log(io.StringIO(text))
+    assert records == []
+    assert [(e.line, e.field) for e in errors] == [(1, "time")]
+
+
+def test_log_line_with_more_digits_than_json_reads_is_a_line_error():
+    text = (
+        '{"trustor":"A","trustee":"B","rating":0.5,"category":"c1","time":1}\n'
+        '{"trustor":"A","trustee":"B","rating":0.5,"category":"c1","time":1%s}\n' % ("0" * 5000)
+    )
+    records, errors = parse_log(io.StringIO(text))
+    assert len(records) == 1
+    assert [e.line for e in errors] == [2] and "invalid JSON" in errors[0].message
+
+
+def test_log_integers_stay_integers_and_build_like_floats():
+    line = '{"trustor":"A","trustee":"B","rating":1,"category":"c1","time":5}\n'
+    (record,), _ = parse_log(io.StringIO(line))
+    assert type(record.time) is int and type(record.rating) is int
+    assert build_environment([record], 10.0, 0.1) == build_environment(
+        [Interaction("A", "B", 1.0, "c1", 5.0)], 10.0, 0.1
+    )
+
+
+def test_profile_with_an_unknown_field_is_reported():
+    text = '{"id": "x", "abel": ["c1"]}\n{"id": "y", "able": ["c1"]}\n'
+    profiles, errors = parse_profiles(io.StringIO(text))
+    assert [p.id for p in profiles] == ["y"]
+    assert [(e.line, e.field, e.message) for e in errors] == [(1, "abel", "unexpected field")]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"theta_r": null}', "theta_r must be a number"),
+        ('{"epsilon": %s}' % BIG, "epsilon must be finite"),
+        ('{"max_iter": %s}' % BIG, "max_iter must be finite"),
+        ('{"max_iter": 2.5}', "max_iter must be an integer"),
+        ('{"search_steps": true}', "search_steps must be an integer or null"),
+        ('{"d": "0.9"}', "d must be a number"),
+        ('{"q": 1%s}' % ("0" * 5000), "invalid JSON"),
+    ],
+    ids=["null", "huge-number", "huge-integer", "fraction", "bool", "string", "too-many-digits"],
+)
+def test_bad_config_value_is_a_config_error(tmp_path, text, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=message):
+        load_config(path)
+
+
+def test_version_4_snapshot_refused(tmp_path):
+    env = build_environment(SMALL_WORLD, 42.0)
+    path = tmp_path / "t.snap"
+    save_snapshot(env, path, build_reputation(env, TrustConfig()))
+    rewrite_body(path, snapshot_body(path).replace(b'"version": 5', b'"version": 4'))
+    with pytest.raises(SnapshotError, match="unsupported snapshot version 4, expected 5"):
+        load_snapshot(path)
+
+
+def test_model_convergence_and_mean_are_derived_not_read(tmp_path):
+    env = build_environment(SMALL_WORLD, 42.0)
+    model = build_reputation(env, TrustConfig())
+    path = tmp_path / "t.snap"
+    save_snapshot(env, path, model)
+    document, arrays = read_snapshot(path)
+    assert "mean_reputation" not in document["reputation"]
+    assert "converged" not in document["reputation"]
+    document["reputation"].update(mean_reputation=7.0, converged=False)
+    write_snapshot(path, document, arrays)
+    _, loaded = load_snapshot(path)
+    assert loaded == model
+    assert loaded.converged and loaded.stop_reason == "converged"
+    assert loaded.mean_reputation == float(np.mean(model.vector)) <= 1.0
+
+
+@pytest.mark.parametrize(
+    "header, problem",
+    [
+        ({"snapshot_time": math.inf}, "snapshot time inf must be finite"),
+        ({"snapshot_time": 10**400}, "snapshot time 1000"),
+        ({"decay_rate": -0.5}, r"decay rate -0.5 must be finite and >= 0"),
+    ],
+    ids=["infinite-time", "huge-time", "negative-rate"],
+)
+def test_snapshot_clock_is_held_to_the_build_rule(tmp_path, header, problem):
+    env = build_environment(SMALL_WORLD, 42.0)
+    path = tmp_path / "t.snap"
+    save_snapshot(env, path)
+    document, arrays = read_snapshot(path)
+    document["header"].update(header)
+    write_snapshot(path, document, arrays)
+    with pytest.raises(SnapshotError, match=problem):
+        load_snapshot(path)
+    with pytest.raises(ValueError, match=problem):
+        build_environment(
+            SMALL_WORLD, document["header"]["snapshot_time"], document["header"]["decay_rate"]
+        )
+
+
+# Each field of a log line or config value is drawn from valid values and from
+# the values the number and string rules must refuse.
+_odd_values = st.one_of(
+    st.sampled_from(["", None, True, False, 10**400, -(10**400), math.nan, math.inf, -math.inf]),
+    st.integers(-3, 3),
+    st.floats(-2.0, 2.0),
+    st.floats(allow_nan=False),
+    st.text(max_size=2),
+)
+_ids = st.sampled_from(["A", "B", "C", "D", "E"])
+_valid_fields = {
+    "trustor": _ids,
+    "trustee": _ids,
+    "rating": st.one_of(st.floats(0.0, 1.0), st.integers(0, 1)),
+    "category": st.sampled_from(["c1", "c2"]),
+    "time": st.one_of(st.floats(0.0, 100.0), st.integers(0, 100)),
+}
+
+
+@st.composite
+def _lines(draw):
+    """A log line of valid values, up to two of them replaced by odd ones."""
+    obj = {name: draw(values) for name, values in _valid_fields.items()}
+    for name in draw(st.lists(st.sampled_from(sorted(obj)), max_size=2, unique=True)):
+        obj[name] = draw(_odd_values)
+    return obj
+
+
+@given(_lines())
+@settings(max_examples=400, deadline=None)
+def test_a_log_line_passes_exactly_when_build_environment_accepts_its_record(obj):
+    records, errors = parse_log(io.StringIO(json.dumps(obj) + "\n"))
+    try:
+        build_environment([Interaction(**obj)], 50.0)
+    except InvalidRecordError as exc:
+        assert records == [] and len(errors) == 1
+        assert str(exc) == f"record 0: {errors[0].message}"
+        assert errors[0].message.startswith(f"{errors[0].field} ")
+    else:
+        assert errors == [] and records == [Interaction(**obj)]
+
+
+@given(st.sampled_from(sorted(CONFIG_BOUNDS)), _odd_values)
+@settings(max_examples=400, deadline=None)
+def test_a_config_value_passes_exactly_when_trust_config_accepts_it(name, value):
+    key = CONFIG_BOUNDS[name][0]
+    try:
+        TrustConfig(**{name: value})
+        direct = None
+    except (TypeError, ValueError) as exc:
+        direct = str(exc)
+    try:
+        config_from_dict({key: value})
+        wire = None
+    except ConfigError as exc:
+        wire = str(exc)
+    assert wire == direct
+    assert direct is None or direct.startswith(f"{key} ")

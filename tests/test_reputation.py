@@ -267,3 +267,12 @@ def test_reputation_of_outsiders_around_and_between_nodes():
     assert reputation_of(model, "D") == float(model.vector[1])
     for outsider in ("A", "C", "E", "", "Z"):
         assert reputation_of(model, outsider) == model.mean_reputation
+
+
+def test_convergence_and_mean_are_derived_from_the_model():
+    model = build_reputation(env_of([rec("A", "B", 0.9), rec("B", "C", 0.8)]), CFG)
+    assert model.converged and model.mean_reputation == float(np.mean(model.vector))
+    assert not dataclasses.replace(model, stop_reason="iterations").converged
+    empty = build_reputation(env_of([rec("A", "B", 0.1)]), CFG)
+    assert empty.nodes == [] and empty.converged and empty.mean_reputation == 0.5
+    assert reputation_of(empty, "A") == 0.5

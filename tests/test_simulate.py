@@ -1,4 +1,5 @@
 import io
+import math
 import statistics
 
 import pytest
@@ -122,3 +123,13 @@ def test_param_validation():
         GenParams(seed=1, time_horizon=0.0)
     with pytest.raises(ValueError):
         generate(GenParams(seed=1, n_agents=2, n_interactions=5, newcomer_fraction=0.6))
+
+
+@pytest.mark.parametrize(
+    "horizon",
+    [math.nan, math.inf, -math.inf, 10**400, "100"],
+    ids=["nan", "inf", "-inf", "huge", "str"],
+)
+def test_time_horizon_is_held_to_the_number_rule(horizon):
+    with pytest.raises(ValueError, match="time_horizon must be a finite number > 0"):
+        GenParams(seed=1, time_horizon=horizon)
