@@ -17,6 +17,7 @@ from .core import (
     EdgeStats,
     Environment,
     Interaction,
+    InvalidProfileError,
     InvalidRecordError,
     InvariantError,
     TaskCategory,
@@ -88,6 +89,7 @@ __all__ = [
     "Environment",
     "GenParams",
     "Interaction",
+    "InvalidProfileError",
     "InvalidRecordError",
     "InvariantError",
     "LogParseError",

@@ -201,6 +201,7 @@ def evaluate(
         ],
         "paths_discovered": len(table.trustee_rows),
         "search_expansions": table.expansions,
+        "search_reattached": table.reattachments,
         "search_stop": table.stop_reason,
         "reputation": {
             "in_node_set": trustee in model.nodes,

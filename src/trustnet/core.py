@@ -16,7 +16,7 @@ import math
 import operator
 from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, repeat
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -49,6 +49,17 @@ class InvalidRecordError(TrustError):
 
     def __init__(self, index: int, message: str):
         super().__init__(f"record {index}: {message}")
+        self.index = index
+
+
+class InvalidProfileError(TrustError):
+    """A declared agent profile violates its invariants.
+
+    ``index`` is the position of the offending profile in the input sequence.
+    """
+
+    def __init__(self, index: int, profile_id, message: str):
+        super().__init__(f"profile {index} (id {profile_id!r}): {message}")
         self.index = index
 
 
@@ -123,6 +134,32 @@ class AgentProfile:
     able: frozenset[TaskCategory] = frozenset()
 
 
+def check_profile(profile: AgentProfile) -> Optional[tuple[str, str]]:
+    """Return (field, problem) for an invalid declared profile, else None; never raises.
+
+    The id is a non-empty string, as in :func:`check_interaction`, and
+    ``able`` and ``completed`` are collections of non-empty strings; the
+    field named is the one that breaks the rule.
+    """
+    if not isinstance(profile.id, str) or not profile.id:
+        return "id", "id must be a non-empty string"
+    if not _labels_ok(profile.able):
+        return "able", "category lists must contain non-empty strings"
+    if not _labels_ok(profile.completed):
+        return "completed", "category lists must contain non-empty strings"
+    return None
+
+
+def _labels_ok(labels) -> bool:
+    """Whether ``labels`` is a collection of non-empty strings."""
+    # The type check comes first, so that ``in`` compares only strings.
+    return (
+        isinstance(labels, (frozenset, set, list, tuple))
+        and all(map(isinstance, labels, repeat(str)))
+        and "" not in labels
+    )
+
+
 @dataclass(frozen=True)
 class CategoryStats:
     """Per-category statistics of one directed edge.
@@ -186,14 +223,10 @@ class EdgeView(MappingABC):
 
     def __getitem__(self, pair: tuple[AgentId, AgentId]) -> EdgeStats:
         env = self._env
-        i = j = None
+        k = None
         if isinstance(pair, tuple) and len(pair) == 2:
-            i, j = env.index.get(pair[0]), env.index.get(pair[1])
-        if i is None or j is None:
-            raise KeyError(pair)
-        lo, hi = int(env.indptr[i]), int(env.indptr[i + 1])
-        k = lo + int(np.searchsorted(env.dst[lo:hi], j))
-        if k == hi or env.dst[k] != j:
+            k = env._edge(*pair)
+        if k is None:
             raise KeyError(pair)
         lo, hi = int(env.cat_ptr[k]), int(env.cat_ptr[k + 1])
         rows = zip(
@@ -222,10 +255,13 @@ class Environment:
     ascending within a row), and edge ``e`` owns rows
     ``cat_ptr[e]:cat_ptr[e+1]`` of the per-(edge, category) arrays, whose
     ``cat`` indexes ``categories`` (ascending within an edge).  ``weight``,
-    ``src`` and the ``edges`` view are derived.  All arrays are read-only;
-    concurrent readers are safe (a cache filled on first use holds the
-    same value whichever reader fills it).  ``decay_rate`` records the
-    discount rate the snapshot was built with.
+    ``src`` and the ``edges`` view are derived.  All arrays are read-only.
+    Three caches are filled on first use: each agent's ``out_weights``
+    dict, the per-category ``activity`` (counts and latest times) and,
+    per category for the latest threshold asked, each agent's
+    ``trusted_out`` neighbours.  Concurrent readers are safe (a cache
+    filled on first use holds the same value whichever reader fills it).
+    ``decay_rate`` records the discount rate the snapshot was built with.
     """
 
     agents: dict[AgentId, AgentProfile]
@@ -241,6 +277,7 @@ class Environment:
     mean_rating: np.ndarray
     last_time: np.ndarray
     index: dict[AgentId, int] = field(init=False, repr=False)
+    _category_index: dict[TaskCategory, int] = field(init=False, repr=False)
     id_array: np.ndarray = field(init=False, repr=False)
     src: np.ndarray = field(init=False, repr=False)
     weight: np.ndarray = field(init=False, repr=False)
@@ -251,6 +288,9 @@ class Environment:
     _activity: Optional[dict[TaskCategory, CategoryActivity]] = field(
         default=None, init=False, repr=False
     )
+    _trusted: dict[TaskCategory, tuple[float, dict[AgentId, tuple[AgentId, ...]]]] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     # The columnar fields, in the order a snapshot stores them.
     ARRAYS = (
@@ -259,6 +299,7 @@ class Environment:
 
     def __post_init__(self):
         self.index = {a: i for i, a in enumerate(self.agents)}
+        self._category_index = {c: k for k, c in enumerate(self.categories)}
         self.id_array = np.empty(len(self.agents), dtype=object)
         self.id_array[:] = list(self.agents)
         self.src = np.repeat(np.arange(len(self.agents)), np.diff(self.indptr))
@@ -326,6 +367,60 @@ class Environment:
                 zip(self.id_array[self.dst[lo:hi]].tolist(), self.weight[lo:hi].tolist())
             )
         return out
+
+    def trusted_out(
+        self, agent: AgentId, category: TaskCategory, threshold: float
+    ) -> tuple[AgentId, ...]:
+        """Out-neighbours of ``agent`` trusted at ``threshold`` with history in ``category``.
+
+        In ascending id order: the neighbours whose edge weight is at least
+        ``threshold`` and whose ``completed`` holds ``category``.  Made from
+        :meth:`out_weights` on first use and cached per category for the
+        latest threshold asked, so the cache holds at most one tuple per
+        (category, agent); the weights stay in ``out_weights``.  A threshold
+        that is not a finite number by :func:`finite_float`'s rule raises
+        ValueError, whatever the cache holds.
+        """
+        number = finite_float(threshold)
+        if number is None:
+            raise ValueError(f"threshold {threshold!r} must be a finite number")
+        held = self._trusted.get(category)
+        if held is None or held[0] != number:
+            held = self._trusted[category] = (number, {})
+        cache = held[1]
+        found = cache.get(agent)
+        if found is None:
+            agents = self.agents
+            found = cache[agent] = tuple(
+                nbr
+                for nbr, weight in self.out_weights(agent).items()
+                if weight >= number and category in agents[nbr].completed
+            )
+        return found
+
+    def advisor_rating(
+        self, src: AgentId, dst: AgentId, category: TaskCategory
+    ) -> Optional[float]:
+        """The plain mean rating ``src`` gave ``dst`` on ``category``, or None without one.
+
+        This is what ``src`` reports when consulted as an advisor on ``dst``;
+        it is read from the edge's category rows, with no ``EdgeStats`` made.
+        """
+        k, c = self._edge(src, dst), self._category_index.get(category)
+        if k is None or c is None:
+            return None
+        lo, hi = int(self.cat_ptr[k]), int(self.cat_ptr[k + 1])
+        r = lo + int(np.searchsorted(self.cat[lo:hi], c))
+        return float(self.mean_rating[r]) if r < hi and self.cat[r] == c else None
+
+    def _edge(self, src: AgentId, dst: AgentId) -> Optional[int]:
+        """Position of the edge ``src -> dst`` in ``dst``, or None when absent."""
+        i, j = self.index.get(src), self.index.get(dst)
+        if i is None or j is None:
+            return None
+        lo, hi = int(self.indptr[i]), int(self.indptr[i + 1])
+        k = lo + int(np.searchsorted(self.dst[lo:hi], j))
+        return k if k < hi and self.dst[k] == j else None
 
     def neighbours(self, agent: AgentId) -> tuple[AgentId, ...]:
         """Out-neighbours of ``agent`` in ascending id order."""
@@ -462,10 +557,17 @@ def build_environment(
 
     Records are checked column by column; only when a column is not plainly
     valid are they run through :func:`check_interaction` one by one, which
-    raises InvalidRecordError naming the first offending record.  Raises
-    ValueError from :func:`check_snapshot_clock`.
+    raises InvalidRecordError naming the first offending record.  Each
+    declared profile is checked by :func:`check_profile`; the first invalid
+    one raises InvalidProfileError.
+    Raises ValueError from :func:`check_snapshot_clock`.
     """
     check_snapshot_clock(snapshot_time, decay_rate)
+    profiles = list(profiles)
+    for idx, profile in enumerate(profiles):
+        problem = check_profile(profile)
+        if problem is not None:
+            raise InvalidProfileError(idx, profile.id, problem[1])
     declared = {p.id: p for p in profiles}
     trustors, trustees, labels, ratings, times = (
         list(map(operator.attrgetter(name), log))

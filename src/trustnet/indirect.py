@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 
 from .core import (
     AgentId,
+    CategoryActivity,
     Environment,
     Interaction,
     InvariantError,
@@ -55,14 +56,12 @@ class TrusteeRow:
 class PropagationProbability:
     """Likelihood of consulting one trusted neighbour.
 
-    ``volume`` grows logarithmically with the neighbour's interaction count
-    on the category, ``recency`` decays exponentially with time since its
-    last one, and ``value`` is their product normalized to sum to 1 over the
-    neighbour set.
+    ``value`` is the product of a volume term, which grows logarithmically
+    with the neighbour's interaction count on the category, and a recency
+    term, which decays exponentially with the time since its last one,
+    normalized to sum to 1 over the neighbour set.
     """
 
-    volume: float
-    recency: float
     value: float
 
 
@@ -71,8 +70,9 @@ class PropagationTable:
     """Search state and result: reached agents plus trustee-path records.
 
     ``stop_reason`` says why the search ended: ``"exhausted"`` (the frontier
-    emptied), ``"steps"`` or ``"seconds"`` (a budget ran out first).  It is
-    left out of :meth:`to_dict`, which dumps only the table.
+    emptied), ``"steps"`` or ``"seconds"`` (a budget ran out first), and
+    ``reattachments`` counts the reached agents moved onto a chain of more
+    trust.  Both are left out of :meth:`to_dict`, which dumps only the table.
     """
 
     trustor: AgentId
@@ -82,6 +82,7 @@ class PropagationTable:
     rows: dict[AgentId, TableRow] = field(default_factory=dict)
     trustee_rows: list[TrusteeRow] = field(default_factory=list)
     expansions: int = 0
+    reattachments: int = 0
     stop_reason: str = "exhausted"
 
     def put_trustee_row(self, advisor: AgentId, rating: float, path: tuple[AgentId, ...]) -> None:
@@ -142,11 +143,37 @@ def trusted_neighbours(
     env: Environment, agent: AgentId, category: TaskCategory, trust_threshold: float
 ) -> set[AgentId]:
     """Out-neighbours trusted at or above the threshold with history in ``category``."""
-    return {
-        nbr
-        for nbr, weight in env.out_weights(agent).items()
-        if weight >= trust_threshold and category in env.agents[nbr].completed
-    }
+    return set(env.trusted_out(agent, category, trust_threshold))
+
+
+def _consultation(
+    activity: CategoryActivity, now: float, ordered: Sequence[AgentId], recency_rate: float
+) -> list[float]:
+    """Consultation probabilities of ``ordered`` (ascending ids, non-empty), in that order.
+
+    Each neighbour's raw term is log(1 + n) / log(1 + max n) times
+    exp(-recency_rate * (now - its last time)); the terms are normalized by
+    their sum, or made uniform when they sum to 0.
+    """
+    counts = activity.counts
+    max_count = max([counts.get(a, 0) for a in ordered])
+    if max_count > 0:
+        top = math.log(1 + max_count)
+        last = activity.last
+        raw = []
+        for a in ordered:
+            # An agent has a last time exactly when it has a count; without
+            # one its volume, and so its term, is 0.
+            last_time = last.get(a)
+            raw.append(
+                0.0
+                if last_time is None
+                else math.log(1 + counts[a]) / top * math.exp(-recency_rate * (now - last_time))
+            )
+        total = sum(raw)
+        if total > 0:
+            return [r / total for r in raw]
+    return [1.0 / len(ordered)] * len(ordered)
 
 
 def propagation_probabilities(
@@ -167,24 +194,8 @@ def propagation_probabilities(
     if not neighbours:
         raise ValueError("neighbour set must be non-empty")
     ordered = sorted(neighbours)
-    activity, now = env.activity(category), env.snapshot_time
-    counts, last = activity.counts, activity.last
-    max_count = max(counts.get(a, 0) for a in ordered)
-    raw: list[float] = []
-    parts: list[tuple[float, float]] = []
-    for a in ordered:
-        n = counts.get(a, 0)
-        volume = math.log(1 + n) / math.log(1 + max_count) if max_count > 0 else 0.0
-        last_time = last.get(a)
-        recency = 0.0 if last_time is None else math.exp(-recency_rate * (now - last_time))
-        parts.append((volume, recency))
-        raw.append(volume * recency)
-    total = sum(raw)
-    out = {}
-    for a, (volume, recency), r in zip(ordered, parts, raw):
-        value = r / total if total > 0 else 1.0 / len(ordered)
-        out[a] = PropagationProbability(volume=volume, recency=recency, value=value)
-    return out
+    values = _consultation(env.activity(category), env.snapshot_time, ordered, recency_rate)
+    return {a: PropagationProbability(value=v) for a, v in zip(ordered, values)}
 
 
 @dataclass(slots=True)
@@ -201,24 +212,22 @@ class _Prefix:
     branches: dict[AgentId, "_Prefix"] = field(default_factory=dict)
 
 
-def _key(row: TableRow) -> float:
-    return -(row.cum_prob * row.cum_trust)
-
-
 def _detach(
     table: PropagationTable,
     agent: AgentId,
     prefix_of: dict[AgentId, _Prefix],
-    frontier: set[AgentId],
-    heap: list[tuple[float, AgentId]],
+    moved: set[AgentId],
 ) -> None:
     """Remove a row and rescale the probabilities of its old sibling subtrees.
 
     Every row whose stored path extends the removed row's path and does not
-    pass through the removed agent is rescaled; frontier rows are re-pushed
-    with their new key.
+    pass through the removed agent is rescaled (capped at 1) and its agent
+    added to ``moved``; the removed agent leaves ``moved``, as it has no row.
     """
-    old = table.rows.pop(agent)
+    table.reattachments += 1
+    rows = table.rows
+    old = rows.pop(agent)
+    moved.discard(agent)
     node = prefix_of.pop(agent)
     node.agents.discard(agent)
     if old.cum_prob >= 1.0:
@@ -229,11 +238,12 @@ def _detach(
     while stack:
         node = stack.pop()
         for other in node.agents:
-            row = table.rows[other]
-            row.cum_prob = min(1.0, row.cum_prob * factor)
-            if other in frontier:
-                heapq.heappush(heap, (_key(row), other))
-        stack.extend(child for hop, child in node.branches.items() if hop != agent)
+            row = rows[other]
+            p = row.cum_prob * factor
+            row.cum_prob = p if p < 1.0 else 1.0
+        moved.update(node.agents)
+        if node.branches:
+            stack.extend([child for hop, child in node.branches.items() if hop != agent])
 
 
 def find_paths(
@@ -250,16 +260,19 @@ def find_paths(
 
     Each step expands the frontier agent with the largest cum_prob * cum_trust
     (ties go to the lexicographically smallest agent id), taken from a heap
-    whose stale entries are skipped, so a step costs O(out-degree · log
-    frontier) plus the rows its re-attachments rescale.  Expanding an agent
-    considers each out-neighbour: the trustee yields a path record when the
-    agent has rated it on the category; an unvisited trusted neighbour with
-    category history is attached as a child; a visited one is re-attached
-    when the new chain carries strictly more trust and introduces no loop.
-    A hop into an agent the trustor trusts directly is skipped unless it is
-    the trustor's own expansion.  The search stops when the frontier empties
-    or the step / wall-clock budget runs out, and records which in
-    ``stop_reason``.
+    whose stale entries are skipped.  Expanding an agent considers the
+    trustee, which yields a path record when the agent has rated it on the
+    category, and the agent's qualifying neighbours
+    (:meth:`Environment.trusted_out`, cached on the snapshot): an unvisited
+    one is attached as a child; a visited one is re-attached when the new
+    chain carries strictly more trust and introduces no loop.  A hop into an
+    agent the trustor trusts directly is skipped unless it is the trustor's
+    own expansion.  Re-attaching rescales the rows of the old sibling
+    subtrees; each rescaled frontier row is pushed once per expansion, with
+    its final key, so a step costs O(qualifying neighbours · log frontier)
+    plus the rows its re-attachments rescale.  The search stops when the
+    frontier empties or the step / wall-clock budget runs out, and records
+    which in ``stop_reason``.
     """
     if trustor not in env.agents:
         raise UnknownAgentError(trustor)
@@ -271,13 +284,18 @@ def find_paths(
     table = PropagationTable(
         trustor=trustor, trustee=trustee, category=category, eval_time=env.snapshot_time
     )
-    table.rows[trustor] = TableRow(agent=trustor, cum_prob=1.0, cum_trust=1.0, path=())
+    rows = table.rows
+    rows[trustor] = TableRow(agent=trustor, cum_prob=1.0, cum_trust=1.0, path=())
     prefix_of = {trustor: _Prefix(agents={trustor})}
+    threshold, recency_rate = config.trust_threshold, config.recency_rate
     trusted_by_trustor = {
-        nbr for nbr, weight in env.out_weights(trustor).items() if weight >= config.trust_threshold
+        nbr for nbr, weight in env.out_weights(trustor).items() if weight >= threshold
     }
+    activity, now = env.activity(category), env.snapshot_time
     frontier: set[AgentId] = {trustor}
     heap: list[tuple[float, AgentId]] = [(-1.0, trustor)]
+    heappush, heappop = heapq.heappush, heapq.heappop
+    moved: set[AgentId] = set()
     started = _time.monotonic()
 
     while frontier:
@@ -291,51 +309,55 @@ def find_paths(
             table.stop_reason = "seconds"
             break
         # Lazy deletion: an entry is live while its agent is on the frontier
-        # with that key; every key change pushed a fresh entry.
+        # with that key; every expansion pushes each key it changed.
         while True:
-            key, current = heapq.heappop(heap)
-            if current in frontier and key == _key(table.rows[current]):
-                break
+            key, current = heappop(heap)
+            if current in frontier:
+                row = rows[current]
+                if key == -(row.cum_prob * row.cum_trust):
+                    break
         frontier.discard(current)
         table.expansions += 1
-        row = table.rows[current]
+        path, cum_trust = row.path + (current,), row.cum_trust
 
-        attach: list[AgentId] = []
         out = env.out_weights(current)
-        for nbr, weight in out.items():
-            if nbr == trustee:
-                rated = env.edges[(current, nbr)].per_category.get(category)
-                if rated is not None:
-                    table.put_trustee_row(current, rated.mean_rating, row.path + (current,))
+        if trustee in out:
+            rating = env.advisor_rating(current, trustee, category)
+            if rating is not None:
+                table.put_trustee_row(current, rating, path)
+        skip = trusted_by_trustor if current != trustor else ()
+        attach: list[AgentId] = []
+        for nbr in env.trusted_out(current, category, threshold):
+            if nbr == trustee or nbr in skip:
                 continue
-            if current != trustor and nbr in trusted_by_trustor:
-                continue
-            if weight < config.trust_threshold:
-                continue
-            if category not in env.agents[nbr].completed:
-                continue
-            existing = table.rows.get(nbr)
+            existing = rows.get(nbr)
             if existing is None:
                 attach.append(nbr)
-            elif nbr not in row.path and existing.cum_trust < row.cum_trust * weight:
-                _detach(table, nbr, prefix_of, frontier, heap)
+            elif nbr not in path and existing.cum_trust < cum_trust * out[nbr]:
+                _detach(table, nbr, prefix_of, moved)
                 attach.append(nbr)
 
         if attach:
-            probs = propagation_probabilities(env, current, attach, category, config.recency_rate)
+            # Read after the re-attachments, which may have rescaled this row.
+            cum_prob = row.cum_prob
+            values = _consultation(activity, now, attach, recency_rate)
             node = prefix_of[current].branches.setdefault(current, _Prefix())
-            for nbr in attach:
-                weight = out[nbr]
-                child = table.rows[nbr] = TableRow(
-                    agent=nbr,
-                    cum_prob=min(1.0, row.cum_prob * probs[nbr].value),
-                    cum_trust=row.cum_trust * weight,
-                    path=row.path + (current,),
-                )
+            for nbr, value in zip(attach, values):
+                p, t = cum_prob * value, cum_trust * out[nbr]
+                if not p < 1.0:
+                    p = 1.0
+                rows[nbr] = TableRow(agent=nbr, cum_prob=p, cum_trust=t, path=path)
                 node.agents.add(nbr)
                 prefix_of[nbr] = node
                 frontier.add(nbr)
-                heapq.heappush(heap, (_key(child), nbr))
+                heappush(heap, (-(p * t), nbr))
+        if moved:
+            # Rows rescaled by the re-attachments: one entry each, with the final key.
+            for other in moved:
+                if other in frontier:
+                    moved_row = rows[other]
+                    heappush(heap, (-(moved_row.cum_prob * moved_row.cum_trust), other))
+            moved.clear()
 
     table.check(env, config.trust_threshold)
     return table

@@ -25,6 +25,7 @@ from .core import (
     TrustError,
     TrustConfig,
     check_interaction,
+    check_profile,
     check_snapshot_clock,
 )
 from .reputation import MODEL_PARAMS, STOP_REASONS, ReputationModel
@@ -165,18 +166,21 @@ def parse_profiles(
 
 
 def _wire_profile(obj) -> tuple[Optional[AgentProfile], Optional[tuple[str, str]]]:
-    if not isinstance(obj, dict) or not isinstance(obj.get("id"), str) or not obj["id"]:
-        return None, ("id", "must be a non-empty string")
+    """The profile a line declares, or (None, (field, problem)) when it is invalid.
+
+    Only the line's shape is checked here; its values by :func:`check_profile`.
+    """
+    if not isinstance(obj, dict):
+        return None, (None, "profile must be a JSON object")
     unknown = sorted(set(obj) - {"id", "able", "completed"})
     if unknown:
         return None, (unknown[0], "unexpected field")
-    able, completed = obj.get("able", []), obj.get("completed", [])
-    for categories in (able, completed):
-        if not isinstance(categories, list) or not all(
-            isinstance(c, str) and c for c in categories
-        ):
-            return None, ("able", "category lists must contain non-empty strings")
-    return AgentProfile(id=obj["id"], completed=frozenset(completed), able=frozenset(able)), None
+    declared = AgentProfile(obj.get("id"), obj.get("completed", []), obj.get("able", []))
+    problem = check_profile(declared)
+    if problem is not None:
+        # Profile files have always reported either category list as ``able``.
+        return None, ("able" if problem[0] == "completed" else problem[0], problem[1])
+    return AgentProfile(declared.id, frozenset(declared.completed), frozenset(declared.able)), None
 
 
 def dump_profiles(profiles: Iterable[AgentProfile], target: Union[str, Path, TextIO]) -> None:
@@ -281,8 +285,8 @@ def _require(ok, problem: str) -> None:
 
 def _ascending_strings(values, what: str) -> list[str]:
     _require(
-        type(values) is list and all(type(v) is str for v in values),
-        f"{what} must be a list of strings",
+        type(values) is list and all(type(v) is str and v for v in values),
+        f"{what} must be a list of non-empty strings",
     )
     _require(all(map(str.__lt__, values, values[1:])), f"{what} must be distinct and ascending")
     return values

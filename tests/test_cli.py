@@ -355,3 +355,15 @@ def test_version_4_snapshot_is_input_error(capsys, world):
         *run(capsys, ["snapshot", "load", "--in", str(snap)]),
         "error: unsupported snapshot version 4, expected 5",
     )
+
+
+def test_snapshot_with_an_empty_agent_id_is_input_error(capsys, world):
+    snap = world["tmp"] / "world.snap"
+    run(capsys, ["snapshot", "save", "--log", world["log"], "--time", "100", "--out", str(snap)])
+    document, arrays = read_snapshot(snap)
+    document["agents"][0] = ""
+    write_snapshot(snap, document, arrays)
+    assert_input_error(
+        *run(capsys, ["snapshot", "load", "--in", str(snap)]),
+        "agent ids must be a list of non-empty strings",
+    )

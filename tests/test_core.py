@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from trustnet import (
     AgentProfile,
     Interaction,
+    InvalidProfileError,
     InvalidRecordError,
     TrustConfig,
     UnknownAgentError,
@@ -15,7 +16,7 @@ from trustnet import (
     edge_weight,
 )
 
-from trustnet.core import check_interaction, finite_float
+from trustnet.core import check_interaction, check_profile, finite_float
 
 from helpers import logs, rec
 
@@ -298,3 +299,28 @@ def test_int_fields_of_the_config_take_only_ints():
 def test_config_rejects_ints_beyond_the_float_range(field):
     with pytest.raises(ValueError, match="must be finite"):
         TrustConfig(**{field: HUGE})
+
+
+@pytest.mark.parametrize(
+    "profile, field",
+    [
+        (AgentProfile(id=5), "id"),
+        (AgentProfile(id=""), "id"),
+        (AgentProfile(id=None), "id"),
+        (AgentProfile(id="N", able=frozenset({7})), "able"),
+        (AgentProfile(id="N", completed=frozenset({""})), "completed"),
+        (AgentProfile(id="N", able="c1"), "able"),
+    ],
+    ids=["int-id", "empty-id", "no-id", "int-label", "empty-label", "string-as-labels"],
+)
+def test_declared_profile_is_held_to_the_id_rule(profile, field):
+    assert check_profile(profile)[0] == field
+    declared = [AgentProfile(id="ok", able=frozenset({"c1"})), profile]
+    with pytest.raises(InvalidProfileError, match=r"^profile 1 \(id ") as exc:
+        build_environment([rec("A", "B", 0.5, "c1", 1)], 10, profiles=declared)
+    assert exc.value.index == 1
+
+
+def test_valid_profile_passes_the_rule():
+    profile = AgentProfile(id="N", completed=frozenset({"c1"}), able=frozenset({"c1", "c2"}))
+    assert check_profile(profile) is None

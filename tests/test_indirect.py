@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import json
 import math
 
 import pytest
@@ -5,18 +8,28 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trustnet import (
+    GenParams,
     PropagationTable,
+    RatingModel,
     TableRow,
     TrustConfig,
     TrusteeRow,
     UnknownAgentError,
     aggregate,
     build_environment,
+    evaluate,
     find_paths,
+    generate,
     propagation_probabilities,
     trusted_neighbours,
 )
-from trustnet.oracles import compare_indirect, is_acyclic, oracle_indirect
+from trustnet.oracles import (
+    compare_indirect,
+    indirect_instance,
+    is_acyclic,
+    oracle_category_activity,
+    oracle_indirect,
+)
 
 from helpers import logs, rec
 
@@ -49,6 +62,33 @@ def test_unknown_agent_rejected():
     env = env_of([rec("A", "B", 0.9)])
     with pytest.raises(UnknownAgentError):
         trusted_neighbours(env, "Z", "c1", 0.5)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, "0.5", None])
+def test_threshold_that_is_not_a_finite_number_rejected(threshold):
+    env = env_of([rec("A", "B", 0.9)])
+    with pytest.raises(ValueError, match="must be a finite number"):
+        trusted_neighbours(env, "A", "c1", threshold)
+    assert not env._trusted
+
+
+def test_threshold_rule_does_not_depend_on_the_cache():
+    env = env_of([rec("A", "B", 0.9), rec("A", "C", 0.3)])
+    assert trusted_neighbours(env, "A", "c1", 1) == set()
+    # True == 1 and hashes alike, but is not a number by the input rule.
+    with pytest.raises(ValueError, match="must be a finite number"):
+        trusted_neighbours(env, "A", "c1", True)
+
+
+def test_neighbour_cache_keeps_one_threshold_per_category():
+    env = env_of([rec("A", "B", 0.9), rec("A", "C", 0.3)])
+    weights = env.out_weights("A")
+    for step in range(100):
+        threshold = step / 100
+        expected = tuple(b for b in ("B", "C") if weights[b] >= threshold)
+        assert env.trusted_out("A", "c1", threshold) == expected
+    assert list(env._trusted) == ["c1"]
+    assert env._trusted["c1"][0] == 0.99
 
 
 # --- propagation probabilities ------------------------------------------
@@ -467,3 +507,163 @@ def test_step_budget_runs_are_reproducible():
         second = find_paths(env, log, "tr", "te", "c1", cfg).to_dict()
         assert first == second
         assert len(first["rows"]) <= budget + 3
+
+
+# --- exact output of the search --------------------------------------------
+#
+# The digests below were recorded from the search that pushed a heap entry
+# per rescaled row and filtered each neighbourhood at every expansion; the
+# per-snapshot caches and the one push per moved row must keep every table,
+# expansion count and stop reason bit for bit.
+
+BUDGETS = (None, *range(1, 9))
+
+
+def search_digest(worlds) -> str:
+    """SHA-256 over to_dict(), expansions and stop_reason of every search, in order.
+
+    ``worlds`` yields (env, log, trustor, trustee, category, config) tuples;
+    each is searched unbounded and with search_steps 1-8.
+    """
+    digest = hashlib.sha256()
+    for env, log, trustor, trustee, category, config in worlds:
+        for steps in BUDGETS:
+            cfg = dataclasses.replace(config, search_steps=steps)
+            table = find_paths(env, log, trustor, trustee, category, cfg)
+            record = [table.to_dict(), table.expansions, table.stop_reason]
+            digest.update(json.dumps(record, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+def instance_worlds(seeds, max_agents):
+    for seed in seeds:
+        profiles, log, trustor, trustee, category = indirect_instance(seed, max_agents, 2)
+        env = build_environment(log, 100.0, 0.0, profiles)
+        yield env, log, trustor, trustee, category, TrustConfig(decay_rate=0.0)
+
+
+def dense_worlds():
+    """Generated worlds of 40 agents and 1,200 interactions: many re-attachments."""
+    cfg = TrustConfig()
+    for seed in range(3):
+        params = GenParams(
+            seed=seed, n_agents=40, n_interactions=1200,
+            rating_model=RatingModel.PER_AGENT_QUALITY,
+        )
+        profiles, log = generate(params)
+        env = build_environment(log, 100.0, cfg.decay_rate, profiles)
+        agents = sorted(env.agents)
+        for q in range(6):
+            category = "c0" if q % 2 else "c1"
+            yield env, log, agents[q], agents[-1 - q], category, cfg
+
+
+def twice_rescaled_log():
+    """b's expansion re-attaches y1, then y2; each detach rescales z, still on the frontier.
+
+    Busy outsiders make a the likelier consultation, so the search expands
+    tr, a (attaching y1, y2 and z under tr-a), then b, whose edges give y1
+    and y2 more trust than the chain through a.
+    """
+    return [
+        rec("tr", "a", 1.0),
+        rec("tr", "b", 0.9),
+        rec("a", "y1", 0.6),
+        rec("a", "y2", 0.6),
+        rec("a", "z", 0.6),
+        rec("b", "y1", 0.9),
+        rec("b", "y2", 0.9),
+        rec("z", "te", 0.7),
+        rec("y1", "te", 0.8),
+        rec("y2", "te", 0.9),
+    ] + [rec("o", "a", 0.5) for _ in range(20)]
+
+
+def test_search_output_is_unchanged_on_indirect_instances():
+    digest = search_digest(instance_worlds(range(60), 30))
+    assert digest == "b75b80768842c279d47a07a40db7837a89534aceaf788d3fe4cd6d6cffab1e5b"
+
+
+def test_search_output_is_unchanged_on_dense_worlds():
+    assert search_digest(dense_worlds()) == (
+        "468b14e01a07cc71f1922133bcf7954cc29a7478b47d98fa553994c4a559e0d6"
+    )
+
+
+def test_search_output_is_unchanged_when_one_expansion_rescales_a_row_twice():
+    log = twice_rescaled_log()
+    env = env_of(log)
+    worlds = [(env, log, "tr", "te", "c1", CFG)]
+    assert search_digest(worlds) == (
+        "1cd7a154c2914324aff807b64966c82b6b967bc1c01c978c7bd3c783348a2425"
+    )
+    table = find_paths(env, log, "tr", "te", "c1", CFG)
+    assert [row.path for row in map(table.rows.get, ("z", "y1", "y2"))] == [
+        ("tr", "a"), ("tr", "b"), ("tr", "b")
+    ]
+
+
+# --- re-attachment counter ---------------------------------------------------
+
+def test_reattachments_are_counted_and_reported():
+    log = twice_rescaled_log()
+    env = env_of(log)
+    table = find_paths(env, log, "tr", "te", "c1", CFG)
+    assert table.reattachments == 2
+    assert "reattachments" not in table.to_dict()
+    budgeted = find_paths(env, log, "tr", "te", "c1", dataclasses.replace(CFG, search_steps=2))
+    assert budgeted.reattachments == 0
+    report = evaluate(env, log, "tr", "te", "c1", 10.0, CFG)
+    assert report.diagnostics["search_reattached"] == 2
+
+
+def test_search_without_a_better_chain_reattaches_nothing():
+    log = two_chain_log()
+    assert find_paths(env_of(log), log, "tr", "te", "c1", CFG).reattachments == 0
+
+
+# --- the search's rules, against references built from the inputs ----------
+
+@given(
+    logs(min_size=0, max_size=30),
+    st.sampled_from(["c1", "c2", "c9"]),
+    st.lists(st.sampled_from([0.0, 0.3, 0.5, 0.8, 1.0]), min_size=1, max_size=3),
+)
+@settings(max_examples=100, deadline=None)
+def test_trusted_neighbours_equal_a_filter_over_edges(log, category, thresholds):
+    env = build_environment(log, 100.0, 0.01)
+    for threshold in thresholds:
+        for agent in env.agents:
+            expected = {
+                dst
+                for (src, dst), stats in env.edges.items()
+                if src == agent
+                and stats.weight >= threshold
+                and category in env.agents[dst].completed
+            }
+            assert trusted_neighbours(env, agent, category, threshold) == expected
+            assert env.trusted_out(agent, category, threshold) == tuple(sorted(expected))
+
+
+@given(logs(min_size=1, max_size=30), st.sampled_from([0.0, 0.05, 0.5]))
+@settings(max_examples=100, deadline=None)
+def test_probabilities_equal_the_formula_over_log_activity(log, rate):
+    at = 100.0
+    env = build_environment(log, at, 0.01)
+    for category in ("c1", "c2", "c9"):
+        counts, last, _ = oracle_category_activity(log, category, at)
+        for agent in env.agents:
+            ordered = sorted(env.neighbours(agent))
+            if not ordered:
+                continue
+            probs = propagation_probabilities(env, agent, ordered, category, rate)
+            max_count = max(counts.get(a, 0) for a in ordered)
+            raw = []
+            for a in ordered:
+                n = counts.get(a, 0)
+                volume = math.log(1 + n) / math.log(1 + max_count) if max_count > 0 else 0.0
+                recency = 0.0 if a not in last else math.exp(-rate * (at - last[a]))
+                raw.append(volume * recency)
+            total = sum(raw)
+            for a, r in zip(ordered, raw):
+                assert probs[a].value == (r / total if total > 0 else 1.0 / len(ordered))

@@ -594,3 +594,33 @@ def test_a_config_value_passes_exactly_when_trust_config_accepts_it(name, value)
         wire = str(exc)
     assert wire == direct
     assert direct is None or direct.startswith(f"{key} ")
+
+
+@pytest.mark.parametrize(
+    "corrupt, problem",
+    [
+        (lambda d: d.update(agents=["", "B", "C"]), "agent ids must be a list of non-empty"),
+        (lambda d: d.update(categories=["", "c2"]), "categories must be a list of non-empty"),
+        (lambda d: d["profiles"][0].__setitem__(0, [""]), "completed categories must be a list"),
+        (lambda d: d["profiles"][0].__setitem__(1, ["", "c1"]), "able categories must be a list"),
+    ],
+    ids=["agent", "category", "completed", "able"],
+)
+def test_snapshot_with_an_empty_label_is_refused(tmp_path, corrupt, problem):
+    env = build_environment(SMALL_WORLD, 42.0)
+    path = tmp_path / "t.snap"
+    save_snapshot(env, path)
+    document, arrays = read_snapshot(path)
+    corrupt(document)
+    write_snapshot(path, document, arrays)
+    with pytest.raises(SnapshotError, match=problem):
+        load_snapshot(path)
+
+
+def test_profile_line_breaking_the_id_rule_is_reported():
+    text = '{"id": ""}\n{"able": ["c1"]}\n{"id": 5}\n[1]\n{"id": "x", "able": [["c1"]]}\n'
+    profiles, errors = parse_profiles(io.StringIO(text))
+    assert profiles == []
+    assert [(e.line, e.field) for e in errors] == [
+        (1, "id"), (2, "id"), (3, "id"), (4, None), (5, "able")
+    ]
