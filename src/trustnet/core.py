@@ -256,11 +256,16 @@ class Environment:
     ``cat_ptr[e]:cat_ptr[e+1]`` of the per-(edge, category) arrays, whose
     ``cat`` indexes ``categories`` (ascending within an edge).  ``weight``,
     ``src`` and the ``edges`` view are derived.  All arrays are read-only.
-    Three caches are filled on first use: each agent's ``out_weights``
-    dict, the per-category ``activity`` (counts and latest times) and,
-    per category for the latest threshold asked, each agent's
-    ``trusted_out`` neighbours.  Concurrent readers are safe (a cache
-    filled on first use holds the same value whichever reader fills it).
+    Four caches are filled on first use: each agent's ``out_weights``
+    dict, the per-category ``activity`` (counts and latest times), per
+    category for the latest threshold asked each agent's ``trusted_out``
+    neighbours, and per category for the latest recency rate asked each
+    active agent's ``consultation_terms``.  So the path search derives no
+    per-agent fact twice from one snapshot: it checks its threshold and
+    rate once per search, reads the neighbour maps once per expansion
+    (:meth:`neighbour_maps`), and takes every consultation term's log and
+    exp from the cache.  Concurrent readers are safe (a cache filled on
+    first use holds the same value whichever reader fills it).
     ``decay_rate`` records the discount rate the snapshot was built with.
     """
 
@@ -281,7 +286,6 @@ class Environment:
     id_array: np.ndarray = field(init=False, repr=False)
     src: np.ndarray = field(init=False, repr=False)
     weight: np.ndarray = field(init=False, repr=False)
-    edges: EdgeView = field(init=False, repr=False)
     _out: dict[AgentId, dict[AgentId, float]] = field(
         default_factory=dict, init=False, repr=False
     )
@@ -289,6 +293,9 @@ class Environment:
         default=None, init=False, repr=False
     )
     _trusted: dict[TaskCategory, tuple[float, dict[AgentId, tuple[AgentId, ...]]]] = field(
+        default_factory=dict, init=False, repr=False
+    )
+    _terms: dict[TaskCategory, tuple[float, dict[AgentId, tuple[int, float, float]]]] = field(
         default_factory=dict, init=False, repr=False
     )
 
@@ -314,7 +321,6 @@ class Environment:
             getattr(self, name) for name in self.ARRAYS
         ):
             array.flags.writeable = False
-        self.edges = EdgeView(self)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Environment):
@@ -329,6 +335,16 @@ class Environment:
                 for name in self.ARRAYS
             )
         )
+
+    @property
+    def edges(self) -> EdgeView:
+        """A read-only ``(src, dst) -> EdgeStats`` view of the arrays.
+
+        Made on each access, so that a snapshot holds no reference to
+        itself and is freed as soon as it is dropped, not at the next full
+        garbage collection.
+        """
+        return EdgeView(self)
 
     def activity(self, category: TaskCategory) -> CategoryActivity:
         """Per-agent activity on ``category``; every category is worked out on first use."""
@@ -381,13 +397,7 @@ class Environment:
         that is not a finite number by :func:`finite_float`'s rule raises
         ValueError, whatever the cache holds.
         """
-        number = finite_float(threshold)
-        if number is None:
-            raise ValueError(f"threshold {threshold!r} must be a finite number")
-        held = self._trusted.get(category)
-        if held is None or held[0] != number:
-            held = self._trusted[category] = (number, {})
-        cache = held[1]
+        number, cache = self._trusted_cache(category, threshold)
         found = cache.get(agent)
         if found is None:
             agents = self.agents
@@ -397,6 +407,61 @@ class Environment:
                 if weight >= number and category in agents[nbr].completed
             )
         return found
+
+    def neighbour_maps(
+        self, category: TaskCategory, threshold: float
+    ) -> tuple[
+        Mapping[AgentId, Mapping[AgentId, float]], Mapping[AgentId, tuple[AgentId, ...]]
+    ]:
+        """The caches behind :meth:`out_weights` and :meth:`trusted_out` at ``threshold``.
+
+        For a caller that looks up many agents at one threshold: the
+        threshold is checked here, once, by :meth:`trusted_out`'s rule, and
+        the caller reads the two maps per agent and calls the method on a
+        miss, which fills the map.  Callers must not modify them.
+        """
+        return self._out, self._trusted_cache(category, threshold)[1]
+
+    def _trusted_cache(
+        self, category: TaskCategory, threshold: float
+    ) -> tuple[float, dict[AgentId, tuple[AgentId, ...]]]:
+        """The checked threshold and ``category``'s ``trusted_out`` cache for it."""
+        number = finite_float(threshold)
+        if number is None:
+            raise ValueError(f"threshold {threshold!r} must be a finite number")
+        held = self._trusted.get(category)
+        if held is None or held[0] != number:
+            held = self._trusted[category] = (number, {})
+        return held
+
+    def consultation_terms(
+        self, category: TaskCategory, recency_rate: float
+    ) -> Mapping[AgentId, tuple[int, float, float]]:
+        """Each active agent's ``(n, log(1 + n), exp(-recency_rate * (now - last)))``.
+
+        ``n`` and ``last`` are the agent's count and latest time on
+        ``category`` in :meth:`activity`, and ``now`` is the snapshot time;
+        an agent with no activity on the category is absent.  Made for
+        every active agent on first use and cached per category for the
+        latest rate asked.  A rate that is not a finite number by
+        :func:`finite_float`'s rule raises ValueError, whatever the cache
+        holds.  Callers must not modify the map.
+        """
+        rate = finite_float(recency_rate)
+        if rate is None:
+            raise ValueError(f"recency rate {recency_rate!r} must be a finite number")
+        held = self._terms.get(category)
+        if held is None or held[0] != rate:
+            activity, now = self.activity(category), self.snapshot_time
+            last = activity.last
+            held = self._terms[category] = (
+                rate,
+                {
+                    a: (n, math.log(1 + n), math.exp(-rate * (now - last[a])))
+                    for a, n in activity.counts.items()
+                },
+            )
+        return held[1]
 
     def advisor_rating(
         self, src: AgentId, dst: AgentId, category: TaskCategory
@@ -558,17 +623,20 @@ def build_environment(
     Records are checked column by column; only when a column is not plainly
     valid are they run through :func:`check_interaction` one by one, which
     raises InvalidRecordError naming the first offending record.  Each
-    declared profile is checked by :func:`check_profile`; the first invalid
-    one raises InvalidProfileError.
+    declared profile is checked by :func:`check_profile`, and an id may be
+    declared once; the first invalid profile, or the second declaration of
+    an id, raises InvalidProfileError.
     Raises ValueError from :func:`check_snapshot_clock`.
     """
     check_snapshot_clock(snapshot_time, decay_rate)
-    profiles = list(profiles)
+    declared: dict[AgentId, AgentProfile] = {}
     for idx, profile in enumerate(profiles):
         problem = check_profile(profile)
         if problem is not None:
             raise InvalidProfileError(idx, profile.id, problem[1])
-    declared = {p.id: p for p in profiles}
+        if profile.id in declared:
+            raise InvalidProfileError(idx, profile.id, "id already declared by an earlier profile")
+        declared[profile.id] = profile
     trustors, trustees, labels, ratings, times = (
         list(map(operator.attrgetter(name), log))
         for name in ("trustor", "trustee", "category", "rating", "time")

@@ -11,14 +11,12 @@ the aggregation step combines the survivors of the path-trust filter.
 from __future__ import annotations
 
 import heapq
-import math
 import time as _time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .core import (
     AgentId,
-    CategoryActivity,
     Environment,
     Interaction,
     InvariantError,
@@ -28,7 +26,7 @@ from .core import (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class TableRow:
     """One reached agent: cumulative probability/trust and its ancestor chain.
 
@@ -93,28 +91,58 @@ class PropagationTable:
         self.trustee_rows.append(TrusteeRow(advisor=advisor, rating=rating, path=path))
 
     def check(self, env: Environment, trust_threshold: float) -> None:
-        """Assert loop-freedom, threshold and product soundness of every path."""
+        """Assert loop-freedom, threshold and product soundness of every path.
+
+        Every row's chain (its path, then its agent) repeats no agent, its
+        path does not hold the trustee, each hop is an edge weighted at
+        least ``trust_threshold``, and the product of the hop weights, taken
+        from the trustor on, is within 1e-12 of ``cum_trust``; ``cum_prob``
+        and ``cum_trust`` lie in [0, 1], and every trustee row's advisor has
+        a row.  Rows attached in one expansion share one ``path`` tuple, so
+        each distinct tuple is walked once (its agents, its hops and their
+        product); each row then adds only its last hop.  Raises
+        InvariantError naming the first row that breaks a rule.
+        """
+        walked: dict[int, tuple[set[AgentId], float, Mapping[AgentId, float]]] = {}
         for row in self.rows.values():
-            chain = row.path + (row.agent,)
-            if len(set(chain)) != len(chain):
-                raise InvariantError(f"repeated agent on path of {row.agent!r}: {chain}")
-            if self.trustee in row.path:
-                raise InvariantError(f"trustee inside path of {row.agent!r}")
+            path = row.path
+            seen = walked.get(id(path))
+            if seen is None:
+                seen = walked[id(path)] = self._walk(env, trust_threshold, row)
+            members, product, last_out = seen
+            agent = row.agent
+            if agent in members:
+                raise InvariantError(f"repeated agent on path of {agent!r}: {path + (agent,)}")
             if not (0.0 <= row.cum_prob <= 1.0) or not (0.0 <= row.cum_trust <= 1.0):
-                raise InvariantError(f"cumulative values out of range for {row.agent!r}")
-            product = 1.0
-            for a, b in zip(chain, chain[1:]):
-                weight = env.out_weights(a).get(b)
+                raise InvariantError(f"cumulative values out of range for {agent!r}")
+            if path:
+                weight = last_out.get(agent)
                 if weight is None or weight < trust_threshold:
-                    raise InvariantError(f"untrusted hop {a!r}->{b!r} on stored path")
+                    raise InvariantError(f"untrusted hop {path[-1]!r}->{agent!r} on stored path")
                 product *= weight
             if abs(product - row.cum_trust) > 1e-12:
-                raise InvariantError(
-                    f"cum_trust of {row.agent!r} diverges from its path product"
-                )
+                raise InvariantError(f"cum_trust of {agent!r} diverges from its path product")
         for trow in self.trustee_rows:
             if trow.advisor not in self.rows:
                 raise InvariantError(f"advisor {trow.advisor!r} has no table row")
+
+    def _walk(
+        self, env: Environment, trust_threshold: float, row: TableRow
+    ) -> tuple[set[AgentId], float, Mapping[AgentId, float]]:
+        """Check ``row.path`` alone; return its agents, hop product and last out-weights."""
+        path = row.path
+        members = set(path)
+        if len(members) != len(path):
+            raise InvariantError(f"repeated agent on path of {row.agent!r}: {path + (row.agent,)}")
+        if self.trustee in members:
+            raise InvariantError(f"trustee inside path of {row.agent!r}")
+        product = 1.0
+        for a, b in zip(path, path[1:]):
+            weight = env.out_weights(a).get(b)
+            if weight is None or weight < trust_threshold:
+                raise InvariantError(f"untrusted hop {a!r}->{b!r} on stored path")
+            product *= weight
+        return members, product, env.out_weights(path[-1]) if path else {}
 
     def to_dict(self) -> dict:
         """Stable-field-order dump used by the CLI ``paths`` command."""
@@ -146,30 +174,26 @@ def trusted_neighbours(
     return set(env.trusted_out(agent, category, trust_threshold))
 
 
+_INACTIVE = (0, 0.0, 0.0)  # the terms of an agent with no activity: its raw term is 0
+
+
 def _consultation(
-    activity: CategoryActivity, now: float, ordered: Sequence[AgentId], recency_rate: float
+    terms: Mapping[AgentId, tuple[int, float, float]], ordered: Sequence[AgentId]
 ) -> list[float]:
     """Consultation probabilities of ``ordered`` (ascending ids, non-empty), in that order.
 
     Each neighbour's raw term is log(1 + n) / log(1 + max n) times
     exp(-recency_rate * (now - its last time)); the terms are normalized by
-    their sum, or made uniform when they sum to 0.
+    their sum, or made uniform when they sum to 0.  ``terms`` is
+    :meth:`Environment.consultation_terms`, which holds each active agent's
+    count, log and exp, so a call does no log or exp of its own: the
+    largest count's cached log is log(1 + max n), and each raw term is the
+    same float operations in the same order as the formula.
     """
-    counts = activity.counts
-    max_count = max([counts.get(a, 0) for a in ordered])
-    if max_count > 0:
-        top = math.log(1 + max_count)
-        last = activity.last
-        raw = []
-        for a in ordered:
-            # An agent has a last time exactly when it has a count; without
-            # one its volume, and so its term, is 0.
-            last_time = last.get(a)
-            raw.append(
-                0.0
-                if last_time is None
-                else math.log(1 + counts[a]) / top * math.exp(-recency_rate * (now - last_time))
-            )
+    found = [terms.get(a, _INACTIVE) for a in ordered]
+    top_count, top, _ = max(found)
+    if top_count > 0:
+        raw = [volume / top * recency for _, volume, recency in found]
         total = sum(raw)
         if total > 0:
             return [r / total for r in raw]
@@ -185,16 +209,18 @@ def propagation_probabilities(
 ) -> dict[AgentId, PropagationProbability]:
     """Normalized consultation probabilities over a trusted-neighbour set.
 
-    Activity counts and recency are read from ``env`` at its snapshot time.
-    The neighbour set must be non-empty; callers are expected to pass
-    neighbours that qualify under :func:`trusted_neighbours`.
+    Activity counts and recency are read from ``env`` at its snapshot time,
+    through :meth:`Environment.consultation_terms` (a rate that is not a
+    finite number raises ValueError).  The neighbour set must be non-empty;
+    callers are expected to pass neighbours that qualify under
+    :func:`trusted_neighbours`.
     """
     if agent not in env.agents:
         raise UnknownAgentError(agent)
     if not neighbours:
         raise ValueError("neighbour set must be non-empty")
     ordered = sorted(neighbours)
-    values = _consultation(env.activity(category), env.snapshot_time, ordered, recency_rate)
+    values = _consultation(env.consultation_terms(category, recency_rate), ordered)
     return {a: PropagationProbability(value=v) for a, v in zip(ordered, values)}
 
 
@@ -273,6 +299,14 @@ def find_paths(
     plus the rows its re-attachments rescale.  The search stops when the
     frontier empties or the step / wall-clock budget runs out, and records
     which in ``stop_reason``.
+
+    Nothing per-snapshot is derived again per expansion: the threshold and
+    the recency rate are checked once per search (a bad one raises
+    ValueError), each expansion reads the agent's out-weights and
+    qualifying neighbours from the maps of
+    :meth:`Environment.neighbour_maps`, and the consultation probabilities
+    come from :meth:`Environment.consultation_terms`.  The finished table
+    goes through :meth:`PropagationTable.check`.
     """
     if trustor not in env.agents:
         raise UnknownAgentError(trustor)
@@ -287,11 +321,16 @@ def find_paths(
     rows = table.rows
     rows[trustor] = TableRow(agent=trustor, cum_prob=1.0, cum_trust=1.0, path=())
     prefix_of = {trustor: _Prefix(agents={trustor})}
-    threshold, recency_rate = config.trust_threshold, config.recency_rate
-    trusted_by_trustor = {
-        nbr for nbr, weight in env.out_weights(trustor).items() if weight >= threshold
-    }
-    activity, now = env.activity(category), env.snapshot_time
+    threshold = config.trust_threshold
+    out_of, trusted_of = env.neighbour_maps(category, threshold)
+    terms = env.consultation_terms(category, config.recency_rate)
+    # Never attached: the trustee, and past the trustor's own expansion
+    # every agent the trustor trusts directly.
+    excluded = {nbr for nbr, weight in env.out_weights(trustor).items() if weight >= threshold}
+    excluded.add(trustee)
+    excluded_first = {trustee}
+    steps, seconds = config.search_steps, config.search_seconds
+    expansions = 0
     frontier: set[AgentId] = {trustor}
     heap: list[tuple[float, AgentId]] = [(-1.0, trustor)]
     heappush, heappop = heapq.heappush, heapq.heappop
@@ -299,13 +338,10 @@ def find_paths(
     started = _time.monotonic()
 
     while frontier:
-        if config.search_steps is not None and table.expansions >= config.search_steps:
+        if steps is not None and expansions >= steps:
             table.stop_reason = "steps"
             break
-        if (
-            config.search_seconds is not None
-            and _time.monotonic() - started >= config.search_seconds
-        ):
+        if seconds is not None and _time.monotonic() - started >= seconds:
             table.stop_reason = "seconds"
             break
         # Lazy deletion: an entry is live while its agent is on the frontier
@@ -317,30 +353,35 @@ def find_paths(
                 if key == -(row.cum_prob * row.cum_trust):
                     break
         frontier.discard(current)
-        table.expansions += 1
+        expansions += 1
         path, cum_trust = row.path + (current,), row.cum_trust
 
-        out = env.out_weights(current)
+        out = out_of.get(current)
+        if out is None:
+            out = env.out_weights(current)
         if trustee in out:
             rating = env.advisor_rating(current, trustee, category)
             if rating is not None:
                 table.put_trustee_row(current, rating, path)
-        skip = trusted_by_trustor if current != trustor else ()
+        nbrs = trusted_of.get(current)
+        if nbrs is None:
+            nbrs = env.trusted_out(current, category, threshold)
+        skip = excluded if current != trustor else excluded_first
         attach: list[AgentId] = []
-        for nbr in env.trusted_out(current, category, threshold):
-            if nbr == trustee or nbr in skip:
+        for nbr in nbrs:
+            if nbr in skip:
                 continue
             existing = rows.get(nbr)
             if existing is None:
                 attach.append(nbr)
-            elif nbr not in path and existing.cum_trust < cum_trust * out[nbr]:
+            elif existing.cum_trust < cum_trust * out[nbr] and nbr not in path:
                 _detach(table, nbr, prefix_of, moved)
                 attach.append(nbr)
 
         if attach:
             # Read after the re-attachments, which may have rescaled this row.
             cum_prob = row.cum_prob
-            values = _consultation(activity, now, attach, recency_rate)
+            values = _consultation(terms, attach)
             node = prefix_of[current].branches.setdefault(current, _Prefix())
             for nbr, value in zip(attach, values):
                 p, t = cum_prob * value, cum_trust * out[nbr]
@@ -359,7 +400,8 @@ def find_paths(
                     heappush(heap, (-(moved_row.cum_prob * moved_row.cum_trust), other))
             moved.clear()
 
-    table.check(env, config.trust_threshold)
+    table.expansions = expansions
+    table.check(env, threshold)
     return table
 
 

@@ -161,8 +161,23 @@ def dump_log(records: Sequence[Interaction], target: Union[str, Path, TextIO]) -
 def parse_profiles(
     source: Union[str, Path, TextIO], strict: bool = False
 ) -> tuple[list[AgentProfile], list[ParseError]]:
-    """Read JSON-lines agent declarations: {"id", "able", "completed"}."""
-    return _read_json_lines(source, strict, _wire_profile)
+    """Read JSON-lines agent declarations: {"id", "able", "completed"}.
+
+    Returns the valid profiles and the per-line errors, as :func:`parse_log`
+    does; a line that declares an id an earlier valid line declared is an
+    error on field ``id``.
+    """
+    seen: set[str] = set()
+
+    def parse(obj):
+        profile, problem = _wire_profile(obj)
+        if profile is not None:
+            if profile.id in seen:
+                return None, ("id", f"id {profile.id!r} already declared on an earlier line")
+            seen.add(profile.id)
+        return profile, problem
+
+    return _read_json_lines(source, strict, parse)
 
 
 def _wire_profile(obj) -> tuple[Optional[AgentProfile], Optional[tuple[str, str]]]:
@@ -178,8 +193,7 @@ def _wire_profile(obj) -> tuple[Optional[AgentProfile], Optional[tuple[str, str]
     declared = AgentProfile(obj.get("id"), obj.get("completed", []), obj.get("able", []))
     problem = check_profile(declared)
     if problem is not None:
-        # Profile files have always reported either category list as ``able``.
-        return None, ("able" if problem[0] == "completed" else problem[0], problem[1])
+        return None, problem
     return AgentProfile(declared.id, frozenset(declared.completed), frozenset(declared.able)), None
 
 

@@ -338,6 +338,15 @@ def test_profile_with_an_unknown_field_is_input_error(capsys, world):
     assert_input_error(*run(capsys, argv), "profiles error: line 1, field 'abel'")
 
 
+def test_profile_declaring_an_id_again_is_input_error(capsys, world):
+    profiles = world["tmp"] / "profiles.jsonl"
+    profiles.write_text('{"id": "x", "able": ["c1"]}\n{"id": "x", "able": ["c2"]}\n')
+    argv = ["reputation", "--log", world["log"], "--profiles", str(profiles), "--time", "100"]
+    assert_input_error(
+        *run(capsys, argv), "profiles error: line 2, field 'id': id 'x' already declared"
+    )
+
+
 def test_generate_with_a_non_finite_time_horizon_is_input_error(capsys, tmp_path):
     out = tmp_path / "g.jsonl"
     argv = ["generate", "--seed", "1", "--time-horizon", "nan", "--out", str(out)]

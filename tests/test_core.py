@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -319,6 +321,33 @@ def test_declared_profile_is_held_to_the_id_rule(profile, field):
     with pytest.raises(InvalidProfileError, match=r"^profile 1 \(id ") as exc:
         build_environment([rec("A", "B", 0.5, "c1", 1)], 10, profiles=declared)
     assert exc.value.index == 1
+
+
+def test_profile_declaring_an_id_again_is_rejected():
+    declared = [
+        AgentProfile(id="N", able=frozenset({"c1"})),
+        AgentProfile(id="M"),
+        AgentProfile(id="N", able=frozenset({"c2"})),
+    ]
+    with pytest.raises(
+        InvalidProfileError, match=r"^profile 2 \(id 'N'\): id already declared"
+    ) as exc:
+        build_environment([rec("A", "B", 0.5, "c1", 1)], 10, profiles=declared)
+    assert exc.value.index == 2
+
+
+def test_dropped_snapshot_is_freed_without_the_cycle_collector():
+    env = build_environment([rec("A", "B", 0.5, "c1", 1), rec("B", "C", 0.9, "c1", 2)], 10, 0.1)
+    assert env.edges[("A", "B")].weight == 0.5
+    env.trusted_out("A", "c1", 0.5)
+    env.consultation_terms("c1", 0.01)
+    ref = weakref.ref(env)
+    gc.disable()
+    try:
+        del env
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_valid_profile_passes_the_rule():

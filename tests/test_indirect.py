@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import types
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from trustnet import (
     GenParams,
+    InvariantError,
     PropagationTable,
     RatingModel,
     TableRow,
@@ -667,3 +669,156 @@ def test_probabilities_equal_the_formula_over_log_activity(log, rate):
             total = sum(raw)
             for a, r in zip(ordered, raw):
                 assert probs[a].value == (r / total if total > 0 else 1.0 / len(ordered))
+
+
+# --- the table check -----------------------------------------------------------
+#
+# Hand-built tables over one small snapshot; each breaks one rule of
+# PropagationTable.check, which must raise InvariantError naming it.
+
+CHECK_LOG = [
+    rec("tr", "a", 0.9),
+    rec("tr", "low", 0.3),
+    rec("a", "b", 0.8),
+    rec("a", "c", 0.3),
+    rec("a", "e", 0.6),
+    rec("a", "te", 0.9),
+    rec("b", "d", 0.7),
+    rec("b", "tr", 0.9),
+]
+
+
+def checked_table():
+    """A sound table: b and e were attached in one expansion and share one path tuple."""
+    table = PropagationTable(trustor="tr", trustee="te", category="c1", eval_time=10.0)
+    via_a = ("tr", "a")
+    for agent, cum_trust, path in [
+        ("tr", 1.0, ()),
+        ("a", 0.9, ("tr",)),
+        ("b", 0.9 * 0.8, via_a),
+        ("e", 0.9 * 0.6, via_a),
+        ("d", 0.9 * 0.8 * 0.7, ("tr", "a", "b")),
+    ]:
+        table.rows[agent] = TableRow(agent=agent, cum_prob=0.5, cum_trust=cum_trust, path=path)
+    table.rows["tr"].cum_prob = 1.0
+    table.trustee_rows.append(TrusteeRow(advisor="a", rating=0.9, path=via_a))
+    return table
+
+
+def put_row(agent, cum_trust, path, cum_prob=0.5):
+    def put(table):
+        table.rows[agent] = TableRow(agent, cum_prob, cum_trust, path)
+
+    return put
+
+
+def set_field(agent, name, change):
+    def put(table):
+        row = table.rows[agent]
+        setattr(row, name, change(getattr(row, name)))
+
+    return put
+
+
+def add_child_sharing_b_path(agent, cum_trust):
+    def put(table):
+        shared = table.rows["b"].path
+        table.rows[agent] = TableRow(agent=agent, cum_prob=0.5, cum_trust=cum_trust, path=shared)
+
+    return put
+
+
+def test_table_check_passes_a_sound_table():
+    table = checked_table()
+    assert table.rows["b"].path is table.rows["e"].path
+    table.check(env_of(CHECK_LOG), 0.5)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (put_row("x", 0.9 * 0.8 * 0.9, ("tr", "a", "b", "tr")), "repeated agent on path of 'x'"),
+        (put_row("b", 0.9 * 0.8, ("tr", "a", "b")), "repeated agent on path of 'b'"),
+        (put_row("x", 0.9 * 0.9, ("tr", "a", "te")), "trustee inside path of 'x'"),
+        (put_row("low", 0.3, ("tr",)), "untrusted hop 'tr'->'low'"),
+        (put_row("x", 0.3, ("tr", "low")), "untrusted hop 'tr'->'low'"),
+        (put_row("d", 0.9 * 0.7, ("tr", "a")), "untrusted hop 'a'->'d'"),
+        (set_field("b", "cum_trust", lambda t: t + 1e-9), "cum_trust of 'b' diverges"),
+        (set_field("e", "cum_prob", lambda p: 1.5), "out of range for 'e'"),
+        (set_field("e", "cum_prob", lambda p: -0.1), "out of range for 'e'"),
+        (
+            lambda table: table.trustee_rows.append(TrusteeRow("x", 0.5, ("tr", "x"))),
+            "advisor 'x' has no table row",
+        ),
+        (add_child_sharing_b_path("c", 0.9 * 0.3), "untrusted hop 'a'->'c'"),
+    ],
+    ids=[
+        "repeat-in-path", "agent-in-own-path", "trustee-inside", "last-hop-below-threshold",
+        "inner-hop-below-threshold", "hop-without-edge", "product-off-by-1e-9",
+        "prob-above-1", "prob-below-0", "trustee-row-without-row", "shared-path-second-row",
+    ],
+)
+def test_table_check_rejects_a_broken_table(corrupt, message):
+    table = checked_table()
+    corrupt(table)
+    with pytest.raises(InvariantError, match=message):
+        table.check(env_of(CHECK_LOG), 0.5)
+
+
+# --- snapshot caches across configs ---------------------------------------------
+
+def cache_world():
+    params = GenParams(
+        seed=1, n_agents=40, n_interactions=1200, rating_model=RatingModel.PER_AGENT_QUALITY
+    )
+    profiles, log = generate(params)
+    return log, profiles
+
+
+def test_searches_on_one_snapshot_match_fresh_snapshots_across_configs():
+    log, profiles = cache_world()
+    shared = build_environment(log, 100.0, 0.01, profiles)
+    agents = sorted(shared.agents)
+    settings_seq = [(0.5, 0.01), (0.3, 0.2), (0.5, 0.0), (0.7, 0.01), (0.3, 0.01), (0.5, 0.01)]
+    for step, (threshold, rate) in enumerate(settings_seq):
+        cfg = TrustConfig(trust_threshold=threshold, recency_rate=rate)
+        for q in range(3):
+            query = (agents[q + step], agents[-1 - q], "c0" if q % 2 else "c1")
+            got = find_paths(shared, log, *query, cfg)
+            want = find_paths(build_environment(log, 100.0, 0.01, profiles), log, *query, cfg)
+            assert got.to_dict() == want.to_dict()
+            assert (got.expansions, got.stop_reason) == (want.expansions, want.stop_reason)
+        # Another rate between two searches switches the consultation cache back and forth.
+        other_rate = settings_seq[step - 1][1]
+        for agent in agents[:8]:
+            neighbours = shared.trusted_out(agent, "c1", threshold)
+            if not neighbours:
+                continue
+            fresh = build_environment(log, 100.0, 0.01, profiles)
+            for r in (other_rate, rate):
+                assert propagation_probabilities(
+                    shared, agent, neighbours, "c1", r
+                ) == propagation_probabilities(fresh, agent, neighbours, "c1", r)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, True, "0.5", None])
+def test_bad_threshold_or_rate_raises_when_the_caches_are_filled(bad):
+    log, profiles = cache_world()
+    env = build_environment(log, 100.0, 0.01, profiles)
+    agents = sorted(env.agents)
+    # The last fill is at 1, which True equals and hashes like.
+    for value in (0.5, 0.01, 1):
+        cfg = TrustConfig(trust_threshold=value, recency_rate=value)
+        find_paths(env, log, agents[0], agents[-1], "c1", cfg)
+    neighbours = env.neighbours(agents[0])
+    # A duck-typed config reaches find_paths without TrustConfig's own checks.
+    for field_name in ("trust_threshold", "recency_rate"):
+        config = types.SimpleNamespace(**{**dataclasses.asdict(TrustConfig()), field_name: bad})
+        with pytest.raises(ValueError, match="must be a finite number"):
+            find_paths(env, log, agents[0], agents[-1], "c1", config)
+    with pytest.raises(ValueError, match="must be a finite number"):
+        env.neighbour_maps("c1", bad)
+    with pytest.raises(ValueError, match="must be a finite number"):
+        env.trusted_out(agents[0], "c1", bad)
+    with pytest.raises(ValueError, match="must be a finite number"):
+        propagation_probabilities(env, agents[0], neighbours, "c1", bad)

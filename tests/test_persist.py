@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trustnet import (
+    AgentProfile,
     ConfigError,
     GenParams,
     Interaction,
@@ -117,7 +118,20 @@ def test_profile_category_list_that_is_not_a_list_is_reported():
     text = '{"id": "x", "able": 5}\n{"id": "y", "completed": ["c1", ""]}\n{"id": "z"}\n'
     profiles, errors = parse_profiles(io.StringIO(text))
     assert [p.id for p in profiles] == ["z"]
-    assert [(e.line, e.field) for e in errors] == [(1, "able"), (2, "able")]
+    assert [(e.line, e.field) for e in errors] == [(1, "able"), (2, "completed")]
+
+
+def test_profile_line_repeating_an_id_is_reported():
+    text = (
+        '{"id": "x", "able": ["c1"]}\n{"id": ""}\n{"id": "y"}\n'
+        '{"id": "x", "able": ["c2"]}\n{"id": "y", "completed": ["c1"]}\n'
+    )
+    profiles, errors = parse_profiles(io.StringIO(text))
+    assert profiles == [AgentProfile("x", able=frozenset({"c1"})), AgentProfile("y")]
+    assert [(e.line, e.field) for e in errors] == [(2, "id"), (4, "id"), (5, "id")]
+    assert "already declared" in errors[1].message
+    with pytest.raises(LogParseError, match=r"^line 3, field 'id': id 'x' already declared"):
+        parse_profiles(io.StringIO(text.replace('{"id": ""}\n', "")), strict=True)
 
 
 # --- config ------------------------------------------------------------------
