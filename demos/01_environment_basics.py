@@ -7,7 +7,7 @@ interactions.  Edges exist only for pairs that interacted before the
 snapshot time, and each edge's weight averages the per-category trusts.
 """
 
-from trustnet import AgentProfile, Interaction, build_environment, edge_weight
+from trustnet import AgentProfile, Interaction, build_environment
 
 # a small marketplace: buyers rate sellers per task category
 log = [
@@ -30,10 +30,11 @@ for (src, dst), stats in sorted(env.edges.items()):
     cats = {c: round(s.decayed_trust, 3) for c, s in stats.per_category.items()}
     print(f"  {src} -> {dst}: weight={stats.weight:.3f} per-category={cats}")
 
-# the ana -> bo weight is the mean of the delivery and repair trusts
-print("ana->bo:", edge_weight(env, "ana", "bo"))
-print("bo->ana:", edge_weight(env, "bo", "ana"))  # absent: None
+# the ana -> bo weight is the mean of the delivery and repair trusts;
+# env.out_weights maps each agent to its {out-neighbour: weight} dict
+print("ana->bo:", env.out_weights["ana"]["bo"])
+print("bo->ana:", env.out_weights["bo"].get("ana"))  # absent: None
 
 # completion history accumulates on the trustee side only
 print("bo completed:", sorted(env.agents["bo"].completed))
-print("dee able:", sorted(env.agents["dee"].able), "edges:", env.neighbours("dee"))
+print("dee able:", sorted(env.agents["dee"].able), "edges:", list(env.out_weights["dee"]))

@@ -26,11 +26,9 @@ from .core import (
     UnknownAgentError,
     build_environment,
     decay_weight,
-    edge_weight,
 )
 from .direct import DirectTrustResult, DirectTrustSource, direct_trust
 from .indirect import (
-    PropagationProbability,
     PropagationTable,
     TableRow,
     TrusteeRow,
@@ -38,7 +36,6 @@ from .indirect import (
     find_paths,
     propagation_probabilities,
     retained_paths,
-    trusted_neighbours,
 )
 from .composite import (
     CompositeInputs,
@@ -95,7 +92,6 @@ __all__ = [
     "LogParseError",
     "ParseError",
     "PropagationMatrix",
-    "PropagationProbability",
     "PropagationTable",
     "RatingModel",
     "ReputationModel",
@@ -119,7 +115,6 @@ __all__ = [
     "dt_min",
     "dump_log",
     "dump_profiles",
-    "edge_weight",
     "evaluate",
     "find_paths",
     "generate",
@@ -135,5 +130,4 @@ __all__ = [
     "reputation_of",
     "retained_paths",
     "save_snapshot",
-    "trusted_neighbours",
 ]

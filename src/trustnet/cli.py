@@ -36,6 +36,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _int_in(low: int, high: Optional[int] = None):
+    """An argparse type: an integer in [low, high], or >= low without ``high``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"must be an integer {bound}, got {value}")
+        return value
+
+    return integer
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="trustnet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -88,11 +101,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="run the brute-force comparison suites")
     p_oracle.add_argument("--suite", choices=["indirect", "reputation", "all"], default="all")
     p_oracle.add_argument("--config", help="config file (flat JSON)")
-    p_oracle.add_argument("--seeds", type=int, default=100, help="indirect instance count")
-    p_oracle.add_argument("--agents", type=int, default=8, help="indirect max agents")
-    p_oracle.add_argument("--categories", type=int, default=3)
-    p_oracle.add_argument("--rep-seeds", type=int, default=50, help="reputation instance count")
-    p_oracle.add_argument("--rep-agents", type=int, default=50, help="reputation max agents")
+    # The ranges keep every instance within the oracles' limits (12 agents
+    # for the path enumeration, 200 nodes for the dense reputation).
+    option = p_oracle.add_argument
+    option("--seeds", type=_int_in(1), default=100, help="indirect instance count")
+    option("--agents", type=_int_in(4, 12), default=8, help="indirect max agents")
+    option("--categories", type=_int_in(1), default=3)
+    option("--rep-seeds", type=_int_in(1), default=50, help="reputation instance count")
+    option("--rep-agents", type=_int_in(10, 200), default=50, help="reputation max agents")
 
     return parser
 

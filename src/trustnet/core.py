@@ -179,17 +179,13 @@ class CategoryStats:
 class EdgeStats:
     """Aggregate statistics of one directed edge.
 
-    ``weight`` is worked out from ``per_category``, which must not be empty:
-    the unweighted mean of ``decayed_trust`` over the categories in id order.
-    It serves as the edge's overall trust value.
+    ``weight`` is the edge's overall trust value, the environment's
+    ``weight`` of the edge: the unweighted mean of ``decayed_trust`` over
+    ``per_category``.
     """
 
     per_category: Mapping[TaskCategory, CategoryStats]
-    weight: float = field(init=False)
-
-    def __post_init__(self):
-        trusts = [self.per_category[cat].decayed_trust for cat in sorted(self.per_category)]
-        object.__setattr__(self, "weight", sum(trusts) / len(trusts))
+    weight: float
 
 
 @dataclass(frozen=True)
@@ -207,6 +203,25 @@ class CategoryActivity:
 
 
 _NO_ACTIVITY = CategoryActivity(counts={}, last={}, dt_min=1.0)
+
+
+class _Filled(dict):
+    """A dict that makes a missing key's value with ``make(key)`` and keeps it.
+
+    Index it: ``get`` and ``in`` see only the keys made so far.  ``make``
+    holds the arrays it reads, never the environment, so that a dropped
+    snapshot is freed at once.
+    """
+
+    __slots__ = ("_make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, key):
+        value = self[key] = self._make(key)
+        return value
 
 
 class EdgeView(MappingABC):
@@ -236,7 +251,8 @@ class EdgeView(MappingABC):
             env.mean_rating[lo:hi].tolist(),
             env.last_time[lo:hi].tolist(),
         )
-        return EdgeStats({env.categories[c]: CategoryStats(*stats) for c, *stats in rows})
+        per_category = {env.categories[c]: CategoryStats(*stats) for c, *stats in rows}
+        return EdgeStats(per_category, env.weight[k].item())
 
     def __iter__(self) -> Iterator[tuple[AgentId, AgentId]]:
         env = self._env
@@ -254,16 +270,20 @@ class Environment:
     owns edges ``indptr[i]:indptr[i+1]`` of ``dst`` (agent indices,
     ascending within a row), and edge ``e`` owns rows
     ``cat_ptr[e]:cat_ptr[e+1]`` of the per-(edge, category) arrays, whose
-    ``cat`` indexes ``categories`` (ascending within an edge).  ``weight``,
-    ``src`` and the ``edges`` view are derived.  All arrays are read-only.
-    Four caches are filled on first use: each agent's ``out_weights``
-    dict, the per-category ``activity`` (counts and latest times), per
-    category for the latest threshold asked each agent's ``trusted_out``
-    neighbours, and per category for the latest recency rate asked each
-    active agent's ``consultation_terms``.  So the path search derives no
-    per-agent fact twice from one snapshot: it checks its threshold and
-    rate once per search, reads the neighbour maps once per expansion
-    (:meth:`neighbour_maps`), and takes every consultation term's log and
+    ``cat`` indexes ``categories`` (ascending within an edge).  ``weight``
+    (the one weight rule: the unweighted mean of an edge's
+    ``decayed_trust`` rows), ``src`` and the ``edges`` view are derived.
+    All arrays are read-only.  Four caches are filled on first use: the
+    ``out_weights`` map, which makes an agent's ``{out-neighbour: edge
+    weight}`` dict (ascending ids) from its CSR slice when it is first
+    indexed and raises UnknownAgentError for an unknown agent (callers
+    must not modify it), the per-category ``activity`` (counts and latest
+    times), the :meth:`trusted_out` maps, one per category for the latest
+    threshold asked, and per category for the latest recency rate asked
+    each active agent's ``consultation_terms``.  So the path
+    search derives no per-agent fact twice from one snapshot: it checks
+    its threshold and rate once per search, indexes the two neighbour
+    maps once per expansion, and takes every consultation term's log and
     exp from the cache.  Concurrent readers are safe (a cache filled on
     first use holds the same value whichever reader fills it).
     ``decay_rate`` records the discount rate the snapshot was built with.
@@ -286,13 +306,11 @@ class Environment:
     id_array: np.ndarray = field(init=False, repr=False)
     src: np.ndarray = field(init=False, repr=False)
     weight: np.ndarray = field(init=False, repr=False)
-    _out: dict[AgentId, dict[AgentId, float]] = field(
-        default_factory=dict, init=False, repr=False
-    )
+    out_weights: Mapping[AgentId, dict[AgentId, float]] = field(init=False, repr=False)
     _activity: Optional[dict[TaskCategory, CategoryActivity]] = field(
         default=None, init=False, repr=False
     )
-    _trusted: dict[TaskCategory, tuple[float, dict[AgentId, tuple[AgentId, ...]]]] = field(
+    _trusted: dict[TaskCategory, tuple[float, Mapping[AgentId, tuple[AgentId, ...]]]] = field(
         default_factory=dict, init=False, repr=False
     )
     _terms: dict[TaskCategory, tuple[float, dict[AgentId, tuple[int, float, float]]]] = field(
@@ -312,15 +330,24 @@ class Environment:
         self.src = np.repeat(np.arange(len(self.agents)), np.diff(self.indptr))
         per_edge = np.diff(self.cat_ptr)
         row_edge = np.repeat(np.arange(len(self.dst)), per_edge)
-        # bincount adds in row order, i.e. in category id order within an
-        # edge, as EdgeStats does.
-        self.weight = (
+        # bincount adds in row order, i.e. in category id order within an edge.
+        weight = self.weight = (
             np.bincount(row_edge, weights=self.decayed_trust, minlength=len(self.dst)) / per_edge
         )
         for array in (self.id_array, self.src, self.weight) + tuple(
             getattr(self, name) for name in self.ARRAYS
         ):
             array.flags.writeable = False
+        index, indptr, dst, ids = self.index, self.indptr, self.dst, self.id_array
+
+        def out_weights(agent: AgentId) -> dict[AgentId, float]:
+            i = index.get(agent)
+            if i is None:
+                raise UnknownAgentError(agent)
+            lo, hi = indptr[i], indptr[i + 1]
+            return dict(zip(ids[dst[lo:hi]].tolist(), weight[lo:hi].tolist()))
+
+        self.out_weights = _Filled(out_weights)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Environment):
@@ -367,72 +394,38 @@ class Environment:
             self._activity = activity
         return self._activity.get(category, _NO_ACTIVITY)
 
-    def out_weights(self, agent: AgentId) -> dict[AgentId, float]:
-        """``{out-neighbour: edge weight}`` of ``agent`` in ascending id order.
-
-        Made from the agent's CSR slice on first use and cached; callers
-        must not modify it.
-        """
-        out = self._out.get(agent)
-        if out is None:
-            i = self.index.get(agent)
-            if i is None:
-                raise UnknownAgentError(agent)
-            lo, hi = self.indptr[i], self.indptr[i + 1]
-            out = self._out[agent] = dict(
-                zip(self.id_array[self.dst[lo:hi]].tolist(), self.weight[lo:hi].tolist())
-            )
-        return out
-
     def trusted_out(
-        self, agent: AgentId, category: TaskCategory, threshold: float
-    ) -> tuple[AgentId, ...]:
-        """Out-neighbours of ``agent`` trusted at ``threshold`` with history in ``category``.
-
-        In ascending id order: the neighbours whose edge weight is at least
-        ``threshold`` and whose ``completed`` holds ``category``.  Made from
-        :meth:`out_weights` on first use and cached per category for the
-        latest threshold asked, so the cache holds at most one tuple per
-        (category, agent); the weights stay in ``out_weights``.  A threshold
-        that is not a finite number by :func:`finite_float`'s rule raises
-        ValueError, whatever the cache holds.
-        """
-        number, cache = self._trusted_cache(category, threshold)
-        found = cache.get(agent)
-        if found is None:
-            agents = self.agents
-            found = cache[agent] = tuple(
-                nbr
-                for nbr, weight in self.out_weights(agent).items()
-                if weight >= number and category in agents[nbr].completed
-            )
-        return found
-
-    def neighbour_maps(
         self, category: TaskCategory, threshold: float
-    ) -> tuple[
-        Mapping[AgentId, Mapping[AgentId, float]], Mapping[AgentId, tuple[AgentId, ...]]
-    ]:
-        """The caches behind :meth:`out_weights` and :meth:`trusted_out` at ``threshold``.
+    ) -> Mapping[AgentId, tuple[AgentId, ...]]:
+        """Each agent's out-neighbours trusted at ``threshold`` with history in ``category``.
 
-        For a caller that looks up many agents at one threshold: the
-        threshold is checked here, once, by :meth:`trusted_out`'s rule, and
-        the caller reads the two maps per agent and calls the method on a
-        miss, which fills the map.  Callers must not modify them.
+        Indexed by agent: in ascending id order, the neighbours whose edge
+        weight in ``out_weights`` is at least ``threshold`` and whose
+        ``completed`` holds ``category``; an unknown agent raises
+        UnknownAgentError.  An agent's tuple is made when first indexed,
+        and the map is cached per category for the latest threshold asked,
+        so the cache holds at most one tuple per (category, agent).  A
+        threshold that is not a finite number by :func:`finite_float`'s
+        rule raises ValueError, whatever the cache holds.  Callers must not
+        modify the map.
         """
-        return self._out, self._trusted_cache(category, threshold)[1]
-
-    def _trusted_cache(
-        self, category: TaskCategory, threshold: float
-    ) -> tuple[float, dict[AgentId, tuple[AgentId, ...]]]:
-        """The checked threshold and ``category``'s ``trusted_out`` cache for it."""
         number = finite_float(threshold)
         if number is None:
             raise ValueError(f"threshold {threshold!r} must be a finite number")
         held = self._trusted.get(category)
         if held is None or held[0] != number:
-            held = self._trusted[category] = (number, {})
-        return held
+            out, agents = self.out_weights, self.agents
+            held = self._trusted[category] = (
+                number,
+                _Filled(
+                    lambda agent: tuple(
+                        nbr
+                        for nbr, weight in out[agent].items()
+                        if weight >= number and category in agents[nbr].completed
+                    )
+                ),
+            )
+        return held[1]
 
     def consultation_terms(
         self, category: TaskCategory, recency_rate: float
@@ -471,12 +464,25 @@ class Environment:
         This is what ``src`` reports when consulted as an advisor on ``dst``;
         it is read from the edge's category rows, with no ``EdgeStats`` made.
         """
-        k, c = self._edge(src, dst), self._category_index.get(category)
-        if k is None or c is None:
+        found = self._edge_rows(src, dst, category)
+        return None if found is None or found[3] is None else self.mean_rating[found[3]].item()
+
+    def _edge_rows(
+        self, src: AgentId, dst: AgentId, category: TaskCategory
+    ) -> Optional[tuple[int, int, int, Optional[int]]]:
+        """``(edge, first row, end row, category row)`` of the edge ``src -> dst``, or None.
+
+        None when the edge is absent.  Rows ``first:end`` hold the edge's
+        categories; the category row is ``category``'s, or None when the
+        edge has no row on it.
+        """
+        k = self._edge(src, dst)
+        if k is None:
             return None
         lo, hi = int(self.cat_ptr[k]), int(self.cat_ptr[k + 1])
-        r = lo + int(np.searchsorted(self.cat[lo:hi], c))
-        return float(self.mean_rating[r]) if r < hi and self.cat[r] == c else None
+        c = self._category_index.get(category)
+        r = None if c is None else lo + int(np.searchsorted(self.cat[lo:hi], c))
+        return k, lo, hi, (r if r is not None and r < hi and self.cat[r] == c else None)
 
     def _edge(self, src: AgentId, dst: AgentId) -> Optional[int]:
         """Position of the edge ``src -> dst`` in ``dst``, or None when absent."""
@@ -486,14 +492,6 @@ class Environment:
         lo, hi = int(self.indptr[i]), int(self.indptr[i + 1])
         k = lo + int(np.searchsorted(self.dst[lo:hi], j))
         return k if k < hi and self.dst[k] == j else None
-
-    def neighbours(self, agent: AgentId) -> tuple[AgentId, ...]:
-        """Out-neighbours of ``agent`` in ascending id order."""
-        return tuple(self.out_weights(agent))
-
-    def has_trusted_edge(self, src: AgentId, dst: AgentId, threshold: float) -> bool:
-        stats = self.edges.get((src, dst))
-        return stats is not None and stats.weight >= threshold
 
 
 @dataclass(frozen=True)
@@ -735,11 +733,3 @@ def build_environment(
         mean_rating=mean_rating,
         last_time=last_time,
     )
-
-
-def edge_weight(env: Environment, src: AgentId, dst: AgentId) -> Optional[float]:
-    """Overall weight of the edge ``src -> dst``, or None when absent."""
-    out = env.out_weights(src)
-    if dst not in env.agents:
-        raise UnknownAgentError(dst)
-    return out.get(dst)

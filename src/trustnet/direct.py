@@ -43,15 +43,16 @@ def direct_trust(
     The same-category value is the edge's discount-weighted mean rating.
     Without one, the discount-weighted means of the other categories are
     averaged unweighted (a category counts once regardless of volume), which
-    is the edge weight.
+    is the edge weight.  Both, and the counts, are read from the edge's rows.
     """
-    edge = env.edges.get((trustor, trustee))
-    if edge is None:
+    found = env._edge_rows(trustor, trustee, category)
+    if found is None:
         return DirectTrustResult(None, DirectTrustSource.NONE, 0, 0)
-    same = edge.per_category.get(category)
-    n_other = sum(s.count for cat, s in edge.per_category.items() if cat != category)
-    if same is not None:
-        return DirectTrustResult(
-            same.decayed_trust, DirectTrustSource.SAME_CATEGORY, same.count, n_other
-        )
-    return DirectTrustResult(edge.weight, DirectTrustSource.CROSS_CATEGORY, 0, n_other)
+    k, lo, hi, r = found
+    total = int(env.count[lo:hi].sum())
+    if r is None:
+        return DirectTrustResult(env.weight[k].item(), DirectTrustSource.CROSS_CATEGORY, 0, total)
+    n_same = int(env.count[r])
+    return DirectTrustResult(
+        env.decayed_trust[r].item(), DirectTrustSource.SAME_CATEGORY, n_same, total - n_same
+    )

@@ -50,19 +50,6 @@ class TrusteeRow:
     path: tuple[AgentId, ...]
 
 
-@dataclass(frozen=True)
-class PropagationProbability:
-    """Likelihood of consulting one trusted neighbour.
-
-    ``value`` is the product of a volume term, which grows logarithmically
-    with the neighbour's interaction count on the category, and a recency
-    term, which decays exponentially with the time since its last one,
-    normalized to sum to 1 over the neighbour set.
-    """
-
-    value: float
-
-
 @dataclass
 class PropagationTable:
     """Search state and result: reached agents plus trustee-path records.
@@ -138,11 +125,11 @@ class PropagationTable:
             raise InvariantError(f"trustee inside path of {row.agent!r}")
         product = 1.0
         for a, b in zip(path, path[1:]):
-            weight = env.out_weights(a).get(b)
+            weight = env.out_weights[a].get(b)
             if weight is None or weight < trust_threshold:
                 raise InvariantError(f"untrusted hop {a!r}->{b!r} on stored path")
             product *= weight
-        return members, product, env.out_weights(path[-1]) if path else {}
+        return members, product, env.out_weights[path[-1]] if path else {}
 
     def to_dict(self) -> dict:
         """Stable-field-order dump used by the CLI ``paths`` command."""
@@ -165,13 +152,6 @@ class PropagationTable:
                 for row in self.trustee_rows
             ],
         }
-
-
-def trusted_neighbours(
-    env: Environment, agent: AgentId, category: TaskCategory, trust_threshold: float
-) -> set[AgentId]:
-    """Out-neighbours trusted at or above the threshold with history in ``category``."""
-    return set(env.trusted_out(agent, category, trust_threshold))
 
 
 _INACTIVE = (0, 0.0, 0.0)  # the terms of an agent with no activity: its raw term is 0
@@ -206,22 +186,26 @@ def propagation_probabilities(
     neighbours: Sequence[AgentId],
     category: TaskCategory,
     recency_rate: float,
-) -> dict[AgentId, PropagationProbability]:
-    """Normalized consultation probabilities over a trusted-neighbour set.
+) -> dict[AgentId, float]:
+    """Each neighbour's likelihood of being consulted, normalized over the set.
 
-    Activity counts and recency are read from ``env`` at its snapshot time,
-    through :meth:`Environment.consultation_terms` (a rate that is not a
-    finite number raises ValueError).  The neighbour set must be non-empty;
+    A neighbour's raw term is the product of a volume term, which grows
+    logarithmically with its interaction count on the category, and a
+    recency term, which decays exponentially with the time since its last
+    one (see :func:`_consultation`).  Activity counts and recency are read
+    from ``env`` at its snapshot time, through
+    :meth:`Environment.consultation_terms` (a rate that is not a finite
+    number raises ValueError).  The neighbour set must be non-empty;
     callers are expected to pass neighbours that qualify under
-    :func:`trusted_neighbours`.
+    :meth:`Environment.trusted_out`.
     """
     if agent not in env.agents:
         raise UnknownAgentError(agent)
     if not neighbours:
         raise ValueError("neighbour set must be non-empty")
     ordered = sorted(neighbours)
-    values = _consultation(env.consultation_terms(category, recency_rate), ordered)
-    return {a: PropagationProbability(value=v) for a, v in zip(ordered, values)}
+    terms = env.consultation_terms(category, recency_rate)
+    return dict(zip(ordered, _consultation(terms, ordered)))
 
 
 @dataclass(slots=True)
@@ -302,10 +286,11 @@ def find_paths(
 
     Nothing per-snapshot is derived again per expansion: the threshold and
     the recency rate are checked once per search (a bad one raises
-    ValueError), each expansion reads the agent's out-weights and
-    qualifying neighbours from the maps of
-    :meth:`Environment.neighbour_maps`, and the consultation probabilities
-    come from :meth:`Environment.consultation_terms`.  The finished table
+    ValueError), each expansion indexes the agent's out-weights and
+    qualifying neighbours in the self-filling maps
+    :attr:`Environment.out_weights` and :meth:`Environment.trusted_out`, and
+    the consultation probabilities come from
+    :meth:`Environment.consultation_terms`.  The finished table
     goes through :meth:`PropagationTable.check`.
     """
     if trustor not in env.agents:
@@ -322,11 +307,11 @@ def find_paths(
     rows[trustor] = TableRow(agent=trustor, cum_prob=1.0, cum_trust=1.0, path=())
     prefix_of = {trustor: _Prefix(agents={trustor})}
     threshold = config.trust_threshold
-    out_of, trusted_of = env.neighbour_maps(category, threshold)
+    out_of, trusted_of = env.out_weights, env.trusted_out(category, threshold)
     terms = env.consultation_terms(category, config.recency_rate)
     # Never attached: the trustee, and past the trustor's own expansion
     # every agent the trustor trusts directly.
-    excluded = {nbr for nbr, weight in env.out_weights(trustor).items() if weight >= threshold}
+    excluded = {nbr for nbr, weight in out_of[trustor].items() if weight >= threshold}
     excluded.add(trustee)
     excluded_first = {trustee}
     steps, seconds = config.search_steps, config.search_seconds
@@ -356,16 +341,12 @@ def find_paths(
         expansions += 1
         path, cum_trust = row.path + (current,), row.cum_trust
 
-        out = out_of.get(current)
-        if out is None:
-            out = env.out_weights(current)
+        out = out_of[current]
         if trustee in out:
             rating = env.advisor_rating(current, trustee, category)
             if rating is not None:
                 table.put_trustee_row(current, rating, path)
-        nbrs = trusted_of.get(current)
-        if nbrs is None:
-            nbrs = env.trusted_out(current, category, threshold)
+        nbrs = trusted_of[current]
         skip = excluded if current != trustor else excluded_first
         attach: list[AgentId] = []
         for nbr in nbrs:

@@ -129,6 +129,11 @@ def oracle_indirect(
     ratings = oracle_advisor_ratings(log, trustee, category, env.snapshot_time)
 
     threshold = config.trust_threshold
+    # node -> {neighbour: weight} from the edge view, not the engine's neighbour caches.
+    out: dict[AgentId, dict[AgentId, float]] = {a: {} for a in env.agents}
+    for (src, dst), stats in env.edges.items():
+        out[src][dst] = stats.weight
+    trusted_directly = {b for b, weight in out[trustor].items() if weight >= threshold}
     # advisor -> (best product, hops to trustee, node chain) with deterministic ties
     best: dict[AgentId, tuple[float, int, tuple[AgentId, ...]]] = {}
 
@@ -148,15 +153,12 @@ def oracle_indirect(
 
     def walk(node: AgentId, chain: tuple[AgentId, ...], product: float, visited: set) -> None:
         consider(chain, product)
-        for nbr in env.neighbours(node):
+        for nbr, weight in out[node].items():
             if nbr == trustee or nbr in visited:
                 continue
-            weight = env.edges[(node, nbr)].weight
-            if weight < threshold:
+            if weight < threshold or category not in env.agents[nbr].completed:
                 continue
-            if category not in env.agents[nbr].completed:
-                continue
-            if node != trustor and env.has_trusted_edge(trustor, nbr, threshold):
+            if node != trustor and nbr in trusted_directly:
                 continue
             walk(nbr, chain + (nbr,), product * weight, visited | {nbr})
 

@@ -96,9 +96,16 @@ class ReputationModel:
         )
 
 
+def node_indices(env: Environment, trust_threshold: float) -> np.ndarray:
+    """Agent indices of :func:`reputation_nodes`, ascending."""
+    member = np.zeros(len(env.agents), dtype=bool)
+    member[env.dst[env.weight >= trust_threshold]] = True
+    return np.flatnonzero(member)
+
+
 def reputation_nodes(env: Environment, trust_threshold: float) -> list[AgentId]:
     """Agents with at least one incoming edge of weight >= threshold, sorted."""
-    return env.id_array[np.unique(env.dst[env.weight >= trust_threshold])].tolist()
+    return env.id_array[node_indices(env, trust_threshold)].tolist()
 
 
 def propagation_matrix(

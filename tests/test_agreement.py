@@ -66,6 +66,13 @@ def test_snapshot_statistics_agree_with_log_scans(world):
             assert held.keys() == means.keys()
             for advisor, mean in means.items():
                 assert held[advisor] == pytest.approx(mean, abs=1e-12)
+            # The search's reader, which shares its row lookup with direct_trust.
+            for advisor in AGENTS[:5]:
+                rating = env.advisor_rating(advisor, trustee, category)
+                if advisor in means:
+                    assert rating == pytest.approx(means[advisor], abs=1e-12)
+                else:
+                    assert rating is None
             for trustor in AGENTS[:5]:
                 if trustor == trustee:
                     continue

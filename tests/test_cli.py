@@ -263,6 +263,50 @@ def test_oracle_suite_reports_clean_comparison(capsys):
     assert payload["reputation"]["mismatches"] == 0
 
 
+def test_snapshot_with_a_stale_model_is_input_error(capsys, world):
+    snap = world["tmp"] / "world.snap"
+    argv = ["snapshot", "save", "--log", world["log"], "--time", "100", "--out", str(snap)]
+    assert run(capsys, argv + ["--with-reputation"])[0] == 0
+    document, arrays = read_snapshot(snap)
+    # A model over one node fewer than the environment's node set.
+    arrays.update(nodes=arrays["nodes"][1:], vector=arrays["vector"][1:])
+    write_snapshot(snap, document, arrays)
+    code, out, err = run(capsys, ["snapshot", "load", "--in", str(snap)])
+    assert code == 1
+    assert out == ""
+    assert "not the environment's node set" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--agents", "3"),
+        ("--agents", "13"),
+        ("--rep-agents", "9"),
+        ("--rep-agents", "201"),
+        ("--seeds", "-1"),
+        ("--seeds", "0"),
+        ("--rep-seeds", "0"),
+        ("--categories", "0"),
+        ("--agents", "eight"),
+    ],
+)
+def test_oracle_argument_out_of_range_exits_one_naming_the_flag(capsys, flag, value):
+    code, out, err = run(capsys, ["oracle", flag, value])
+    assert code == 1
+    assert out == ""
+    assert f"argument {flag}:" in err
+
+
+def test_oracle_runs_at_the_ends_of_its_ranges(capsys):
+    argv = ["oracle", "--seeds", "1", "--rep-seeds", "1", "--categories", "1"]
+    for ends in (["--agents", "4", "--rep-agents", "10"], ["--agents", "12", "--rep-agents", "200"]):
+        code, out, _ = run(capsys, argv + ends)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["indirect"]["instances"] == payload["reputation"]["instances"] == 1
+
+
 def test_unknown_flag_exits_one_with_usage(capsys, world):
     code, out, err = run(capsys, ["eval", "--nope", "x"])
     assert code == 1

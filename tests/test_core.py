@@ -15,7 +15,6 @@ from trustnet import (
     TrustConfig,
     UnknownAgentError,
     build_environment,
-    edge_weight,
 )
 
 from trustnet.core import check_interaction, check_profile, finite_float
@@ -31,14 +30,14 @@ def test_empty_log_yields_no_edges():
 
 def test_single_interaction_edge():
     env = build_environment([rec("A", "B", 0.6, "c1", 5.0)], 10.0, 0.0)
-    assert edge_weight(env, "A", "B") == 0.6
+    assert env.out_weights["A"]["B"] == 0.6
     assert env.edges[("A", "B")].per_category["c1"].count == 1
 
 
 def test_snapshot_time_filter_is_strict():
     log = [rec("A", "B", 1.0, "c1", 0.0), rec("A", "B", 0.0, "c1", 10.0)]
     env = build_environment(log, 10.0, 0.0)
-    assert edge_weight(env, "A", "B") == 1.0
+    assert env.out_weights["A"]["B"] == 1.0
     assert env.edges[("A", "B")].per_category["c1"].count == 1
 
 
@@ -47,14 +46,15 @@ def test_edge_weight_is_mean_over_categories():
     env = build_environment(log, 10.0, 0.0)
     # independent recomputation from the log: one rating per category
     expected = (0.4 + 0.8) / 2
-    assert edge_weight(env, "A", "B") == pytest.approx(expected, abs=1e-15)
+    assert env.out_weights["A"]["B"] == pytest.approx(expected, abs=1e-15)
+    assert env.edges[("A", "B")].weight == env.out_weights["A"]["B"]
 
 
 def test_edge_weight_absent_and_unknown():
     env = build_environment([rec("A", "B", 0.5)], 10.0)
-    assert edge_weight(env, "B", "A") is None
+    assert "A" not in env.out_weights["B"]
     with pytest.raises(UnknownAgentError):
-        edge_weight(env, "A", "Z")
+        env.out_weights["Z"]
 
 
 def test_invalid_rating_rejected_with_index():
@@ -76,7 +76,7 @@ def test_declared_newcomer_appears_without_edges():
     env = build_environment([rec("A", "B", 0.5)], 10.0, profiles=[profile])
     assert "N" in env.agents
     assert env.agents["N"].able == {"c1"}
-    assert env.neighbours("N") == ()
+    assert env.out_weights["N"] == {}
 
 
 def test_trustee_interactions_extend_completed_set():
@@ -97,7 +97,7 @@ def test_decayed_edge_weight_matches_formula():
     log = [rec("A", "B", 1.0, "c1", 0.0), rec("A", "B", 0.0, "c1", 9.0)]
     env = build_environment(log, 10.0, 0.1)
     w1, w2 = math.exp(-0.1 * 10.0), math.exp(-0.1 * 1.0)
-    assert edge_weight(env, "A", "B") == pytest.approx(w1 / (w1 + w2), abs=1e-15)
+    assert env.out_weights["A"]["B"] == pytest.approx(w1 / (w1 + w2), abs=1e-15)
 
 
 @given(logs(max_size=25), st.permutations(range(25)))
@@ -339,7 +339,7 @@ def test_profile_declaring_an_id_again_is_rejected():
 def test_dropped_snapshot_is_freed_without_the_cycle_collector():
     env = build_environment([rec("A", "B", 0.5, "c1", 1), rec("B", "C", 0.9, "c1", 2)], 10, 0.1)
     assert env.edges[("A", "B")].weight == 0.5
-    env.trusted_out("A", "c1", 0.5)
+    env.trusted_out("c1", 0.5)["A"]
     env.consultation_terms("c1", 0.01)
     ref = weakref.ref(env)
     gc.disable()
@@ -353,3 +353,25 @@ def test_dropped_snapshot_is_freed_without_the_cycle_collector():
 def test_valid_profile_passes_the_rule():
     profile = AgentProfile(id="N", completed=frozenset({"c1"}), able=frozenset({"c1", "c2"}))
     assert check_profile(profile) is None
+
+
+DELETED_NAMES = (
+    "edge_weight",
+    "neighbours",
+    "has_trusted_edge",
+    "neighbour_maps",
+    "trusted_neighbours",
+    "PropagationProbability",
+)
+
+
+def test_public_names_resolve_once_and_hold_no_deleted_name():
+    import trustnet
+    from trustnet import core, indirect
+
+    names = trustnet.__all__
+    assert [n for n in names if not hasattr(trustnet, n)] == []
+    assert len(names) == len(set(names))
+    assert set(names).isdisjoint(DELETED_NAMES)
+    for owner in (trustnet, core, indirect, core.Environment):
+        assert [n for n in DELETED_NAMES if hasattr(owner, n)] == []

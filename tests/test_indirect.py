@@ -23,7 +23,6 @@ from trustnet import (
     find_paths,
     generate,
     propagation_probabilities,
-    trusted_neighbours,
 )
 from trustnet.oracles import (
     compare_indirect,
@@ -46,49 +45,49 @@ def env_of(log, profiles=(), at=10.0, decay=0.0):
 
 def test_no_out_edges_means_no_neighbours():
     env = env_of([rec("A", "B", 0.9)])
-    assert trusted_neighbours(env, "B", "c1", 0.5) == set()
+    assert env.trusted_out("c1", 0.5)["B"] == ()
 
 
 def test_threshold_filters_neighbours():
     env = env_of([rec("A", "B", 0.9), rec("A", "C", 0.3), rec("X", "C", 0.9)])
-    assert trusted_neighbours(env, "A", "c1", 0.5) == {"B"}
+    assert env.trusted_out("c1", 0.5)["A"] == ("B",)
 
 
 def test_category_history_required():
     env = env_of([rec("A", "D", 0.9, "c2", 1.0)])
-    assert trusted_neighbours(env, "A", "c1", 0.5) == set()
-    assert trusted_neighbours(env, "A", "c2", 0.5) == {"D"}
+    assert env.trusted_out("c1", 0.5)["A"] == ()
+    assert env.trusted_out("c2", 0.5)["A"] == ("D",)
 
 
 def test_unknown_agent_rejected():
     env = env_of([rec("A", "B", 0.9)])
     with pytest.raises(UnknownAgentError):
-        trusted_neighbours(env, "Z", "c1", 0.5)
+        env.trusted_out("c1", 0.5)["Z"]
 
 
 @pytest.mark.parametrize("threshold", [math.nan, math.inf, "0.5", None])
 def test_threshold_that_is_not_a_finite_number_rejected(threshold):
     env = env_of([rec("A", "B", 0.9)])
     with pytest.raises(ValueError, match="must be a finite number"):
-        trusted_neighbours(env, "A", "c1", threshold)
+        env.trusted_out("c1", threshold)
     assert not env._trusted
 
 
 def test_threshold_rule_does_not_depend_on_the_cache():
     env = env_of([rec("A", "B", 0.9), rec("A", "C", 0.3)])
-    assert trusted_neighbours(env, "A", "c1", 1) == set()
+    assert env.trusted_out("c1", 1)["A"] == ()
     # True == 1 and hashes alike, but is not a number by the input rule.
     with pytest.raises(ValueError, match="must be a finite number"):
-        trusted_neighbours(env, "A", "c1", True)
+        env.trusted_out("c1", True)
 
 
 def test_neighbour_cache_keeps_one_threshold_per_category():
     env = env_of([rec("A", "B", 0.9), rec("A", "C", 0.3)])
-    weights = env.out_weights("A")
+    weights = env.out_weights["A"]
     for step in range(100):
         threshold = step / 100
         expected = tuple(b for b in ("B", "C") if weights[b] >= threshold)
-        assert env.trusted_out("A", "c1", threshold) == expected
+        assert env.trusted_out("c1", threshold)["A"] == expected
     assert list(env._trusted) == ["c1"]
     assert env._trusted["c1"][0] == 0.99
 
@@ -99,15 +98,15 @@ def test_single_neighbour_gets_all_mass():
     log = [rec("A", "B", 0.9, "c1", 1.0)]
     env = env_of(log)
     probs = propagation_probabilities(env, "A", ["B"], "c1", 0.0)
-    assert probs["B"].value == 1.0
+    assert probs == {"B": 1.0}
 
 
 def test_symmetric_neighbours_split_evenly():
     log = [rec("A", "B", 0.9, "c1", 1.0), rec("A", "C", 0.9, "c1", 1.0)]
     env = env_of(log)
     probs = propagation_probabilities(env, "A", ["B", "C"], "c1", 0.2)
-    assert probs["B"].value == pytest.approx(0.5, abs=1e-15)
-    assert probs["C"].value == pytest.approx(0.5, abs=1e-15)
+    assert probs["B"] == pytest.approx(0.5, abs=1e-15)
+    assert probs["C"] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_log_count_normalization():
@@ -121,16 +120,16 @@ def test_log_count_normalization():
     probs = propagation_probabilities(env, "A", ["B", "C"], "c1", 0.0)
     raw_b = math.log(2) / math.log(4)
     expected_b = raw_b / (raw_b + 1.0)
-    assert probs["B"].value == pytest.approx(0.3333, abs=1e-4)
-    assert probs["C"].value == pytest.approx(0.6667, abs=1e-4)
-    assert probs["B"].value == pytest.approx(expected_b, abs=1e-15)
+    assert probs["B"] == pytest.approx(0.3333, abs=1e-4)
+    assert probs["C"] == pytest.approx(0.6667, abs=1e-4)
+    assert probs["B"] == pytest.approx(expected_b, abs=1e-15)
 
 
 def test_zero_activity_falls_back_to_uniform():
     log = [rec("A", "B", 0.9, "c2", 1.0), rec("A", "C", 0.9, "c2", 1.0)]
     env = env_of(log)
     probs = propagation_probabilities(env, "A", ["B", "C"], "c1", 0.1)
-    assert probs["B"].value == probs["C"].value == 0.5
+    assert probs["B"] == probs["C"] == 0.5
 
 
 def test_empty_neighbour_set_rejected():
@@ -153,8 +152,8 @@ def test_probabilities_sum_to_one(counts):
     log.append(rec("A", "B", 0.9, "c2", 1.0))  # anchors A in the environment
     env = env_of(log, at=100.0)
     probs = propagation_probabilities(env, "A", neighbours, "c1", 0.05)
-    assert sum(p.value for p in probs.values()) == pytest.approx(1.0, abs=1e-12)
-    assert all(0.0 <= p.value <= 1.0 for p in probs.values())
+    assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
+    assert all(0.0 <= p <= 1.0 for p in probs.values())
 
 
 # --- path search ---------------------------------------------------------
@@ -446,17 +445,19 @@ def test_engine_matches_exhaustive_oracle_on_small_instances():
 def max_product_paths(env, trustor, trustee, category, threshold):
     """Best edge-weight product per reachable node over qualifying simple paths."""
     best = {}
+    out = {agent: {} for agent in env.agents}
+    for (src, dst), stats in env.edges.items():
+        out[src][dst] = stats.weight
 
     def walk(node, product, visited):
         if product > best.get(node, 0.0):
             best[node] = product
-        for nbr in env.neighbours(node):
+        for nbr, weight in out[node].items():
             if nbr == trustee or nbr in visited:
                 continue
-            weight = env.edges[(node, nbr)].weight
             if weight < threshold or category not in env.agents[nbr].completed:
                 continue
-            if node != trustor and env.has_trusted_edge(trustor, nbr, threshold):
+            if node != trustor and out[trustor].get(nbr, -1.0) >= threshold:
                 continue
             walk(nbr, product * weight, visited | {nbr})
 
@@ -643,8 +644,7 @@ def test_trusted_neighbours_equal_a_filter_over_edges(log, category, thresholds)
                 and stats.weight >= threshold
                 and category in env.agents[dst].completed
             }
-            assert trusted_neighbours(env, agent, category, threshold) == expected
-            assert env.trusted_out(agent, category, threshold) == tuple(sorted(expected))
+            assert env.trusted_out(category, threshold)[agent] == tuple(sorted(expected))
 
 
 @given(logs(min_size=1, max_size=30), st.sampled_from([0.0, 0.05, 0.5]))
@@ -655,7 +655,7 @@ def test_probabilities_equal_the_formula_over_log_activity(log, rate):
     for category in ("c1", "c2", "c9"):
         counts, last, _ = oracle_category_activity(log, category, at)
         for agent in env.agents:
-            ordered = sorted(env.neighbours(agent))
+            ordered = list(env.out_weights[agent])
             if not ordered:
                 continue
             probs = propagation_probabilities(env, agent, ordered, category, rate)
@@ -668,7 +668,7 @@ def test_probabilities_equal_the_formula_over_log_activity(log, rate):
                 raw.append(volume * recency)
             total = sum(raw)
             for a, r in zip(ordered, raw):
-                assert probs[a].value == (r / total if total > 0 else 1.0 / len(ordered))
+                assert probs[a] == (r / total if total > 0 else 1.0 / len(ordered))
 
 
 # --- the table check -----------------------------------------------------------
@@ -791,7 +791,7 @@ def test_searches_on_one_snapshot_match_fresh_snapshots_across_configs():
         # Another rate between two searches switches the consultation cache back and forth.
         other_rate = settings_seq[step - 1][1]
         for agent in agents[:8]:
-            neighbours = shared.trusted_out(agent, "c1", threshold)
+            neighbours = shared.trusted_out("c1", threshold)[agent]
             if not neighbours:
                 continue
             fresh = build_environment(log, 100.0, 0.01, profiles)
@@ -810,15 +810,13 @@ def test_bad_threshold_or_rate_raises_when_the_caches_are_filled(bad):
     for value in (0.5, 0.01, 1):
         cfg = TrustConfig(trust_threshold=value, recency_rate=value)
         find_paths(env, log, agents[0], agents[-1], "c1", cfg)
-    neighbours = env.neighbours(agents[0])
+    neighbours = tuple(env.out_weights[agents[0]])
     # A duck-typed config reaches find_paths without TrustConfig's own checks.
     for field_name in ("trust_threshold", "recency_rate"):
         config = types.SimpleNamespace(**{**dataclasses.asdict(TrustConfig()), field_name: bad})
         with pytest.raises(ValueError, match="must be a finite number"):
             find_paths(env, log, agents[0], agents[-1], "c1", config)
     with pytest.raises(ValueError, match="must be a finite number"):
-        env.neighbour_maps("c1", bad)
-    with pytest.raises(ValueError, match="must be a finite number"):
-        env.trusted_out(agents[0], "c1", bad)
+        env.trusted_out("c1", bad)
     with pytest.raises(ValueError, match="must be a finite number"):
         propagation_probabilities(env, agents[0], neighbours, "c1", bad)

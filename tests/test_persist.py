@@ -334,8 +334,8 @@ def replace(name, values):
         (set_item("cat", 1, 7), "category index out of range"),
         (set_item("profile", 0, 9), "agent profile out of range"),
         (lambda d, a: d.update(agents=["B", "A", "C"]), "agent ids must be distinct"),
-        (replace("nodes", [2, 1]), "reputation nodes must be known agents in ascending order"),
-        (set_item("nodes", 1, 3), "reputation nodes must be known agents in ascending order"),
+        (replace("nodes", [2, 1]), "reputation nodes are not the environment's node set"),
+        (set_item("nodes", 1, 3), "reputation nodes are not the environment's node set"),
         (set_item("vector", 0, 1.5), "reputation vector outside"),
         (lambda d, a: d["reputation"].update(stop_reason="tired"), "reputation stop_reason"),
         (lambda d, a: a.pop("vector"), "array vector has no .npy header"),
@@ -385,6 +385,43 @@ def test_uncorrupted_rewrite_loads(tmp_path):
     path = tmp_path / "t.snap"
     save_snapshot(env, path, model)
     write_snapshot(path, *read_snapshot(path))
+    assert load_snapshot(path) == (env, model)
+
+
+# Edges B->A (0.9), A->B (0.8) and C->A (0.2): at the default threshold the
+# node set is A and B, not SMALL_WORLD's B and C, though C is an agent here.
+OTHER_WORLD = [rec("B", "A", 0.9), rec("A", "B", 0.8), rec("C", "A", 0.2)]
+
+
+def test_model_of_another_environment_is_refused_on_save(tmp_path):
+    stale = build_reputation(build_environment(SMALL_WORLD, 42.0), TrustConfig())
+    env = build_environment(OTHER_WORLD, 42.0)
+    assert stale.nodes == ["B", "C"] and list(env.agents) == ["A", "B", "C"]
+    path = tmp_path / "t.snap"
+    with pytest.raises(ValueError, match="not the environment's node set"):
+        save_snapshot(env, path, stale)
+    assert not path.exists()
+
+
+def test_model_of_another_environment_is_refused_on_load(tmp_path):
+    stale = build_reputation(build_environment(SMALL_WORLD, 42.0), TrustConfig())
+    env = build_environment(OTHER_WORLD, 42.0)
+    path = tmp_path / "t.snap"
+    save_snapshot(env, path, build_reputation(env, TrustConfig()))
+    document, arrays = read_snapshot(path)
+    # What a save without the check wrote for ``env`` with ``stale``.
+    arrays.update(nodes=np.array([env.index[a] for a in stale.nodes]), vector=stale.vector)
+    write_snapshot(path, document, arrays)
+    with pytest.raises(SnapshotError, match="not the environment's node set"):
+        load_snapshot(path)
+
+
+def test_model_is_checked_at_its_own_threshold(tmp_path):
+    env = build_environment(OTHER_WORLD, 42.0)
+    model = build_reputation(env, TrustConfig(trust_threshold=0.85))
+    assert model.nodes == ["A"] != build_reputation(env, TrustConfig()).nodes
+    path = tmp_path / "t.snap"
+    save_snapshot(env, path, model)
     assert load_snapshot(path) == (env, model)
 
 
