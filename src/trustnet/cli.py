@@ -229,7 +229,7 @@ def _cmd_oracle(args) -> int:
             range(args.seeds), config, max_agents=args.agents, max_categories=args.categories
         )
         payload["indirect"] = report
-        failed = failed or report["acyclic_mismatches"] > 0
+        failed = failed or report["mismatches"] > 0
     if args.suite in ("reputation", "all"):
         report = compare_reputation(range(args.rep_seeds), config, max_agents=args.rep_agents)
         payload["reputation"] = report

@@ -24,7 +24,7 @@ from .core import (
 )
 from .direct import direct_trust
 from .indirect import aggregate, find_paths, retained_paths
-from .reputation import ReputationModel, build_reputation, model_params, reputation_of
+from .reputation import ReputationModel, build_reputation, check_bound, model_params, reputation_of
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,8 @@ def evaluate(
     ``env`` must be the snapshot taken at ``eval_time`` (with the config's
     decay rate) and is the only input read: ``log`` is ignored.  Pass
     ``reputation_model`` to reuse one across evaluations of the same
-    snapshot; it must have been built with this config.
+    snapshot; it must have been built from ``env`` itself (or loaded with
+    it), and with this config, or the call raises ValueError.
     """
     if trustor not in env.agents:
         raise UnknownAgentError(trustor)
@@ -148,11 +149,13 @@ def evaluate(
             f"environment decay_rate {env.decay_rate!r} does not match "
             f"config decay_rate {config.decay_rate!r}"
         )
-    if reputation_model is not None and reputation_model.params != model_params(config):
-        raise ValueError(
-            f"reputation model parameters {reputation_model.params!r} do not match "
-            f"the config's {model_params(config)!r}"
-        )
+    if reputation_model is not None:
+        check_bound(reputation_model, env)
+        if reputation_model.params != model_params(config):
+            raise ValueError(
+                f"reputation model parameters {reputation_model.params!r} do not match "
+                f"the config's {model_params(config)!r}"
+            )
 
     profile = env.agents[trustee]
     if category not in profile.able:

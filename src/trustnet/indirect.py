@@ -70,13 +70,6 @@ class PropagationTable:
     reattachments: int = 0
     stop_reason: str = "exhausted"
 
-    def put_trustee_row(self, advisor: AgentId, rating: float, path: tuple[AgentId, ...]) -> None:
-        for row in self.trustee_rows:
-            if row.advisor == advisor:
-                row.path = path
-                return
-        self.trustee_rows.append(TrusteeRow(advisor=advisor, rating=rating, path=path))
-
     def check(self, env: Environment, trust_threshold: float) -> None:
         """Assert loop-freedom, threshold and product soundness of every path.
 
@@ -195,15 +188,17 @@ def propagation_probabilities(
     one (see :func:`_consultation`).  Activity counts and recency are read
     from ``env`` at its snapshot time, through
     :meth:`Environment.consultation_terms` (a rate that is not a finite
-    number raises ValueError).  The neighbour set must be non-empty;
-    callers are expected to pass neighbours that qualify under
-    :meth:`Environment.trusted_out`.
+    number raises ValueError).  The neighbour set must be non-empty and
+    repeat no agent (ValueError); callers are expected to pass neighbours
+    that qualify under :meth:`Environment.trusted_out`.
     """
     if agent not in env.agents:
         raise UnknownAgentError(agent)
     if not neighbours:
         raise ValueError("neighbour set must be non-empty")
-    ordered = sorted(neighbours)
+    ordered = sorted(set(neighbours))
+    if len(ordered) != len(neighbours):
+        raise ValueError("neighbour set repeats an agent")
     terms = env.consultation_terms(category, recency_rate)
     return dict(zip(ordered, _consultation(terms, ordered)))
 
@@ -314,6 +309,8 @@ def find_paths(
     excluded = {nbr for nbr, weight in out_of[trustor].items() if weight >= threshold}
     excluded.add(trustee)
     excluded_first = {trustee}
+    # advisor -> its row, in discovery order; a re-expansion replaces the path in place
+    found: dict[AgentId, TrusteeRow] = {}
     steps, seconds = config.search_steps, config.search_seconds
     expansions = 0
     frontier: set[AgentId] = {trustor}
@@ -345,7 +342,7 @@ def find_paths(
         if trustee in out:
             rating = env.advisor_rating(current, trustee, category)
             if rating is not None:
-                table.put_trustee_row(current, rating, path)
+                found[current] = TrusteeRow(advisor=current, rating=rating, path=path)
         nbrs = trusted_of[current]
         skip = excluded if current != trustor else excluded_first
         attach: list[AgentId] = []
@@ -366,8 +363,6 @@ def find_paths(
             node = prefix_of[current].branches.setdefault(current, _Prefix())
             for nbr, value in zip(attach, values):
                 p, t = cum_prob * value, cum_trust * out[nbr]
-                if not p < 1.0:
-                    p = 1.0
                 rows[nbr] = TableRow(agent=nbr, cum_prob=p, cum_trust=t, path=path)
                 node.agents.add(nbr)
                 prefix_of[nbr] = node
@@ -382,6 +377,7 @@ def find_paths(
             moved.clear()
 
     table.expansions = expansions
+    table.trustee_rows = list(found.values())
     table.check(env, threshold)
     return table
 

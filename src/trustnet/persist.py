@@ -28,7 +28,7 @@ from .core import (
     check_profile,
     check_snapshot_clock,
 )
-from .reputation import MODEL_PARAMS, STOP_REASONS, ReputationModel, node_indices
+from .reputation import MODEL_PARAMS, STOP_REASONS, ReputationModel, check_bound, node_indices
 
 SNAPSHOT_FORMAT = "trustnet-snapshot"
 SNAPSHOT_VERSION = 5
@@ -242,16 +242,16 @@ def save_snapshot(
     The body is one JSON line (header, agent ids, distinct profiles,
     categories and the model's scalars), padded so that the arrays start
     64-byte aligned, then the arrays of ``ENV_ARRAYS`` (and ``MODEL_ARRAYS``
-    with a model) as ``np.save`` writes them.  A model whose nodes are not
-    ``env``'s node set at the model's trust threshold raises ValueError.
+    with a model) as ``np.save`` writes them.  A model that was not built
+    from, or loaded with, ``env`` itself raises ValueError (see
+    :func:`check_bound`).
     """
     kinds: dict[tuple[frozenset, frozenset], int] = {}
     profile = [kinds.setdefault((p.completed, p.able), len(kinds)) for p in env.agents.values()]
     arrays = {"profile": profile, **{name: getattr(env, name) for name in ENV_ARRAYS[1:]}}
     if model is not None:
-        nodes = np.fromiter((env.index.get(a, -1) for a in model.nodes), np.int64, len(model.nodes))
-        if not _is_node_set(nodes, env, model.params):
-            raise ValueError(_STALE_MODEL)
+        check_bound(model, env)
+        nodes = node_indices(env, model.params["trust_threshold"])
         arrays.update(nodes=nodes, vector=model.vector)
     header = {"format": SNAPSHOT_FORMAT, "version": SNAPSHOT_VERSION}
     header.update(snapshot_time=env.snapshot_time, decay_rate=env.decay_rate)
@@ -291,14 +291,6 @@ def load_snapshot(path: Union[str, Path]) -> tuple[Environment, Optional[Reputat
         return _parse_body(body)
     except (KeyError, TypeError, AttributeError, ValueError, IndexError, OverflowError) as exc:
         raise SnapshotError(f"malformed snapshot: {type(exc).__name__}: {exc}") from None
-
-
-_STALE_MODEL = "reputation nodes are not the environment's node set at the model's trust threshold"
-
-
-def _is_node_set(nodes: np.ndarray, env: Environment, params: dict) -> bool:
-    """Whether agent indices ``nodes`` are ``env``'s reputation node set at ``params``."""
-    return np.array_equal(nodes, node_indices(env, params["trust_threshold"]))
 
 
 def _require(ok, problem: str) -> None:
@@ -427,10 +419,11 @@ def _parse_body(body: bytes) -> tuple[Environment, Optional[ReputationModel]]:
         _require(ok, f"reputation {name} {rep[name]!r} has the wrong type or value")
     TrustConfig(**rep["params"])  # the config rule; its errors become SnapshotError
     nodes, vector = arrays["nodes"], arrays["vector"]
-    _require(_is_node_set(nodes, env, rep["params"]), _STALE_MODEL)
+    _require(
+        np.array_equal(nodes, node_indices(env, rep["params"]["trust_threshold"])),
+        "reputation nodes are not the environment's node set at the model's trust threshold",
+    )
     _require(len(vector) == len(nodes), "reputation nodes and vector differ in length")
     _require(np.all((vector >= 0) & (vector <= 1)), "reputation vector outside [0, 1]")
-    model = ReputationModel(
-        nodes=env.id_array[nodes].tolist(), vector=vector, **{k: rep[k] for k in _MODEL_FIELDS}
-    )
-    return env, model
+    fields = {k: rep[k] for k in _MODEL_FIELDS}
+    return env, ReputationModel(env.id_array[nodes].tolist(), vector, **fields, env=env)

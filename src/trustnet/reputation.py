@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import bisect
 import time as _time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -65,7 +65,9 @@ class ReputationModel:
     ran out (an empty node set counts as converged).  ``converged`` and
     ``mean_reputation`` are derived from these.  ``matrix`` is the built
     model's input, kept for ``perfbench/scaling.py``; being derivable, it is
-    neither saved (a loaded model has None) nor compared.
+    neither saved (a loaded model has None) nor compared.  ``env`` is the
+    snapshot object the model was built from or loaded with, which
+    :func:`check_bound` holds it to; it is not saved, compared or shown.
     """
 
     nodes: list[AgentId]
@@ -74,6 +76,7 @@ class ReputationModel:
     params: dict
     stop_reason: str
     matrix: Optional[PropagationMatrix] = None
+    env: Optional[Environment] = field(default=None, repr=False)
 
     @property
     def converged(self) -> bool:
@@ -94,6 +97,12 @@ class ReputationModel:
             and self.params == other.params
             and self.stop_reason == other.stop_reason
         )
+
+
+def check_bound(model: ReputationModel, env: Environment) -> None:
+    """Raise ValueError unless ``model`` was built from, or loaded with, ``env`` itself."""
+    if model.env is not env:
+        raise ValueError("reputation model belongs to another snapshot")
 
 
 def node_indices(env: Environment, trust_threshold: float) -> np.ndarray:
@@ -203,6 +212,7 @@ def build_reputation(env: Environment, config: TrustConfig) -> ReputationModel:
             iterations_used=0,
             params=model_params(config),
             stop_reason="converged",
+            env=env,
         )
     matrix = propagation_matrix(env, nodes, config.trust_threshold)
     raw, iterations, converged = pagerank(
@@ -224,6 +234,7 @@ def build_reputation(env: Environment, config: TrustConfig) -> ReputationModel:
         params=model_params(config),
         stop_reason=stop_reason,
         matrix=matrix,
+        env=env,
     )
 
 

@@ -3,8 +3,10 @@ import json
 
 import pytest
 
+from trustnet import (
+    GenParams, Interaction, aggregate, build_environment, dump_log, dump_profiles, generate, oracles,
+)
 from trustnet.cli import main
-from trustnet import GenParams, Interaction, dump_log, dump_profiles, generate
 
 from helpers import read_snapshot, write_snapshot
 
@@ -259,8 +261,28 @@ def test_oracle_suite_reports_clean_comparison(capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    assert payload["indirect"]["acyclic_mismatches"] == 0
+    assert payload["indirect"]["mismatches"] == 0
     assert payload["reputation"]["mismatches"] == 0
+
+
+def test_oracle_suite_fails_on_a_cyclic_mismatch(capsys, monkeypatch):
+    # Seed 3 is cyclic and has an indirect value; shift the engine's value there.
+    profiles, log, *_ = oracles.indirect_instance(3)
+    assert not oracles.is_acyclic(build_environment(log, 100.0, 0.0, profiles))
+    calls = []
+
+    def shifted(table, path_threshold, path_decay):
+        calls.append(table.trustor)
+        value = aggregate(table, path_threshold, path_decay)
+        return value + 0.01 if len(calls) == 4 else value  # the fourth instance is seed 3
+
+    monkeypatch.setattr(oracles, "aggregate", shifted)
+    code, out, _ = run(capsys, ["oracle", "--suite", "indirect", "--seeds", "6"])
+    assert code == 2
+    report = json.loads(out)["indirect"]
+    assert report["mismatches"] == 1
+    assert [(d["seed"], d["acyclic"]) for d in report["deviations"]] == [(3, False)]
+    assert report["max_deviation"] == pytest.approx(0.01, abs=1e-12)
 
 
 def test_snapshot_with_a_stale_model_is_input_error(capsys, world):

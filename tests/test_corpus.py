@@ -1,9 +1,10 @@
 """The benchmark's golden corpus, re-checked in the test suite.
 
 ``perfbench/checks.py`` holds 200 recorded queries over the benchmark's three
-workload worlds; a sample of each workload's entries must still agree (report
-numbers within 1e-12, the ``find_paths`` table digest exactly).  The module
-is imported as it is, nothing under ``perfbench/`` is changed.
+workload worlds; every entry must still agree (report numbers within 1e-12,
+the ``find_paths`` table digest exactly), so an engine change that claims
+bit-identical output is held to all of them.  The module is imported as it
+is, nothing under ``perfbench/`` is changed.
 """
 
 import sys
@@ -18,5 +19,6 @@ from workloads import SPECS  # noqa: E402
 
 @pytest.mark.parametrize("workload", sorted(SPECS))
 def test_corpus_sample_agrees(workload):
-    problems = [(label, p) for label, p in checks.check_corpus(workload, 4, 2026) if p]
-    assert problems == []
+    results = checks.check_corpus(workload, None, 2026)
+    assert len(results) == SPECS[workload].corpus_size
+    assert [(label, p) for label, p in results if p] == []

@@ -20,6 +20,7 @@ from trustnet import (
     build_reputation,
     dump_log,
     dump_profiles,
+    evaluate,
     generate,
     load_config,
     load_snapshot,
@@ -398,9 +399,47 @@ def test_model_of_another_environment_is_refused_on_save(tmp_path):
     env = build_environment(OTHER_WORLD, 42.0)
     assert stale.nodes == ["B", "C"] and list(env.agents) == ["A", "B", "C"]
     path = tmp_path / "t.snap"
-    with pytest.raises(ValueError, match="not the environment's node set"):
+    with pytest.raises(ValueError, match="another snapshot"):
         save_snapshot(env, path, stale)
     assert not path.exists()
+
+
+# The same node set A, B, C from two logs: B->A in place of A->C.
+TWO_LOGS = (
+    [rec("A", "B", 0.9), rec("B", "C", 0.8), rec("C", "A", 0.7), rec("A", "C", 0.9)],
+    [rec("A", "B", 0.9), rec("B", "C", 0.8), rec("C", "A", 0.7), rec("B", "A", 0.9)],
+)
+
+
+def test_model_of_another_log_over_the_same_node_set_is_refused(tmp_path):
+    built, env = (build_environment(log, 10.0, 0.01) for log in TWO_LOGS)
+    stale, own = build_reputation(built, TrustConfig()), build_reputation(env, TrustConfig())
+    assert stale.nodes == own.nodes == ["A", "B", "C"]
+    assert np.allclose(stale.vector, [0.904, 0.639, 1.0], atol=1e-3)
+    assert np.allclose(own.vector, [0.989, 1.0, 0.573], atol=1e-3)
+    path = tmp_path / "t.snap"
+    with pytest.raises(ValueError, match="another snapshot"):
+        save_snapshot(env, path, stale)
+    assert not path.exists()
+    with pytest.raises(ValueError, match="another snapshot"):
+        evaluate(env, [], "A", "C", "c1", 10.0, TrustConfig(), stale)
+    evaluate(env, [], "A", "C", "c1", 10.0, TrustConfig(), own)
+
+
+def test_loaded_model_is_bound_to_the_loaded_snapshot(tmp_path):
+    env = build_environment(SMALL_WORLD, 42.0)
+    path = tmp_path / "t.snap"
+    save_snapshot(env, path, build_reputation(env, TrustConfig()))
+    loaded_env, loaded_model = load_snapshot(path)
+    assert loaded_env == env
+    config = TrustConfig(decay_rate=0.0)
+    evaluate(loaded_env, [], "A", "C", "c1", 42.0, config, loaded_model)
+    save_snapshot(loaded_env, path, loaded_model)
+    # An equal snapshot is still another object, so the test is one of identity.
+    with pytest.raises(ValueError, match="another snapshot"):
+        evaluate(env, [], "A", "C", "c1", 42.0, config, loaded_model)
+    with pytest.raises(ValueError, match="another snapshot"):
+        save_snapshot(env, path, loaded_model)
 
 
 def test_model_of_another_environment_is_refused_on_load(tmp_path):
