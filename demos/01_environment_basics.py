@@ -31,10 +31,13 @@ for (src, dst), stats in sorted(env.edges.items()):
     print(f"  {src} -> {dst}: weight={stats.weight:.3f} per-category={cats}")
 
 # the ana -> bo weight is the mean of the delivery and repair trusts;
-# env.out_weights maps each agent to its {out-neighbour: weight} dict
-print("ana->bo:", env.out_weights["ana"]["bo"])
-print("bo->ana:", env.out_weights["bo"].get("ana"))  # absent: None
+# env.edges maps each (src, dst) pair with an edge to its statistics, and
+# env.weight holds the same weights as one array in CSR edge order
+print("ana->bo:", env.edges[("ana", "bo")].weight)
+print("bo->ana:", env.edges.get(("bo", "ana")))  # absent: None
+print("weights by edge:", env.weight.round(3).tolist())
 
 # completion history accumulates on the trustee side only
 print("bo completed:", sorted(env.agents["bo"].completed))
-print("dee able:", sorted(env.agents["dee"].able), "edges:", list(env.out_weights["dee"]))
+dee_edges = [dst for src, dst in env.edges if src == "dee"]
+print("dee able:", sorted(env.agents["dee"].able), "edges:", dee_edges)

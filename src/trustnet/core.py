@@ -204,24 +204,9 @@ class CategoryActivity:
 
 _NO_ACTIVITY = CategoryActivity(counts={}, last={}, dt_min=1.0)
 
-
-class _Filled(dict):
-    """A dict that makes a missing key's value with ``make(key)`` and keeps it.
-
-    Index it: ``get`` and ``in`` see only the keys made so far.  ``make``
-    holds the arrays it reads, never the environment, so that a dropped
-    snapshot is freed at once.
-    """
-
-    __slots__ = ("_make",)
-
-    def __init__(self, make):
-        super().__init__()
-        self._make = make
-
-    def __missing__(self, key):
-        value = self[key] = self._make(key)
-        return value
+# A CSR over agent indices as plain lists: agent ``i``'s edges are
+# positions ``ptr[i]:ptr[i+1]`` of ``dst`` (ascending) and ``weight``.
+TrustedEdges = tuple[list[int], list[int], list[float]]
 
 
 class EdgeView(MappingABC):
@@ -273,20 +258,18 @@ class Environment:
     ``cat`` indexes ``categories`` (ascending within an edge).  ``weight``
     (the one weight rule: the unweighted mean of an edge's
     ``decayed_trust`` rows), ``src`` and the ``edges`` view are derived.
-    All arrays are read-only.  Four caches are filled on first use: the
-    ``out_weights`` map, which makes an agent's ``{out-neighbour: edge
-    weight}`` dict (ascending ids) from its CSR slice when it is first
-    indexed and raises UnknownAgentError for an unknown agent (callers
-    must not modify it), the per-category ``activity`` (counts and latest
-    times), the :meth:`trusted_out` maps, one per category for the latest
-    threshold asked, and per category for the latest recency rate asked
-    each active agent's ``consultation_terms``.  So the path
-    search derives no per-agent fact twice from one snapshot: it checks
-    its threshold and rate once per search, indexes the two neighbour
-    maps once per expansion, and takes every consultation term's log and
-    exp from the cache.  Concurrent readers are safe (a cache filled on
-    first use holds the same value whichever reader fills it).
-    ``decay_rate`` records the discount rate the snapshot was built with.
+    All arrays are read-only.  Three caches are filled on first use: the
+    per-category ``activity`` (counts and latest times), and per category,
+    for the latest threshold or recency rate asked, the
+    :meth:`trusted_edges` CSR and the :meth:`consultation_terms` list.  So
+    the path search derives no per-agent fact twice from one snapshot: it
+    checks its threshold and rate once per search, reads each expanded
+    agent's qualifying neighbours as one slice of plain lists, and takes
+    every consultation term's log and exp from the cache.  The caches hold
+    lists, never the snapshot itself.  Concurrent readers are safe (a
+    cache filled on first use holds the same value whichever reader fills
+    it).  ``decay_rate`` records the discount rate the snapshot was built
+    with.
     """
 
     agents: dict[AgentId, AgentProfile]
@@ -306,14 +289,13 @@ class Environment:
     id_array: np.ndarray = field(init=False, repr=False)
     src: np.ndarray = field(init=False, repr=False)
     weight: np.ndarray = field(init=False, repr=False)
-    out_weights: Mapping[AgentId, dict[AgentId, float]] = field(init=False, repr=False)
     _activity: Optional[dict[TaskCategory, CategoryActivity]] = field(
         default=None, init=False, repr=False
     )
-    _trusted: dict[TaskCategory, tuple[float, Mapping[AgentId, tuple[AgentId, ...]]]] = field(
+    _trusted: dict[TaskCategory, tuple[float, TrustedEdges]] = field(
         default_factory=dict, init=False, repr=False
     )
-    _terms: dict[TaskCategory, tuple[float, dict[AgentId, tuple[int, float, float]]]] = field(
+    _terms: dict[TaskCategory, tuple[float, list[tuple[int, float, float]]]] = field(
         default_factory=dict, init=False, repr=False
     )
 
@@ -331,23 +313,13 @@ class Environment:
         per_edge = np.diff(self.cat_ptr)
         row_edge = np.repeat(np.arange(len(self.dst)), per_edge)
         # bincount adds in row order, i.e. in category id order within an edge.
-        weight = self.weight = (
+        self.weight = (
             np.bincount(row_edge, weights=self.decayed_trust, minlength=len(self.dst)) / per_edge
         )
         for array in (self.id_array, self.src, self.weight) + tuple(
             getattr(self, name) for name in self.ARRAYS
         ):
             array.flags.writeable = False
-        index, indptr, dst, ids = self.index, self.indptr, self.dst, self.id_array
-
-        def out_weights(agent: AgentId) -> dict[AgentId, float]:
-            i = index.get(agent)
-            if i is None:
-                raise UnknownAgentError(agent)
-            lo, hi = indptr[i], indptr[i + 1]
-            return dict(zip(ids[dst[lo:hi]].tolist(), weight[lo:hi].tolist()))
-
-        self.out_weights = _Filled(out_weights)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Environment):
@@ -394,66 +366,57 @@ class Environment:
             self._activity = activity
         return self._activity.get(category, _NO_ACTIVITY)
 
-    def trusted_out(
-        self, category: TaskCategory, threshold: float
-    ) -> Mapping[AgentId, tuple[AgentId, ...]]:
-        """Each agent's out-neighbours trusted at ``threshold`` with history in ``category``.
+    def trusted_edges(self, category: TaskCategory, threshold: float) -> TrustedEdges:
+        """The edges trusted at ``threshold`` into agents with history in ``category``.
 
-        Indexed by agent: in ascending id order, the neighbours whose edge
-        weight in ``out_weights`` is at least ``threshold`` and whose
-        ``completed`` holds ``category``; an unknown agent raises
-        UnknownAgentError.  An agent's tuple is made when first indexed,
-        and the map is cached per category for the latest threshold asked,
-        so the cache holds at most one tuple per (category, agent).  A
-        threshold that is not a finite number by :func:`finite_float`'s
-        rule raises ValueError, whatever the cache holds.  Callers must not
-        modify the map.
+        ``(ptr, dst, weight)``: the CSR of the edges whose weight is at
+        least ``threshold`` and whose target's ``completed`` holds
+        ``category``, as plain lists over agent indices.  Cached per
+        category for the latest threshold asked.  A threshold that is not a
+        finite number by :func:`finite_float`'s rule raises ValueError,
+        whatever the cache holds.  Callers must not modify the lists.
         """
         number = finite_float(threshold)
         if number is None:
             raise ValueError(f"threshold {threshold!r} must be a finite number")
         held = self._trusted.get(category)
         if held is None or held[0] != number:
-            out, agents = self.out_weights, self.agents
+            completed = np.fromiter(
+                (category in p.completed for p in self.agents.values()), bool, len(self.agents)
+            )
+            kept = np.flatnonzero((self.weight >= number) & completed[self.dst])
             held = self._trusted[category] = (
                 number,
-                _Filled(
-                    lambda agent: tuple(
-                        nbr
-                        for nbr, weight in out[agent].items()
-                        if weight >= number and category in agents[nbr].completed
-                    )
+                (
+                    np.searchsorted(kept, self.indptr).tolist(),
+                    self.dst[kept].tolist(),
+                    self.weight[kept].tolist(),
                 ),
             )
         return held[1]
 
     def consultation_terms(
         self, category: TaskCategory, recency_rate: float
-    ) -> Mapping[AgentId, tuple[int, float, float]]:
-        """Each active agent's ``(n, log(1 + n), exp(-recency_rate * (now - last)))``.
+    ) -> list[tuple[int, float, float]]:
+        """Each agent's ``(n, log(1 + n), exp(-recency_rate * (now - last)))``, by index.
 
         ``n`` and ``last`` are the agent's count and latest time on
         ``category`` in :meth:`activity`, and ``now`` is the snapshot time;
-        an agent with no activity on the category is absent.  Made for
-        every active agent on first use and cached per category for the
-        latest rate asked.  A rate that is not a finite number by
-        :func:`finite_float`'s rule raises ValueError, whatever the cache
-        holds.  Callers must not modify the map.
+        an agent with no activity on the category has ``(0, 0.0, 0.0)``.
+        Cached per category for the latest rate asked.  A rate that is not
+        a finite number by :func:`finite_float`'s rule raises ValueError,
+        whatever the cache holds.  Callers must not modify the list.
         """
         rate = finite_float(recency_rate)
         if rate is None:
             raise ValueError(f"recency rate {recency_rate!r} must be a finite number")
         held = self._terms.get(category)
         if held is None or held[0] != rate:
-            activity, now = self.activity(category), self.snapshot_time
-            last = activity.last
-            held = self._terms[category] = (
-                rate,
-                {
-                    a: (n, math.log(1 + n), math.exp(-rate * (now - last[a])))
-                    for a, n in activity.counts.items()
-                },
-            )
+            activity, now, index = self.activity(category), self.snapshot_time, self.index
+            terms = [(0, 0.0, 0.0)] * len(index)
+            for a, n in activity.counts.items():
+                terms[index[a]] = (n, math.log(1 + n), math.exp(-rate * (now - activity.last[a])))
+            held = self._terms[category] = (rate, terms)
         return held[1]
 
     def advisor_rating(

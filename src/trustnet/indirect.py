@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import heapq
 import time as _time
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import (
     AgentId,
@@ -71,58 +72,79 @@ class PropagationTable:
     stop_reason: str = "exhausted"
 
     def check(self, env: Environment, trust_threshold: float) -> None:
-        """Assert loop-freedom, threshold and product soundness of every path.
+        """Assert rooting, loop-freedom, threshold and product soundness of every path.
 
-        Every row's chain (its path, then its agent) repeats no agent, its
-        path does not hold the trustee, each hop is an edge weighted at
-        least ``trust_threshold``, and the product of the hop weights, taken
+        The trustor's row has the empty path and every other path starts at
+        the trustor.  Every row's chain (its path, then its agent) repeats
+        no agent, its path does not hold the trustee, each hop is an edge of
+        :meth:`Environment.trusted_edges` at ``trust_threshold`` on the
+        table's category (weighted at least the threshold, into an agent with
+        history in the category), and the product of the hop weights, taken
         from the trustor on, is within 1e-12 of ``cum_trust``; ``cum_prob``
         and ``cum_trust`` lie in [0, 1], and every trustee row's advisor has
-        a row.  Rows attached in one expansion share one ``path`` tuple, so
-        each distinct tuple is walked once (its agents, its hops and their
-        product); each row then adds only its last hop.  Raises
+        a row.  Each distinct path is walked once, one hop past its longest
+        walked prefix; each row then adds only its last hop.  Raises
         InvariantError naming the first row that breaks a rule.
         """
-        walked: dict[int, tuple[set[AgentId], float, Mapping[AgentId, float]]] = {}
+        ptr, dst, weight = env.trusted_edges(self.category, trust_threshold)
+        index, trustor, trustee = env.index, self.trustor, self.trustee
+
+        def hop(lo: int, hi: int, a: AgentId, b: AgentId) -> float:
+            """The weight of ``a -> b``, whose edges are ``lo:hi``; raise when it is untrusted."""
+            j = index.get(b)
+            k = hi if j is None else bisect_left(dst, j, lo, hi)
+            if k == hi or dst[k] != j:
+                raise InvariantError(f"untrusted hop {a!r}->{b!r} on stored path")
+            return weight[k]
+
+        # path -> (its hop product, the edge span of its last agent)
+        walked = {(): (1.0, 0, 0)}
+
+        def walk(path: tuple[AgentId, ...], agent: AgentId) -> tuple[float, int, int]:
+            """Walk ``path`` on from its longest walked prefix, adding each prefix to ``walked``."""
+            n = len(path) - 1
+            while (seen := walked.get(path[:n])) is None:
+                n -= 1
+            product, lo, hi = seen
+            for end in range(n + 1, len(path) + 1):
+                b = path[end - 1]
+                if path.index(b) < end - 1:
+                    raise InvariantError(f"repeated agent on path of {agent!r}: {path + (agent,)}")
+                if b == trustee:
+                    raise InvariantError(f"trustee inside path of {agent!r}")
+                if end > 1:
+                    product *= hop(lo, hi, path[end - 2], b)
+                elif b != trustor:
+                    raise InvariantError(f"path of {agent!r} does not start at the trustor")
+                i = index.get(b)
+                lo, hi = (0, 0) if i is None else (ptr[i], ptr[i + 1])
+                walked[path[:end]] = seen = (product, lo, hi)
+            return seen
+
+        root = self.rows.get(trustor)
+        if root is None or root.path != ():
+            raise InvariantError(f"trustor {trustor!r} has no row with the empty path")
         for row in self.rows.values():
-            path = row.path
-            seen = walked.get(id(path))
-            if seen is None:
-                seen = walked[id(path)] = self._walk(env, trust_threshold, row)
-            members, product, last_out = seen
-            agent = row.agent
-            if agent in members:
+            agent, path = row.agent, row.path
+            product, lo, hi = walked.get(path) or walk(path, agent)
+            if agent in path:
                 raise InvariantError(f"repeated agent on path of {agent!r}: {path + (agent,)}")
             if not (0.0 <= row.cum_prob <= 1.0) or not (0.0 <= row.cum_trust <= 1.0):
                 raise InvariantError(f"cumulative values out of range for {agent!r}")
             if path:
-                weight = last_out.get(agent)
-                if weight is None or weight < trust_threshold:
+                # hop(lo, hi, path[-1], agent), inlined: this runs once per row
+                j = index.get(agent)
+                k = hi if j is None else bisect_left(dst, j, lo, hi)
+                if k == hi or dst[k] != j:
                     raise InvariantError(f"untrusted hop {path[-1]!r}->{agent!r} on stored path")
-                product *= weight
+                product *= weight[k]
+            elif agent != trustor:
+                raise InvariantError(f"path of {agent!r} does not start at the trustor")
             if abs(product - row.cum_trust) > 1e-12:
                 raise InvariantError(f"cum_trust of {agent!r} diverges from its path product")
         for trow in self.trustee_rows:
             if trow.advisor not in self.rows:
                 raise InvariantError(f"advisor {trow.advisor!r} has no table row")
-
-    def _walk(
-        self, env: Environment, trust_threshold: float, row: TableRow
-    ) -> tuple[set[AgentId], float, Mapping[AgentId, float]]:
-        """Check ``row.path`` alone; return its agents, hop product and last out-weights."""
-        path = row.path
-        members = set(path)
-        if len(members) != len(path):
-            raise InvariantError(f"repeated agent on path of {row.agent!r}: {path + (row.agent,)}")
-        if self.trustee in members:
-            raise InvariantError(f"trustee inside path of {row.agent!r}")
-        product = 1.0
-        for a, b in zip(path, path[1:]):
-            weight = env.out_weights[a].get(b)
-            if weight is None or weight < trust_threshold:
-                raise InvariantError(f"untrusted hop {a!r}->{b!r} on stored path")
-            product *= weight
-        return members, product, env.out_weights[path[-1]] if path else {}
 
     def to_dict(self) -> dict:
         """Stable-field-order dump used by the CLI ``paths`` command."""
@@ -147,23 +169,20 @@ class PropagationTable:
         }
 
 
-_INACTIVE = (0, 0.0, 0.0)  # the terms of an agent with no activity: its raw term is 0
-
-
 def _consultation(
-    terms: Mapping[AgentId, tuple[int, float, float]], ordered: Sequence[AgentId]
+    terms: Sequence[tuple[int, float, float]], ordered: Sequence[int]
 ) -> list[float]:
-    """Consultation probabilities of ``ordered`` (ascending ids, non-empty), in that order.
+    """Consultation probabilities of ``ordered`` (ascending indices, non-empty), in that order.
 
     Each neighbour's raw term is log(1 + n) / log(1 + max n) times
     exp(-recency_rate * (now - its last time)); the terms are normalized by
     their sum, or made uniform when they sum to 0.  ``terms`` is
-    :meth:`Environment.consultation_terms`, which holds each active agent's
+    :meth:`Environment.consultation_terms`, which holds each agent's
     count, log and exp, so a call does no log or exp of its own: the
     largest count's cached log is log(1 + max n), and each raw term is the
     same float operations in the same order as the formula.
     """
-    found = [terms.get(a, _INACTIVE) for a in ordered]
+    found = [terms[i] for i in ordered]
     top_count, top, _ = max(found)
     if top_count > 0:
         raw = [volume / top * recency for _, volume, recency in found]
@@ -188,40 +207,41 @@ def propagation_probabilities(
     one (see :func:`_consultation`).  Activity counts and recency are read
     from ``env`` at its snapshot time, through
     :meth:`Environment.consultation_terms` (a rate that is not a finite
-    number raises ValueError).  The neighbour set must be non-empty and
-    repeat no agent (ValueError); callers are expected to pass neighbours
-    that qualify under :meth:`Environment.trusted_out`.
+    number raises ValueError).  The agent and every neighbour must be
+    agents of ``env`` (UnknownAgentError); the neighbour set must be
+    non-empty and repeat no agent (ValueError).  Callers are expected to
+    pass neighbours that qualify under :meth:`Environment.trusted_edges`.
     """
-    if agent not in env.agents:
-        raise UnknownAgentError(agent)
+    index = env.index
+    for a in (agent, *neighbours):
+        if a not in index:
+            raise UnknownAgentError(a)
     if not neighbours:
         raise ValueError("neighbour set must be non-empty")
     ordered = sorted(set(neighbours))
     if len(ordered) != len(neighbours):
         raise ValueError("neighbour set repeats an agent")
     terms = env.consultation_terms(category, recency_rate)
-    return dict(zip(ordered, _consultation(terms, ordered)))
+    return dict(zip(ordered, _consultation(terms, [index[a] for a in ordered])))
 
 
 @dataclass(slots=True)
 class _Prefix:
     """One node of the index over stored paths, keyed by the path it stands for.
 
-    ``agents`` are the reached agents whose stored path is exactly this one;
-    ``branches`` maps each next hop ever stored under it to the longer path's
-    node.  Stored paths are not rewritten when an ancestor is re-attached, so
-    the index follows them, stale chains included.
+    ``agents`` are the reached agents (by index) whose stored path is
+    exactly this one; ``branches`` maps each next hop ever stored under it
+    to the longer path's node.  Stored paths are not rewritten when an
+    ancestor is re-attached, so the index follows them, stale chains
+    included.
     """
 
-    agents: set[AgentId] = field(default_factory=set)
-    branches: dict[AgentId, "_Prefix"] = field(default_factory=dict)
+    agents: set[int] = field(default_factory=set)
+    branches: dict[int, "_Prefix"] = field(default_factory=dict)
 
 
 def _detach(
-    table: PropagationTable,
-    agent: AgentId,
-    prefix_of: dict[AgentId, _Prefix],
-    moved: set[AgentId],
+    rows: dict[int, TableRow], agent: int, prefix_of: dict[int, _Prefix], moved: set[int]
 ) -> None:
     """Remove a row and rescale the probabilities of its old sibling subtrees.
 
@@ -229,8 +249,6 @@ def _detach(
     pass through the removed agent is rescaled (capped at 1) and its agent
     added to ``moved``; the removed agent leaves ``moved``, as it has no row.
     """
-    table.reattachments += 1
-    rows = table.rows
     old = rows.pop(agent)
     moved.discard(agent)
     node = prefix_of.pop(agent)
@@ -267,10 +285,9 @@ def find_paths(
     (ties go to the lexicographically smallest agent id), taken from a heap
     whose stale entries are skipped.  Expanding an agent considers the
     trustee, which yields a path record when the agent has rated it on the
-    category, and the agent's qualifying neighbours
-    (:meth:`Environment.trusted_out`, cached on the snapshot): an unvisited
-    one is attached as a child; a visited one is re-attached when the new
-    chain carries strictly more trust and introduces no loop.  A hop into an
+    category, and the agent's qualifying neighbours: an unvisited one is
+    attached as a child; a visited one is re-attached when the new chain
+    carries strictly more trust and introduces no loop.  A hop into an
     agent the trustor trusts directly is skipped unless it is the trustor's
     own expansion.  Re-attaching rescales the rows of the old sibling
     subtrees; each rescaled frontier row is pushed once per expansion, with
@@ -279,18 +296,21 @@ def find_paths(
     frontier empties or the step / wall-clock budget runs out, and records
     which in ``stop_reason``.
 
-    Nothing per-snapshot is derived again per expansion: the threshold and
-    the recency rate are checked once per search (a bad one raises
-    ValueError), each expansion indexes the agent's out-weights and
-    qualifying neighbours in the self-filling maps
-    :attr:`Environment.out_weights` and :meth:`Environment.trusted_out`, and
-    the consultation probabilities come from
-    :meth:`Environment.consultation_terms`.  The finished table
+    The search runs on agent indices, whose order is id order, so every
+    tie breaks as it would on ids; only the rows it makes hold string ids
+    and paths, each path tuple made once per expansion.  Nothing
+    per-snapshot is derived again per expansion: the threshold and the
+    recency rate are checked once per search (a bad one raises
+    ValueError), the qualifying neighbours of an agent are one slice of
+    :meth:`Environment.trusted_edges`, the consultation probabilities come
+    from :meth:`Environment.consultation_terms`, and the agents that rated
+    the trustee come from one scan of its in-edges.  The finished table
     goes through :meth:`PropagationTable.check`.
     """
-    if trustor not in env.agents:
+    index = env.index
+    if trustor not in index:
         raise UnknownAgentError(trustor)
-    if trustee not in env.agents:
+    if trustee not in index:
         raise UnknownAgentError(trustee)
     if trustor == trustee:
         raise ValueError("trustor and trustee must differ")
@@ -298,25 +318,26 @@ def find_paths(
     table = PropagationTable(
         trustor=trustor, trustee=trustee, category=category, eval_time=env.snapshot_time
     )
-    rows = table.rows
-    rows[trustor] = TableRow(agent=trustor, cum_prob=1.0, cum_trust=1.0, path=())
-    prefix_of = {trustor: _Prefix(agents={trustor})}
     threshold = config.trust_threshold
-    out_of, trusted_of = env.out_weights, env.trusted_out(category, threshold)
+    ptr, dst, weight = env.trusted_edges(category, threshold)
     terms = env.consultation_terms(category, config.recency_rate)
+    ids = env.id_array.tolist()
+    root, target = index[trustor], index[trustee]
+    rated = set(env.src[env.dst == target].tolist())
+    rows = {root: TableRow(agent=trustor, cum_prob=1.0, cum_trust=1.0, path=())}
+    prefix_of = {root: _Prefix(agents={root})}
     # Never attached: the trustee, and past the trustor's own expansion
     # every agent the trustor trusts directly.
-    excluded = {nbr for nbr, weight in out_of[trustor].items() if weight >= threshold}
-    excluded.add(trustee)
-    excluded_first = {trustee}
+    excluded_first = {target}
+    excluded = excluded_first.union(dst[ptr[root] : ptr[root + 1]])
     # advisor -> its row, in discovery order; a re-expansion replaces the path in place
-    found: dict[AgentId, TrusteeRow] = {}
+    found: dict[int, TrusteeRow] = {}
     steps, seconds = config.search_steps, config.search_seconds
-    expansions = 0
-    frontier: set[AgentId] = {trustor}
-    heap: list[tuple[float, AgentId]] = [(-1.0, trustor)]
+    expansions = reattachments = 0
+    frontier = {root}
+    heap = [(-1.0, root)]
     heappush, heappop = heapq.heappush, heapq.heappop
-    moved: set[AgentId] = set()
+    moved: set[int] = set()
     started = _time.monotonic()
 
     while frontier:
@@ -336,34 +357,38 @@ def find_paths(
                     break
         frontier.discard(current)
         expansions += 1
-        path, cum_trust = row.path + (current,), row.cum_trust
+        name = row.agent
+        path, cum_trust = row.path + (name,), row.cum_trust
 
-        out = out_of[current]
-        if trustee in out:
-            rating = env.advisor_rating(current, trustee, category)
+        if current in rated:
+            rating = env.advisor_rating(name, trustee, category)
             if rating is not None:
-                found[current] = TrusteeRow(advisor=current, rating=rating, path=path)
-        nbrs = trusted_of[current]
-        skip = excluded if current != trustor else excluded_first
-        attach: list[AgentId] = []
-        for nbr in nbrs:
+                found[current] = TrusteeRow(advisor=name, rating=rating, path=path)
+        skip = excluded if current != root else excluded_first
+        attach: list[int] = []
+        hop_trust: list[float] = []
+        for k in range(ptr[current], ptr[current + 1]):
+            nbr = dst[k]
             if nbr in skip:
                 continue
-            existing = rows.get(nbr)
+            existing, t = rows.get(nbr), cum_trust * weight[k]
             if existing is None:
                 attach.append(nbr)
-            elif existing.cum_trust < cum_trust * out[nbr] and nbr not in path:
-                _detach(table, nbr, prefix_of, moved)
+                hop_trust.append(t)
+            elif existing.cum_trust < t and existing.agent not in path:
+                reattachments += 1
+                _detach(rows, nbr, prefix_of, moved)
                 attach.append(nbr)
+                hop_trust.append(t)
 
         if attach:
             # Read after the re-attachments, which may have rescaled this row.
             cum_prob = row.cum_prob
             values = _consultation(terms, attach)
             node = prefix_of[current].branches.setdefault(current, _Prefix())
-            for nbr, value in zip(attach, values):
-                p, t = cum_prob * value, cum_trust * out[nbr]
-                rows[nbr] = TableRow(agent=nbr, cum_prob=p, cum_trust=t, path=path)
+            for nbr, value, t in zip(attach, values, hop_trust):
+                p = cum_prob * value
+                rows[nbr] = TableRow(ids[nbr], p, t, path)
                 node.agents.add(nbr)
                 prefix_of[nbr] = node
                 frontier.add(nbr)
@@ -376,8 +401,9 @@ def find_paths(
                     heappush(heap, (-(moved_row.cum_prob * moved_row.cum_trust), other))
             moved.clear()
 
-    table.expansions = expansions
+    table.rows = {row.agent: row for row in rows.values()}
     table.trustee_rows = list(found.values())
+    table.expansions, table.reattachments = expansions, reattachments
     table.check(env, threshold)
     return table
 

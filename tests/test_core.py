@@ -13,7 +13,6 @@ from trustnet import (
     InvalidProfileError,
     InvalidRecordError,
     TrustConfig,
-    UnknownAgentError,
     build_environment,
 )
 
@@ -30,14 +29,14 @@ def test_empty_log_yields_no_edges():
 
 def test_single_interaction_edge():
     env = build_environment([rec("A", "B", 0.6, "c1", 5.0)], 10.0, 0.0)
-    assert env.out_weights["A"]["B"] == 0.6
+    assert env.edges[("A", "B")].weight == 0.6
     assert env.edges[("A", "B")].per_category["c1"].count == 1
 
 
 def test_snapshot_time_filter_is_strict():
     log = [rec("A", "B", 1.0, "c1", 0.0), rec("A", "B", 0.0, "c1", 10.0)]
     env = build_environment(log, 10.0, 0.0)
-    assert env.out_weights["A"]["B"] == 1.0
+    assert env.edges[("A", "B")].weight == 1.0
     assert env.edges[("A", "B")].per_category["c1"].count == 1
 
 
@@ -46,15 +45,16 @@ def test_edge_weight_is_mean_over_categories():
     env = build_environment(log, 10.0, 0.0)
     # independent recomputation from the log: one rating per category
     expected = (0.4 + 0.8) / 2
-    assert env.out_weights["A"]["B"] == pytest.approx(expected, abs=1e-15)
-    assert env.edges[("A", "B")].weight == env.out_weights["A"]["B"]
+    assert env.edges[("A", "B")].weight == pytest.approx(expected, abs=1e-15)
+    assert env.edges[("A", "B")].weight == env.weight[env.indptr[env.index["A"]]]
 
 
 def test_edge_weight_absent_and_unknown():
     env = build_environment([rec("A", "B", 0.5)], 10.0)
-    assert "A" not in env.out_weights["B"]
-    with pytest.raises(UnknownAgentError):
-        env.out_weights["Z"]
+    assert ("B", "A") not in env.edges
+    assert ("Z", "A") not in env.edges
+    with pytest.raises(KeyError):
+        env.edges[("Z", "A")]
 
 
 def test_invalid_rating_rejected_with_index():
@@ -76,7 +76,7 @@ def test_declared_newcomer_appears_without_edges():
     env = build_environment([rec("A", "B", 0.5)], 10.0, profiles=[profile])
     assert "N" in env.agents
     assert env.agents["N"].able == {"c1"}
-    assert env.out_weights["N"] == {}
+    assert [pair for pair in env.edges if "N" in pair] == []
 
 
 def test_trustee_interactions_extend_completed_set():
@@ -97,7 +97,7 @@ def test_decayed_edge_weight_matches_formula():
     log = [rec("A", "B", 1.0, "c1", 0.0), rec("A", "B", 0.0, "c1", 9.0)]
     env = build_environment(log, 10.0, 0.1)
     w1, w2 = math.exp(-0.1 * 10.0), math.exp(-0.1 * 1.0)
-    assert env.out_weights["A"]["B"] == pytest.approx(w1 / (w1 + w2), abs=1e-15)
+    assert env.edges[("A", "B")].weight == pytest.approx(w1 / (w1 + w2), abs=1e-15)
 
 
 @given(logs(max_size=25), st.permutations(range(25)))
@@ -339,8 +339,9 @@ def test_profile_declaring_an_id_again_is_rejected():
 def test_dropped_snapshot_is_freed_without_the_cycle_collector():
     env = build_environment([rec("A", "B", 0.5, "c1", 1), rec("B", "C", 0.9, "c1", 2)], 10, 0.1)
     assert env.edges[("A", "B")].weight == 0.5
-    env.trusted_out("c1", 0.5)["A"]
+    env.trusted_edges("c1", 0.5)
     env.consultation_terms("c1", 0.01)
+    assert env._trusted and env._terms
     ref = weakref.ref(env)
     gc.disable()
     try:

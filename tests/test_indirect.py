@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trustnet import (
+    AgentProfile,
     GenParams,
     InvariantError,
     PropagationTable,
@@ -45,51 +46,66 @@ def env_of(log, profiles=(), at=10.0, decay=0.0):
 
 # --- trusted neighbours -------------------------------------------------
 
+def trusted(env, category, threshold, agent):
+    """``agent``'s out-neighbours in ``env.trusted_edges(category, threshold)``, as ids."""
+    ptr, dst, _ = env.trusted_edges(category, threshold)
+    i = env.index[agent]
+    return tuple(env.id_array[dst[ptr[i] : ptr[i + 1]]].tolist())
+
+
 def test_no_out_edges_means_no_neighbours():
     env = env_of([rec("A", "B", 0.9)])
-    assert env.trusted_out("c1", 0.5)["B"] == ()
+    assert trusted(env, "c1", 0.5, "B") == ()
 
 
 def test_threshold_filters_neighbours():
     env = env_of([rec("A", "B", 0.9), rec("A", "C", 0.3), rec("X", "C", 0.9)])
-    assert env.trusted_out("c1", 0.5)["A"] == ("B",)
+    assert trusted(env, "c1", 0.5, "A") == ("B",)
 
 
 def test_category_history_required():
     env = env_of([rec("A", "D", 0.9, "c2", 1.0)])
-    assert env.trusted_out("c1", 0.5)["A"] == ()
-    assert env.trusted_out("c2", 0.5)["A"] == ("D",)
+    assert trusted(env, "c1", 0.5, "A") == ()
+    assert trusted(env, "c2", 0.5, "A") == ("D",)
+
+
+def test_trusted_edges_are_plain_lists_over_agent_indices():
+    env = env_of([rec("A", "B", 0.9), rec("A", "C", 0.3), rec("X", "C", 0.9), rec("B", "A", 0.6)])
+    # Agents A, B, C, X; C is trusted by X only, and A has history in c1.
+    assert env.trusted_edges("c1", 0.5) == ([0, 1, 2, 2, 3], [1, 0, 2], [0.9, 0.6, 0.9])
+    for column in env.trusted_edges("c1", 0.5):
+        assert all(type(x) in (int, float) for x in column)
 
 
 def test_unknown_agent_rejected():
     env = env_of([rec("A", "B", 0.9)])
     with pytest.raises(UnknownAgentError):
-        env.trusted_out("c1", 0.5)["Z"]
+        propagation_probabilities(env, "Z", ["B"], "c1", 0.01)
 
 
 @pytest.mark.parametrize("threshold", [math.nan, math.inf, "0.5", None])
 def test_threshold_that_is_not_a_finite_number_rejected(threshold):
     env = env_of([rec("A", "B", 0.9)])
     with pytest.raises(ValueError, match="must be a finite number"):
-        env.trusted_out("c1", threshold)
+        env.trusted_edges("c1", threshold)
     assert not env._trusted
 
 
 def test_threshold_rule_does_not_depend_on_the_cache():
     env = env_of([rec("A", "B", 0.9), rec("A", "C", 0.3)])
-    assert env.trusted_out("c1", 1)["A"] == ()
+    assert trusted(env, "c1", 1, "A") == ()
     # True == 1 and hashes alike, but is not a number by the input rule.
     with pytest.raises(ValueError, match="must be a finite number"):
-        env.trusted_out("c1", True)
+        env.trusted_edges("c1", True)
 
 
 def test_neighbour_cache_keeps_one_threshold_per_category():
     env = env_of([rec("A", "B", 0.9), rec("A", "C", 0.3)])
-    weights = env.out_weights["A"]
+    weights = {b: env.edges[("A", b)].weight for b in ("B", "C")}
     for step in range(100):
         threshold = step / 100
         expected = tuple(b for b in ("B", "C") if weights[b] >= threshold)
-        assert env.trusted_out("c1", threshold)["A"] == expected
+        assert trusted(env, "c1", threshold, "A") == expected
     assert list(env._trusted) == ["c1"]
     assert env._trusted["c1"][0] == 0.99
 
@@ -141,6 +157,13 @@ def test_empty_neighbour_set_rejected():
         propagation_probabilities(env, "A", [], "c1", 0.0)
 
 
+def test_unknown_neighbour_rejected():
+    # It was given the probability 0 of an agent without activity: {"B": 1.0, "ZZ": 0.0}.
+    env = env_of([rec("A", "B", 0.9)])
+    with pytest.raises(UnknownAgentError, match="'ZZ'"):
+        propagation_probabilities(env, "A", ["B", "ZZ"], "c1", 0.01)
+
+
 def test_repeated_neighbour_rejected():
     # One copy would be dropped by the dict while both shared the mass: {"B": 0.5}.
     env = env_of([rec("A", "B", 0.9)])
@@ -159,7 +182,8 @@ def test_probabilities_sum_to_one(counts):
             log.append(rec("X", name, 0.9, "c1", t))
             t += 0.25
     log.append(rec("A", "B", 0.9, "c2", 1.0))  # anchors A in the environment
-    env = env_of(log, at=100.0)
+    # A neighbour with no records is a known agent without activity.
+    env = env_of(log, [AgentProfile(id=name) for name in neighbours], at=100.0)
     probs = propagation_probabilities(env, "A", neighbours, "c1", 0.05)
     assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
     assert all(0.0 <= p <= 1.0 for p in probs.values())
@@ -229,6 +253,23 @@ def test_zero_step_budget_keeps_only_trustor_row():
     table = find_paths(env, log, "tr", "te", "c1", cfg)
     assert list(table.rows) == ["tr"]
     assert table.trustee_rows == []
+
+
+def test_equal_keys_break_ties_to_the_smaller_id():
+    # "n10" < "n9" as ids, though n9 comes first in the log and by number.
+    log = [
+        rec("tr", "n9", 0.8, "c1", 1.0),
+        rec("tr", "n10", 0.8, "c1", 1.0),
+        rec("n9", "te", 0.9, "c1", 2.0),
+        rec("n10", "te", 0.7, "c1", 2.0),
+    ]
+    env = env_of(log)
+    table = find_paths(env, log, "tr", "te", "c1", CFG)
+    keys = {a: table.rows[a].cum_prob * table.rows[a].cum_trust for a in ("n9", "n10")}
+    assert keys["n9"] == keys["n10"]
+    assert [row.advisor for row in table.trustee_rows] == ["n10", "n9"]
+    budgeted = find_paths(env, log, "tr", "te", "c1", dataclasses.replace(CFG, search_steps=2))
+    assert [row.advisor for row in budgeted.trustee_rows] == ["n10"]
 
 
 def test_direct_edge_shortcut_is_skipped():
@@ -653,7 +694,11 @@ def test_trusted_neighbours_equal_a_filter_over_edges(log, category, thresholds)
                 and stats.weight >= threshold
                 and category in env.agents[dst].completed
             }
-            assert env.trusted_out(category, threshold)[agent] == tuple(sorted(expected))
+            neighbours = trusted(env, category, threshold, agent)
+            assert neighbours == tuple(sorted(expected))
+            ptr, _, weight = env.trusted_edges(category, threshold)
+            i = env.index[agent]
+            assert weight[ptr[i] : ptr[i + 1]] == [env.edges[(agent, b)].weight for b in neighbours]
 
 
 @given(logs(min_size=1, max_size=30), st.sampled_from([0.0, 0.05, 0.5]))
@@ -664,7 +709,7 @@ def test_probabilities_equal_the_formula_over_log_activity(log, rate):
     for category in ("c1", "c2", "c9"):
         counts, last, _ = oracle_category_activity(log, category, at)
         for agent in env.agents:
-            ordered = list(env.out_weights[agent])
+            ordered = sorted(dst for src, dst in env.edges if src == agent)
             if not ordered:
                 continue
             probs = propagation_probabilities(env, agent, ordered, category, rate)
@@ -694,6 +739,7 @@ CHECK_LOG = [
     rec("a", "te", 0.9),
     rec("b", "d", 0.7),
     rec("b", "tr", 0.9),
+    rec("a", "f", 0.9, "c2"),  # f has no history in c1
 ]
 
 
@@ -760,11 +806,17 @@ def test_table_check_passes_a_sound_table():
             "advisor 'x' has no table row",
         ),
         (add_child_sharing_b_path("c", 0.9 * 0.3), "untrusted hop 'a'->'c'"),
+        (put_row("f", 0.9 * 0.9, ("tr", "a")), "untrusted hop 'a'->'f'"),
+        (put_row("d", 0.56, ("a", "b")), "path of 'd' does not start at the trustor"),
+        (put_row("e", 1.0, ()), "path of 'e' does not start at the trustor"),
+        (lambda table: table.rows.pop("tr"), "trustor 'tr' has no row with the empty path"),
     ],
     ids=[
         "repeat-in-path", "agent-in-own-path", "trustee-inside", "last-hop-below-threshold",
         "inner-hop-below-threshold", "hop-without-edge", "product-off-by-1e-9",
         "prob-above-1", "prob-below-0", "trustee-row-without-row", "shared-path-second-row",
+        "hop-into-agent-without-category-history", "path-not-from-trustor", "second-root",
+        "no-trustor-row",
     ],
 )
 def test_table_check_rejects_a_broken_table(corrupt, message):
@@ -800,7 +852,7 @@ def test_searches_on_one_snapshot_match_fresh_snapshots_across_configs():
         # Another rate between two searches switches the consultation cache back and forth.
         other_rate = settings_seq[step - 1][1]
         for agent in agents[:8]:
-            neighbours = shared.trusted_out("c1", threshold)[agent]
+            neighbours = trusted(shared, "c1", threshold, agent)
             if not neighbours:
                 continue
             fresh = build_environment(log, 100.0, 0.01, profiles)
@@ -819,13 +871,13 @@ def test_bad_threshold_or_rate_raises_when_the_caches_are_filled(bad):
     for value in (0.5, 0.01, 1):
         cfg = TrustConfig(trust_threshold=value, recency_rate=value)
         find_paths(env, log, agents[0], agents[-1], "c1", cfg)
-    neighbours = tuple(env.out_weights[agents[0]])
+    neighbours = tuple(dst for src, dst in env.edges if src == agents[0])
     # A duck-typed config reaches find_paths without TrustConfig's own checks.
     for field_name in ("trust_threshold", "recency_rate"):
         config = types.SimpleNamespace(**{**dataclasses.asdict(TrustConfig()), field_name: bad})
         with pytest.raises(ValueError, match="must be a finite number"):
             find_paths(env, log, agents[0], agents[-1], "c1", config)
     with pytest.raises(ValueError, match="must be a finite number"):
-        env.trusted_out("c1", bad)
+        env.trusted_edges("c1", bad)
     with pytest.raises(ValueError, match="must be a finite number"):
         propagation_probabilities(env, agents[0], neighbours, "c1", bad)

@@ -68,7 +68,7 @@ def test_single_trusted_entry_equals_row_maximum():
     assert matrix[0, 1] == pytest.approx(0.7 + (1 - 0.7), abs=1e-12)
 
 
-def test_untrusted_out_edges_share_the_remainder():
+def test_untrusted_edges_share_the_remainder():
     log = [
         rec("A", "B", 0.8),
         rec("A", "C", 0.4),
