@@ -132,7 +132,7 @@ def _load_inputs(args):
 
 
 def _emit(payload) -> None:
-    print(json.dumps(payload))
+    print(json.dumps(payload, allow_nan=False))
 
 
 def _cmd_eval(args) -> int:

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Mapping as MappingABC
+from collections.abc import Mapping as MappingABC, Sequence
 from dataclasses import dataclass, field
 from itertools import compress, repeat
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -44,12 +44,13 @@ class CapabilityError(TrustError):
 class InvalidRecordError(TrustError):
     """An interaction record violates its invariants.
 
-    ``index`` is the position of the offending record in the input sequence.
+    ``field`` names the field that breaks the record rule; the message is
+    the rule's problem text.
     """
 
-    def __init__(self, index: int, message: str):
-        super().__init__(f"record {index}: {message}")
-        self.index = index
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
 
 
 class InvalidProfileError(TrustError):
@@ -72,7 +73,8 @@ class Interaction:
     """One rated interaction: ``trustor`` rated ``trustee`` on a task.
 
     ``rating`` lies in [0, 1]; ``time`` is a dimensionless non-negative
-    scalar (the application chooses the unit).
+    scalar (the application chooses the unit).  A record is checked when it
+    is made: one that breaks the record rule raises InvalidRecordError.
     """
 
     trustor: AgentId
@@ -80,6 +82,11 @@ class Interaction:
     rating: float
     category: TaskCategory
     time: float
+
+    def __post_init__(self):
+        problem = check_interaction(self)
+        if problem is not None:
+            raise InvalidRecordError(*problem)
 
 
 def is_number(value) -> bool:
@@ -99,7 +106,7 @@ def finite_float(value) -> Optional[float]:
 
 
 def check_interaction(record: Interaction) -> Optional[tuple[str, str]]:
-    """Return (field, problem) for an invalid record, else None; never raises.
+    """The record rule: (field, problem) for an invalid record, else None; never raises.
 
     Ids and category are non-empty strings, trustor != trustee, and rating
     in [0, 1] and time >= 0 are numbers by :func:`finite_float`'s rule.
@@ -137,7 +144,7 @@ class AgentProfile:
 def check_profile(profile: AgentProfile) -> Optional[tuple[str, str]]:
     """Return (field, problem) for an invalid declared profile, else None; never raises.
 
-    The id is a non-empty string, as in :func:`check_interaction`, and
+    The id is a non-empty string, as an Interaction's ids are, and
     ``able`` and ``completed`` are collections of non-empty strings; the
     field named is the one that breaks the rule.
     """
@@ -544,20 +551,6 @@ def decay_weight(time: float, eval_time: float, decay_rate: float) -> float:
     return math.exp(-decay_rate * (eval_time - time))
 
 
-def _plain_numbers(values: list) -> Optional[np.ndarray]:
-    """``values`` as a float array when each is an int or a float (not a bool), else None."""
-    if not set(map(type, values)) <= {int, float}:
-        return None
-    try:
-        return np.array(values, dtype=float)
-    except OverflowError:
-        return None
-
-
-def _plain_labels(values: set) -> bool:
-    return "" not in values and all(type(v) is str for v in values)
-
-
 def build_environment(
     log: Sequence[Interaction],
     snapshot_time: float,
@@ -581,12 +574,12 @@ def build_environment(
     bit.  Decay weights are :func:`decay_weight`'s, from ``math.exp``, which
     ``np.exp`` does not match in the last bit.
 
-    Records are checked column by column; only when a column is not plainly
-    valid are they run through :func:`check_interaction` one by one, which
-    raises InvalidRecordError naming the first offending record.  Each
-    declared profile is checked by :func:`check_profile`, and an id may be
-    declared once; the first invalid profile, or the second declaration of
-    an id, raises InvalidProfileError.
+    ``log`` must be a sequence of :class:`Interaction` records, which are
+    valid by construction: a log that is not a sequence, or an item that is
+    not an Interaction, raises TypeError naming it.  Each declared profile
+    is checked by :func:`check_profile`, and an id may be declared once;
+    the first invalid profile, or the second declaration of an id, raises
+    InvalidProfileError.
     Raises ValueError from :func:`check_snapshot_clock`.
     """
     check_snapshot_clock(snapshot_time, decay_rate)
@@ -598,27 +591,16 @@ def build_environment(
         if profile.id in declared:
             raise InvalidProfileError(idx, profile.id, "id already declared by an earlier profile")
         declared[profile.id] = profile
+    if not isinstance(log, Sequence):
+        raise TypeError(f"log must be a sequence of Interaction, not {type(log).__name__}")
+    if not all(map(isinstance, log, repeat(Interaction))):
+        idx, item = next((i, r) for i, r in enumerate(log) if not isinstance(r, Interaction))
+        raise TypeError(f"log item {idx} must be an Interaction, not {type(item).__name__}")
     trustors, trustees, labels, ratings, times = (
         list(map(operator.attrgetter(name), log))
         for name in ("trustor", "trustee", "category", "rating", "time")
     )
-    rating, time = _plain_numbers(ratings), _plain_numbers(times)
-    names, label_set = set(trustors).union(trustees), set(labels)
-    if not (
-        _plain_labels(names)
-        and _plain_labels(label_set)
-        and rating is not None
-        and time is not None
-        and np.all((rating >= 0.0) & (rating <= 1.0))
-        and np.all(np.isfinite(time) & (time >= 0.0))
-        and not any(map(operator.eq, trustors, trustees))
-    ):
-        # Some column is not plainly valid: name the first offending record.
-        for idx, record in enumerate(log):
-            problem = check_interaction(record)
-            if problem is not None:
-                raise InvalidRecordError(idx, problem[1])
-        rating, time = np.array(ratings, dtype=float), np.array(times, dtype=float)
+    rating, time = np.array(ratings, dtype=float), np.array(times, dtype=float)
 
     keep = time < snapshot_time
     if not keep.all():
@@ -626,12 +608,11 @@ def build_environment(
             list(compress(column, keep)) for column in (trustors, trustees, labels)
         )
         rating, time = rating[keep], time[keep]
-        names, label_set = set(trustors).union(trustees), set(labels)
 
     # Ids are coded through dicts, not numpy string arrays, which would drop
     # trailing NUL characters.
-    ids = sorted(names.union(declared))
-    categories = sorted(label_set)
+    ids = sorted(set(trustors).union(trustees, declared))
+    categories = sorted(set(labels))
     index = {a: i for i, a in enumerate(ids)}
     cat_index = {c: k for k, c in enumerate(categories)}
     n = len(trustors)

@@ -303,12 +303,13 @@ def compare_indirect(
     """Engine vs exhaustive oracle over seeded instances; returns a report.
 
     Every instance, cyclic or not, must agree within ``tolerance``.
-    ``mismatches`` counts those that do not (a value on one side only is an
-    infinite deviation) and ``deviations`` lists them; ``max_deviation`` is
-    the largest deviation seen.  ``acyclic`` and ``cyclic`` count the
-    instances of each kind, as a record of coverage.
+    ``mismatches`` counts those that do not and ``deviations`` lists them
+    (a value on one side only has deviation None); ``max_deviation`` is the
+    largest numeric one.  ``acyclic`` and ``cyclic`` count the instances of
+    each kind, as a record of coverage.  A search budget raises ValueError.
     """
-    cfg = config or TrustConfig(search_steps=None, search_seconds=None)
+    cfg = config or TrustConfig()
+    _refuse_budgets(cfg, ("search_steps", "search_seconds"))
     report = {
         "instances": 0,
         "acyclic": 0,
@@ -335,12 +336,11 @@ def compare_indirect(
         if engine is None and reference is None:
             continue
         report["with_paths"] += 1
-        if engine is None or reference is None:
-            deviation = math.inf
-        else:
+        deviation = None
+        if engine is not None and reference is not None:
             deviation = abs(engine - reference)
-        report["max_deviation"] = max(report["max_deviation"], deviation)
-        if deviation > tolerance:
+            report["max_deviation"] = max(report["max_deviation"], deviation)
+        if deviation is None or deviation > tolerance:
             report["mismatches"] += 1
             report["deviations"].append(
                 {
@@ -352,6 +352,16 @@ def compare_indirect(
                 }
             )
     return report
+
+
+def _refuse_budgets(cfg: TrustConfig, names: tuple[str, ...]) -> None:
+    """Raise ValueError naming the first of ``names`` that ``cfg`` sets.
+
+    A budgeted run is not expected to match the exhaustive answer.
+    """
+    for name in names:
+        if getattr(cfg, name) is not None:
+            raise ValueError(f"{name} must be null for an oracle comparison")
 
 
 def reputation_instance(
@@ -369,8 +379,12 @@ def compare_reputation(
     tolerance: float = 1e-8,
     row_sum_tolerance: float = 1e-9,
 ) -> dict:
-    """Sparse engine pipeline vs dense oracle over seeded instances."""
+    """Sparse engine pipeline vs dense oracle over seeded instances.
+
+    A node-set mismatch has no deviation; a pagerank budget raises ValueError.
+    """
     cfg = config or TrustConfig()
+    _refuse_budgets(cfg, ("pagerank_seconds",))
     report = {
         "instances": 0,
         "mismatches": 0,
@@ -393,11 +407,11 @@ def compare_reputation(
         problems = []
         if model.nodes != nodes:
             problems.append("node sets differ")
-            deviation = math.inf
         else:
             deviation = (
                 float(np.max(np.abs(model.vector - reference))) if nodes else 0.0
             )
+            report["max_deviation"] = max(report["max_deviation"], deviation)
             if deviation > tolerance:
                 problems.append(f"vector deviation {deviation}")
         if len(model.nodes):
@@ -407,7 +421,6 @@ def compare_reputation(
             report["max_row_sum_error"] = max(report["max_row_sum_error"], row_err)
             if row_err > row_sum_tolerance:
                 problems.append(f"row sum error {row_err}")
-        report["max_deviation"] = max(report["max_deviation"], deviation)
         if problems:
             report["mismatches"] += 1
             report["failures"].append({"seed": seed, "problems": problems})

@@ -22,9 +22,9 @@ from .core import (
     AgentProfile,
     Environment,
     Interaction,
+    InvalidRecordError,
     TrustError,
     TrustConfig,
-    check_interaction,
     check_profile,
     check_snapshot_clock,
 )
@@ -138,7 +138,8 @@ def parse_log(
 def _wire_record(obj) -> tuple[Optional[Interaction], Optional[tuple[Optional[str], str]]]:
     """The record a log line holds, or (None, (field, problem)) when it is invalid.
 
-    Only the line's shape is checked here; its values by :func:`check_interaction`.
+    Only the line's shape is checked here; its values when the record is
+    made, and an InvalidRecordError becomes the line's (field, problem).
     """
     if not isinstance(obj, dict):
         return None, (None, "record must be a JSON object")
@@ -148,9 +149,10 @@ def _wire_record(obj) -> tuple[Optional[Interaction], Optional[tuple[Optional[st
     missing = [f for f in LOG_FIELDS if f not in obj]
     if missing:
         return None, (missing[0], "missing field")
-    record = Interaction(**obj)
-    problem = check_interaction(record)
-    return (record, None) if problem is None else (None, problem)
+    try:
+        return Interaction(**obj), None
+    except InvalidRecordError as exc:
+        return None, (exc.field, str(exc))
 
 
 def dump_log(records: Sequence[Interaction], target: Union[str, Path, TextIO]) -> None:

@@ -285,6 +285,65 @@ def test_oracle_suite_fails_on_a_cyclic_mismatch(capsys, monkeypatch):
     assert report["max_deviation"] == pytest.approx(0.01, abs=1e-12)
 
 
+def _refuse_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+def test_oracle_one_sided_deviation_is_null_in_strict_json(capsys, monkeypatch):
+    # Seed 3 has an indirect value; the engine's side goes missing there.
+    calls = []
+
+    def missing(table, path_threshold, path_decay):
+        calls.append(table.trustor)
+        value = aggregate(table, path_threshold, path_decay)
+        return None if len(calls) == 4 else value  # the fourth instance is seed 3
+
+    monkeypatch.setattr(oracles, "aggregate", missing)
+    code, out, _ = run(capsys, ["oracle", "--suite", "indirect", "--seeds", "6"])
+    assert code == 2
+    report = json.loads(out, parse_constant=_refuse_constant)["indirect"]
+    assert report["mismatches"] == 1
+    assert [(d["seed"], d["engine"], d["deviation"]) for d in report["deviations"]] == [
+        (3, None, None)
+    ]
+    assert report["max_deviation"] <= 1e-9
+
+
+def test_oracle_node_set_mismatch_has_no_deviation(capsys, monkeypatch):
+    calls, real = [], oracles.oracle_reputation
+
+    def dropped(env, config):
+        calls.append(None)
+        nodes, vector = real(env, config)
+        return (nodes[1:], vector[1:]) if len(calls) == 2 else (nodes, vector)
+
+    monkeypatch.setattr(oracles, "oracle_reputation", dropped)
+    argv = ["oracle", "--suite", "reputation", "--rep-seeds", "3", "--rep-agents", "12"]
+    code, out, _ = run(capsys, argv)
+    assert code == 2
+    report = json.loads(out, parse_constant=_refuse_constant)["reputation"]
+    assert report["mismatches"] == 1
+    assert report["failures"] == [{"seed": 1, "problems": ["node sets differ"]}]
+    assert report["max_deviation"] <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "key, value, suite",
+    [
+        ("search_steps", 1, "indirect"),
+        ("search_seconds", 0, "indirect"),
+        ("pagerank_seconds", 0, "reputation"),
+    ],
+)
+def test_oracle_refuses_a_budgeted_config_naming_the_key(capsys, tmp_path, key, value, suite):
+    config = tmp_path / "budget.json"
+    config.write_text(json.dumps({key: value}))
+    code, out, err = run(capsys, ["oracle", "--suite", suite, "--config", str(config)])
+    assert code == 1
+    assert out == ""
+    assert f"error: {key} must be null for an oracle comparison" in err
+
+
 def test_snapshot_with_a_stale_model_is_input_error(capsys, world):
     snap = world["tmp"] / "world.snap"
     argv = ["snapshot", "save", "--log", world["log"], "--time", "100", "--out", str(snap)]

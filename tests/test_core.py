@@ -16,7 +16,7 @@ from trustnet import (
     build_environment,
 )
 
-from trustnet.core import check_interaction, check_profile, finite_float
+from trustnet.core import check_profile, finite_float
 
 from helpers import logs, rec
 
@@ -58,17 +58,31 @@ def test_edge_weight_absent_and_unknown():
 
 
 def test_invalid_rating_rejected_with_index():
-    log = [rec("A", "B", 0.5), Interaction("A", "B", 1.5, "c1", 0.0)]
     with pytest.raises(InvalidRecordError) as exc:
-        build_environment(log, 10.0)
-    assert exc.value.index == 1
-    assert "rating" in str(exc.value)
+        Interaction("A", "B", 1.5, "c1", 0.0)
+    assert exc.value.field == "rating"
+    assert str(exc.value) == "rating must be a finite number in [0, 1]"
 
 
 def test_self_interaction_rejected_with_index():
     with pytest.raises(InvalidRecordError) as exc:
-        build_environment([Interaction("A", "A", 0.5, "c1", 0.0)], 10.0)
-    assert exc.value.index == 0
+        Interaction("A", "A", 0.5, "c1", 0.0)
+    assert exc.value.field == "trustee"
+    assert str(exc.value) == "trustee must differ from the trustor"
+
+
+def test_log_item_that_is_not_an_interaction_is_named():
+    log = [rec("A", "B", 0.5), rec("B", "C", 0.5), ("A", "C", 0.5, "c1", 0.0)]
+    with pytest.raises(TypeError, match=r"^log item 2 must be an Interaction, not tuple$"):
+        build_environment(log, 10.0)
+
+
+def test_log_that_is_not_a_sequence_is_refused():
+    log = [rec("A", "B", 0.5), rec("B", "C", 0.5)]
+    with pytest.raises(TypeError, match=r"^log must be a sequence of Interaction, not generator$"):
+        build_environment((r for r in log), 10.0)
+    with pytest.raises(TypeError, match="not list_iterator"):
+        build_environment(iter(log), 10.0)
 
 
 def test_declared_newcomer_appears_without_edges():
@@ -187,26 +201,28 @@ def test_build_rejects_bad_decay_rate(decay_rate):
         build_environment([rec("A", "B", 0.5)], 10.0, decay_rate)
 
 
+# Each case is (field values, the field the rule names, its problem text).
 @pytest.mark.parametrize(
     "bad",
     [
-        Interaction("", "B", 0.5, "c1", 0.0),
-        Interaction("A", None, 0.5, "c1", 0.0),
-        Interaction("A", "A", 0.5, "c1", 0.0),
-        Interaction("A", "B", 0.5, "", 0.0),
-        Interaction("A", "B", True, "c1", 0.0),
-        Interaction("A", "B", "0.5", "c1", 0.0),
-        Interaction("A", "B", math.nan, "c1", 0.0),
-        Interaction("A", "B", 0.5, "c1", -1.0),
-        Interaction("A", "B", 0.5, "c1", math.inf),
+        (("", "B", 0.5, "c1", 0.0), "trustor", "trustor must be a non-empty string"),
+        (("A", None, 0.5, "c1", 0.0), "trustee", "trustee must be a non-empty string"),
+        (("A", "A", 0.5, "c1", 0.0), "trustee", "trustee must differ from the trustor"),
+        (("A", "B", 0.5, "", 0.0), "category", "category must be a non-empty string"),
+        (("A", "B", True, "c1", 0.0), "rating", "rating must be a finite number in [0, 1]"),
+        (("A", "B", "0.5", "c1", 0.0), "rating", "rating must be a finite number in [0, 1]"),
+        (("A", "B", math.nan, "c1", 0.0), "rating", "rating must be a finite number in [0, 1]"),
+        (("A", "B", 0.5, "c1", -1.0), "time", "time must be a finite number >= 0"),
+        (("A", "B", 0.5, "c1", math.inf), "time", "time must be a finite number >= 0"),
+        (("", "", 2.0, "", -1.0), "trustor", "trustor must be a non-empty string"),
     ],
 )
 def test_invalid_record_is_named_with_its_index_and_problem(bad):
-    log = [rec("A", "B", 0.5), rec("B", "C", 0.5), bad, Interaction("", "", 2.0, "", -1.0)]
+    values, field, message = bad
     with pytest.raises(InvalidRecordError) as exc:
-        build_environment(log, 10.0)
-    assert exc.value.index == 2
-    assert str(exc.value) == f"record 2: {check_interaction(bad)[1]}"
+        Interaction(*values)
+    assert exc.value.field == field
+    assert str(exc.value) == message
 
 
 def test_numbers_of_float_subclasses_build_like_floats():
@@ -257,23 +273,31 @@ def test_finite_float_is_the_number_rule(value, expected):
     assert finite_float(value) == expected
 
 
+RECORD_PROBLEMS = {
+    "trustor": "trustor must be a non-empty string",
+    "trustee": "trustee must be a non-empty string",
+    "category": "category must be a non-empty string",
+    "rating": "rating must be a finite number in [0, 1]",
+    "time": "time must be a finite number >= 0",
+}
+
+
 @pytest.mark.parametrize(
     "bad, field",
     [
-        (Interaction(1, "B", 0.5, "c1", 1), "trustor"),
-        (Interaction("A", b"B", 0.5, "c1", 1), "trustee"),
-        (Interaction("A", "B", 0.5, 7, 1), "category"),
-        (Interaction("A", "B", 0.5, "c1", HUGE), "time"),
-        (Interaction("A", "B", HUGE, "c1", 1), "rating"),
-        (Interaction("A", "B", None, "c1", 1), "rating"),
+        ((1, "B", 0.5, "c1", 1), "trustor"),
+        (("A", b"B", 0.5, "c1", 1), "trustee"),
+        (("A", "B", 0.5, 7, 1), "category"),
+        (("A", "B", 0.5, "c1", HUGE), "time"),
+        (("A", "B", HUGE, "c1", 1), "rating"),
+        (("A", "B", None, "c1", 1), "rating"),
     ],
 )
 def test_build_rejects_each_field_by_the_record_rule(bad, field):
     with pytest.raises(InvalidRecordError) as exc:
-        build_environment([rec("A", "B", 0.5), bad], 10.0)
-    assert exc.value.index == 1
-    assert str(exc.value).startswith(f"record 1: {field} ")
-    assert check_interaction(bad)[0] == field
+        Interaction(*bad)
+    assert exc.value.field == field
+    assert str(exc.value) == RECORD_PROBLEMS[field]
 
 
 @pytest.mark.parametrize(

@@ -656,16 +656,16 @@ def _lines(draw):
 
 @given(_lines())
 @settings(max_examples=400, deadline=None)
-def test_a_log_line_passes_exactly_when_build_environment_accepts_its_record(obj):
+def test_a_log_line_passes_exactly_when_its_record_constructs(obj):
     records, errors = parse_log(io.StringIO(json.dumps(obj) + "\n"))
     try:
-        build_environment([Interaction(**obj)], 50.0)
+        record = Interaction(**obj)
     except InvalidRecordError as exc:
         assert records == [] and len(errors) == 1
-        assert str(exc) == f"record 0: {errors[0].message}"
+        assert (errors[0].field, errors[0].message) == (exc.field, str(exc))
         assert errors[0].message.startswith(f"{errors[0].field} ")
     else:
-        assert errors == [] and records == [Interaction(**obj)]
+        assert errors == [] and records == [record]
 
 
 @given(st.sampled_from(sorted(CONFIG_BOUNDS)), _odd_values)
