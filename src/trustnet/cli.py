@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 from .composite import evaluate
 from .core import InvariantError, TrustConfig, TrustError, build_environment
 from .indirect import find_paths
-from .oracles import compare_indirect, compare_reputation
+from .oracles import compare_indirect, compare_reputation, refuse_budgets
 from .persist import (
     dump_log,
     dump_profiles,
@@ -221,21 +221,21 @@ def _cmd_snapshot(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    config = load_config(args.config) if args.config else None
+    config = load_config(args.config) if args.config else TrustConfig()
+    suites = ("indirect", "reputation") if args.suite == "all" else (args.suite,)
+    for suite in suites:  # refuse every budget before the first suite runs
+        refuse_budgets(config, suite)
     payload = {}
-    failed = False
-    if args.suite in ("indirect", "all"):
-        report = compare_indirect(
+    if "indirect" in suites:
+        payload["indirect"] = compare_indirect(
             range(args.seeds), config, max_agents=args.agents, max_categories=args.categories
         )
-        payload["indirect"] = report
-        failed = failed or report["mismatches"] > 0
-    if args.suite in ("reputation", "all"):
-        report = compare_reputation(range(args.rep_seeds), config, max_agents=args.rep_agents)
-        payload["reputation"] = report
-        failed = failed or report["mismatches"] > 0
+    if "reputation" in suites:
+        payload["reputation"] = compare_reputation(
+            range(args.rep_seeds), config, max_agents=args.rep_agents
+        )
     _emit(payload)
-    return 2 if failed else 0
+    return 2 if any(report["mismatches"] > 0 for report in payload.values()) else 0
 
 
 _COMMANDS = {

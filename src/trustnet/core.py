@@ -230,12 +230,10 @@ class EdgeView(MappingABC):
 
     def __getitem__(self, pair: tuple[AgentId, AgentId]) -> EdgeStats:
         env = self._env
-        k = None
-        if isinstance(pair, tuple) and len(pair) == 2:
-            k = env._edge(*pair)
-        if k is None:
+        found = env._edge_rows(*pair, None) if isinstance(pair, tuple) and len(pair) == 2 else None
+        if found is None:
             raise KeyError(pair)
-        lo, hi = int(env.cat_ptr[k]), int(env.cat_ptr[k + 1])
+        k, lo, hi, _ = found
         rows = zip(
             env.cat[lo:hi].tolist(),
             env.count[lo:hi].tolist(),
@@ -438,30 +436,25 @@ class Environment:
         return None if found is None or found[3] is None else self.mean_rating[found[3]].item()
 
     def _edge_rows(
-        self, src: AgentId, dst: AgentId, category: TaskCategory
+        self, src: AgentId, dst: AgentId, category: Optional[TaskCategory]
     ) -> Optional[tuple[int, int, int, Optional[int]]]:
         """``(edge, first row, end row, category row)`` of the edge ``src -> dst``, or None.
 
-        None when the edge is absent.  Rows ``first:end`` hold the edge's
-        categories; the category row is ``category``'s, or None when the
-        edge has no row on it.
+        None when the edge is absent.  ``edge`` is its position in ``dst``,
+        rows ``first:end`` hold its categories, and the category row is
+        ``category``'s, or None when the edge has no row on it.
         """
-        k = self._edge(src, dst)
-        if k is None:
-            return None
-        lo, hi = int(self.cat_ptr[k]), int(self.cat_ptr[k + 1])
-        c = self._category_index.get(category)
-        r = None if c is None else lo + int(np.searchsorted(self.cat[lo:hi], c))
-        return k, lo, hi, (r if r is not None and r < hi and self.cat[r] == c else None)
-
-    def _edge(self, src: AgentId, dst: AgentId) -> Optional[int]:
-        """Position of the edge ``src -> dst`` in ``dst``, or None when absent."""
         i, j = self.index.get(src), self.index.get(dst)
         if i is None or j is None:
             return None
         lo, hi = int(self.indptr[i]), int(self.indptr[i + 1])
         k = lo + int(np.searchsorted(self.dst[lo:hi], j))
-        return k if k < hi and self.dst[k] == j else None
+        if k == hi or self.dst[k] != j:
+            return None
+        lo, hi = int(self.cat_ptr[k]), int(self.cat_ptr[k + 1])
+        c = self._category_index.get(category)
+        r = None if c is None else lo + int(np.searchsorted(self.cat[lo:hi], c))
+        return k, lo, hi, (r if r is not None and r < hi and self.cat[r] == c else None)
 
 
 @dataclass(frozen=True)
@@ -572,7 +565,9 @@ def build_environment(
     which adds in input order: within a group that is the canonical
     (time, rating) order, so any input order gives the same sums, bit for
     bit.  Decay weights are :func:`decay_weight`'s, from ``math.exp``, which
-    ``np.exp`` does not match in the last bit.
+    ``np.exp`` does not match in the last bit.  A group whose newest weight
+    is not a normal float is weighed from its newest time instead: the same
+    mean, without the underflow.
 
     ``log`` must be a sequence of :class:`Interaction` records, which are
     valid by construction: a log that is not a sequence, or an item that is
@@ -631,13 +626,17 @@ def build_environment(
     group_start[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1]) | (cat[1:] != cat[:-1])
     group = np.cumsum(group_start) - 1
     first = np.flatnonzero(group_start)
+    group_end = np.ones(n, dtype=bool)
+    group_end[:-1] = group_start[1:]
+    last_time = time[group_end]  # a group's last record is its latest
+    # Rebase the groups whose newest discount is not a normal float.
+    stale = np.flatnonzero((discount[group_end] < np.finfo(float).tiny)[group])
+    exponents = -decay_rate * (last_time[group[stale]] - time[stale])
+    discount[stale] = np.fromiter(map(math.exp, exponents.tolist()), float, len(stale))
     count = np.bincount(group)
     weighted = np.bincount(group, weights=rating * discount)
     decayed_trust = weighted / np.bincount(group, weights=discount)
     mean_rating = np.bincount(group, weights=rating) / count
-    group_end = np.ones(n, dtype=bool)
-    group_end[:-1] = group_start[1:]
-    last_time = time[group_end]  # a group's last record is its latest
     g_src, g_dst, g_cat = src[first], dst[first], cat[first]
 
     edge_start = np.ones(len(first), dtype=bool)

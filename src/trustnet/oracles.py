@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import graphlib
 import math
+import sys
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,7 +26,7 @@ from .core import (
     build_environment,
 )
 from .indirect import aggregate, find_paths
-from .reputation import build_reputation, propagation_matrix
+from .reputation import build_reputation
 from .simulate import SplitMix64, agent_name, category_name
 
 
@@ -51,17 +52,23 @@ def oracle_direct_trust(
     """Direct trust by a scan of the log: (value, source, n_same, n_other).
 
     Same-category ratings before ``eval_time`` are combined by their mean
-    weighted with exp(-decay_rate * age); without any, each other category
-    is averaged that way and the per-category means are averaged unweighted.
+    weighted with exp(-decay_rate * age), the age counted from the newest
+    rating when its weight is not a normal float; without any, each other
+    category is averaged that way and the per-category means are averaged
+    unweighted.
     """
-    per_cat: dict[TaskCategory, list[tuple[float, float]]] = {}
+    per_cat: dict[TaskCategory, list[Interaction]] = {}
     for r in log:
         if r.trustor == trustor and r.trustee == trustee and r.time < eval_time:
-            weight = math.exp(-decay_rate * (eval_time - r.time))
-            per_cat.setdefault(r.category, []).append((r.rating * weight, weight))
+            per_cat.setdefault(r.category, []).append(r)
 
-    def mean(pairs: list[tuple[float, float]]) -> float:
-        return sum(p for p, _ in pairs) / sum(w for _, w in pairs)
+    def mean(records: list[Interaction]) -> float:
+        newest = max(r.time for r in records)
+        origin = eval_time
+        if math.exp(-decay_rate * (eval_time - newest)) < sys.float_info.min:
+            origin = newest
+        weights = [math.exp(-decay_rate * (origin - r.time)) for r in records]
+        return sum(r.rating * w for r, w in zip(records, weights)) / sum(weights)
 
     n_other = sum(len(v) for cat, v in per_cat.items() if cat != category)
     if category in per_cat:
@@ -309,7 +316,7 @@ def compare_indirect(
     each kind, as a record of coverage.  A search budget raises ValueError.
     """
     cfg = config or TrustConfig()
-    _refuse_budgets(cfg, ("search_steps", "search_seconds"))
+    refuse_budgets(cfg, "indirect")
     report = {
         "instances": 0,
         "acyclic": 0,
@@ -354,12 +361,14 @@ def compare_indirect(
     return report
 
 
-def _refuse_budgets(cfg: TrustConfig, names: tuple[str, ...]) -> None:
-    """Raise ValueError naming the first of ``names`` that ``cfg`` sets.
+# The config fields each suite refuses: a budgeted run is not expected to
+# match the exhaustive answer.
+BUDGETS = {"indirect": ("search_steps", "search_seconds"), "reputation": ("pagerank_seconds",)}
 
-    A budgeted run is not expected to match the exhaustive answer.
-    """
-    for name in names:
+
+def refuse_budgets(cfg: TrustConfig, suite: str) -> None:
+    """Raise ValueError naming the first of ``BUDGETS[suite]`` that ``cfg`` sets."""
+    for name in BUDGETS[suite]:
         if getattr(cfg, name) is not None:
             raise ValueError(f"{name} must be null for an oracle comparison")
 
@@ -384,7 +393,7 @@ def compare_reputation(
     A node-set mismatch has no deviation; a pagerank budget raises ValueError.
     """
     cfg = config or TrustConfig()
-    _refuse_budgets(cfg, ("pagerank_seconds",))
+    refuse_budgets(cfg, "reputation")
     report = {
         "instances": 0,
         "mismatches": 0,
@@ -414,9 +423,8 @@ def compare_reputation(
             report["max_deviation"] = max(report["max_deviation"], deviation)
             if deviation > tolerance:
                 problems.append(f"vector deviation {deviation}")
-        if len(model.nodes):
-            matrix = propagation_matrix(env, model.nodes, cfg.trust_threshold)
-            row_sums = np.asarray(matrix.explicit.sum(axis=1)).ravel() + matrix.spread
+        if model.nodes:
+            row_sums = np.asarray(model.matrix.explicit.sum(axis=1)).ravel() + model.matrix.spread
             row_err = float(np.max(np.abs(row_sums - 1.0)))
             report["max_row_sum_error"] = max(report["max_row_sum_error"], row_err)
             if row_err > row_sum_tolerance:

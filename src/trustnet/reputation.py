@@ -64,10 +64,11 @@ class ReputationModel:
     ended: ``"converged"``, or the ``"iterations"`` or ``"seconds"`` budget
     ran out (an empty node set counts as converged).  ``converged`` and
     ``mean_reputation`` are derived from these.  ``matrix`` is the built
-    model's input, kept for ``perfbench/scaling.py``; being derivable, it is
-    neither saved (a loaded model has None) nor compared.  ``env`` is the
-    snapshot object the model was built from or loaded with, which
-    :func:`check_bound` holds it to; it is not saved, compared or shown.
+    model's input, kept for the oracle's row-sum check and
+    ``perfbench/scaling.py``; being derivable, it is neither saved (a loaded
+    model has None) nor compared.  ``env`` is the snapshot object the model
+    was built from or loaded with, which :func:`check_bound` holds it to; it
+    is not saved, compared or shown.
     """
 
     nodes: list[AgentId]
@@ -170,13 +171,14 @@ def pagerank(
     tolerance: float,
     max_iterations: int,
     time_budget: Optional[float] = None,
-) -> tuple[np.ndarray, int, bool]:
+) -> tuple[np.ndarray, int, str]:
     """Damped power iteration: v <- damping * M^T v + (1 - damping) * e.
 
     M^T v = explicit^T v + ((s.v) 1 - s*v) / (n - 1) for the spread s.
     Starts from the uniform vector e and stops when the L1 change drops to
     ``tolerance``, the iteration cap is hit, or the wall-clock budget runs
-    out.  Returns (vector, iterations, converged).
+    out.  Returns (vector, iterations, stop_reason), the reason one of
+    ``STOP_REASONS``.
     """
     n = matrix.explicit.shape[0]
     if n == 0:
@@ -187,9 +189,10 @@ def pagerank(
     vec = uniform.copy()
     started = _time.monotonic()
     iterations = 0
-    converged = False
+    stop_reason = "iterations"
     while iterations < max_iterations:
         if time_budget is not None and _time.monotonic() - started >= time_budget:
+            stop_reason = "seconds"
             break
         spread_in = float(share @ vec) - share * vec
         nxt = damping * (transposed @ vec + spread_in) + (1.0 - damping) * uniform
@@ -197,36 +200,25 @@ def pagerank(
         delta = float(np.abs(nxt - vec).sum())
         vec = nxt
         if delta <= tolerance:
-            converged = True
+            stop_reason = "converged"
             break
-    return vec, iterations, converged
+    return vec, iterations, stop_reason
 
 
 def build_reputation(env: Environment, config: TrustConfig) -> ReputationModel:
     """Construct and converge the reputation model for an environment."""
     nodes = reputation_nodes(env, config.trust_threshold)
-    if not nodes:
-        return ReputationModel(
-            nodes=[],
-            vector=np.zeros(0),
-            iterations_used=0,
-            params=model_params(config),
-            stop_reason="converged",
-            env=env,
+    matrix, vector, iterations, stop_reason = None, np.zeros(0), 0, "converged"
+    if nodes:
+        matrix = propagation_matrix(env, nodes, config.trust_threshold)
+        raw, iterations, stop_reason = pagerank(
+            matrix,
+            config.damping,
+            config.tolerance,
+            config.max_iterations,
+            config.pagerank_seconds,
         )
-    matrix = propagation_matrix(env, nodes, config.trust_threshold)
-    raw, iterations, converged = pagerank(
-        matrix,
-        config.damping,
-        config.tolerance,
-        config.max_iterations,
-        config.pagerank_seconds,
-    )
-    vector = raw / raw.max()
-    if converged:
-        stop_reason = "converged"
-    else:  # the loop only leaves early, unconverged, when its time ran out
-        stop_reason = "iterations" if iterations >= config.max_iterations else "seconds"
+        vector = raw / raw.max()
     return ReputationModel(
         nodes=nodes,
         vector=vector,

@@ -43,7 +43,9 @@ def worlds(draw):
         trustee = draw(st.sampled_from([a for a in agents if a != trustor]))
         category = draw(st.sampled_from(categories))
         records.append(rec(trustor, trustee, draw(ratings), category, draw(TIMES)))
-    return draw(st.permutations(records)), draw(st.sampled_from([0.0, 0.05]))
+    # At time 10, rate 100 zeroes the weight of every time <= 1.0, and rate
+    # 110 puts time 3.25 below the smallest normal float.
+    return draw(st.permutations(records)), draw(st.sampled_from([0.0, 0.05, 100.0, 110.0]))
 
 
 @given(worlds())

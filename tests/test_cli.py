@@ -4,8 +4,10 @@ import json
 import pytest
 
 from trustnet import (
-    GenParams, Interaction, aggregate, build_environment, dump_log, dump_profiles, generate, oracles,
+    GenParams, Interaction, InvariantError, PropagationTable, aggregate, build_environment,
+    dump_log, dump_profiles, generate, oracles,
 )
+from trustnet import cli
 from trustnet.cli import main
 
 from helpers import read_snapshot, write_snapshot
@@ -342,6 +344,59 @@ def test_oracle_refuses_a_budgeted_config_naming_the_key(capsys, tmp_path, key, 
     assert code == 1
     assert out == ""
     assert f"error: {key} must be null for an oracle comparison" in err
+
+
+def test_oracle_refuses_every_budget_before_running_a_suite(capsys, tmp_path, monkeypatch):
+    def ran(*args, **kwargs):
+        raise AssertionError("the indirect suite ran before the budget was refused")
+
+    monkeypatch.setattr(cli, "compare_indirect", ran)
+    config = tmp_path / "budget.json"
+    config.write_text(json.dumps({"pagerank_seconds": 0}))
+    code, out, err = run(capsys, ["oracle", "--suite", "all", "--config", str(config)])
+    assert code == 1
+    assert out == ""
+    assert "error: pagerank_seconds must be null for an oracle comparison" in err
+
+
+def test_invariant_violation_exits_two(capsys, world, monkeypatch):
+    def broken(self, env, trust_threshold):
+        raise InvariantError("table broken on purpose")
+
+    monkeypatch.setattr(PropagationTable, "check", broken)
+    argv = ["paths", "--log", world["log"], "--time", "100"]
+    code, out, err = run(capsys, argv + ["--trustor", "a0", "--trustee", "a3", "--category", "c0"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invariant violation: table broken on purpose")
+
+
+@pytest.fixture
+def ancient(tmp_path):
+    """A world whose a->b rating is so old that its decay weight underflows to 0."""
+    log = [Interaction("a", "b", 0.8, "c", 1.0), Interaction("b", "c", 0.9, "c", 90.0)]
+    dump_log(log, tmp_path / "log.jsonl")
+    (tmp_path / "config.json").write_text(json.dumps({"lambda_d": 10}))
+    return ["--log", str(tmp_path / "log.jsonl"), "--config", str(tmp_path / "config.json"),
+            "--time", "100"]
+
+
+def test_eval_of_a_fully_decayed_edge_reads_its_rating(capsys, ancient):
+    argv = ["eval", "--trustor", "a", "--trustee", "b", "--category", "c"] + ancient
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["direct"] == 0.8
+
+
+def test_snapshot_of_a_fully_decayed_edge_loads(capsys, tmp_path, ancient):
+    snap = tmp_path / "world.snap"
+    argv = ["snapshot", "save", "--out", str(snap), "--with-reputation"] + ancient
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["edges"] == 2
+    code, out, err = run(capsys, ["snapshot", "load", "--in", str(snap)])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["has_reputation"] is True
 
 
 def test_snapshot_with_a_stale_model_is_input_error(capsys, world):

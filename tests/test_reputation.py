@@ -122,15 +122,15 @@ def test_zero_threshold_row_of_zero_weights_spreads_its_unit():
 
 def test_pagerank_single_node_fixed_point():
     matrix = unspread(np.array([[1.0]]))
-    vec, iterations, converged = pagerank(matrix, 0.85, 1e-10, 1000)
+    vec, iterations, stop_reason = pagerank(matrix, 0.85, 1e-10, 1000)
     assert vec[0] == pytest.approx(1.0, abs=1e-12)
-    assert converged
+    assert stop_reason == "converged"
 
 
 def test_pagerank_two_node_swap_is_symmetric():
     matrix = unspread(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    vec, _, converged = pagerank(matrix, 0.85, 1e-10, 1000)
-    assert converged
+    vec, _, stop_reason = pagerank(matrix, 0.85, 1e-10, 1000)
+    assert stop_reason == "converged"
     assert vec[0] == pytest.approx(0.5, abs=1e-10)
     assert vec[1] == pytest.approx(0.5, abs=1e-10)
 
@@ -144,13 +144,13 @@ def test_pagerank_matches_dense_reference():
     rng = np.random.default_rng(7)
     raw = rng.uniform(size=(20, 20)) + 1e-3
     dense = raw / raw.sum(axis=1, keepdims=True)
-    vec, iterations, converged = pagerank(unspread(dense), 0.85, 1e-10, 1000)
+    vec, iterations, stop_reason = pagerank(unspread(dense), 0.85, 1e-10, 1000)
 
     uniform = np.full(20, 1.0 / 20)
     ref = uniform.copy()
     for _ in range(iterations):
         ref = 0.85 * dense.T.dot(ref) + 0.15 * uniform
-    assert converged
+    assert stop_reason == "converged"
     assert np.max(np.abs(vec - ref)) <= 1e-8
 
 
@@ -160,8 +160,8 @@ def test_pagerank_preserves_probability_mass():
         env = build_environment(log, 100.0, 0.0, profiles)
         nodes = reputation_nodes(env, 0.5)
         matrix = propagation_matrix(env, nodes, 0.5)
-        vec, _, converged = pagerank(matrix, 0.85, 1e-10, 1000)
-        assert converged
+        vec, _, stop_reason = pagerank(matrix, 0.85, 1e-10, 1000)
+        assert stop_reason == "converged"
         assert np.all(vec > 0)
         assert vec.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -248,9 +248,16 @@ def test_convergence_within_iteration_budget():
 def test_power_iteration_stop_reason_is_recorded(budget, reason):
     profiles, log = reputation_instance(9, max_agents=50)
     env = build_environment(log, 100.0, 0.0, profiles)
-    model = build_reputation(env, TrustConfig(decay_rate=0.0, **budget))
+    cfg = TrustConfig(decay_rate=0.0, **budget)
+    model = build_reputation(env, cfg)
     assert model.stop_reason == reason
     assert model.converged == (reason == "converged")
+    matrix = propagation_matrix(env, model.nodes, cfg.trust_threshold)
+    _, iterations, stop_reason = pagerank(
+        matrix, cfg.damping, cfg.tolerance, cfg.max_iterations, cfg.pagerank_seconds
+    )
+    assert stop_reason == reason
+    assert iterations == model.iterations_used
 
 
 def test_stop_reason_takes_part_in_equality():
