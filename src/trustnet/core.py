@@ -42,13 +42,13 @@ class CapabilityError(TrustError):
 
 
 class InvalidRecordError(TrustError):
-    """An interaction record violates its invariants.
+    """An interaction record, or a line of a log or profile file, breaks its rule.
 
-    ``field`` names the field that breaks the record rule; the message is
-    the rule's problem text.
+    ``field`` names the field that breaks the rule (None when the line is
+    not a JSON object); the message is the rule's problem text.
     """
 
-    def __init__(self, field: str, message: str):
+    def __init__(self, field: Optional[str], message: str):
         super().__init__(message)
         self.field = field
 
@@ -74,7 +74,10 @@ class Interaction:
 
     ``rating`` lies in [0, 1]; ``time`` is a dimensionless non-negative
     scalar (the application chooses the unit).  A record is checked when it
-    is made: one that breaks the record rule raises InvalidRecordError.
+    is made, by the record rule: ids and category are non-empty strings,
+    trustor != trustee, and rating in [0, 1] and time >= 0 are numbers by
+    :func:`finite_float`'s rule.  The first field that breaks it raises
+    InvalidRecordError naming that field.
     """
 
     trustor: AgentId
@@ -84,9 +87,18 @@ class Interaction:
     time: float
 
     def __post_init__(self):
-        problem = check_interaction(self)
-        if problem is not None:
-            raise InvalidRecordError(*problem)
+        for name in ("trustor", "trustee", "category"):
+            value = getattr(self, name)
+            if not isinstance(value, str) or not value:
+                raise InvalidRecordError(name, f"{name} must be a non-empty string")
+        if self.trustor == self.trustee:
+            raise InvalidRecordError("trustee", "trustee must differ from the trustor")
+        rating = finite_float(self.rating)
+        if rating is None or not 0.0 <= rating <= 1.0:
+            raise InvalidRecordError("rating", "rating must be a finite number in [0, 1]")
+        time = finite_float(self.time)
+        if time is None or time < 0:
+            raise InvalidRecordError("time", "time must be a finite number >= 0")
 
 
 def is_number(value) -> bool:
@@ -103,27 +115,6 @@ def finite_float(value) -> Optional[float]:
     except OverflowError:  # an int beyond the float range has no finite value
         return None
     return number if math.isfinite(number) else None
-
-
-def check_interaction(record: Interaction) -> Optional[tuple[str, str]]:
-    """The record rule: (field, problem) for an invalid record, else None; never raises.
-
-    Ids and category are non-empty strings, trustor != trustee, and rating
-    in [0, 1] and time >= 0 are numbers by :func:`finite_float`'s rule.
-    """
-    for name in ("trustor", "trustee", "category"):
-        value = getattr(record, name)
-        if not isinstance(value, str) or not value:
-            return name, f"{name} must be a non-empty string"
-    if record.trustor == record.trustee:
-        return "trustee", "trustee must differ from the trustor"
-    rating = finite_float(record.rating)
-    if rating is None or not 0.0 <= rating <= 1.0:
-        return "rating", "rating must be a finite number in [0, 1]"
-    time = finite_float(record.time)
-    if time is None or time < 0:
-        return "time", "time must be a finite number >= 0"
-    return None
 
 
 @dataclass(frozen=True)
@@ -150,21 +141,16 @@ def check_profile(profile: AgentProfile) -> Optional[tuple[str, str]]:
     """
     if not isinstance(profile.id, str) or not profile.id:
         return "id", "id must be a non-empty string"
-    if not _labels_ok(profile.able):
-        return "able", "category lists must contain non-empty strings"
-    if not _labels_ok(profile.completed):
-        return "completed", "category lists must contain non-empty strings"
+    for name in ("able", "completed"):
+        labels = getattr(profile, name)
+        # The type check comes first, so that ``in`` compares only strings.
+        if not (
+            isinstance(labels, (frozenset, set, list, tuple))
+            and all(map(isinstance, labels, repeat(str)))
+            and "" not in labels
+        ):
+            return name, "category lists must contain non-empty strings"
     return None
-
-
-def _labels_ok(labels) -> bool:
-    """Whether ``labels`` is a collection of non-empty strings."""
-    # The type check comes first, so that ``in`` compares only strings.
-    return (
-        isinstance(labels, (frozenset, set, list, tuple))
-        and all(map(isinstance, labels, repeat(str)))
-        and "" not in labels
-    )
 
 
 @dataclass(frozen=True)
@@ -300,7 +286,7 @@ class Environment:
     _trusted: dict[TaskCategory, tuple[float, TrustedEdges]] = field(
         default_factory=dict, init=False, repr=False
     )
-    _terms: dict[TaskCategory, tuple[float, list[tuple[int, float, float]]]] = field(
+    _terms: dict[TaskCategory, tuple[float, list[tuple[int, float, float, float]]]] = field(
         default_factory=dict, init=False, repr=False
     )
 
@@ -402,12 +388,12 @@ class Environment:
 
     def consultation_terms(
         self, category: TaskCategory, recency_rate: float
-    ) -> list[tuple[int, float, float]]:
-        """Each agent's ``(n, log(1 + n), exp(-recency_rate * (now - last)))``, by index.
+    ) -> list[tuple[int, float, float, float]]:
+        """Each agent's ``(n, log(1 + n), exp(-recency_rate * (now - last)), last)``, by index.
 
         ``n`` and ``last`` are the agent's count and latest time on
         ``category`` in :meth:`activity`, and ``now`` is the snapshot time;
-        an agent with no activity on the category has ``(0, 0.0, 0.0)``.
+        an agent with no activity on the category has ``(0, 0.0, 0.0, -inf)``.
         Cached per category for the latest rate asked.  A rate that is not
         a finite number by :func:`finite_float`'s rule raises ValueError,
         whatever the cache holds.  Callers must not modify the list.
@@ -418,9 +404,10 @@ class Environment:
         held = self._terms.get(category)
         if held is None or held[0] != rate:
             activity, now, index = self.activity(category), self.snapshot_time, self.index
-            terms = [(0, 0.0, 0.0)] * len(index)
+            terms = [(0, 0.0, 0.0, -math.inf)] * len(index)
             for a, n in activity.counts.items():
-                terms[index[a]] = (n, math.log(1 + n), math.exp(-rate * (now - activity.last[a])))
+                last = activity.last[a]
+                terms[index[a]] = (n, math.log(1 + n), math.exp(-rate * (now - last)), last)
             held = self._terms[category] = (rate, terms)
         return held[1]
 
@@ -465,8 +452,10 @@ class TrustConfig:
     >= 0; path_decay in (0, 1]; damping in (0, 1); tolerance > 0;
     max_iterations >= 1.  ``search_steps`` caps the number of node
     expansions for reproducible searches; ``search_seconds`` and
-    ``pagerank_seconds`` are wall-clock budgets.  ``None`` means unlimited;
-    every value given must be finite (see :func:`validate_config`).
+    ``pagerank_seconds`` are wall-clock budgets.  ``None`` means unlimited.
+    Each field is checked when the config is made, by its row of
+    ``CONFIG_BOUNDS``, and errors name the wire key: a value of the wrong
+    type raises TypeError, a non-finite or out-of-bound one ValueError.
     """
 
     trust_threshold: float = 0.5
@@ -482,7 +471,20 @@ class TrustConfig:
     pagerank_seconds: Optional[float] = None
 
     def __post_init__(self):
-        validate_config(self)
+        for name, (key, kind, unlimited, bound, within) in CONFIG_BOUNDS.items():
+            value = getattr(self, name)
+            if value is None and unlimited:
+                continue
+            wanted = "an integer" if kind == "integer" else "a number"
+            wanted += " or null" if unlimited else ""
+            if not is_number(value):
+                raise TypeError(f"{key} must be {wanted}")
+            if finite_float(value) is None:
+                raise ValueError(f"{key} must be finite")
+            if kind == "integer" and not isinstance(value, int):
+                raise TypeError(f"{key} must be {wanted}")
+            if not within(value):
+                raise ValueError(f"{key} {bound}")
 
 
 # Per field: its key in config files (which errors name), its kind
@@ -501,29 +503,6 @@ CONFIG_BOUNDS = {
     "search_seconds": ("search_seconds", "number", True, "must be >= 0", lambda x: x >= 0),
     "pagerank_seconds": ("pagerank_seconds", "number", True, "must be >= 0", lambda x: x >= 0),
 }
-
-
-def validate_config(cfg: TrustConfig) -> None:
-    """Check every field by its row of ``CONFIG_BOUNDS``; errors name the wire key.
-
-    Type, then finiteness, integrality and bound: a value that is not a number
-    (or None where unlimited is allowed), or an integer field's non-int, raises
-    TypeError; any other failure raises ValueError.
-    """
-    for name, (key, kind, unlimited, bound, within) in CONFIG_BOUNDS.items():
-        value = getattr(cfg, name)
-        if value is None and unlimited:
-            continue
-        wanted = "an integer" if kind == "integer" else "a number"
-        wanted += " or null" if unlimited else ""
-        if not is_number(value):
-            raise TypeError(f"{key} must be {wanted}")
-        if finite_float(value) is None:
-            raise ValueError(f"{key} must be finite")
-        if kind == "integer" and not isinstance(value, int):
-            raise TypeError(f"{key} must be {wanted}")
-        if not within(value):
-            raise ValueError(f"{key} {bound}")
 
 
 def check_snapshot_clock(snapshot_time, decay_rate) -> None:

@@ -11,6 +11,8 @@ the aggregation step combines the survivors of the path-trust filter.
 from __future__ import annotations
 
 import heapq
+import math
+import sys
 import time as _time
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -25,6 +27,8 @@ from .core import (
     TrustConfig,
     UnknownAgentError,
 )
+
+_TINY = sys.float_info.min  # the smallest normal float
 
 
 @dataclass(slots=True)
@@ -170,23 +174,30 @@ class PropagationTable:
 
 
 def _consultation(
-    terms: Sequence[tuple[int, float, float]], ordered: Sequence[int]
+    terms: Sequence[tuple[int, float, float, float]], ordered: Sequence[int], rate: float
 ) -> list[float]:
     """Consultation probabilities of ``ordered`` (ascending indices, non-empty), in that order.
 
     Each neighbour's raw term is log(1 + n) / log(1 + max n) times
-    exp(-recency_rate * (now - its last time)); the terms are normalized by
+    exp(-rate * (now - its last time)); the terms are normalized by
     their sum, or made uniform when they sum to 0.  ``terms`` is
     :meth:`Environment.consultation_terms`, which holds each agent's
     count, log and exp, so a call does no log or exp of its own: the
     largest count's cached log is log(1 + max n), and each raw term is the
-    same float operations in the same order as the formula.
+    same float operations in the same order as the formula.  When every
+    neighbour's exp is below the normal floats, the exps are taken from the
+    newest neighbour's last time instead: the same split, without the underflow.
     """
     found = [terms[i] for i in ordered]
-    top_count, top, _ = max(found)
+    top_count, top, _, _ = max(found)
     if top_count > 0:
-        raw = [volume / top * recency for _, volume, recency in found]
+        raw = [volume / top * recency for _, volume, recency, _ in found]
         total = sum(raw)
+        # A raw term is at most its exp, so only a small sum can hide an underflow.
+        if total < _TINY * len(raw) and max(term[2] for term in found) < _TINY:
+            newest = max(term[3] for term in found)
+            raw = [v / top * math.exp(-rate * (newest - last)) for _, v, _, last in found]
+            total = sum(raw)
         if total > 0:
             return [r / total for r in raw]
     return [1.0 / len(ordered)] * len(ordered)
@@ -222,7 +233,7 @@ def propagation_probabilities(
     if len(ordered) != len(neighbours):
         raise ValueError("neighbour set repeats an agent")
     terms = env.consultation_terms(category, recency_rate)
-    return dict(zip(ordered, _consultation(terms, [index[a] for a in ordered])))
+    return dict(zip(ordered, _consultation(terms, [index[a] for a in ordered], recency_rate)))
 
 
 @dataclass(slots=True)
@@ -384,7 +395,7 @@ def find_paths(
         if attach:
             # Read after the re-attachments, which may have rescaled this row.
             cum_prob = row.cum_prob
-            values = _consultation(terms, attach)
+            values = _consultation(terms, attach, config.recency_rate)
             node = prefix_of[current].branches.setdefault(current, _Prefix())
             for nbr, value, t in zip(attach, values, hop_trust):
                 p = cum_prob * value

@@ -11,9 +11,11 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, TextIO, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -76,51 +78,76 @@ class SnapshotError(TrustError):
     pass
 
 
-def _as_stream(source: Union[str, Path, TextIO]) -> TextIO:
+@contextmanager
+def _text(source: Union[str, Path, TextIO], mode: str = "r") -> Iterator[TextIO]:
+    """``source`` as a text stream; a path is opened as UTF-8 and closed on exit."""
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8")
-    return source
+        with open(source, mode, encoding="utf-8") as stream:
+            yield stream
+    else:
+        yield source
+
+
+def _decode(text: Union[str, bytes], error: Callable[[str], Exception]):
+    """The value of outside JSON text; text json cannot read raises ``error("invalid JSON: ...")``.
+
+    That includes an int of too many digits and a value nested too deep.
+    """
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"invalid JSON: {getattr(exc, 'msg', exc)}") from None
+
+
+# The error of a line that is not JSON, which names no field.
+_not_json = partial(InvalidRecordError, None)
+
+
+def _check_shape(obj, what: str, fields, required=()) -> None:
+    """The shape rule of a JSON line; a break raises InvalidRecordError(field, problem).
+
+    ``obj`` must be a JSON object (``what`` names it) with fields among
+    ``fields``, ``required`` ones included; the first unexpected field
+    (sorted) is named before the first missing one.
+    """
+    if not isinstance(obj, dict):
+        raise InvalidRecordError(None, f"{what} must be a JSON object")
+    unknown = obj.keys() - fields
+    if unknown:
+        raise InvalidRecordError(min(unknown), "unexpected field")
+    for name in required:
+        if name not in obj:
+            raise InvalidRecordError(name, "missing field")
 
 
 def _read_json_lines(source: Union[str, Path, TextIO], strict: bool, parse) -> tuple[list, list]:
     """Parse each non-blank JSON line of ``source`` with ``parse``.
 
-    ``parse(obj)`` returns ``(item, None)`` or ``(None, (field, problem))``.
+    ``parse(obj)`` returns the line's item or raises InvalidRecordError.
     Returns the items in input order and the per-line errors; with
     ``strict`` the first error raises LogParseError instead.
     """
     items: list = []
     errors: list[ParseError] = []
-    stream = _as_stream(source)
-    try:
+    with _text(source) as stream:
         for line_no, line in enumerate(stream, start=1):
             if not line.strip():
                 continue
             try:
-                item, problem = parse(json.loads(line))
-            except ValueError as exc:  # JSONDecodeError, or an int of too many digits
-                item, problem = None, (None, f"invalid JSON: {getattr(exc, 'msg', exc)}")
-            if problem is None:
-                items.append(item)
+                items.append(parse(_decode(line, _not_json)))
                 continue
-            error = ParseError(line_no, *problem)
+            except InvalidRecordError as exc:
+                error = ParseError(line_no, exc.field, str(exc))
             if strict:
                 raise LogParseError(error)
             errors.append(error)
-    finally:
-        if stream is not source:
-            stream.close()
     return items, errors
 
 
 def _write_json_lines(target: Union[str, Path, TextIO], objs: Iterable[dict]) -> None:
-    stream = open(target, "w", encoding="utf-8") if isinstance(target, (str, Path)) else target
-    try:
+    with _text(target, "w") as stream:
         for obj in objs:
             stream.write(json.dumps(obj) + "\n")
-    finally:
-        if stream is not target:
-            stream.close()
 
 
 def parse_log(
@@ -135,24 +162,10 @@ def parse_log(
     return _read_json_lines(source, strict, _wire_record)
 
 
-def _wire_record(obj) -> tuple[Optional[Interaction], Optional[tuple[Optional[str], str]]]:
-    """The record a log line holds, or (None, (field, problem)) when it is invalid.
-
-    Only the line's shape is checked here; its values when the record is
-    made, and an InvalidRecordError becomes the line's (field, problem).
-    """
-    if not isinstance(obj, dict):
-        return None, (None, "record must be a JSON object")
-    unknown = sorted(set(obj) - set(LOG_FIELDS))
-    if unknown:
-        return None, (unknown[0], "unexpected field")
-    missing = [f for f in LOG_FIELDS if f not in obj]
-    if missing:
-        return None, (missing[0], "missing field")
-    try:
-        return Interaction(**obj), None
-    except InvalidRecordError as exc:
-        return None, (exc.field, str(exc))
+def _wire_record(obj) -> Interaction:
+    """The record a log line holds: its shape is checked here, its values when it is made."""
+    _check_shape(obj, "record", LOG_FIELDS, LOG_FIELDS)
+    return Interaction(**obj)
 
 
 def dump_log(records: Sequence[Interaction], target: Union[str, Path, TextIO]) -> None:
@@ -172,31 +185,23 @@ def parse_profiles(
     seen: set[str] = set()
 
     def parse(obj):
-        profile, problem = _wire_profile(obj)
-        if profile is not None:
-            if profile.id in seen:
-                return None, ("id", f"id {profile.id!r} already declared on an earlier line")
-            seen.add(profile.id)
-        return profile, problem
+        profile = _wire_profile(obj)
+        if profile.id in seen:
+            raise InvalidRecordError("id", f"id {profile.id!r} already declared on an earlier line")
+        seen.add(profile.id)
+        return profile
 
     return _read_json_lines(source, strict, parse)
 
 
-def _wire_profile(obj) -> tuple[Optional[AgentProfile], Optional[tuple[str, str]]]:
-    """The profile a line declares, or (None, (field, problem)) when it is invalid.
-
-    Only the line's shape is checked here; its values by :func:`check_profile`.
-    """
-    if not isinstance(obj, dict):
-        return None, (None, "profile must be a JSON object")
-    unknown = sorted(set(obj) - {"id", "able", "completed"})
-    if unknown:
-        return None, (unknown[0], "unexpected field")
+def _wire_profile(obj) -> AgentProfile:
+    """The profile a line declares: its shape is checked here, its values by check_profile."""
+    _check_shape(obj, "profile", ("id", "able", "completed"))
     declared = AgentProfile(obj.get("id"), obj.get("completed", []), obj.get("able", []))
     problem = check_profile(declared)
     if problem is not None:
-        return None, problem
-    return AgentProfile(declared.id, frozenset(declared.completed), frozenset(declared.able)), None
+        raise InvalidRecordError(*problem)
+    return AgentProfile(declared.id, frozenset(declared.completed), frozenset(declared.able))
 
 
 def dump_profiles(profiles: Iterable[AgentProfile], target: Union[str, Path, TextIO]) -> None:
@@ -219,18 +224,11 @@ def config_from_dict(data: dict) -> TrustConfig:
 
 def load_config(source: Union[str, Path, TextIO]) -> TrustConfig:
     """Load a flat key-value JSON config; an empty file means all defaults."""
-    stream = _as_stream(source)
-    try:
+    with _text(source) as stream:
         text = stream.read()
-    finally:
-        if stream is not source:
-            stream.close()
     if not text.strip():
         return TrustConfig()
-    try:
-        data = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an int of too many digits
-        raise ConfigError(f"invalid JSON: {getattr(exc, 'msg', exc)}") from None
+    data = _decode(text, ConfigError)
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     return config_from_dict(data)
@@ -295,9 +293,13 @@ def load_snapshot(path: Union[str, Path]) -> tuple[Environment, Optional[Reputat
         raise SnapshotError(f"malformed snapshot: {type(exc).__name__}: {exc}") from None
 
 
+def _malformed(problem: str) -> SnapshotError:
+    return SnapshotError(f"malformed snapshot: {problem}")
+
+
 def _require(ok, problem: str) -> None:
     if not ok:
-        raise SnapshotError(f"malformed snapshot: {problem}")
+        raise _malformed(problem)
 
 
 def _ascending_strings(values, what: str) -> list[str]:
@@ -342,7 +344,7 @@ def _read_arrays(body: bytes, offset: int, names: tuple[str, ...]) -> dict[str, 
             version = np.lib.format.read_magic(stream)
             shape, _, found = np.lib.format.read_array_header_1_0(stream)
         except Exception as exc:  # numpy's parser of a header dict raises many kinds
-            raise SnapshotError(f"malformed snapshot: array {name} has no .npy header") from exc
+            raise _malformed(f"array {name} has no .npy header") from exc
         ok = version == (1, 0) and found == dtype and len(shape) == 1
         _require(ok, f"array {name} must be 1-D {dtype} in .npy 1.0")
         start = stream.tell()
@@ -363,7 +365,7 @@ def _parse_body(body: bytes) -> tuple[Environment, Optional[ReputationModel]]:
     in range), so a bad value ends here as SnapshotError and not in a query.
     """
     end = body.find(b"\n")
-    document = json.loads(body[: end if end >= 0 else len(body)])
+    document = _decode(body[: end if end >= 0 else len(body)], _malformed)
     header = document.get("header", {})
     if header.get("format") != SNAPSHOT_FORMAT:
         raise SnapshotError("not a snapshot file")

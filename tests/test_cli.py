@@ -5,7 +5,7 @@ import pytest
 
 from trustnet import (
     GenParams, Interaction, InvariantError, PropagationTable, aggregate, build_environment,
-    dump_log, dump_profiles, generate, oracles,
+    dump_log, dump_profiles, generate, oracles, parse_log, parse_profiles,
 )
 from trustnet import cli
 from trustnet.cli import main
@@ -207,6 +207,22 @@ def test_generate_twice_is_identical(capsys, tmp_path):
         )
         assert code == 0
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def test_generate_writes_profiles_that_parse_back(capsys, tmp_path):
+    log, profiles = tmp_path / "log.jsonl", tmp_path / "profiles.jsonl"
+    argv = [
+        "generate", "--seed", "7", "--agents", "9", "--interactions", "60",
+        "--newcomer-fraction", "0.2", "--out", str(log), "--profiles-out", str(profiles),
+    ]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["profiles"] == str(profiles)
+    expected, records = generate(
+        GenParams(seed=7, n_agents=9, n_interactions=60, newcomer_fraction=0.2)
+    )
+    assert parse_profiles(profiles) == (expected, [])
+    assert parse_log(log) == (records, [])
 
 
 def test_snapshot_save_and_load(capsys, world):

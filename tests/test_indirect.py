@@ -171,6 +171,25 @@ def test_repeated_neighbour_rejected():
         propagation_probabilities(env, "A", ["B", "B"], "c1", 0.01)
 
 
+def test_recency_terms_below_the_normal_floats_keep_their_split():
+    # exp(-10 * 99) and exp(-10 * 98) are both 0.0; from C's last time the terms are e^-10 and 1.
+    env = build_environment([rec("A", "B", 0.9, "c", 1.0), rec("A", "C", 0.9, "c", 2.0)], 100.0)
+    probs = propagation_probabilities(env, "A", ["B", "C"], "c", 10.0)
+    share = math.exp(-10) / (1 + math.exp(-10))
+    assert probs["B"] == pytest.approx(share, rel=1e-12)
+    assert probs["C"] == pytest.approx(1 - share, rel=1e-12)
+    assert share == pytest.approx(4.54e-5, rel=1e-3)
+
+
+def test_search_weighs_underflowed_recency_terms_from_the_newest():
+    log = [rec("A", "B", 0.9, "c", 1.0), rec("A", "C", 0.9, "c", 2.0)]
+    env = build_environment(log, 100.0, 0.0, [AgentProfile("D")])
+    table = find_paths(env, log, "A", "D", "c", TrustConfig(recency_rate=10.0))
+    share = math.exp(-10) / (1 + math.exp(-10))
+    assert table.rows["B"].cum_prob == pytest.approx(share, rel=1e-12)
+    assert table.rows["C"].cum_prob == pytest.approx(1 - share, rel=1e-12)
+
+
 @given(st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=6))
 @settings(max_examples=60)
 def test_probabilities_sum_to_one(counts):
@@ -420,6 +439,12 @@ def test_unknown_agents_rejected():
         find_paths(env, log, "Z", "B", "c1", CFG)
     with pytest.raises(UnknownAgentError):
         find_paths(env, log, "A", "Z", "c1", CFG)
+
+
+def test_search_from_an_agent_to_itself_rejected():
+    log = [rec("A", "B", 0.9)]
+    with pytest.raises(ValueError, match="trustor and trustee must differ"):
+        find_paths(env_of(log), log, "A", "A", "c1", CFG)
 
 
 # --- aggregation ----------------------------------------------------------

@@ -714,3 +714,84 @@ def test_profile_line_breaking_the_id_rule_is_reported():
     assert [(e.line, e.field) for e in errors] == [
         (1, "id"), (2, "id"), (3, "id"), (4, None), (5, "able")
     ]
+
+
+# --- the input boundary ----------------------------------------------------------
+
+DEEP = "[" * 100_000 + "]" * 100_000  # a JSON value nested deeper than json's parser recurses
+LINE = '{"trustor":"A","trustee":"B","rating":0.5,"category":"c1","time":1}\n'
+
+
+def test_blank_lines_are_skipped_but_counted():
+    text = "\n   \n" + LINE + "\t\n" + "not json\n" + "  \n" + LINE.replace("0.5", "2")
+    records, errors = parse_log(io.StringIO(text))
+    assert records == [rec("A", "B", 0.5, "c1", 1)]
+    assert [(e.line, e.field) for e in errors] == [(5, None), (7, "rating")]
+
+
+@pytest.mark.parametrize(
+    "parse, what", [(parse_log, "record"), (parse_profiles, "profile")], ids=["log", "profiles"]
+)
+@pytest.mark.parametrize("line", ['[1, 2]', '"text"', "null", "3"])
+def test_line_that_is_not_a_json_object_is_a_line_error(parse, what, line):
+    items, errors = parse(io.StringIO(line + "\n"))
+    assert items == []
+    assert [(e.line, e.field, e.message) for e in errors] == [
+        (1, None, f"{what} must be a JSON object")
+    ]
+
+
+@pytest.mark.parametrize("text", ["[1]", '"theta_r"', "0.5", "null"])
+def test_config_that_is_not_a_json_object_is_a_config_error(tmp_path, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="^config must be a JSON object$"):
+        load_config(path)
+
+
+def test_unreadable_snapshot_path_is_a_snapshot_error(tmp_path):
+    with pytest.raises(SnapshotError, match="^cannot read snapshot: "):
+        load_snapshot(tmp_path)  # a directory
+    with pytest.raises(SnapshotError, match="^cannot read snapshot: "):
+        load_snapshot(tmp_path / "missing.snap")
+
+
+@pytest.mark.parametrize("parse", [parse_log, parse_profiles], ids=["log", "profiles"])
+def test_line_nested_too_deep_is_a_line_error(parse):
+    items, errors = parse(io.StringIO(DEEP + "\n"))
+    assert items == []
+    assert [(e.line, e.field) for e in errors] == [(1, None)]
+    assert errors[0].message.startswith("invalid JSON: maximum recursion depth exceeded")
+    with pytest.raises(LogParseError, match="^line 1: invalid JSON: maximum recursion"):
+        parse(io.StringIO(DEEP + "\n"), strict=True)
+
+
+def test_config_nested_too_deep_is_a_config_error(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(DEEP)
+    with pytest.raises(ConfigError, match="^invalid JSON: maximum recursion"):
+        load_config(path)
+
+
+def test_snapshot_header_nested_too_deep_is_a_snapshot_error(tmp_path):
+    path = tmp_path / "deep.snap"
+    rewrite_body(path, DEEP.encode() + b"\n")
+    with pytest.raises(SnapshotError, match="^malformed snapshot: invalid JSON: maximum recursion"):
+        load_snapshot(path)
+
+
+def test_snapshot_header_that_is_not_json_is_a_snapshot_error(tmp_path):
+    path = tmp_path / "bad.snap"
+    rewrite_body(path, b"{not json\n")
+    with pytest.raises(SnapshotError, match="^malformed snapshot: invalid JSON: "):
+        load_snapshot(path)
+
+
+def test_stream_arguments_are_left_open(tmp_path):
+    stream = io.StringIO()
+    dump_log([rec("A", "B", 0.5, "c1", 1)], stream)
+    assert stream.getvalue() == LINE.replace(":", ": ").replace(",", ", ")
+    stream.seek(0)
+    assert parse_log(stream) == ([rec("A", "B", 0.5, "c1", 1)], [])
+    assert load_config(io.StringIO("{}")) == TrustConfig()
+    assert not stream.closed
