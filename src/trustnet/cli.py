@@ -200,7 +200,7 @@ def _cmd_snapshot(args) -> int:
         _emit(
             {
                 "path": args.out,
-                "agents": len(env.agents),
+                "agents": len(env.ids),
                 "edges": len(env.edges),
                 "with_reputation": model is not None,
                 "checksum": checksum,
@@ -212,7 +212,7 @@ def _cmd_snapshot(args) -> int:
         {
             "snapshot_time": env.snapshot_time,
             "decay_rate": env.decay_rate,
-            "agents": len(env.agents),
+            "agents": len(env.ids),
             "edges": len(env.edges),
             "has_reputation": model is not None,
         }

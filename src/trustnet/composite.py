@@ -133,10 +133,9 @@ def evaluate(
     snapshot; it must have been built from ``env`` itself (or loaded with
     it), and with this config, or the call raises ValueError.
     """
-    if trustor not in env.agents:
-        raise UnknownAgentError(trustor)
-    if trustee not in env.agents:
-        raise UnknownAgentError(trustee)
+    for agent in (trustor, trustee):
+        if agent not in env.index:
+            raise UnknownAgentError(agent)
     if trustor == trustee:
         raise ValueError("trustor and trustee must differ")
     if env.snapshot_time != eval_time:
@@ -157,8 +156,8 @@ def evaluate(
                 f"the config's {model_params(config)!r}"
             )
 
-    profile = env.agents[trustee]
-    if category not in profile.able:
+    completed, able = env.kinds[env.profile[env.index[trustee]]]
+    if category not in able:
         raise CapabilityError(
             f"trustee {trustee!r} lacks capability for category {category!r}"
         )
@@ -176,8 +175,8 @@ def evaluate(
         n_other=direct_result.n_other,
         n_paths=len(kept),
         dt_min=dt_min(env, category),
-        trustee_did_category=category in profile.completed,
-        trustee_can_category=category in profile.able,
+        trustee_did_category=category in completed,
+        trustee_can_category=category in able,
     )
     alpha_value = alpha(inputs)
     beta_value = beta(alpha_value, inputs)

@@ -16,6 +16,7 @@ import math
 import operator
 from collections.abc import Mapping as MappingABC, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress, repeat
 from typing import Iterable, Iterator, Mapping, Optional
 
@@ -42,7 +43,7 @@ class CapabilityError(TrustError):
 
 
 class InvalidRecordError(TrustError):
-    """An interaction record, or a line of a log or profile file, breaks its rule.
+    """An interaction record or agent profile, or a line of a log or profile file, breaks its rule.
 
     ``field`` names the field that breaks the rule (None when the line is
     not a JSON object); the message is the rule's problem text.
@@ -54,10 +55,7 @@ class InvalidRecordError(TrustError):
 
 
 class InvalidProfileError(TrustError):
-    """A declared agent profile violates its invariants.
-
-    ``index`` is the position of the offending profile in the input sequence.
-    """
+    """A declared agent profile repeats an earlier one's id; ``index`` is its input position."""
 
     def __init__(self, index: int, profile_id, message: str):
         super().__init__(f"profile {index} (id {profile_id!r}): {message}")
@@ -124,33 +122,29 @@ class AgentProfile:
     ``completed`` is derived from the log (categories in which the agent was
     rated as a trustee) merged with any declared history.  ``able`` is taken
     from the declaration when one exists; completion does not imply a
-    declared ability and vice versa.
+    declared ability and vice versa.  It is checked when it is made: the id
+    is a non-empty string, and ``able`` then ``completed`` are collections of
+    non-empty strings, held as frozensets; the first field that breaks the
+    rule raises InvalidRecordError naming it.
     """
 
     id: AgentId
     completed: frozenset[TaskCategory] = frozenset()
     able: frozenset[TaskCategory] = frozenset()
 
-
-def check_profile(profile: AgentProfile) -> Optional[tuple[str, str]]:
-    """Return (field, problem) for an invalid declared profile, else None; never raises.
-
-    The id is a non-empty string, as an Interaction's ids are, and
-    ``able`` and ``completed`` are collections of non-empty strings; the
-    field named is the one that breaks the rule.
-    """
-    if not isinstance(profile.id, str) or not profile.id:
-        return "id", "id must be a non-empty string"
-    for name in ("able", "completed"):
-        labels = getattr(profile, name)
-        # The type check comes first, so that ``in`` compares only strings.
-        if not (
-            isinstance(labels, (frozenset, set, list, tuple))
-            and all(map(isinstance, labels, repeat(str)))
-            and "" not in labels
-        ):
-            return name, "category lists must contain non-empty strings"
-    return None
+    def __post_init__(self):
+        if not isinstance(self.id, str) or not self.id:
+            raise InvalidRecordError("id", "id must be a non-empty string")
+        for name in ("able", "completed"):
+            labels = getattr(self, name)
+            # The type check comes first, so that ``in`` compares only strings.
+            if not (
+                isinstance(labels, (frozenset, set, list, tuple))
+                and all(map(isinstance, labels, repeat(str)))
+                and "" not in labels
+            ):
+                raise InvalidRecordError(name, "category lists must contain non-empty strings")
+            object.__setattr__(self, name, frozenset(labels))
 
 
 @dataclass(frozen=True)
@@ -242,14 +236,16 @@ class EdgeView(MappingABC):
 class Environment:
     """Immutable graph snapshot of all interactions strictly before ``snapshot_time``.
 
-    ``agents`` is keyed in ascending id order; agent ``i`` of that order
-    owns edges ``indptr[i]:indptr[i+1]`` of ``dst`` (agent indices,
-    ascending within a row), and edge ``e`` owns rows
+    ``ids`` holds the agent ids in ascending order; agent ``i`` has the
+    profile ``kinds[profile[i]]``, one of the distinct ``(completed, able)``
+    pairs, and owns edges ``indptr[i]:indptr[i+1]`` of ``dst`` (agent
+    indices, ascending within a row), and edge ``e`` owns rows
     ``cat_ptr[e]:cat_ptr[e+1]`` of the per-(edge, category) arrays, whose
     ``cat`` indexes ``categories`` (ascending within an edge).  ``weight``
     (the one weight rule: the unweighted mean of an edge's
     ``decayed_trust`` rows), ``src`` and the ``edges`` view are derived.
-    All arrays are read-only.  Three caches are filled on first use: the
+    All arrays are read-only.  Four caches are filled on first use: the
+    ``agents`` dict (the engine reads ``kinds`` and ``profile``), the
     per-category ``activity`` (counts and latest times), and per category,
     for the latest threshold or recency rate asked, the
     :meth:`trusted_edges` CSR and the :meth:`consultation_terms` list.  So
@@ -257,16 +253,17 @@ class Environment:
     checks its threshold and rate once per search, reads each expanded
     agent's qualifying neighbours as one slice of plain lists, and takes
     every consultation term's log and exp from the cache.  The caches hold
-    lists, never the snapshot itself.  Concurrent readers are safe (a
-    cache filled on first use holds the same value whichever reader fills
-    it).  ``decay_rate`` records the discount rate the snapshot was built
-    with.
+    lists, never the snapshot itself.  Concurrent readers are safe (a cache
+    filled on first use holds the same value whichever reader fills it).
+    ``decay_rate`` records the discount rate the snapshot was built with.
     """
 
-    agents: dict[AgentId, AgentProfile]
+    ids: tuple[AgentId, ...]
+    kinds: tuple[tuple[frozenset[TaskCategory], frozenset[TaskCategory]], ...]
     snapshot_time: float
     decay_rate: float
     categories: tuple[TaskCategory, ...]
+    profile: np.ndarray
     indptr: np.ndarray
     dst: np.ndarray
     cat_ptr: np.ndarray
@@ -292,15 +289,15 @@ class Environment:
 
     # The columnar fields, in the order a snapshot stores them.
     ARRAYS = (
-        "indptr", "dst", "cat_ptr", "cat", "count", "decayed_trust", "mean_rating", "last_time"
+        "profile", "indptr", "dst", "cat_ptr", "cat", "count", "decayed_trust", "mean_rating",
+        "last_time",
     )
 
     def __post_init__(self):
-        self.index = {a: i for i, a in enumerate(self.agents)}
+        self.index = {a: i for i, a in enumerate(self.ids)}
         self._category_index = {c: k for k, c in enumerate(self.categories)}
-        self.id_array = np.empty(len(self.agents), dtype=object)
-        self.id_array[:] = list(self.agents)
-        self.src = np.repeat(np.arange(len(self.agents)), np.diff(self.indptr))
+        self.id_array = np.array(self.ids, dtype=object)
+        self.src = np.repeat(np.arange(len(self.ids)), np.diff(self.indptr))
         per_edge = np.diff(self.cat_ptr)
         row_edge = np.repeat(np.arange(len(self.dst)), per_edge)
         # bincount adds in row order, i.e. in category id order within an edge.
@@ -315,16 +312,25 @@ class Environment:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Environment):
             return NotImplemented
+        # Per-agent profiles, not kind numbers: a loaded file may number its kinds in another order.
         return (
-            self.agents == other.agents
+            self.ids == other.ids
             and self.snapshot_time == other.snapshot_time
             and self.decay_rate == other.decay_rate
             and self.categories == other.categories
+            and list(map(self.kinds.__getitem__, self.profile.tolist()))
+            == list(map(other.kinds.__getitem__, other.profile.tolist()))
             and all(
                 np.array_equal(getattr(self, name), getattr(other, name))
                 for name in self.ARRAYS
+                if name != "profile"
             )
         )
+
+    @cached_property
+    def agents(self) -> dict[AgentId, AgentProfile]:
+        """Each agent's :class:`AgentProfile`, keyed in ascending id order; made on first use."""
+        return {a: AgentProfile(a, *self.kinds[k]) for a, k in zip(self.ids, self.profile.tolist())}
 
     @property
     def edges(self) -> EdgeView:
@@ -372,10 +378,8 @@ class Environment:
             raise ValueError(f"threshold {threshold!r} must be a finite number")
         held = self._trusted.get(category)
         if held is None or held[0] != number:
-            completed = np.fromiter(
-                (category in p.completed for p in self.agents.values()), bool, len(self.agents)
-            )
-            kept = np.flatnonzero((self.weight >= number) & completed[self.dst])
+            completed = np.array([category in done for done, _ in self.kinds], dtype=bool)
+            kept = np.flatnonzero((self.weight >= number) & completed[self.profile[self.dst]])
             held = self._trusted[category] = (
                 number,
                 (
@@ -548,23 +552,21 @@ def build_environment(
     is not a normal float is weighed from its newest time instead: the same
     mean, without the underflow.
 
-    ``log`` must be a sequence of :class:`Interaction` records, which are
-    valid by construction: a log that is not a sequence, or an item that is
-    not an Interaction, raises TypeError naming it.  Each declared profile
-    is checked by :func:`check_profile`, and an id may be declared once;
-    the first invalid profile, or the second declaration of an id, raises
-    InvalidProfileError.
+    ``log`` must be a sequence of :class:`Interaction` records and
+    ``profiles`` an iterable of :class:`AgentProfile`, both valid by
+    construction: a log that is not a sequence, or an item of either that
+    is not of its type, raises TypeError naming it.  An id may be declared
+    once; its second declaration raises InvalidProfileError.
     Raises ValueError from :func:`check_snapshot_clock`.
     """
     check_snapshot_clock(snapshot_time, decay_rate)
     declared: dict[AgentId, AgentProfile] = {}
-    for idx, profile in enumerate(profiles):
-        problem = check_profile(profile)
-        if problem is not None:
-            raise InvalidProfileError(idx, profile.id, problem[1])
-        if profile.id in declared:
-            raise InvalidProfileError(idx, profile.id, "id already declared by an earlier profile")
-        declared[profile.id] = profile
+    for idx, decl in enumerate(profiles):
+        if not isinstance(decl, AgentProfile):
+            raise TypeError(f"profile {idx} must be an AgentProfile, not {type(decl).__name__}")
+        if decl.id in declared:
+            raise InvalidProfileError(idx, decl.id, "id already declared by an earlier profile")
+        declared[decl.id] = decl
     if not isinstance(log, Sequence):
         raise TypeError(f"log must be a sequence of Interaction, not {type(log).__name__}")
     if not all(map(isinstance, log, repeat(Interaction))):
@@ -628,24 +630,21 @@ def build_environment(
     for code in np.unique(g_dst * max(len(categories), 1) + g_cat).tolist():
         agent, k = divmod(code, len(categories))
         done.setdefault(agent, set()).add(categories[k])
-    agents: dict[AgentId, AgentProfile] = {}
+    kinds: dict[tuple[frozenset, frozenset], int] = {}
+    profile = []
     for i, agent_id in enumerate(ids):
         completed = frozenset(done.get(i, ()))
         decl = declared.get(agent_id)
-        if decl is not None:
-            agents[agent_id] = AgentProfile(
-                id=agent_id,
-                completed=frozenset(decl.completed) | completed,
-                able=frozenset(decl.able),
-            )
-        else:
-            agents[agent_id] = AgentProfile(id=agent_id, completed=completed, able=completed)
+        kind = (completed, completed) if decl is None else (decl.completed | completed, decl.able)
+        profile.append(kinds.setdefault(kind, len(kinds)))
 
     return Environment(
-        agents=agents,
+        ids=tuple(ids),
+        kinds=tuple(kinds),
         snapshot_time=snapshot_time,
         decay_rate=decay_rate,
         categories=tuple(categories),
+        profile=np.array(profile, dtype=np.int64),
         indptr=indptr,
         dst=g_dst[edge_first],
         cat_ptr=np.append(edge_first, len(first)),

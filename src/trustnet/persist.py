@@ -27,7 +27,6 @@ from .core import (
     InvalidRecordError,
     TrustError,
     TrustConfig,
-    check_profile,
     check_snapshot_clock,
 )
 from .reputation import MODEL_PARAMS, STOP_REASONS, ReputationModel, check_bound, node_indices
@@ -39,7 +38,7 @@ SNAPSHOT_VERSION = 5
 # follow only when the header has a reputation block.  ``profile`` indexes
 # the header's distinct profiles and ``nodes`` the agents.  The float arrays
 # are "<f8", the others "<i8".
-ENV_ARRAYS = ("profile",) + Environment.ARRAYS
+ENV_ARRAYS = Environment.ARRAYS
 MODEL_ARRAYS = ("nodes", "vector")
 _FLOAT_ARRAYS = ("decayed_trust", "mean_rating", "last_time", "vector")
 # The model's scalars, kept in the header line.
@@ -80,9 +79,9 @@ class SnapshotError(TrustError):
 
 @contextmanager
 def _text(source: Union[str, Path, TextIO], mode: str = "r") -> Iterator[TextIO]:
-    """``source`` as a text stream; a path is opened as UTF-8 and closed on exit."""
+    """``source`` as a text stream; a path is opened as UTF-8, bad bytes escaped, and closed."""
     if isinstance(source, (str, Path)):
-        with open(source, mode, encoding="utf-8") as stream:
+        with open(source, mode, encoding="utf-8", errors="surrogateescape") as stream:
             yield stream
     else:
         yield source
@@ -92,9 +91,15 @@ def _decode(text: Union[str, bytes], error: Callable[[str], Exception]):
     """The value of outside JSON text; text json cannot read raises ``error("invalid JSON: ...")``.
 
     That includes an int of too many digits and a value nested too deep.
+    Text holding a lone surrogate, a byte :func:`_text` read that is not
+    UTF-8, raises ``error("invalid UTF-8")``.
     """
     try:
+        if isinstance(text, str) and not text.isascii():
+            text.encode("utf-8")
         return json.loads(text)
+    except UnicodeEncodeError:
+        raise error("invalid UTF-8") from None
     except (ValueError, RecursionError) as exc:
         raise error(f"invalid JSON: {getattr(exc, 'msg', exc)}") from None
 
@@ -195,13 +200,9 @@ def parse_profiles(
 
 
 def _wire_profile(obj) -> AgentProfile:
-    """The profile a line declares: its shape is checked here, its values by check_profile."""
+    """The profile a line declares: its shape is checked here, its values when it is made."""
     _check_shape(obj, "profile", ("id", "able", "completed"))
-    declared = AgentProfile(obj.get("id"), obj.get("completed", []), obj.get("able", []))
-    problem = check_profile(declared)
-    if problem is not None:
-        raise InvalidRecordError(*problem)
-    return AgentProfile(declared.id, frozenset(declared.completed), frozenset(declared.able))
+    return AgentProfile(obj.get("id"), obj.get("completed", []), obj.get("able", []))
 
 
 def dump_profiles(profiles: Iterable[AgentProfile], target: Union[str, Path, TextIO]) -> None:
@@ -246,9 +247,7 @@ def save_snapshot(
     from, or loaded with, ``env`` itself raises ValueError (see
     :func:`check_bound`).
     """
-    kinds: dict[tuple[frozenset, frozenset], int] = {}
-    profile = [kinds.setdefault((p.completed, p.able), len(kinds)) for p in env.agents.values()]
-    arrays = {"profile": profile, **{name: getattr(env, name) for name in ENV_ARRAYS[1:]}}
+    arrays = {name: getattr(env, name) for name in ENV_ARRAYS}
     if model is not None:
         check_bound(model, env)
         nodes = node_indices(env, model.params["trust_threshold"])
@@ -257,8 +256,8 @@ def save_snapshot(
     header.update(snapshot_time=env.snapshot_time, decay_rate=env.decay_rate)
     document = {
         "header": header,
-        "agents": list(env.agents),
-        "profiles": [[sorted(completed), sorted(able)] for completed, able in kinds],
+        "agents": list(env.ids),
+        "profiles": [[sorted(completed), sorted(able)] for completed, able in env.kinds],
         "categories": list(env.categories),
         "reputation": None if model is None else {k: getattr(model, k) for k in _MODEL_FIELDS},
     }
@@ -377,11 +376,11 @@ def _parse_body(body: bytes) -> tuple[Environment, Optional[ReputationModel]]:
     check_snapshot_clock(time, rate)
     ids = _ascending_strings(document["agents"], "agent ids")
     categories = _ascending_strings(document["categories"], "categories")
-    kinds = [
+    kinds = tuple(
         (frozenset(_ascending_strings(done, "completed categories")),
          frozenset(_ascending_strings(able, "able categories")))
         for done, able in document["profiles"]
-    ]
+    )
     rep = document["reputation"]
     arrays = _read_arrays(body, end + 1, ENV_ARRAYS + (MODEL_ARRAYS if rep is not None else ()))
 
@@ -406,11 +405,12 @@ def _parse_body(body: bytes) -> tuple[Environment, Optional[ReputationModel]]:
     before = np.isfinite(last_time) & (last_time < time)
     _require(np.all(before), "category last_time is not a finite time before snapshot_time")
     env = Environment(
-        agents={a: AgentProfile(a, *kinds[k]) for a, k in zip(ids, profile.tolist())},
+        ids=tuple(ids),
+        kinds=kinds,
         snapshot_time=time,
         decay_rate=rate,
         categories=tuple(categories),
-        **{name: arrays[name] for name in ENV_ARRAYS[1:]},
+        **{name: arrays[name] for name in ENV_ARRAYS},
     )
     if rep is None:
         return env, None

@@ -108,7 +108,7 @@ def check_bound(model: ReputationModel, env: Environment) -> None:
 
 def node_indices(env: Environment, trust_threshold: float) -> np.ndarray:
     """Agent indices of :func:`reputation_nodes`, ascending."""
-    member = np.zeros(len(env.agents), dtype=bool)
+    member = np.zeros(len(env.ids), dtype=bool)
     member[env.dst[env.weight >= trust_threshold]] = True
     return np.flatnonzero(member)
 
@@ -137,7 +137,7 @@ def propagation_matrix(
     if n == 1:
         # no other node to spread over (edges never loop): it keeps its mass
         return PropagationMatrix(sparse.csr_matrix([[1.0]]), np.zeros(1))
-    position = np.full(len(env.agents), -1)
+    position = np.full(len(env.ids), -1)
     position[np.fromiter(map(env.index.__getitem__, nodes), np.int64, n)] = np.arange(n)
     inside = (position[env.src] >= 0) & (position[env.dst] >= 0)
     rows, cols, weights = position[env.src[inside]], position[env.dst[inside]], env.weight[inside]

@@ -16,7 +16,7 @@ from trustnet import (
     build_environment,
 )
 
-from trustnet.core import check_profile, finite_float
+from trustnet.core import finite_float
 
 from helpers import logs, rec
 
@@ -75,6 +75,12 @@ def test_log_item_that_is_not_an_interaction_is_named():
     log = [rec("A", "B", 0.5), rec("B", "C", 0.5), ("A", "C", 0.5, "c1", 0.0)]
     with pytest.raises(TypeError, match=r"^log item 2 must be an Interaction, not tuple$"):
         build_environment(log, 10.0)
+
+
+def test_profile_that_is_not_an_agent_profile_is_named():
+    profiles = [AgentProfile("N"), ("M", frozenset(), frozenset())]
+    with pytest.raises(TypeError, match=r"^profile 1 must be an AgentProfile, not tuple$"):
+        build_environment([rec("A", "B", 0.5)], 10.0, profiles=profiles)
 
 
 def test_log_that_is_not_a_sequence_is_refused():
@@ -328,23 +334,26 @@ def test_config_rejects_ints_beyond_the_float_range(field):
 
 
 @pytest.mark.parametrize(
-    "profile, field",
+    "fields, field",
     [
-        (AgentProfile(id=5), "id"),
-        (AgentProfile(id=""), "id"),
-        (AgentProfile(id=None), "id"),
-        (AgentProfile(id="N", able=frozenset({7})), "able"),
-        (AgentProfile(id="N", completed=frozenset({""})), "completed"),
-        (AgentProfile(id="N", able="c1"), "able"),
+        (dict(id=5), "id"),
+        (dict(id=""), "id"),
+        (dict(id=None), "id"),
+        (dict(id="N", able=frozenset({7})), "able"),
+        (dict(id="N", completed=frozenset({""})), "completed"),
+        (dict(id="N", able="c1"), "able"),
+        (dict(id="", able="c1"), "id"),
+        (dict(id="N", able=[""], completed=[3]), "able"),
     ],
-    ids=["int-id", "empty-id", "no-id", "int-label", "empty-label", "string-as-labels"],
+    ids=[
+        "int-id", "empty-id", "no-id", "int-label", "empty-label", "string-as-labels",
+        "id-first", "able-before-completed",
+    ],
 )
-def test_declared_profile_is_held_to_the_id_rule(profile, field):
-    assert check_profile(profile)[0] == field
-    declared = [AgentProfile(id="ok", able=frozenset({"c1"})), profile]
-    with pytest.raises(InvalidProfileError, match=r"^profile 1 \(id ") as exc:
-        build_environment([rec("A", "B", 0.5, "c1", 1)], 10, profiles=declared)
-    assert exc.value.index == 1
+def test_declared_profile_is_held_to_the_id_rule(fields, field):
+    with pytest.raises(InvalidRecordError) as exc:
+        AgentProfile(**fields)
+    assert exc.value.field == field
 
 
 def test_profile_declaring_an_id_again_is_rejected():
@@ -376,8 +385,10 @@ def test_dropped_snapshot_is_freed_without_the_cycle_collector():
 
 
 def test_valid_profile_passes_the_rule():
-    profile = AgentProfile(id="N", completed=frozenset({"c1"}), able=frozenset({"c1", "c2"}))
-    assert check_profile(profile) is None
+    profile = AgentProfile(id="N", completed=["c1", "c1"], able=("c2", "c1"))
+    assert profile.completed == frozenset({"c1"}) and type(profile.completed) is frozenset
+    assert profile.able == frozenset({"c1", "c2"}) and type(profile.able) is frozenset
+    assert profile == AgentProfile("N", frozenset({"c1"}), frozenset({"c1", "c2"}))
 
 
 DELETED_NAMES = (
@@ -387,6 +398,7 @@ DELETED_NAMES = (
     "neighbour_maps",
     "trusted_neighbours",
     "PropagationProbability",
+    "check_profile",
 )
 
 

@@ -43,6 +43,9 @@ CASES = {
     ),
 }
 
+# What stderr must also say, for the cases whose input errors name a line.
+WHERE = {"log-of-invalid-utf8": "line 1: invalid UTF-8"}
+
 
 @pytest.mark.parametrize("case", CASES)
 def test_bad_input_exits_one_without_a_traceback(tmp_path, case):
@@ -61,3 +64,4 @@ def test_bad_input_exits_one_without_a_traceback(tmp_path, case):
     assert done.stdout == ""
     assert any(line.startswith("error: ") for line in done.stderr.splitlines()), done.stderr
     assert "Traceback" not in done.stderr
+    assert WHERE.get(case, "") in done.stderr

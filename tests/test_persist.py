@@ -14,6 +14,7 @@ from trustnet import (
     Interaction,
     InvalidRecordError,
     LogParseError,
+    RatingModel,
     SnapshotError,
     TrustConfig,
     build_environment,
@@ -21,6 +22,7 @@ from trustnet import (
     dump_log,
     dump_profiles,
     evaluate,
+    find_paths,
     generate,
     load_config,
     load_snapshot,
@@ -519,6 +521,63 @@ def test_hypothesis_worlds_round_trip_exactly(tmp_path_factory, log, with_model)
     assert dict(loaded.edges.items()) == dict(env.edges.items())
 
 
+# --- the snapshot format --------------------------------------------------------
+
+def pinned_world():
+    """A seeded world with two declared newcomers (a18, a19), a declared completion
+    the log does not show (a00 on c9) and three categories."""
+    profiles, log = generate(
+        GenParams(
+            seed=11, n_agents=20, n_categories=3, n_interactions=150,
+            rating_model=RatingModel.PER_AGENT_QUALITY, newcomer_fraction=0.1,
+        )
+    )
+    profiles[0] = AgentProfile(profiles[0].id, frozenset({"c0", "c9"}), profiles[0].able)
+    return profiles, log
+
+
+def test_snapshot_bytes_are_pinned(tmp_path):
+    profiles, log = pinned_world()
+    env = build_environment(log, 100.0, 0.01, profiles)
+    assert env.agents["a00"].completed == {"c0", "c1", "c2", "c9"} and "c9" not in env.categories
+    assert {"a18", "a19"}.isdisjoint(agent for pair in env.edges for agent in pair)
+    checksum = save_snapshot(env, tmp_path / "w.snap", build_reputation(env, TrustConfig()))
+    # The checksum of this world's file in snapshot format version 5.
+    assert checksum == "1973b51c755737cf79e176ad3499b97c7d81a8f8373f3c26cebf26bf336ca9e5"
+
+
+def test_snapshot_with_its_profiles_in_another_order_loads_equal(tmp_path):
+    profiles, log = pinned_world()
+    env = build_environment(log, 100.0, 0.01, profiles)
+    path = tmp_path / "w.snap"
+    save_snapshot(env, path)
+    document, arrays = read_snapshot(path)
+    last = len(document["profiles"]) - 1
+    assert last >= 2
+    document["profiles"].reverse()
+    arrays["profile"] = last - arrays["profile"]
+    write_snapshot(path, document, arrays)
+    loaded, _ = load_snapshot(path)
+    assert loaded.kinds == env.kinds[::-1]
+    assert loaded == env
+    assert loaded.agents == env.agents
+    for category in env.categories:
+        assert loaded.trusted_edges(category, 0.5) == env.trusted_edges(category, 0.5)
+
+
+def test_a_refresh_cycle_never_builds_the_profile_dict(tmp_path):
+    profiles, log = pinned_world()
+    config = TrustConfig()
+    env = build_environment(log, 100.0, 0.01, profiles)
+    path = tmp_path / "w.snap"
+    save_snapshot(env, path, build_reputation(env, config))
+    loaded, loaded_model = load_snapshot(path)
+    for snapshot, model in ((env, None), (loaded, loaded_model)):
+        find_paths(snapshot, [], "a01", "a02", "c0", config)
+        evaluate(snapshot, [], "a01", "a18", "c0", 100.0, config, model)
+        assert "agents" not in snapshot.__dict__
+
+
 # --- one rule per input value --------------------------------------------------
 
 BIG = "1" + "0" * 400  # an integer beyond the float range, as JSON text
@@ -764,6 +823,29 @@ def test_line_nested_too_deep_is_a_line_error(parse):
     assert errors[0].message.startswith("invalid JSON: maximum recursion depth exceeded")
     with pytest.raises(LogParseError, match="^line 1: invalid JSON: maximum recursion"):
         parse(io.StringIO(DEEP + "\n"), strict=True)
+
+
+def test_line_that_is_not_utf8_is_a_line_error(tmp_path):
+    good = LINE.encode()
+    path = tmp_path / "log.jsonl"
+    accented = good.replace(b'"A"', '"\u00e9"'.encode())
+    path.write_bytes(good + good.replace(b'"A"', b'"\xff"') + accented)
+    records, errors = parse_log(path)
+    assert records == [rec("A", "B", 0.5, "c1", 1), rec("\u00e9", "B", 0.5, "c1", 1)]
+    assert [(e.line, e.field, e.message) for e in errors] == [(2, None, "invalid UTF-8")]
+    with pytest.raises(LogParseError, match="^line 2: invalid UTF-8$"):
+        parse_log(path, strict=True)
+    path.write_bytes(b'{"id": "x"}\n{"id": "\xc3"}\n')
+    profiles, errors = parse_profiles(path)
+    assert profiles == [AgentProfile("x")]
+    assert [(e.line, e.field, e.message) for e in errors] == [(2, None, "invalid UTF-8")]
+
+
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b'{"theta_r": 0.5, "\xff": 1}')
+    with pytest.raises(ConfigError, match="^invalid UTF-8$"):
+        load_config(path)
 
 
 def test_config_nested_too_deep_is_a_config_error(tmp_path):
