@@ -24,7 +24,9 @@ from .core import (
 )
 from .direct import direct_trust
 from .indirect import aggregate, find_paths, retained_paths
-from .reputation import ReputationModel, build_reputation, check_bound, model_params, reputation_of
+from .reputation import (
+    ReputationModel, _node_position, build_reputation, check_bound, model_params, reputation_of,
+)
 
 
 @dataclass(frozen=True)
@@ -206,7 +208,7 @@ def evaluate(
         "search_reattached": table.reattachments,
         "search_stop": table.stop_reason,
         "reputation": {
-            "in_node_set": trustee in model.nodes,
+            "in_node_set": _node_position(model, trustee) is not None,
             "nodes": len(model.nodes),
             "iterations_used": model.iterations_used,
             "converged": model.converged,

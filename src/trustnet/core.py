@@ -66,7 +66,7 @@ class InvariantError(TrustError):
     """An internal consistency check failed; indicates an engine bug."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interaction:
     """One rated interaction: ``trustor`` rated ``trustee`` on a task.
 
@@ -543,11 +543,12 @@ def build_environment(
     appear only in the log are assumed able in exactly the categories they
     completed.
 
-    The records are sorted once by (trustor, trustee, category, time,
-    rating) and each (edge, category) group is summed with ``np.bincount``,
-    which adds in input order: within a group that is the canonical
-    (time, rating) order, so any input order gives the same sums, bit for
-    bit.  Decay weights are :func:`decay_weight`'s, from ``math.exp``, which
+    The records are sorted by one integer code of their (edge, category)
+    group, and the records of each group of more than one by (time, rating)
+    within its positions.  Each group is summed with ``np.bincount``, which
+    adds in input order; that order is canonical, and records that tie in it
+    add equal terms, so any input order gives the same sums, bit for bit.
+    Decay weights are :func:`decay_weight`'s, from ``math.exp``, which
     ``np.exp`` does not match in the last bit.  A group whose newest weight
     is not a normal float is weighed from its newest time instead: the same
     mean, without the underflow.
@@ -560,13 +561,13 @@ def build_environment(
     Raises ValueError from :func:`check_snapshot_clock`.
     """
     check_snapshot_clock(snapshot_time, decay_rate)
-    declared: dict[AgentId, AgentProfile] = {}
+    declared: dict[AgentId, tuple[frozenset[TaskCategory], frozenset[TaskCategory]]] = {}
     for idx, decl in enumerate(profiles):
         if not isinstance(decl, AgentProfile):
             raise TypeError(f"profile {idx} must be an AgentProfile, not {type(decl).__name__}")
         if decl.id in declared:
             raise InvalidProfileError(idx, decl.id, "id already declared by an earlier profile")
-        declared[decl.id] = decl
+        declared[decl.id] = (decl.completed, decl.able)
     if not isinstance(log, Sequence):
         raise TypeError(f"log must be a sequence of Interaction, not {type(log).__name__}")
     if not all(map(isinstance, log, repeat(Interaction))):
@@ -591,24 +592,27 @@ def build_environment(
     categories = sorted(set(labels))
     index = {a: i for i, a in enumerate(ids)}
     cat_index = {c: k for k, c in enumerate(categories)}
-    n = len(trustors)
+    n, n_ids, n_cats = len(trustors), len(ids), len(categories)
     src = np.fromiter(map(index.__getitem__, trustors), np.int64, n)
     dst = np.fromiter(map(index.__getitem__, trustees), np.int64, n)
     cat = np.fromiter(map(cat_index.__getitem__, labels), np.int64, n)
 
-    # src * len(ids) + dst orders records by (src, dst) and fits int64 below
-    # three billion agents.
-    order = np.lexsort((rating, time, cat, src * len(ids) + dst))
-    src, dst, cat, rating, time = src[order], dst[order], cat[order], rating[order], time[order]
+    # One code per (src, dst, cat) group, in that order of significance; it
+    # fits int64 while agents² · categories < 2⁶³.
+    key = (src * n_ids + dst) * n_cats + cat
+    order = np.argsort(key)
+    key = key[order]
+    group_start, group_end = np.diff(key, prepend=-1) != 0, np.diff(key, append=-1) != 0
+    # Records that share a group are put in (time, rating) order within its positions.
+    shared = np.flatnonzero(~(group_start & group_end))
+    moved = order[shared]
+    order[shared] = moved[np.lexsort((rating[moved], time[moved], key[shared]))]
+    rating, time = rating[order], time[order]
     exponents = -decay_rate * (snapshot_time - time)  # decay_weight's, bit for bit
     discount = np.fromiter(map(math.exp, exponents.tolist()), float, n)
 
-    group_start = np.ones(n, dtype=bool)
-    group_start[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1]) | (cat[1:] != cat[:-1])
     group = np.cumsum(group_start) - 1
     first = np.flatnonzero(group_start)
-    group_end = np.ones(n, dtype=bool)
-    group_end[:-1] = group_start[1:]
     last_time = time[group_end]  # a group's last record is its latest
     # Rebase the groups whose newest discount is not a normal float.
     stale = np.flatnonzero((discount[group_end] < np.finfo(float).tiny)[group])
@@ -618,25 +622,30 @@ def build_environment(
     weighted = np.bincount(group, weights=rating * discount)
     decayed_trust = weighted / np.bincount(group, weights=discount)
     mean_rating = np.bincount(group, weights=rating) / count
-    g_src, g_dst, g_cat = src[first], dst[first], cat[first]
+    edge, g_cat = np.divmod(key[first], n_cats)  # n_cats is 0 only with no groups
+    g_src, g_dst = np.divmod(edge, n_ids)
 
-    edge_start = np.ones(len(first), dtype=bool)
-    edge_start[1:] = (g_src[1:] != g_src[:-1]) | (g_dst[1:] != g_dst[:-1])
-    edge_first = np.flatnonzero(edge_start)
-    indptr = np.zeros(len(ids) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(g_src[edge_first], minlength=len(ids)), out=indptr[1:])
+    edge_first = np.flatnonzero(np.diff(edge, prepend=-1))
+    indptr = np.zeros(n_ids + 1, dtype=np.int64)
+    np.cumsum(np.bincount(g_src[edge_first], minlength=n_ids), out=indptr[1:])
 
-    done: dict[int, set[TaskCategory]] = {}
-    for code in np.unique(g_dst * max(len(categories), 1) + g_cat).tolist():
-        agent, k = divmod(code, len(categories))
-        done.setdefault(agent, set()).add(categories[k])
+    # Agent i completed the categories codes[bounds[i]:bounds[i + 1]]; each distinct
+    # (codes, declaration) makes its kind once, and kinds are numbered by first use.
+    pairs = np.sort(g_dst * n_cats + g_cat)
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+    bounds = np.searchsorted(pairs, np.arange(n_ids + 1) * n_cats).tolist()
+    codes = (pairs % n_cats).tolist()
     kinds: dict[tuple[frozenset, frozenset], int] = {}
+    memo: dict[tuple, int] = {}
     profile = []
-    for i, agent_id in enumerate(ids):
-        completed = frozenset(done.get(i, ()))
-        decl = declared.get(agent_id)
-        kind = (completed, completed) if decl is None else (decl.completed | completed, decl.able)
-        profile.append(kinds.setdefault(kind, len(kinds)))
+    for agent_id, lo, hi in zip(ids, bounds, bounds[1:]):
+        signature = (tuple(codes[lo:hi]), declared.get(agent_id))
+        if signature not in memo:
+            done, decl = signature
+            names = frozenset(map(categories.__getitem__, done))
+            kind = (names, names) if decl is None else (decl[0] | names, decl[1])
+            memo[signature] = kinds.setdefault(kind, len(kinds))
+        profile.append(memo[signature])
 
     return Environment(
         ids=tuple(ids),

@@ -236,7 +236,11 @@ def reputation_of(model: ReputationModel, trustee: AgentId) -> float:
     An empty model (no agent ever received a trusted rating) yields its mean,
     the neutral prior 0.5.  The sorted node list is searched by bisection.
     """
+    idx = _node_position(model, trustee)
+    return model.mean_reputation if idx is None else float(model.vector[idx])
+
+
+def _node_position(model: ReputationModel, trustee: AgentId) -> Optional[int]:
+    """``trustee``'s position in the sorted node list, by bisection, or None for an outsider."""
     idx = bisect.bisect_left(model.nodes, trustee)
-    if idx == len(model.nodes) or model.nodes[idx] != trustee:
-        return model.mean_reputation
-    return float(model.vector[idx])
+    return idx if idx < len(model.nodes) and model.nodes[idx] == trustee else None

@@ -1,10 +1,15 @@
+import copy
+import dataclasses
 import gc
 import math
+import operator
+import pickle
+import sys
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trustnet import (
@@ -259,6 +264,70 @@ def test_decayed_trust_equals_a_sequential_math_exp_reference():
         num += r * float(np.exp(x))
         den += float(np.exp(x))
     assert num / den != env.edges[("A", "B")].per_category["c1"].decayed_trust
+
+
+def reference_groups(log, snapshot_time, decay_rate):
+    """Each (trustor, trustee, category) group's (count, decayed trust, mean rating,
+    last time), summed one record at a time in (time, rating) order."""
+    groups = {}
+    key = operator.attrgetter("trustor", "trustee", "category", "time", "rating")
+    for r in sorted((r for r in log if r.time < snapshot_time), key=key):
+        groups.setdefault((r.trustor, r.trustee, r.category), []).append(r)
+    stats = {}
+    for group, records in groups.items():
+        now = snapshot_time
+        if math.exp(-decay_rate * (now - records[-1].time)) < sys.float_info.min:
+            now = records[-1].time  # the rebase of a group whose newest weight underflows
+        num = den = total = 0.0
+        for r in records:
+            w = math.exp(-decay_rate * (now - r.time))
+            num += r.rating * w
+            den += w
+            total += r.rating
+        stats[group] = (len(records), num / den, total / len(records), records[-1].time)
+    return stats
+
+
+PAIRS = [(a, b) for a in "ABCD" for b in "ABCD" if a != b]
+# Few distinct values, so that groups repeat and records tie in (time, rating);
+# records at 100 fall outside the snapshot, and at rate 10 the groups with
+# every record before 25 underflow and are rebased.
+tied_records = st.builds(
+    lambda pair, rating, category, time: rec(*pair, rating, category, time),
+    st.sampled_from(PAIRS),
+    st.sampled_from([0.0, 0.1, 0.35, 0.7, 0.95, 1.0]),
+    st.sampled_from(["c1", "c2"]),
+    st.sampled_from([0.0, 0.24, 0.695, 1.11, 60.0, 99.5, 100.0]),
+)
+
+
+@given(st.lists(tied_records, max_size=40), st.sampled_from([0.0, 0.05, 10.0]), st.randoms())
+@example(
+    [rec("A", "B", r, "c1", t) for r, t in [(0.1, 0.24), (0.7, 0.0), (0.1, 0.24), (0.35, 1.11)]],
+    10.0,
+    None,
+)
+@settings(max_examples=300)
+def test_build_equals_a_sequential_reference_bit_for_bit(log, rate, random):
+    if random is not None:
+        random.shuffle(log)
+    env = build_environment(log, 100.0, rate)
+    built = {
+        (src, dst, category): (s.count, s.decayed_trust, s.mean_rating, s.last_time)
+        for (src, dst), edge in env.edges.items()
+        for category, s in edge.per_category.items()
+    }
+    assert built == reference_groups(log, 100.0, rate)
+
+
+def test_interaction_holds_its_fields_in_slots():
+    record = rec("A", "B", 0.5, "c1", 2.0)
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.rating = 0.7
+    for twin in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert twin is not record
+        assert twin == record and hash(twin) == hash(record)
 
 
 # --- one number rule for every input -------------------------------------------

@@ -1,6 +1,8 @@
 import io
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +45,9 @@ from helpers import (
     snapshot_body,
     write_snapshot,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import BACKLOG_END, DEFAULT_SEED, HORIZON, SPECS  # noqa: E402
 
 
 # --- log parsing -----------------------------------------------------------
@@ -544,6 +549,27 @@ def test_snapshot_bytes_are_pinned(tmp_path):
     checksum = save_snapshot(env, tmp_path / "w.snap", build_reputation(env, TrustConfig()))
     # The checksum of this world's file in snapshot format version 5.
     assert checksum == "1973b51c755737cf79e176ad3499b97c7d81a8f8373f3c26cebf26bf336ca9e5"
+
+
+# The checksum of each benchmark world's file in snapshot format version 5,
+# with its workload's reputation model: the file holds every array bit, so a
+# one-ulp change of the build shows here, where report numbers are compared
+# to 1e-12 only.
+WORKLOAD_SNAPSHOTS = {
+    ("query-explore", HORIZON): "9b5868359757e21ee5efac57794d1a7f97cf2991714d5d929638b6778be178ab",
+    ("query-history", HORIZON): "e8afdd77a9b0a919ca086e7474bf6576580134fd3f3729ddcd24451e98127d20",
+    ("refresh", HORIZON): "cf9ab7912f7b3cab9305763ae3a725259430f767ec915c2eef5b4fd024fc6ef7",
+    ("refresh", BACKLOG_END): "855f61927a0eaa0829f8641199258a6ac3a6ac2737b5f9fde91893fa6cdb4fe4",
+}
+
+
+@pytest.mark.parametrize("workload, snapshot_time", sorted(WORKLOAD_SNAPSHOTS))
+def test_workload_snapshot_bytes_are_pinned(tmp_path, workload, snapshot_time):
+    spec = SPECS[workload]
+    profiles, log = generate(spec.params(DEFAULT_SEED))
+    env = build_environment(log, snapshot_time, spec.config.decay_rate, profiles)
+    checksum = save_snapshot(env, tmp_path / "w.snap", build_reputation(env, spec.config))
+    assert checksum == WORKLOAD_SNAPSHOTS[workload, snapshot_time]
 
 
 def test_snapshot_with_its_profiles_in_another_order_loads_equal(tmp_path):
