@@ -10,7 +10,7 @@ interaction count on the category.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from .core import (
@@ -31,7 +31,7 @@ from .reputation import (
 
 @dataclass(frozen=True)
 class CompositeInputs:
-    """Counts and flags from which the blend weights are derived."""
+    """The counts and flags behind the blend weights, in the order the diagnostics list them."""
 
     n_same: int
     n_other: int
@@ -187,12 +187,7 @@ def evaluate(
     )
 
     diagnostics = {
-        "n_same": inputs.n_same,
-        "n_other": inputs.n_other,
-        "n_paths": inputs.n_paths,
-        "dt_min": inputs.dt_min,
-        "trustee_did_category": inputs.trustee_did_category,
-        "trustee_can_category": inputs.trustee_can_category,
+        **asdict(inputs),
         "direct_source": direct_result.source.value,
         "paths": [
             {

@@ -179,17 +179,16 @@ class EdgeStats:
 class CategoryActivity:
     """One category's activity in a snapshot, derived from its edges.
 
-    ``counts[a]`` is the number of interactions agent ``a`` took part in on
-    either side and ``last[a]`` the time of its latest one; ``dt_min`` is
-    the evidence bar, the average count per participant floored at 1.
+    By agent index, ``counts[i]`` is the number of interactions agent ``i``
+    took part in on either side (0 for none) and ``last[i]`` the time of its
+    latest one (``-inf``); ``dt_min`` is the evidence bar, the average count
+    per participant floored at 1.
     """
 
-    counts: Mapping[AgentId, int]
-    last: Mapping[AgentId, float]
+    counts: list[int]
+    last: list[float]
     dt_min: float
 
-
-_NO_ACTIVITY = CategoryActivity(counts={}, last={}, dt_min=1.0)
 
 # A CSR over agent indices as plain lists: agent ``i``'s edges are
 # positions ``ptr[i]:ptr[i+1]`` of ``dst`` (ascending) and ``weight``.
@@ -242,20 +241,21 @@ class Environment:
     indices, ascending within a row), and edge ``e`` owns rows
     ``cat_ptr[e]:cat_ptr[e+1]`` of the per-(edge, category) arrays, whose
     ``cat`` indexes ``categories`` (ascending within an edge).  ``weight``
-    (the one weight rule: the unweighted mean of an edge's
-    ``decayed_trust`` rows), ``src`` and the ``edges`` view are derived.
+    (the one weight rule: the unweighted mean of an edge's ``decayed_trust``
+    rows), ``src``, ``row_edge`` (each row's edge) and ``edges`` are derived.
     All arrays are read-only.  Four caches are filled on first use: the
-    ``agents`` dict (the engine reads ``kinds`` and ``profile``), the
-    per-category ``activity`` (counts and latest times), and per category,
+    ``agents`` dict (the engine reads ``kinds`` and ``profile``), each
+    category's :meth:`activity` and rows by agent index, and per category,
     for the latest threshold or recency rate asked, the
     :meth:`trusted_edges` CSR and the :meth:`consultation_terms` list.  So
-    the path search derives no per-agent fact twice from one snapshot: it
+    the path search keys no per-agent fact by id and derives none twice: it
     checks its threshold and rate once per search, reads each expanded
     agent's qualifying neighbours as one slice of plain lists, and takes
-    every consultation term's log and exp from the cache.  The caches hold
-    lists, never the snapshot itself.  Concurrent readers are safe (a cache
-    filled on first use holds the same value whichever reader fills it).
-    ``decay_rate`` records the discount rate the snapshot was built with.
+    every consultation term, and the trustee's advisors, from a cache.  The
+    caches hold lists and arrays, never the snapshot itself.  Concurrent
+    readers are safe (a cache filled on first use holds the same value
+    whichever reader fills it).  ``decay_rate`` records the discount rate
+    the snapshot was built with.
     """
 
     ids: tuple[AgentId, ...]
@@ -276,10 +276,8 @@ class Environment:
     _category_index: dict[TaskCategory, int] = field(init=False, repr=False)
     id_array: np.ndarray = field(init=False, repr=False)
     src: np.ndarray = field(init=False, repr=False)
+    row_edge: np.ndarray = field(init=False, repr=False)
     weight: np.ndarray = field(init=False, repr=False)
-    _activity: Optional[dict[TaskCategory, CategoryActivity]] = field(
-        default=None, init=False, repr=False
-    )
     _trusted: dict[TaskCategory, tuple[float, TrustedEdges]] = field(
         default_factory=dict, init=False, repr=False
     )
@@ -299,12 +297,12 @@ class Environment:
         self.id_array = np.array(self.ids, dtype=object)
         self.src = np.repeat(np.arange(len(self.ids)), np.diff(self.indptr))
         per_edge = np.diff(self.cat_ptr)
-        row_edge = np.repeat(np.arange(len(self.dst)), per_edge)
+        row_edge = self.row_edge = np.repeat(np.arange(len(self.dst)), per_edge)
         # bincount adds in row order, i.e. in category id order within an edge.
         self.weight = (
             np.bincount(row_edge, weights=self.decayed_trust, minlength=len(self.dst)) / per_edge
         )
-        for array in (self.id_array, self.src, self.weight) + tuple(
+        for array in (self.id_array, self.src, self.row_edge, self.weight) + tuple(
             getattr(self, name) for name in self.ARRAYS
         ):
             array.flags.writeable = False
@@ -342,26 +340,27 @@ class Environment:
         """
         return EdgeView(self)
 
+    @cached_property
+    def _by_category(self) -> dict[TaskCategory, tuple]:
+        """Per category: its :class:`CategoryActivity`, rows, and each row's source and target."""
+        n, by_category = len(self.ids), {}
+        for k, label in enumerate(self.categories):
+            rows = np.flatnonzero(self.cat == k)
+            sources, targets = self.src[self.row_edge[rows]], self.dst[self.row_edge[rows]]
+            ends = np.concatenate((sources, targets))
+            counts = np.bincount(ends, weights=np.tile(self.count[rows], 2), minlength=n)
+            last = np.full(n, -np.inf)
+            np.maximum.at(last, ends, np.tile(self.last_time[rows], 2))
+            dt_min = max(int(self.count[rows].sum()) / np.count_nonzero(counts), 1.0)
+            activity = CategoryActivity(counts.astype(np.int64).tolist(), last.tolist(), dt_min)
+            by_category[label] = (activity, rows, sources, targets)
+        return by_category
+
     def activity(self, category: TaskCategory) -> CategoryActivity:
-        """Per-agent activity on ``category``; every category is worked out on first use."""
-        if self._activity is None:
-            row_edge = np.repeat(np.arange(len(self.dst)), np.diff(self.cat_ptr))
-            activity = {}
-            for k, label in enumerate(self.categories):
-                rows = np.flatnonzero(self.cat == k)
-                ends = np.concatenate((self.src[row_edge[rows]], self.dst[row_edge[rows]]))
-                counts = np.bincount(ends, weights=np.tile(self.count[rows], 2))
-                last = np.full(len(counts), -np.inf)
-                np.maximum.at(last, ends, np.tile(self.last_time[rows], 2))
-                present = np.flatnonzero(counts)
-                ids = self.id_array[present].tolist()
-                activity[label] = CategoryActivity(
-                    counts=dict(zip(ids, counts[present].astype(np.int64).tolist())),
-                    last=dict(zip(ids, last[present].tolist())),
-                    dt_min=max(int(self.count[rows].sum()) / len(ids), 1.0),
-                )
-            self._activity = activity
-        return self._activity.get(category, _NO_ACTIVITY)
+        """Per-agent activity on ``category`` (none without rows); all are made on first use."""
+        if category in self._by_category:
+            return self._by_category[category][0]
+        return CategoryActivity([0] * len(self.ids), [-math.inf] * len(self.ids), 1.0)
 
     def trusted_edges(self, category: TaskCategory, threshold: float) -> TrustedEdges:
         """The edges trusted at ``threshold`` into agents with history in ``category``.
@@ -407,24 +406,26 @@ class Environment:
             raise ValueError(f"recency rate {recency_rate!r} must be a finite number")
         held = self._terms.get(category)
         if held is None or held[0] != rate:
-            activity, now, index = self.activity(category), self.snapshot_time, self.index
-            terms = [(0, 0.0, 0.0, -math.inf)] * len(index)
-            for a, n in activity.counts.items():
-                last = activity.last[a]
-                terms[index[a]] = (n, math.log(1 + n), math.exp(-rate * (now - last)), last)
+            activity, now = self.activity(category), self.snapshot_time
+            idle = (0, 0.0, 0.0, -math.inf)
+            terms = [
+                (n, math.log(1 + n), math.exp(-rate * (now - last)), last) if n else idle
+                for n, last in zip(activity.counts, activity.last)
+            ]
             held = self._terms[category] = (rate, terms)
         return held[1]
 
-    def advisor_rating(
-        self, src: AgentId, dst: AgentId, category: TaskCategory
-    ) -> Optional[float]:
-        """The plain mean rating ``src`` gave ``dst`` on ``category``, or None without one.
+    def advisor_ratings(self, trustee: int, category: TaskCategory) -> dict[int, float]:
+        """The plain mean rating of agent ``trustee`` on ``category`` by each agent that gave one.
 
-        This is what ``src`` reports when consulted as an advisor on ``dst``;
-        it is read from the edge's category rows, with no ``EdgeStats`` made.
+        Keys are agent indices, ascending; each value is what that agent
+        reports as an advisor on the trustee.  Empty on a category without rows.
         """
-        found = self._edge_rows(src, dst, category)
-        return None if found is None or found[3] is None else self.mean_rating[found[3]].item()
+        if category not in self._by_category:
+            return {}
+        _, rows, sources, targets = self._by_category[category]
+        mine = targets == trustee
+        return dict(zip(sources[mine].tolist(), self.mean_rating[rows[mine]].tolist()))
 
     def _edge_rows(
         self, src: AgentId, dst: AgentId, category: Optional[TaskCategory]

@@ -314,9 +314,9 @@ def find_paths(
     recency rate are checked once per search (a bad one raises
     ValueError), the qualifying neighbours of an agent are one slice of
     :meth:`Environment.trusted_edges`, the consultation probabilities come
-    from :meth:`Environment.consultation_terms`, and the agents that rated
-    the trustee come from one scan of its in-edges.  The finished table
-    goes through :meth:`PropagationTable.check`.
+    from :meth:`Environment.consultation_terms`, and the trustee's advisors
+    on the category come from one :meth:`Environment.advisor_ratings` call.
+    The finished table goes through :meth:`PropagationTable.check`.
     """
     index = env.index
     if trustor not in index:
@@ -332,9 +332,9 @@ def find_paths(
     threshold = config.trust_threshold
     ptr, dst, weight = env.trusted_edges(category, threshold)
     terms = env.consultation_terms(category, config.recency_rate)
-    ids = env.id_array.tolist()
+    ids = env.ids
     root, target = index[trustor], index[trustee]
-    rated = set(env.src[env.dst == target].tolist())
+    advisors = env.advisor_ratings(target, category)
     rows = {root: TableRow(agent=trustor, cum_prob=1.0, cum_trust=1.0, path=())}
     prefix_of = {root: _Prefix(agents={root})}
     # Never attached: the trustee, and past the trustor's own expansion
@@ -371,10 +371,8 @@ def find_paths(
         name = row.agent
         path, cum_trust = row.path + (name,), row.cum_trust
 
-        if current in rated:
-            rating = env.advisor_rating(name, trustee, category)
-            if rating is not None:
-                found[current] = TrusteeRow(advisor=name, rating=rating, path=path)
+        if current in advisors:
+            found[current] = TrusteeRow(advisor=name, rating=advisors[current], path=path)
         skip = excluded if current != root else excluded_first
         attach: list[int] = []
         hop_trust: list[float] = []

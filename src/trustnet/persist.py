@@ -359,9 +359,10 @@ def _parse_body(body: bytes) -> tuple[Environment, Optional[ReputationModel]]:
     """Rebuild the environment and model from a checksum-verified body.
 
     The header's time, rate and model ``params`` get the engine's own checks,
-    its other values are type-checked and the arrays checked whole (CSR
-    pointers, indices in range and strictly ascending within a row, statistics
-    in range), so a bad value ends here as SnapshotError and not in a query.
+    its other values are type-checked, the arrays checked whole (CSR pointers,
+    indices in range and strictly ascending within a row, statistics in
+    range) and the model held to what a build makes: a bad value is a
+    SnapshotError here, not a fault in a query.
     """
     end = body.find(b"\n")
     document = _decode(body[: end if end >= 0 else len(body)], _malformed)
@@ -422,6 +423,9 @@ def _parse_body(body: bytes) -> tuple[Environment, Optional[ReputationModel]]:
     ):
         _require(ok, f"reputation {name} {rep[name]!r} has the wrong type or value")
     TrustConfig(**rep["params"])  # the config rule; its errors become SnapshotError
+    cap, used, stop = rep["params"]["max_iterations"], rep["iterations_used"], rep["stop_reason"]
+    _require(0 <= used <= cap, f"reputation iterations_used {used} outside [0, {cap}]")
+    _require(stop != "iterations" or used == cap, f"reputation stop_reason iterations at {used}")
     nodes, vector = arrays["nodes"], arrays["vector"]
     _require(
         np.array_equal(nodes, node_indices(env, rep["params"]["trust_threshold"])),
@@ -429,5 +433,6 @@ def _parse_body(body: bytes) -> tuple[Environment, Optional[ReputationModel]]:
     )
     _require(len(vector) == len(nodes), "reputation nodes and vector differ in length")
     _require(np.all((vector >= 0) & (vector <= 1)), "reputation vector outside [0, 1]")
+    _require(len(vector) == 0 or vector.max() == 1.0, "reputation vector is not max-normalized")
     fields = {k: rep[k] for k in _MODEL_FIELDS}
     return env, ReputationModel(env.id_array[nodes].tolist(), vector, **fields, env=env)

@@ -1,20 +1,26 @@
 """The snapshot's query statistics against log scans, and queries without a log.
 
 Every statistic a query reads comes from the environment; the references in
-``oracles.py`` re-derive each one by scanning the raw log.
+``oracles.py`` re-derive each one by scanning the raw log.  The engine holds
+per-agent facts by agent index; they are mapped through ``env.ids`` to meet
+the references, which key them by id.
 """
+
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trustnet import (
+    AgentProfile,
     GenParams,
     TrustConfig,
     build_environment,
     direct_trust,
     dt_min,
     evaluate,
+    find_paths,
     generate,
     load_snapshot,
     save_snapshot,
@@ -48,16 +54,31 @@ def worlds(draw):
     return draw(st.permutations(records)), draw(st.sampled_from([0.0, 0.05, 100.0, 110.0]))
 
 
+def check_activity(env, log, category):
+    """``env``'s activity on ``category`` against the log scan, agent by agent."""
+    counts, last, bar = oracle_category_activity(log, category, SNAPSHOT_TIME)
+    activity = env.activity(category)
+    assert len(activity.counts) == len(activity.last) == len(env.ids)
+    assert [counts.get(a, 0) for a in env.ids] == activity.counts
+    assert [last.get(a, -math.inf) for a in env.ids] == activity.last
+    assert dt_min(env, category) == bar
+
+
+def check_advisors(env, log, trustee, category):
+    """``env``'s advisors of ``trustee`` on ``category`` against the log scan, by id."""
+    means = oracle_advisor_ratings(log, trustee, category, SNAPSHOT_TIME)
+    held = env.advisor_ratings(env.index[trustee], category)
+    assert list(held) == sorted(held)
+    assert {env.ids[i]: rating for i, rating in held.items()} == pytest.approx(means, abs=1e-12)
+
+
 @given(worlds())
 @settings(max_examples=150, deadline=None)
 def test_snapshot_statistics_agree_with_log_scans(world):
     log, rate = world
     env = build_environment(log, SNAPSHOT_TIME, rate)
     for category in CATEGORIES:
-        counts, last, bar = oracle_category_activity(log, category, SNAPSHOT_TIME)
-        activity = env.activity(category)
-        assert (dict(activity.counts), dict(activity.last)) == (counts, last)
-        assert dt_min(env, category) == bar
+        check_activity(env, log, category)
         for trustee in AGENTS[:5]:
             means = oracle_advisor_ratings(log, trustee, category, SNAPSHOT_TIME)
             held = {
@@ -68,13 +89,8 @@ def test_snapshot_statistics_agree_with_log_scans(world):
             assert held.keys() == means.keys()
             for advisor, mean in means.items():
                 assert held[advisor] == pytest.approx(mean, abs=1e-12)
-            # The search's reader, which shares its row lookup with direct_trust.
-            for advisor in AGENTS[:5]:
-                rating = env.advisor_rating(advisor, trustee, category)
-                if advisor in means:
-                    assert rating == pytest.approx(means[advisor], abs=1e-12)
-                else:
-                    assert rating is None
+            if trustee in env.index:
+                check_advisors(env, log, trustee, category)
             for trustor in AGENTS[:5]:
                 if trustor == trustee:
                     continue
@@ -91,6 +107,34 @@ def test_snapshot_statistics_agree_with_log_scans(world):
                     assert result.value is None
                 else:
                     assert result.value == pytest.approx(value, abs=1e-12)
+
+
+def test_a_category_only_a_declaration_carries_has_no_activity_and_no_advisors():
+    # B declares history in c9, which no record carries; A trusts B.
+    log = [rec("A", "B", 0.9), rec("C", "B", 0.8)]
+    declared = [AgentProfile("B", completed=frozenset({"c9"}), able=frozenset({"c9"}))]
+    env = build_environment(log, SNAPSHOT_TIME, 0.0, declared)
+    check_activity(env, log, "c9")
+    assert env.activity("c9").dt_min == 1.0
+    assert env.consultation_terms("c9", 0.0) == [(0, 0.0, 0.0, -math.inf)] * len(env.ids)
+    for trustee in env.ids:
+        check_advisors(env, log, trustee, "c9")
+    table = find_paths(env, log, "A", "C", "c9", TrustConfig())
+    assert list(table.rows) == ["A", "B"]
+    assert table.trustee_rows == []
+
+
+def test_a_trustee_rated_only_on_another_category_has_no_advisor_there():
+    # B rated C on c1 alone, so on c2 B is no advisor of C, though the edge exists.
+    log = [rec("A", "B", 0.9, "c2"), rec("B", "C", 0.7, "c1"), rec("D", "C", 0.6, "c2")]
+    env = build_environment(log, SNAPSHOT_TIME, 0.0)
+    for category in ("c1", "c2"):
+        check_activity(env, log, category)
+        check_advisors(env, log, "C", category)
+    assert env.advisor_ratings(env.index["C"], "c2") == {env.index["D"]: 0.6}
+    table = find_paths(env, log, "A", "C", "c2", TrustConfig())
+    assert list(table.rows) == ["A", "B"]
+    assert table.trustee_rows == []
 
 
 @pytest.mark.parametrize("seed", range(6))

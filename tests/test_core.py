@@ -443,7 +443,7 @@ def test_dropped_snapshot_is_freed_without_the_cycle_collector():
     assert env.edges[("A", "B")].weight == 0.5
     env.trusted_edges("c1", 0.5)
     env.consultation_terms("c1", 0.01)
-    assert env._trusted and env._terms
+    assert env._trusted and env._terms and env._by_category
     ref = weakref.ref(env)
     gc.disable()
     try:
@@ -468,6 +468,7 @@ DELETED_NAMES = (
     "trusted_neighbours",
     "PropagationProbability",
     "check_profile",
+    "advisor_rating",
 )
 
 

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -9,18 +10,30 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+def run_python(args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+
+
 def test_demos_exist():
     assert DEMOS
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs_cleanly(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
-    done = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True,
-        timeout=120,
-    )
+    done = run_python([str(demo)])
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_quick_start_runs_and_prints_one_report():
+    section = (ROOT / "README.md").read_text().split("\n## Quick start\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    done = run_python(["-c", code])
+    assert done.returncode == 0, done.stderr
+    assert "trust" in json.loads(done.stdout)

@@ -347,6 +347,13 @@ def replace(name, values):
         (set_item("vector", 0, 1.5), "reputation vector outside"),
         (lambda d, a: d["reputation"].update(stop_reason="tired"), "reputation stop_reason"),
         (lambda d, a: a.pop("vector"), "array vector has no .npy header"),
+        (lambda d, a: d["reputation"].update(iterations_used=-7), r"-7 outside \[0, 1000\]"),
+        (lambda d, a: d["reputation"].update(iterations_used=5000), r"5000 outside \[0, 1000\]"),
+        (
+            lambda d, a: d["reputation"].update(stop_reason="iterations"),
+            "reputation stop_reason iterations at 1$",
+        ),
+        (lambda d, a: a.update(vector=a["vector"] * 0.5), "not max-normalized"),
     ],
     ids=[
         "no-categories",
@@ -374,6 +381,10 @@ def replace(name, values):
         "vector-range",
         "stop-reason",
         "missing-array",
+        "negative-iterations",
+        "iterations-beyond-cap",
+        "cap-stop-before-cap",
+        "vector-not-max-normalized",
     ],
 )
 def test_value_of_wrong_type_rejected(tmp_path, corrupt, problem):
