@@ -63,6 +63,13 @@ class PropagationTable:
     emptied), ``"steps"`` or ``"seconds"`` (a budget ran out first), and
     ``reattachments`` counts the reached agents moved onto a chain of more
     trust.  Both are left out of :meth:`to_dict`, which dumps only the table.
+
+    A trustee row keeps the path its advisor had when last expanded.  When a
+    budget stops the search after the advisor was re-attached but before it
+    was expanded again, that path is older than ``rows[advisor]``'s, which
+    :func:`retained_paths` and so ``evaluate`` read: on the ``query-history``
+    world (seed 2026, ``search_steps`` 16), a043 -> a052 on c1 lists advisor
+    a046 via a048 (product 0.9398) while its row goes via a261 (0.9677).
     """
 
     trustor: AgentId

@@ -2,8 +2,7 @@
 
 Interaction logs and agent profiles travel as JSON lines; configuration is
 a flat JSON object; a snapshot is a single file holding one JSON header
-line, the environment's raw arrays in ``.npy`` format and a trailing SHA-256
-checksum line.
+line, the environment's raw arrays and a trailing SHA-256 checksum line.
 """
 
 from __future__ import annotations
@@ -32,15 +31,15 @@ from .core import (
 from .reputation import MODEL_PARAMS, STOP_REASONS, ReputationModel, check_bound, node_indices
 
 SNAPSHOT_FORMAT = "trustnet-snapshot"
-SNAPSHOT_VERSION = 5
+SNAPSHOT_VERSION = 6
 
 # The arrays after a snapshot's header line, in file order; the model's two
 # follow only when the header has a reputation block.  ``profile`` indexes
 # the header's distinct profiles and ``nodes`` the agents.  The float arrays
-# are "<f8", the others "<i8".
+# are "<f8", the others "<i8"; no array stores its length (see _parse_body).
 ENV_ARRAYS = Environment.ARRAYS
 MODEL_ARRAYS = ("nodes", "vector")
-_FLOAT_ARRAYS = ("decayed_trust", "mean_rating", "last_time", "vector")
+FLOAT_ARRAYS = ("decayed_trust", "mean_rating", "last_time", "vector")
 # The model's scalars, kept in the header line.
 _MODEL_FIELDS = ("iterations_used", "stop_reason", "params")
 
@@ -242,8 +241,8 @@ def save_snapshot(
 
     The body is one JSON line (header, agent ids, distinct profiles,
     categories and the model's scalars), padded so that the arrays start
-    64-byte aligned, then the arrays of ``ENV_ARRAYS`` (and ``MODEL_ARRAYS``
-    with a model) as ``np.save`` writes them.  A model that was not built
+    64-byte aligned, then the raw bytes of the arrays of ``ENV_ARRAYS`` (and
+    ``MODEL_ARRAYS`` with a model), back to back.  A model that was not built
     from, or loaded with, ``env`` itself raises ValueError (see
     :func:`check_bound`).
     """
@@ -265,8 +264,7 @@ def save_snapshot(
     buffer = io.BytesIO()
     buffer.write(line + b" " * (-(len(line) + 1) % 64) + b"\n")
     for name, values in arrays.items():
-        dtype = "<f8" if name in _FLOAT_ARRAYS else "<i8"
-        np.save(buffer, np.asarray(values, dtype=dtype), allow_pickle=False)
+        buffer.write(np.ascontiguousarray(values, "<f8" if name in FLOAT_ARRAYS else "<i8"))
     body = buffer.getbuffer()
     checksum = hashlib.sha256(body).hexdigest()
     with open(path, "wb") as fh:
@@ -318,41 +316,13 @@ def _ascending_within(values: np.ndarray, ptr: np.ndarray) -> bool:
     return bool(step.all())
 
 
-def _is_pointer(ptr: np.ndarray, segments: int, size: int) -> bool:
-    """Whether ``ptr`` splits ``size`` values into ``segments`` CSR segments."""
-    ends = len(ptr) == segments + 1 and ptr[0] == 0 and ptr[-1] == size
-    return ends and bool(np.all(ptr[1:] >= ptr[:-1]))
+def _is_pointer(ptr: np.ndarray) -> bool:
+    """Whether ``ptr`` is a CSR pointer: it starts at 0 and never falls."""
+    return ptr[0] == 0 and bool(np.all(ptr[1:] >= ptr[:-1]))
 
 
 def _within(values: np.ndarray, stop: int) -> bool:
     return bool(np.all((values >= 0) & (values < stop)))
-
-
-def _read_arrays(body: bytes, offset: int, names: tuple[str, ...]) -> dict[str, np.ndarray]:
-    """The ``.npy`` arrays from ``offset`` to the end of ``body``, as read-only views.
-
-    Each must be one-dimensional with exactly its dtype; the length in its
-    header is checked against the bytes present before any data is read.
-    """
-    stream = io.BytesIO(body)
-    stream.seek(offset)
-    arrays = {}
-    for name in names:
-        dtype = np.dtype("<f8" if name in _FLOAT_ARRAYS else "<i8")
-        try:
-            version = np.lib.format.read_magic(stream)
-            shape, _, found = np.lib.format.read_array_header_1_0(stream)
-        except Exception as exc:  # numpy's parser of a header dict raises many kinds
-            raise _malformed(f"array {name} has no .npy header") from exc
-        ok = version == (1, 0) and found == dtype and len(shape) == 1
-        _require(ok, f"array {name} must be 1-D {dtype} in .npy 1.0")
-        start = stream.tell()
-        end = start + shape[0] * dtype.itemsize
-        _require(0 <= shape[0] and end <= len(body), f"array {name} is truncated")
-        arrays[name] = np.frombuffer(body, dtype, shape[0], start)
-        stream.seek(end)
-    _require(stream.tell() == len(body), "unexpected bytes after the arrays")
-    return arrays
 
 
 def _parse_body(body: bytes) -> tuple[Environment, Optional[ReputationModel]]:
@@ -363,6 +333,12 @@ def _parse_body(body: bytes) -> tuple[Environment, Optional[ReputationModel]]:
     indices in range and strictly ascending within a row, statistics in
     range) and the model held to what a build makes: a bad value is a
     SnapshotError here, not a fault in a query.
+
+    No array stores its length: each is read, in file order, from what was
+    read and checked before it.  ``profile`` has one entry per agent and
+    ``indptr`` one more, ``dst`` has ``indptr[-1]`` entries and ``cat_ptr``
+    one more, the five row arrays ``cat_ptr[-1]`` each, and ``nodes`` and
+    ``vector`` one per node of the environment at the model's threshold.
     """
     end = body.find(b"\n")
     document = _decode(body[: end if end >= 0 else len(body)], _malformed)
@@ -383,37 +359,48 @@ def _parse_body(body: bytes) -> tuple[Environment, Optional[ReputationModel]]:
         for done, able in document["profiles"]
     )
     rep = document["reputation"]
-    arrays = _read_arrays(body, end + 1, ENV_ARRAYS + (MODEL_ARRAYS if rep is not None else ()))
+    offset = end + 1 if end >= 0 else len(body)
 
-    n, profile, indptr, dst, cat_ptr, cat, count, trust, rating, last_time = (
-        len(ids), *(arrays[name] for name in ENV_ARRAYS)
-    )
-    _require(len(profile) == n and _within(profile, len(kinds)), "agent profile out of range")
-    _require(_is_pointer(indptr, n, len(dst)), "indptr is not a CSR pointer over dst")
+    def take(name: str, count) -> np.ndarray:
+        """The next ``count`` entries of array ``name``, a read-only view of ``body``."""
+        nonlocal offset
+        start, count = offset, int(count)
+        offset += 8 * count  # every entry is 8 bytes
+        _require(offset <= len(body), f"array {name} is truncated")
+        return np.frombuffer(body, "<f8" if name in FLOAT_ARRAYS else "<i8", count, start)
+
+    n = len(ids)
+    profile = take("profile", n)
+    _require(_within(profile, len(kinds)), "agent profile out of range")
+    indptr = take("indptr", n + 1)
+    _require(_is_pointer(indptr), "indptr is not a CSR pointer over dst")
+    dst = take("dst", indptr[-1])
     _require(_within(dst, n), "edge to an unknown agent")
     _require(np.all(np.repeat(np.arange(n), np.diff(indptr)) != dst), "edge to its own source")
     _require(_ascending_within(dst, indptr), "neighbours must be distinct and ascending")
-    _require(_is_pointer(cat_ptr, len(dst), len(cat)), "cat_ptr is not a CSR pointer over cat")
+    cat_ptr = take("cat_ptr", len(dst) + 1)
+    _require(_is_pointer(cat_ptr), "cat_ptr is not a CSR pointer over cat")
     _require(np.all(cat_ptr[1:] > cat_ptr[:-1]), "edge has no categories")
+    cat, count, trust, rating, last_time = (take(name, cat_ptr[-1]) for name in ENV_ARRAYS[4:])
     _require(_within(cat, len(categories)), "category index out of range")
     _require(np.all(np.bincount(cat, minlength=len(categories)) > 0), "category without edges")
     _require(_ascending_within(cat, cat_ptr), "edge categories must be distinct and ascending")
-    for values in (count, trust, rating, last_time):
-        _require(len(values) == len(cat), "edge statistics must have one entry per edge category")
     _require(np.all(count >= 1), "category count below 1")
     _require(np.all((trust >= 0) & (trust <= 1)), "category trust outside [0, 1]")
     _require(np.all((rating >= 0) & (rating <= 1)), "category rating outside [0, 1]")
     before = np.isfinite(last_time) & (last_time < time)
     _require(np.all(before), "category last_time is not a finite time before snapshot_time")
+    arrays = (profile, indptr, dst, cat_ptr, cat, count, trust, rating, last_time)
     env = Environment(
         ids=tuple(ids),
         kinds=kinds,
         snapshot_time=time,
         decay_rate=rate,
         categories=tuple(categories),
-        **{name: arrays[name] for name in ENV_ARRAYS},
+        **dict(zip(ENV_ARRAYS, arrays)),
     )
     if rep is None:
+        _require(offset == len(body), "unexpected bytes after the arrays")
         return env, None
 
     for name, ok in (
@@ -422,17 +409,29 @@ def _parse_body(body: bytes) -> tuple[Environment, Optional[ReputationModel]]:
         ("params", type(rep["params"]) is dict and set(rep["params"]) == set(MODEL_PARAMS)),
     ):
         _require(ok, f"reputation {name} {rep[name]!r} has the wrong type or value")
-    TrustConfig(**rep["params"])  # the config rule; its errors become SnapshotError
-    cap, used, stop = rep["params"]["max_iterations"], rep["iterations_used"], rep["stop_reason"]
-    _require(0 <= used <= cap, f"reputation iterations_used {used} outside [0, {cap}]")
-    _require(stop != "iterations" or used == cap, f"reputation stop_reason iterations at {used}")
-    nodes, vector = arrays["nodes"], arrays["vector"]
+    params = rep["params"]
+    TrustConfig(**params)  # the config rule; its errors become SnapshotError
+    expected = node_indices(env, params["trust_threshold"])
+    nodes, vector = take("nodes", len(expected)), take("vector", len(expected))
+    _require(offset == len(body), "unexpected bytes after the arrays")
     _require(
-        np.array_equal(nodes, node_indices(env, rep["params"]["trust_threshold"])),
+        np.array_equal(nodes, expected),
         "reputation nodes are not the environment's node set at the model's trust threshold",
     )
-    _require(len(vector) == len(nodes), "reputation nodes and vector differ in length")
-    _require(np.all((vector >= 0) & (vector <= 1)), "reputation vector outside [0, 1]")
+    cap, used, stop = params["max_iterations"], rep["iterations_used"], rep["stop_reason"]
+    _require(0 <= used <= cap, f"reputation iterations_used {used} outside [0, {cap}]")
+    # How a build ends: an empty node set at once, the power iteration after
+    # at least one step, at the cap, or below it on a time budget.
+    ends = {
+        "converged": used >= 1,
+        "iterations": used == cap,
+        "seconds": used < cap and params["pagerank_seconds"] is not None,
+    }
+    _require(
+        ends[stop] if len(nodes) else (used, stop) == (0, "converged"),
+        f"reputation stop_reason {stop} at {used}",
+    )
+    _require(np.all((vector > 0) & (vector <= 1)), "reputation vector outside (0, 1]")
     _require(len(vector) == 0 or vector.max() == 1.0, "reputation vector is not max-normalized")
     fields = {k: rep[k] for k in _MODEL_FIELDS}
     return env, ReputationModel(env.id_array[nodes].tolist(), vector, **fields, env=env)

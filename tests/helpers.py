@@ -9,8 +9,10 @@ import json
 import numpy as np
 from hypothesis import strategies as st
 
-from trustnet import AgentProfile, Interaction
-from trustnet.persist import ENV_ARRAYS, MODEL_ARRAYS
+from trustnet import (
+    AgentProfile, Interaction, TrustConfig, build_environment, build_reputation, save_snapshot,
+)
+from trustnet.persist import ENV_ARRAYS, FLOAT_ARRAYS, MODEL_ARRAYS
 
 AGENTS = ["A", "B", "C", "D", "E", "F", "G", "H"]
 CATEGORIES = ["c1", "c2", "c3"]
@@ -58,19 +60,58 @@ def snapshot_body(path) -> bytes:
     return path.read_bytes().rpartition(b"\nsha256:")[0]
 
 
+# Each snapshot array's entry count, from the header's agent count ``n``, the
+# arrays read before it and the bytes ``left`` after those, which ``nodes``
+# and ``vector`` share evenly; no array stores its own.
+ARRAY_LENGTHS = {
+    "profile": lambda n, arrays, left: n,
+    "indptr": lambda n, arrays, left: n + 1,
+    "dst": lambda n, arrays, left: int(arrays["indptr"][-1]),
+    "cat_ptr": lambda n, arrays, left: len(arrays["dst"]) + 1,
+    # the five row arrays after cat_ptr
+    **{name: lambda n, arrays, left: int(arrays["cat_ptr"][-1]) for name in ENV_ARRAYS[4:]},
+    "nodes": lambda n, arrays, left: left // 16,
+    "vector": lambda n, arrays, left: len(arrays["nodes"]),
+}
+
+
 def read_snapshot(path) -> tuple[dict, dict]:
-    """A snapshot file's header document and its arrays by name, read with numpy."""
+    """A snapshot file's header document and its arrays by name, as writable copies."""
     line, _, rest = snapshot_body(path).partition(b"\n")
-    stream = io.BytesIO(rest)
-    names = ENV_ARRAYS + MODEL_ARRAYS
-    arrays = {}
-    while stream.tell() < len(rest):
-        arrays[names[len(arrays)]] = np.load(stream, allow_pickle=False)
-    return json.loads(line), arrays
+    document = json.loads(line)
+    names = ENV_ARRAYS + (MODEL_ARRAYS if document["reputation"] is not None else ())
+    arrays, offset = {}, 0
+    for name in names:
+        count = ARRAY_LENGTHS[name](len(document["agents"]), arrays, len(rest) - offset)
+        dtype = np.float64 if name in FLOAT_ARRAYS else np.int64
+        arrays[name] = np.frombuffer(rest, dtype, count, offset).copy()
+        offset += count * 8
+    assert offset == len(rest), "bytes after the arrays"
+    return document, arrays
 
 
 def write_snapshot(path, document: dict, arrays: dict) -> None:
-    """Write a snapshot from a header document and arrays, with a valid checksum."""
+    """Write a snapshot from a header document and arrays, with a valid checksum.
+
+    The arrays go in file order, each as its own bytes: one of another dtype
+    or length is written as it is, as a foreign writer would.
+    """
+    parts = [json.dumps(document).encode() + b"\n"]
+    names = [name for name in ENV_ARRAYS + MODEL_ARRAYS if name in arrays]
+    parts += [np.ascontiguousarray(arrays[name]).tobytes() for name in names]
+    rewrite_body(path, b"".join(parts))
+
+
+def write_version_5_snapshot(path, log) -> None:
+    """Write a version 5 file of ``log``'s environment at time 42 and its model.
+
+    Version 5 wrote each array in ``.npy`` format, its length and dtype in
+    a header of its own.
+    """
+    env = build_environment(log, 42.0)
+    save_snapshot(env, path, build_reputation(env, TrustConfig()))
+    document, arrays = read_snapshot(path)
+    document["header"]["version"] = 5
     buffer = io.BytesIO()
     buffer.write(json.dumps(document).encode() + b"\n")
     for values in arrays.values():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from trustnet import (
@@ -9,8 +10,9 @@ from trustnet import (
 )
 from trustnet import cli
 from trustnet.cli import main
+from trustnet.persist import SNAPSHOT_VERSION
 
-from helpers import read_snapshot, write_snapshot
+from helpers import read_snapshot, rec, write_snapshot, write_version_5_snapshot
 
 
 @pytest.fixture
@@ -269,7 +271,8 @@ def test_snapshot_value_of_wrong_type_is_input_error(capsys, world):
     code, out, err = run(capsys, ["snapshot", "load", "--in", str(snap)])
     assert code == 1
     assert out == ""
-    assert "array decayed_trust must be 1-D float64" in err
+    # No array stores its dtype or length: the wider strings overrun the layout.
+    assert "unexpected bytes after the arrays" in err
 
 
 def test_oracle_suite_reports_clean_comparison(capsys):
@@ -420,13 +423,45 @@ def test_snapshot_with_a_stale_model_is_input_error(capsys, world):
     argv = ["snapshot", "save", "--log", world["log"], "--time", "100", "--out", str(snap)]
     assert run(capsys, argv + ["--with-reputation"])[0] == 0
     document, arrays = read_snapshot(snap)
-    # A model over one node fewer than the environment's node set.
+    # A model over one node fewer than the environment's node set: the file
+    # holds as many nodes as the environment has, so it ends too soon.
     arrays.update(nodes=arrays["nodes"][1:], vector=arrays["vector"][1:])
     write_snapshot(snap, document, arrays)
     code, out, err = run(capsys, ["snapshot", "load", "--in", str(snap)])
     assert code == 1
     assert out == ""
-    assert "not the environment's node set" in err
+    assert "array vector is truncated" in err
+
+
+def test_snapshot_with_a_model_over_another_node_set_is_input_error(capsys, world):
+    snap = world["tmp"] / "world.snap"
+    config = world["tmp"] / "config.json"
+    config.write_text('{"theta_r": 0.9}')
+    argv = ["snapshot", "save", "--log", world["log"], "--time", "100", "--out", str(snap)]
+    assert run(capsys, argv + ["--config", str(config), "--with-reputation"])[0] == 0
+    document, arrays = read_snapshot(snap)
+    # As many nodes as the environment's node set, one of them another agent.
+    outside = np.setdiff1d(np.arange(len(document["agents"])), arrays["nodes"])
+    arrays["nodes"][-1] = outside[-1]
+    arrays["nodes"].sort()
+    write_snapshot(snap, document, arrays)
+    assert_input_error(
+        *run(capsys, ["snapshot", "load", "--in", str(snap)]),
+        "reputation nodes are not the environment's node set",
+    )
+
+
+def test_snapshot_with_a_model_no_build_makes_is_input_error(capsys, world):
+    snap = world["tmp"] / "world.snap"
+    argv = ["snapshot", "save", "--log", world["log"], "--time", "100", "--out", str(snap)]
+    assert run(capsys, argv + ["--with-reputation"])[0] == 0
+    document, arrays = read_snapshot(snap)
+    document["reputation"].update(iterations_used=0, stop_reason="converged")
+    write_snapshot(snap, document, arrays)
+    assert_input_error(
+        *run(capsys, ["snapshot", "load", "--in", str(snap)]),
+        "reputation stop_reason converged at 0",
+    )
 
 
 @pytest.mark.parametrize(
@@ -558,7 +593,16 @@ def test_version_4_snapshot_is_input_error(capsys, world):
     write_snapshot(snap, document, arrays)
     assert_input_error(
         *run(capsys, ["snapshot", "load", "--in", str(snap)]),
-        "error: unsupported snapshot version 4, expected 5",
+        f"error: unsupported snapshot version 4, expected {SNAPSHOT_VERSION}",
+    )
+
+
+def test_version_5_snapshot_is_input_error(capsys, tmp_path):
+    snap = tmp_path / "v5.snap"
+    write_version_5_snapshot(snap, [rec("A", "B", 0.9), rec("B", "C", 0.6)])
+    assert_input_error(
+        *run(capsys, ["snapshot", "load", "--in", str(snap)]),
+        f"error: unsupported snapshot version 5, expected {SNAPSHOT_VERSION}",
     )
 
 

@@ -33,7 +33,7 @@ from trustnet import (
     save_snapshot,
 )
 from trustnet.core import CONFIG_BOUNDS
-from trustnet.persist import config_from_dict
+from trustnet.persist import SNAPSHOT_VERSION, config_from_dict
 
 from helpers import (
     AGENTS,
@@ -44,6 +44,7 @@ from helpers import (
     rewrite_body,
     snapshot_body,
     write_snapshot,
+    write_version_5_snapshot,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -262,11 +263,15 @@ def test_flipped_byte_fails_checksum(tmp_path):
         load_snapshot(path)
 
 
+# The header's version field as ``save_snapshot`` writes it.
+VERSION_TEXT = f'"version": {SNAPSHOT_VERSION}'.encode()
+
+
 def test_version_mismatch_rejected(tmp_path):
     env = build_environment([], 42.0)
     path = tmp_path / "t.snap"
     save_snapshot(env, path)
-    rewrite_body(path, snapshot_body(path).replace(b'"version": 5', b'"version": 99'))
+    rewrite_body(path, snapshot_body(path).replace(VERSION_TEXT, b'"version": 99'))
     with pytest.raises(SnapshotError, match="version"):
         load_snapshot(path)
 
@@ -283,7 +288,9 @@ def test_version_3_snapshot_refused(tmp_path):
     }
     path = tmp_path / "v3.snap"
     rewrite_body(path, json.dumps(body).encode())
-    with pytest.raises(SnapshotError, match="unsupported snapshot version 3, expected 5"):
+    with pytest.raises(
+        SnapshotError, match=f"unsupported snapshot version 3, expected {SNAPSHOT_VERSION}"
+    ):
         load_snapshot(path)
 
 
@@ -315,11 +322,27 @@ def replace(name, values):
     return corrupt
 
 
+def model_stops(used, stop, **params):
+    def corrupt(document, arrays):
+        document["reputation"].update(iterations_used=used, stop_reason=stop)
+        document["reputation"]["params"].update(params)
+    return corrupt
+
+
+def no_nodes(used, stop, **params):
+    """The model block of an empty node set (no edge of SMALL_WORLD weighs 1), stopping as given."""
+    def corrupt(document, arrays):
+        model_stops(used, stop, trust_threshold=1.0, **params)(document, arrays)
+        arrays.update(nodes=np.zeros(0, np.int64), vector=np.zeros(0))
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "corrupt, problem",
     [
         (replace("cat_ptr", [0, 0, 3, 4]), "edge has no categories"),
-        (lambda d, a: a.update(count=a["count"].astype(bool)), "array count must be 1-D int64"),
+        # An array written at another width shifts every byte after it.
+        (lambda d, a: a.update(count=a["count"].astype(bool)), "category count below 1"),
         (set_item("count", 0, -3), "category count below 1"),
         (set_item("decayed_trust", 0, 1.5), "category trust outside"),
         (set_item("mean_rating", 0, -0.1), "category rating outside"),
@@ -331,9 +354,9 @@ def replace(name, values):
         ),
         (lambda d, a: d["profiles"][0].__setitem__(1, "c1"), "able categories must be a list"),
         (set_item("dst", 0, 5), "edge to an unknown agent"),
-        (lambda d, a: a.update(vector=np.append(a["vector"], 0.5)), "differ in length"),
+        (lambda d, a: a.update(vector=np.append(a["vector"], 0.5)), "unexpected bytes after"),
         (lambda d, a: a.update(decayed_trust=a["decayed_trust"].astype(np.float32)),
-         "array decayed_trust must be 1-D float64"),
+         "reputation nodes are not the environment's node set"),
         (replace("indptr", [0, 3, 2, 3]), "indptr is not a CSR pointer"),
         (replace("dst", [2, 1, 2]), "neighbours must be distinct and ascending"),
         (replace("dst", [1, 1, 2]), "neighbours must be distinct and ascending"),
@@ -346,7 +369,7 @@ def replace(name, values):
         (set_item("nodes", 1, 3), "reputation nodes are not the environment's node set"),
         (set_item("vector", 0, 1.5), "reputation vector outside"),
         (lambda d, a: d["reputation"].update(stop_reason="tired"), "reputation stop_reason"),
-        (lambda d, a: a.pop("vector"), "array vector has no .npy header"),
+        (lambda d, a: a.pop("vector"), "array vector is truncated"),
         (lambda d, a: d["reputation"].update(iterations_used=-7), r"-7 outside \[0, 1000\]"),
         (lambda d, a: d["reputation"].update(iterations_used=5000), r"5000 outside \[0, 1000\]"),
         (
@@ -354,6 +377,13 @@ def replace(name, values):
             "reputation stop_reason iterations at 1$",
         ),
         (lambda d, a: a.update(vector=a["vector"] * 0.5), "not max-normalized"),
+        (model_stops(0, "converged"), "reputation stop_reason converged at 0$"),
+        (model_stops(1000, "seconds", pagerank_seconds=1.0), "stop_reason seconds at 1000$"),
+        (model_stops(5, "seconds"), "reputation stop_reason seconds at 5$"),
+        (no_nodes(1000, "iterations"), "reputation stop_reason iterations at 1000$"),
+        (no_nodes(3, "seconds", pagerank_seconds=1.0), "reputation stop_reason seconds at 3$"),
+        (no_nodes(5, "converged"), "reputation stop_reason converged at 5$"),
+        (set_item("vector", 0, 0.0), r"reputation vector outside \(0, 1\]"),
     ],
     ids=[
         "no-categories",
@@ -385,6 +415,13 @@ def replace(name, values):
         "iterations-beyond-cap",
         "cap-stop-before-cap",
         "vector-not-max-normalized",
+        "converged-after-no-iteration",
+        "time-stop-at-cap",
+        "time-stop-without-budget",
+        "no-nodes-iterations",
+        "no-nodes-seconds",
+        "no-nodes-converged-late",
+        "vector-zero",
     ],
 )
 def test_value_of_wrong_type_rejected(tmp_path, corrupt, problem):
@@ -404,6 +441,25 @@ def test_uncorrupted_rewrite_loads(tmp_path):
     path = tmp_path / "t.snap"
     save_snapshot(env, path, model)
     write_snapshot(path, *read_snapshot(path))
+    assert load_snapshot(path) == (env, model)
+
+
+@pytest.mark.parametrize(
+    "config, stop",
+    [
+        (TrustConfig(), ("converged", 1)),
+        (TrustConfig(max_iterations=1, tolerance=1e-300), ("iterations", 1)),
+        (TrustConfig(pagerank_seconds=0), ("seconds", 0)),
+        (TrustConfig(trust_threshold=1.0), ("converged", 0)),
+    ],
+    ids=["converged", "iteration-cap", "time-budget", "no-nodes"],
+)
+def test_every_way_a_build_ends_loads(tmp_path, config, stop):
+    env = build_environment(SMALL_WORLD, 42.0)
+    model = build_reputation(env, config)
+    assert (model.stop_reason, model.iterations_used) == stop
+    path = tmp_path / "t.snap"
+    save_snapshot(env, path, model)
     assert load_snapshot(path) == (env, model)
 
 
@@ -495,6 +551,28 @@ def test_truncated_or_overlong_array_rejected(tmp_path, cut, problem):
         load_snapshot(path)
 
 
+@pytest.mark.parametrize(
+    "log, with_model",
+    [(SMALL_WORLD, True), (SMALL_WORLD, False), ([], True), ([], False)],
+    ids=["model", "no-model", "no-agents-model", "no-agents"],
+)
+def test_every_cut_or_extension_of_the_arrays_is_refused(tmp_path, log, with_model):
+    env = build_environment(log, 42.0)
+    model = build_reputation(env, TrustConfig()) if with_model else None
+    path = tmp_path / "t.snap"
+    save_snapshot(env, path, model)
+    assert load_snapshot(path) == (env, model)
+    body = snapshot_body(path)
+    # No array stores its length, so each cut leaves one too short.
+    for cut in range(body.index(b"\n") + 1, len(body), 8):
+        rewrite_body(path, body[:cut])
+        with pytest.raises(SnapshotError, match="^malformed snapshot: array .* is truncated$"):
+            load_snapshot(path)
+    rewrite_body(path, body + bytes(8))
+    with pytest.raises(SnapshotError, match="unexpected bytes after the arrays"):
+        load_snapshot(path)
+
+
 @given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), min_size=1, max_size=4))
 @settings(max_examples=300, deadline=None)
 def test_overwritten_bytes_end_in_snapshot_error(tmp_path_factory, edits):
@@ -558,19 +636,19 @@ def test_snapshot_bytes_are_pinned(tmp_path):
     assert env.agents["a00"].completed == {"c0", "c1", "c2", "c9"} and "c9" not in env.categories
     assert {"a18", "a19"}.isdisjoint(agent for pair in env.edges for agent in pair)
     checksum = save_snapshot(env, tmp_path / "w.snap", build_reputation(env, TrustConfig()))
-    # The checksum of this world's file in snapshot format version 5.
-    assert checksum == "1973b51c755737cf79e176ad3499b97c7d81a8f8373f3c26cebf26bf336ca9e5"
+    # The checksum of this world's file in snapshot format version 6.
+    assert checksum == "fe8aa0dce75a72ec3cf9a34deeb3b6d89c3925eed31cb4e11fd97f685d0fb29f"
 
 
-# The checksum of each benchmark world's file in snapshot format version 5,
+# The checksum of each benchmark world's file in snapshot format version 6,
 # with its workload's reputation model: the file holds every array bit, so a
 # one-ulp change of the build shows here, where report numbers are compared
 # to 1e-12 only.
 WORKLOAD_SNAPSHOTS = {
-    ("query-explore", HORIZON): "9b5868359757e21ee5efac57794d1a7f97cf2991714d5d929638b6778be178ab",
-    ("query-history", HORIZON): "e8afdd77a9b0a919ca086e7474bf6576580134fd3f3729ddcd24451e98127d20",
-    ("refresh", HORIZON): "cf9ab7912f7b3cab9305763ae3a725259430f767ec915c2eef5b4fd024fc6ef7",
-    ("refresh", BACKLOG_END): "855f61927a0eaa0829f8641199258a6ac3a6ac2737b5f9fde91893fa6cdb4fe4",
+    ("query-explore", HORIZON): "a128f6bcac6c28e10602705a6d9829ec9ae0c82094f7b636f98ef0bd2e6658b1",
+    ("query-history", HORIZON): "0433193d58d5fe35b6682b5482458181bb3580da531e19c014ff9c85720bd861",
+    ("refresh", HORIZON): "8ad22e41829f44dc1b4cf5c166f49532ff872712b9417de5d941d8fe05031f74",
+    ("refresh", BACKLOG_END): "d08828ff45ed2dfb95fcade49c223c9c1203ceaf342b85c02eacf48f08798144",
 }
 
 
@@ -677,8 +755,19 @@ def test_version_4_snapshot_refused(tmp_path):
     env = build_environment(SMALL_WORLD, 42.0)
     path = tmp_path / "t.snap"
     save_snapshot(env, path, build_reputation(env, TrustConfig()))
-    rewrite_body(path, snapshot_body(path).replace(b'"version": 5', b'"version": 4'))
-    with pytest.raises(SnapshotError, match="unsupported snapshot version 4, expected 5"):
+    rewrite_body(path, snapshot_body(path).replace(VERSION_TEXT, b'"version": 4'))
+    with pytest.raises(
+        SnapshotError, match=f"unsupported snapshot version 4, expected {SNAPSHOT_VERSION}"
+    ):
+        load_snapshot(path)
+
+
+def test_version_5_snapshot_refused(tmp_path):
+    path = tmp_path / "v5.snap"
+    write_version_5_snapshot(path, SMALL_WORLD)
+    with pytest.raises(
+        SnapshotError, match=f"^unsupported snapshot version 5, expected {SNAPSHOT_VERSION}$"
+    ):
         load_snapshot(path)
 
 
