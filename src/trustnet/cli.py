@@ -102,11 +102,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--suite", choices=["indirect", "reputation", "all"], default="all")
     p_oracle.add_argument("--config", help="config file (flat JSON)")
     # The ranges keep every instance within the oracles' limits (12 agents
-    # for the path enumeration, 200 nodes for the dense reputation).
+    # for the path enumeration, 200 nodes for the dense reputation).  An
+    # instance draws at most 4 * 12 - 1 = 47 records, so it uses no more
+    # categories than that.
     option = p_oracle.add_argument
     option("--seeds", type=_int_in(1), default=100, help="indirect instance count")
     option("--agents", type=_int_in(4, 12), default=8, help="indirect max agents")
-    option("--categories", type=_int_in(1), default=3)
+    option("--categories", type=_int_in(1, 47), default=3)
     option("--rep-seeds", type=_int_in(1), default=50, help="reputation instance count")
     option("--rep-agents", type=_int_in(10, 200), default=50, help="reputation max agents")
 

@@ -38,7 +38,6 @@ class CompositeInputs:
     n_paths: int
     dt_min: float
     trustee_did_category: bool
-    trustee_can_category: bool
 
 
 @dataclass
@@ -90,10 +89,6 @@ def alpha(inputs: CompositeInputs) -> float:
 
 def beta(alpha_value: float, inputs: CompositeInputs) -> float:
     """Indirect-trust weight, bounded by the weight direct trust left over."""
-    if not inputs.trustee_can_category:
-        raise CapabilityError(
-            "trustee lacks capability for the requested category"
-        )
     if not inputs.trustee_did_category:
         return 0.0
     if inputs.n_paths < inputs.dt_min:
@@ -178,7 +173,6 @@ def evaluate(
         n_paths=len(kept),
         dt_min=dt_min(env, category),
         trustee_did_category=category in completed,
-        trustee_can_category=category in able,
     )
     alpha_value = alpha(inputs)
     beta_value = beta(alpha_value, inputs)

@@ -528,6 +528,21 @@ def decay_weight(time: float, eval_time: float, decay_rate: float) -> float:
     return math.exp(-decay_rate * (eval_time - time))
 
 
+def group_codes(src: np.ndarray, dst: np.ndarray, cat: np.ndarray, n_ids: int, n_cats: int):
+    """One int64 code per (src, dst, cat) group, in that order of significance.
+
+    The largest code is agents² · categories - 1, so a log whose agents² ·
+    categories exceeds 2⁶³ raises ValueError; the bound is checked in Python
+    ints, before any code is formed.
+    """
+    if n_ids * n_ids * n_cats > 2**63:
+        raise ValueError(
+            f"{n_ids} agents and {n_cats} categories are too many for the group codes: "
+            "agents² · categories must not exceed 2⁶³"
+        )
+    return (src * n_ids + dst) * n_cats + cat
+
+
 def build_environment(
     log: Sequence[Interaction],
     snapshot_time: float,
@@ -559,7 +574,7 @@ def build_environment(
     construction: a log that is not a sequence, or an item of either that
     is not of its type, raises TypeError naming it.  An id may be declared
     once; its second declaration raises InvalidProfileError.
-    Raises ValueError from :func:`check_snapshot_clock`.
+    Raises ValueError from :func:`check_snapshot_clock` and :func:`group_codes`.
     """
     check_snapshot_clock(snapshot_time, decay_rate)
     declared: dict[AgentId, tuple[frozenset[TaskCategory], frozenset[TaskCategory]]] = {}
@@ -598,9 +613,7 @@ def build_environment(
     dst = np.fromiter(map(index.__getitem__, trustees), np.int64, n)
     cat = np.fromiter(map(cat_index.__getitem__, labels), np.int64, n)
 
-    # One code per (src, dst, cat) group, in that order of significance; it
-    # fits int64 while agents² · categories < 2⁶³.
-    key = (src * n_ids + dst) * n_cats + cat
+    key = group_codes(src, dst, cat, n_ids, n_cats)
     order = np.argsort(key)
     key = key[order]
     group_start, group_end = np.diff(key, prepend=-1) != 0, np.diff(key, append=-1) != 0

@@ -300,16 +300,22 @@ def indirect_instance(
     return profiles, log, profiles[0].id, profiles[-1].id, categories[0]
 
 
+# The oracle gates: the indirect agreement on every instance, the reputation
+# agreement per entry, and how far a propagation matrix row may sum from 1.
+INDIRECT_TOLERANCE = 1e-9
+REPUTATION_TOLERANCE = 1e-8
+ROW_SUM_TOLERANCE = 1e-9
+
+
 def compare_indirect(
     seeds: Sequence[int],
     config: Optional[TrustConfig] = None,
     max_agents: int = 8,
     max_categories: int = 3,
-    tolerance: float = 1e-9,
 ) -> dict:
     """Engine vs exhaustive oracle over seeded instances; returns a report.
 
-    Every instance, cyclic or not, must agree within ``tolerance``.
+    Every instance, cyclic or not, must agree within ``INDIRECT_TOLERANCE``.
     ``mismatches`` counts those that do not and ``deviations`` lists them
     (a value on one side only has deviation None); ``max_deviation`` is the
     largest numeric one.  ``acyclic`` and ``cyclic`` count the instances of
@@ -347,7 +353,7 @@ def compare_indirect(
         if engine is not None and reference is not None:
             deviation = abs(engine - reference)
             report["max_deviation"] = max(report["max_deviation"], deviation)
-        if deviation is None or deviation > tolerance:
+        if deviation is None or deviation > INDIRECT_TOLERANCE:
             report["mismatches"] += 1
             report["deviations"].append(
                 {
@@ -385,8 +391,6 @@ def compare_reputation(
     seeds: Sequence[int],
     config: Optional[TrustConfig] = None,
     max_agents: int = 50,
-    tolerance: float = 1e-8,
-    row_sum_tolerance: float = 1e-9,
 ) -> dict:
     """Sparse engine pipeline vs dense oracle over seeded instances.
 
@@ -421,13 +425,13 @@ def compare_reputation(
                 float(np.max(np.abs(model.vector - reference))) if nodes else 0.0
             )
             report["max_deviation"] = max(report["max_deviation"], deviation)
-            if deviation > tolerance:
+            if deviation > REPUTATION_TOLERANCE:
                 problems.append(f"vector deviation {deviation}")
         if model.nodes:
             row_sums = np.asarray(model.matrix.explicit.sum(axis=1)).ravel() + model.matrix.spread
             row_err = float(np.max(np.abs(row_sums - 1.0)))
             report["max_row_sum_error"] = max(report["max_row_sum_error"], row_err)
-            if row_err > row_sum_tolerance:
+            if row_err > ROW_SUM_TOLERANCE:
                 problems.append(f"row sum error {row_err}")
         if problems:
             report["mismatches"] += 1

@@ -28,7 +28,7 @@ from .core import (
     TrustConfig,
     check_snapshot_clock,
 )
-from .reputation import MODEL_PARAMS, STOP_REASONS, ReputationModel, check_bound, node_indices
+from .reputation import ReputationModel, check_bound, node_indices
 
 SNAPSHOT_FORMAT = "trustnet-snapshot"
 SNAPSHOT_VERSION = 6
@@ -331,8 +331,8 @@ def _parse_body(body: bytes) -> tuple[Environment, Optional[ReputationModel]]:
     The header's time, rate and model ``params`` get the engine's own checks,
     its other values are type-checked, the arrays checked whole (CSR pointers,
     indices in range and strictly ascending within a row, statistics in
-    range) and the model held to what a build makes: a bad value is a
-    SnapshotError here, not a fault in a query.
+    range) and the model made through :class:`ReputationModel`'s own rule: a
+    bad value is a SnapshotError here, not a fault in a query.
 
     No array stores its length: each is read, in file order, from what was
     read and checked before it.  ``profile`` has one entry per agent and
@@ -403,35 +403,16 @@ def _parse_body(body: bytes) -> tuple[Environment, Optional[ReputationModel]]:
         _require(offset == len(body), "unexpected bytes after the arrays")
         return env, None
 
-    for name, ok in (
-        ("iterations_used", type(rep["iterations_used"]) is int),
-        ("stop_reason", rep["stop_reason"] in STOP_REASONS),
-        ("params", type(rep["params"]) is dict and set(rep["params"]) == set(MODEL_PARAMS)),
-    ):
-        _require(ok, f"reputation {name} {rep[name]!r} has the wrong type or value")
-    params = rep["params"]
-    TrustConfig(**params)  # the config rule; its errors become SnapshotError
-    expected = node_indices(env, params["trust_threshold"])
+    # The config rule, then the node set at the model's threshold.
+    expected = node_indices(env, TrustConfig(**rep["params"]).trust_threshold)
     nodes, vector = take("nodes", len(expected)), take("vector", len(expected))
     _require(offset == len(body), "unexpected bytes after the arrays")
     _require(
         np.array_equal(nodes, expected),
         "reputation nodes are not the environment's node set at the model's trust threshold",
     )
-    cap, used, stop = params["max_iterations"], rep["iterations_used"], rep["stop_reason"]
-    _require(0 <= used <= cap, f"reputation iterations_used {used} outside [0, {cap}]")
-    # How a build ends: an empty node set at once, the power iteration after
-    # at least one step, at the cap, or below it on a time budget.
-    ends = {
-        "converged": used >= 1,
-        "iterations": used == cap,
-        "seconds": used < cap and params["pagerank_seconds"] is not None,
-    }
-    _require(
-        ends[stop] if len(nodes) else (used, stop) == (0, "converged"),
-        f"reputation stop_reason {stop} at {used}",
-    )
-    _require(np.all((vector > 0) & (vector <= 1)), "reputation vector outside (0, 1]")
-    _require(len(vector) == 0 or vector.max() == 1.0, "reputation vector is not max-normalized")
     fields = {k: rep[k] for k in _MODEL_FIELDS}
-    return env, ReputationModel(env.id_array[nodes].tolist(), vector, **fields, env=env)
+    try:
+        return env, ReputationModel(env.id_array[nodes].tolist(), vector, **fields, env=env)
+    except ValueError as exc:  # the model rule
+        raise _malformed(str(exc)) from None

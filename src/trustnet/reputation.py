@@ -42,9 +42,6 @@ class PropagationMatrix:
         return self.explicit.toarray() + self.spread[:, None] * others
 
 
-# Why a power iteration ended.
-STOP_REASONS = ("converged", "iterations", "seconds")
-
 # The config fields a reputation model depends on.
 MODEL_PARAMS = ("trust_threshold", "damping", "tolerance", "max_iterations", "pagerank_seconds")
 
@@ -56,19 +53,18 @@ def model_params(config: TrustConfig) -> dict:
 
 @dataclass
 class ReputationModel:
-    """Converged reputation over the node set.
+    """Converged reputation over the node set, max-normalized.
 
-    ``vector`` is max-normalized (its largest entry is 1 when nodes exist).
     ``params`` holds the config values the model was built with (see
     :func:`model_params`).  ``stop_reason`` says why the power iteration
     ended: ``"converged"``, or the ``"iterations"`` or ``"seconds"`` budget
-    ran out (an empty node set counts as converged).  ``converged`` and
-    ``mean_reputation`` are derived from these.  ``matrix`` is the built
-    model's input, kept for the oracle's row-sum check and
-    ``perfbench/scaling.py``; being derivable, it is neither saved (a loaded
-    model has None) nor compared.  ``env`` is the snapshot object the model
-    was built from or loaded with, which :func:`check_bound` holds it to; it
-    is not saved, compared or shown.
+    ran out; ``converged`` and ``mean_reputation`` are derived.  A model is
+    checked when it is made: one no build could make raises ValueError.
+    ``matrix`` is the built model's input, kept for the oracle's row-sum
+    check and ``perfbench/scaling.py``; being derivable, it is neither saved
+    (a loaded model has None) nor compared.  ``env`` is the snapshot object
+    the model was built from or loaded with, which :func:`check_bound` holds
+    it to; it is not saved, compared or shown.
     """
 
     nodes: list[AgentId]
@@ -78,6 +74,37 @@ class ReputationModel:
     stop_reason: str
     matrix: Optional[PropagationMatrix] = None
     env: Optional[Environment] = field(default=None, repr=False)
+
+    def __post_init__(self):
+        used, params, stop = self.iterations_used, self.params, self.stop_reason
+        for name, ok in (
+            ("iterations_used", type(used) is int),
+            ("stop_reason", stop in ("converged", "iterations", "seconds")),
+            ("params", type(params) is dict and set(params) == set(MODEL_PARAMS)),
+        ):
+            if not ok:
+                value = getattr(self, name)
+                raise ValueError(f"reputation {name} {value!r} has the wrong type or value")
+        TrustConfig(**params)
+        cap = params["max_iterations"]
+        # How a build ends: an empty node set at once, the power iteration after
+        # at least one step, at the cap, or below it on a time budget.
+        ends = {
+            "converged": used >= 1,
+            "iterations": used == cap,
+            "seconds": used < cap and params["pagerank_seconds"] is not None,
+        }
+        nodes, vector = self.nodes, self.vector
+        ended = ends[stop] if nodes else (used, stop) == (0, "converged")
+        for ok, problem in (
+            (0 <= used <= cap, f"iterations_used {used} outside [0, {cap}]"),
+            (ended, f"stop_reason {stop} at {used}"),
+            (len(vector) == len(nodes), f"vector has {len(vector)} entries for {len(nodes)} nodes"),
+            (np.all((vector > 0) & (vector <= 1)), "vector outside (0, 1]"),
+            (len(vector) == 0 or vector.max() == 1.0, "vector is not max-normalized"),
+        ):
+            if not ok:
+                raise ValueError(f"reputation {problem}")
 
     @property
     def converged(self) -> bool:
@@ -177,8 +204,8 @@ def pagerank(
     M^T v = explicit^T v + ((s.v) 1 - s*v) / (n - 1) for the spread s.
     Starts from the uniform vector e and stops when the L1 change drops to
     ``tolerance``, the iteration cap is hit, or the wall-clock budget runs
-    out.  Returns (vector, iterations, stop_reason), the reason one of
-    ``STOP_REASONS``.
+    out.  Returns (vector, iterations, stop_reason), the reason
+    ``"converged"``, ``"iterations"`` or ``"seconds"``.
     """
     n = matrix.explicit.shape[0]
     if n == 0:
@@ -212,21 +239,11 @@ def build_reputation(env: Environment, config: TrustConfig) -> ReputationModel:
     if nodes:
         matrix = propagation_matrix(env, nodes, config.trust_threshold)
         raw, iterations, stop_reason = pagerank(
-            matrix,
-            config.damping,
-            config.tolerance,
-            config.max_iterations,
-            config.pagerank_seconds,
+            matrix, config.damping, config.tolerance, config.max_iterations, config.pagerank_seconds
         )
         vector = raw / raw.max()
     return ReputationModel(
-        nodes=nodes,
-        vector=vector,
-        iterations_used=iterations,
-        params=model_params(config),
-        stop_reason=stop_reason,
-        matrix=matrix,
-        env=env,
+        nodes, vector, iterations, model_params(config), stop_reason, matrix=matrix, env=env
     )
 
 

@@ -56,6 +56,13 @@ class RatingModel(enum.Enum):
 
 @dataclass(frozen=True)
 class GenParams:
+    """Generator parameters, checked when they are made.
+
+    ``seed`` and the three counts are ints (not bools) and ``rating_model``
+    a :class:`RatingModel`, or TypeError; the two floats follow
+    :func:`finite_float`'s rule, and a value out of bounds raises ValueError.
+    """
+
     seed: int
     n_agents: int = 10
     n_categories: int = 2
@@ -65,10 +72,17 @@ class GenParams:
     newcomer_fraction: float = 0.0
 
     def __post_init__(self):
+        for name in ("seed", "n_agents", "n_categories", "n_interactions"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer")
+        if not isinstance(self.rating_model, RatingModel):
+            raise TypeError(f"rating_model must be a RatingModel, not {self.rating_model!r}")
         if self.n_agents < 2 or self.n_categories < 1 or self.n_interactions < 0:
             raise ValueError("agent/category/interaction counts out of range")
-        if not 0.0 <= self.newcomer_fraction < 1.0:
-            raise ValueError("newcomer_fraction must lie in [0, 1)")
+        fraction = finite_float(self.newcomer_fraction)
+        if fraction is None or not 0.0 <= fraction < 1.0:
+            raise ValueError("newcomer_fraction must be a finite number in [0, 1)")
         horizon = finite_float(self.time_horizon)
         if horizon is None or horizon <= 0:
             raise ValueError("time_horizon must be a finite number > 0")

@@ -76,8 +76,8 @@ def test_criterion_1_two_path_golden_value():
 # --- 2: weight case grid -----------------------------------------------------
 
 def test_criterion_2_weight_case_grid():
-    def row(n_same=0, n_other=0, n_paths=0, bar=4.0, did=True, can=True):
-        return CompositeInputs(n_same, n_other, n_paths, bar, did, can)
+    def row(n_same=0, n_other=0, n_paths=0, bar=4.0, did=True):
+        return CompositeInputs(n_same, n_other, n_paths, bar, did)
 
     checks = [
         (alpha(row(n_same=0, n_other=0)), 0.0),            # newcomer

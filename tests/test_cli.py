@@ -475,6 +475,7 @@ def test_snapshot_with_a_model_no_build_makes_is_input_error(capsys, world):
         ("--seeds", "0"),
         ("--rep-seeds", "0"),
         ("--categories", "0"),
+        ("--categories", "48"),
         ("--agents", "eight"),
     ],
 )
@@ -486,8 +487,11 @@ def test_oracle_argument_out_of_range_exits_one_naming_the_flag(capsys, flag, va
 
 
 def test_oracle_runs_at_the_ends_of_its_ranges(capsys):
-    argv = ["oracle", "--seeds", "1", "--rep-seeds", "1", "--categories", "1"]
-    for ends in (["--agents", "4", "--rep-agents", "10"], ["--agents", "12", "--rep-agents", "200"]):
+    argv = ["oracle", "--seeds", "1", "--rep-seeds", "1"]
+    for ends in (
+        ["--agents", "4", "--rep-agents", "10", "--categories", "1"],
+        ["--agents", "12", "--rep-agents", "200", "--categories", "47"],
+    ):
         code, out, _ = run(capsys, argv + ends)
         assert code == 0
         payload = json.loads(out)

@@ -26,14 +26,13 @@ from helpers import rec
 CFG = TrustConfig(decay_rate=0.0, recency_rate=0.0)
 
 
-def inputs(n_same=0, n_other=0, n_paths=0, bar=4.0, did=True, can=True):
+def inputs(n_same=0, n_other=0, n_paths=0, bar=4.0, did=True):
     return CompositeInputs(
         n_same=n_same,
         n_other=n_other,
         n_paths=n_paths,
         dt_min=bar,
         trustee_did_category=did,
-        trustee_can_category=can,
     )
 
 
@@ -97,7 +96,7 @@ def test_alpha_boundary_continuity():
 
 
 def test_beta_zero_for_untried_category():
-    assert beta(0.3, inputs(n_paths=7, did=False, can=True)) == 0.0
+    assert beta(0.3, inputs(n_paths=7, did=False)) == 0.0
 
 
 def test_beta_partial_paths():
@@ -106,11 +105,6 @@ def test_beta_partial_paths():
 
 def test_beta_full_remainder_at_bar():
     assert beta(0.25, inputs(n_paths=4, bar=4.0)) == 0.75
-
-
-def test_beta_requires_capability():
-    with pytest.raises(CapabilityError):
-        beta(0.5, inputs(can=False))
 
 
 count = st.integers(min_value=0, max_value=40)
@@ -222,6 +216,15 @@ def test_evaluate_rejects_unknown_and_incapable():
         evaluate(env, log, "C", "C", "c1", 10.0, CFG)
     with pytest.raises(ValueError):
         evaluate(env, log, "C", "D", "c1", 11.0, CFG)
+
+
+def test_evaluate_requires_capability_in_a_category_the_trustee_did():
+    # D completed c1, but declares itself able only in c2.
+    log = backdrop_log()
+    declared = AgentProfile(id="D", completed=frozenset(), able=frozenset({"c2"}))
+    env = build_environment(log, 10.0, 0.0, [declared])
+    with pytest.raises(CapabilityError, match="lacks capability for category 'c1'"):
+        evaluate(env, log, "C", "D", "c1", 10.0, CFG)
 
 
 def test_evaluate_rejects_decay_rate_mismatch():

@@ -21,7 +21,7 @@ from trustnet import (
     build_environment,
 )
 
-from trustnet.core import finite_float
+from trustnet.core import finite_float, group_codes
 
 from helpers import logs, rec
 
@@ -482,3 +482,24 @@ def test_public_names_resolve_once_and_hold_no_deleted_name():
     assert set(names).isdisjoint(DELETED_NAMES)
     for owner in (trustnet, core, indirect, core.Environment):
         assert [n for n in DELETED_NAMES if hasattr(owner, n)] == []
+
+
+# The largest agent count whose squared count fits int64's 2⁶³ codes.
+ROOT = math.isqrt(2**63)
+
+
+@pytest.mark.parametrize(
+    "n_ids, n_cats",
+    [(ROOT + 1, 1), (ROOT // 2 + 1, 4), (2_800_000, 1_400_000)],
+    ids=["agents", "categories", "one-group-per-record"],
+)
+def test_group_codes_refuse_counts_past_int64(n_ids, n_cats):
+    # Unrefused, the last case's codes overflowed int64 and np.bincount failed.
+    one = np.array([1])
+    with pytest.raises(ValueError, match="must not exceed 2⁶³"):
+        group_codes(one, one - 1, one - 1, n_ids, n_cats)
+
+
+def test_group_codes_at_the_int64_bound_are_exact():
+    src, dst, cat = np.array([ROOT - 1]), np.array([ROOT - 2]), np.array([0])
+    assert int(group_codes(src, dst, cat, ROOT, 1)[0]) == (ROOT - 1) * ROOT + ROOT - 2

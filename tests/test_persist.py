@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from trustnet import (
     InvalidRecordError,
     LogParseError,
     RatingModel,
+    ReputationModel,
     SnapshotError,
     TrustConfig,
     build_environment,
@@ -32,6 +34,7 @@ from trustnet import (
     parse_profiles,
     save_snapshot,
 )
+from trustnet.cli import main
 from trustnet.core import CONFIG_BOUNDS
 from trustnet.persist import SNAPSHOT_VERSION, config_from_dict
 
@@ -337,102 +340,132 @@ def no_nodes(used, stop, **params):
     return corrupt
 
 
-@pytest.mark.parametrize(
-    "corrupt, problem",
-    [
-        (replace("cat_ptr", [0, 0, 3, 4]), "edge has no categories"),
-        # An array written at another width shifts every byte after it.
-        (lambda d, a: a.update(count=a["count"].astype(bool)), "category count below 1"),
-        (set_item("count", 0, -3), "category count below 1"),
-        (set_item("decayed_trust", 0, 1.5), "category trust outside"),
-        (set_item("mean_rating", 0, -0.1), "category rating outside"),
-        (set_item("last_time", 0, 42.0), "last_time is not a finite time"),
-        (set_item("last_time", 0, np.inf), "last_time is not a finite time"),
-        (
-            lambda d, a: d["reputation"]["params"].update(damping="0.85"),
-            "q must be a number",
-        ),
-        (lambda d, a: d["profiles"][0].__setitem__(1, "c1"), "able categories must be a list"),
-        (set_item("dst", 0, 5), "edge to an unknown agent"),
-        (lambda d, a: a.update(vector=np.append(a["vector"], 0.5)), "unexpected bytes after"),
-        (lambda d, a: a.update(decayed_trust=a["decayed_trust"].astype(np.float32)),
-         "reputation nodes are not the environment's node set"),
-        (replace("indptr", [0, 3, 2, 3]), "indptr is not a CSR pointer"),
-        (replace("dst", [2, 1, 2]), "neighbours must be distinct and ascending"),
-        (replace("dst", [1, 1, 2]), "neighbours must be distinct and ascending"),
-        (set_item("dst", 2, 1), "edge to its own source"),
-        (replace("cat", [1, 0, 0, 0]), "edge categories must be distinct and ascending"),
-        (set_item("cat", 1, 7), "category index out of range"),
-        (set_item("profile", 0, 9), "agent profile out of range"),
-        (lambda d, a: d.update(agents=["B", "A", "C"]), "agent ids must be distinct"),
-        (replace("nodes", [2, 1]), "reputation nodes are not the environment's node set"),
-        (set_item("nodes", 1, 3), "reputation nodes are not the environment's node set"),
-        (set_item("vector", 0, 1.5), "reputation vector outside"),
-        (lambda d, a: d["reputation"].update(stop_reason="tired"), "reputation stop_reason"),
-        (lambda d, a: a.pop("vector"), "array vector is truncated"),
-        (lambda d, a: d["reputation"].update(iterations_used=-7), r"-7 outside \[0, 1000\]"),
-        (lambda d, a: d["reputation"].update(iterations_used=5000), r"5000 outside \[0, 1000\]"),
-        (
-            lambda d, a: d["reputation"].update(stop_reason="iterations"),
-            "reputation stop_reason iterations at 1$",
-        ),
-        (lambda d, a: a.update(vector=a["vector"] * 0.5), "not max-normalized"),
-        (model_stops(0, "converged"), "reputation stop_reason converged at 0$"),
-        (model_stops(1000, "seconds", pagerank_seconds=1.0), "stop_reason seconds at 1000$"),
-        (model_stops(5, "seconds"), "reputation stop_reason seconds at 5$"),
-        (no_nodes(1000, "iterations"), "reputation stop_reason iterations at 1000$"),
-        (no_nodes(3, "seconds", pagerank_seconds=1.0), "reputation stop_reason seconds at 3$"),
-        (no_nodes(5, "converged"), "reputation stop_reason converged at 5$"),
-        (set_item("vector", 0, 0.0), r"reputation vector outside \(0, 1\]"),
-    ],
-    ids=[
-        "no-categories",
-        "count",
-        "count-below-one",
-        "trust-range",
-        "rating-range",
-        "last-time-at-snapshot",
-        "last-time-infinite",
-        "params",
-        "able",
-        "endpoint",
-        "vector-length",
-        "dtype",
-        "indptr-not-monotone",
-        "unsorted-neighbours",
-        "duplicate-neighbours",
-        "self-loop",
-        "unsorted-categories",
-        "category-index",
-        "profile-index",
-        "unsorted-agents",
-        "unsorted-nodes",
-        "unknown-node",
-        "vector-range",
-        "stop-reason",
-        "missing-array",
-        "negative-iterations",
-        "iterations-beyond-cap",
-        "cap-stop-before-cap",
-        "vector-not-max-normalized",
-        "converged-after-no-iteration",
-        "time-stop-at-cap",
-        "time-stop-without-budget",
-        "no-nodes-iterations",
-        "no-nodes-seconds",
-        "no-nodes-converged-late",
-        "vector-zero",
-    ],
-)
-def test_value_of_wrong_type_rejected(tmp_path, corrupt, problem):
+# A snapshot corruption and the problem its load names, with its id below.
+CORRUPTIONS = [
+    (replace("cat_ptr", [0, 0, 3, 4]), "edge has no categories"),
+    # An array written at another width shifts every byte after it.
+    (lambda d, a: a.update(count=a["count"].astype(bool)), "category count below 1"),
+    (set_item("count", 0, -3), "category count below 1"),
+    (set_item("decayed_trust", 0, 1.5), "category trust outside"),
+    (set_item("mean_rating", 0, -0.1), "category rating outside"),
+    (set_item("last_time", 0, 42.0), "last_time is not a finite time"),
+    (set_item("last_time", 0, np.inf), "last_time is not a finite time"),
+    (
+        lambda d, a: d["reputation"]["params"].update(damping="0.85"),
+        "q must be a number",
+    ),
+    (lambda d, a: d["profiles"][0].__setitem__(1, "c1"), "able categories must be a list"),
+    (set_item("dst", 0, 5), "edge to an unknown agent"),
+    (lambda d, a: a.update(vector=np.append(a["vector"], 0.5)), "unexpected bytes after"),
+    (lambda d, a: a.update(decayed_trust=a["decayed_trust"].astype(np.float32)),
+     "reputation nodes are not the environment's node set"),
+    (replace("indptr", [0, 3, 2, 3]), "indptr is not a CSR pointer"),
+    (replace("dst", [2, 1, 2]), "neighbours must be distinct and ascending"),
+    (replace("dst", [1, 1, 2]), "neighbours must be distinct and ascending"),
+    (set_item("dst", 2, 1), "edge to its own source"),
+    (replace("cat", [1, 0, 0, 0]), "edge categories must be distinct and ascending"),
+    (set_item("cat", 1, 7), "category index out of range"),
+    (set_item("profile", 0, 9), "agent profile out of range"),
+    (lambda d, a: d.update(agents=["B", "A", "C"]), "agent ids must be distinct"),
+    (replace("nodes", [2, 1]), "reputation nodes are not the environment's node set"),
+    (set_item("nodes", 1, 3), "reputation nodes are not the environment's node set"),
+    (set_item("vector", 0, 1.5), "reputation vector outside"),
+    (lambda d, a: d["reputation"].update(stop_reason="tired"), "reputation stop_reason"),
+    (lambda d, a: a.pop("vector"), "array vector is truncated"),
+    (lambda d, a: d["reputation"].update(iterations_used=-7), r"-7 outside \[0, 1000\]"),
+    (lambda d, a: d["reputation"].update(iterations_used=5000), r"5000 outside \[0, 1000\]"),
+    (
+        lambda d, a: d["reputation"].update(stop_reason="iterations"),
+        "reputation stop_reason iterations at 1$",
+    ),
+    (lambda d, a: a.update(vector=a["vector"] * 0.5), "not max-normalized"),
+    (model_stops(0, "converged"), "reputation stop_reason converged at 0$"),
+    (model_stops(1000, "seconds", pagerank_seconds=1.0), "stop_reason seconds at 1000$"),
+    (model_stops(5, "seconds"), "reputation stop_reason seconds at 5$"),
+    (no_nodes(1000, "iterations"), "reputation stop_reason iterations at 1000$"),
+    (no_nodes(3, "seconds", pagerank_seconds=1.0), "reputation stop_reason seconds at 3$"),
+    (no_nodes(5, "converged"), "reputation stop_reason converged at 5$"),
+    (set_item("vector", 0, 0.0), r"reputation vector outside \(0, 1\]"),
+]
+CORRUPTION_IDS = [
+    "no-categories",
+    "count",
+    "count-below-one",
+    "trust-range",
+    "rating-range",
+    "last-time-at-snapshot",
+    "last-time-infinite",
+    "params",
+    "able",
+    "endpoint",
+    "vector-length",
+    "dtype",
+    "indptr-not-monotone",
+    "unsorted-neighbours",
+    "duplicate-neighbours",
+    "self-loop",
+    "unsorted-categories",
+    "category-index",
+    "profile-index",
+    "unsorted-agents",
+    "unsorted-nodes",
+    "unknown-node",
+    "vector-range",
+    "stop-reason",
+    "missing-array",
+    "negative-iterations",
+    "iterations-beyond-cap",
+    "cap-stop-before-cap",
+    "vector-not-max-normalized",
+    "converged-after-no-iteration",
+    "time-stop-at-cap",
+    "time-stop-without-budget",
+    "no-nodes-iterations",
+    "no-nodes-seconds",
+    "no-nodes-converged-late",
+    "vector-zero",
+]
+# The corruptions of the model block that ReputationModel's own rule refuses.
+MODEL_CORRUPTIONS = {
+    "params", "vector-range", "stop-reason", "negative-iterations", "iterations-beyond-cap",
+    "cap-stop-before-cap", "vector-not-max-normalized", "converged-after-no-iteration",
+    "time-stop-at-cap", "time-stop-without-budget", "no-nodes-iterations", "no-nodes-seconds",
+    "no-nodes-converged-late", "vector-zero",
+}
+
+
+def corrupted_small_world(tmp_path, corrupt) -> tuple[dict, dict]:
+    """The header document and arrays of SMALL_WORLD's snapshot with its model, corrupted."""
     env = build_environment(SMALL_WORLD, 42.0)
     path = tmp_path / "t.snap"
     save_snapshot(env, path, build_reputation(env, TrustConfig()))
     document, arrays = read_snapshot(path)
     corrupt(document, arrays)
-    write_snapshot(path, document, arrays)
+    return document, arrays
+
+
+@pytest.mark.parametrize("corrupt, problem", CORRUPTIONS, ids=CORRUPTION_IDS)
+def test_value_of_wrong_type_rejected(tmp_path, corrupt, problem):
+    path = tmp_path / "t.snap"
+    write_snapshot(path, *corrupted_small_world(tmp_path, corrupt))
     with pytest.raises(SnapshotError, match=problem):
         load_snapshot(path)
+
+
+@pytest.mark.parametrize(
+    "corrupt, problem",
+    [case for case, id in zip(CORRUPTIONS, CORRUPTION_IDS) if id in MODEL_CORRUPTIONS],
+    ids=[id for id in CORRUPTION_IDS if id in MODEL_CORRUPTIONS],
+)
+def test_model_block_no_build_makes_is_refused_by_the_model(tmp_path, capsys, corrupt, problem):
+    document, arrays = corrupted_small_world(tmp_path, corrupt)
+    nodes = [document["agents"][i] for i in arrays["nodes"]]
+    with pytest.raises((TypeError, ValueError), match=problem):
+        ReputationModel(nodes, arrays["vector"], **document["reputation"])
+    path = tmp_path / "t.snap"
+    write_snapshot(path, document, arrays)
+    assert main(["snapshot", "load", "--in", str(path)]) == 1
+    assert re.search(problem, capsys.readouterr().err)
 
 
 def test_uncorrupted_rewrite_loads(tmp_path):

@@ -6,6 +6,7 @@ from scipy import sparse
 
 from trustnet import (
     PropagationMatrix,
+    ReputationModel,
     TrustConfig,
     build_environment,
     build_reputation,
@@ -261,9 +262,33 @@ def test_power_iteration_stop_reason_is_recorded(budget, reason):
 
 
 def test_stop_reason_takes_part_in_equality():
-    model = build_reputation(env_of([rec("A", "B", 0.9), rec("B", "C", 0.8)]), CFG)
+    # Under a time budget a run that converged could as well have stopped on it.
+    budgeted = dataclasses.replace(CFG, pagerank_seconds=60.0)
+    model = build_reputation(env_of([rec("A", "B", 0.9), rec("B", "C", 0.8)]), budgeted)
+    assert model.stop_reason == "converged"
     assert model == dataclasses.replace(model)
     assert model != dataclasses.replace(model, stop_reason="seconds")
+
+
+# Nodes B, C and D, which the power iteration takes 36 steps to converge on.
+CHAIN = [rec("A", "B", 0.9), rec("B", "C", 0.8), rec("C", "D", 0.7)]
+
+
+@pytest.mark.parametrize(
+    "budget, stop",
+    [
+        ({}, "converged"),
+        ({"max_iterations": 1, "tolerance": 1e-300}, "iterations"),
+        ({"pagerank_seconds": 0}, "seconds"),
+        ({"trust_threshold": 1.0}, "converged"),
+    ],
+    ids=["converged", "iteration-cap", "time-budget", "no-nodes"],
+)
+def test_each_way_a_build_ends_makes_a_model(budget, stop):
+    built = build_reputation(env_of(CHAIN), dataclasses.replace(CFG, **budget))
+    assert built.stop_reason == stop
+    fields = (built.nodes, built.vector, built.iterations_used, built.params, built.stop_reason)
+    assert ReputationModel(*fields) == built
 
 
 def test_reputation_of_outsiders_around_and_between_nodes():
@@ -279,7 +304,8 @@ def test_reputation_of_outsiders_around_and_between_nodes():
 def test_convergence_and_mean_are_derived_from_the_model():
     model = build_reputation(env_of([rec("A", "B", 0.9), rec("B", "C", 0.8)]), CFG)
     assert model.converged and model.mean_reputation == float(np.mean(model.vector))
-    assert not dataclasses.replace(model, stop_reason="iterations").converged
+    capped = build_reputation(env_of(CHAIN), dataclasses.replace(CFG, max_iterations=1))
+    assert capped.stop_reason == "iterations" and not capped.converged
     empty = build_reputation(env_of([rec("A", "B", 0.1)]), CFG)
     assert empty.nodes == [] and empty.converged and empty.mean_reputation == 0.5
     assert reputation_of(empty, "A") == 0.5

@@ -133,3 +133,40 @@ def test_param_validation():
 def test_time_horizon_is_held_to_the_number_rule(horizon):
     with pytest.raises(ValueError, match="time_horizon must be a finite number > 0"):
         GenParams(seed=1, time_horizon=horizon)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("seed", "x"),
+        ("seed", 7.0),
+        ("n_agents", 3.5),
+        ("n_agents", math.nan),
+        ("n_categories", True),
+        ("n_interactions", 50.0),
+        ("rating_model", "per-agent-quality"),
+    ],
+    ids=[
+        "seed-str",
+        "seed-float",
+        "agents-fraction",
+        "agents-nan",
+        "categories-bool",
+        "interactions-float",
+        "rating-model-str",
+    ],
+)
+def test_wrong_type_is_refused_when_made(field, value):
+    # A string rating model used to draw uniform ratings without a word.
+    with pytest.raises(TypeError, match=f"^{field} must be"):
+        GenParams(**{"seed": 7, "n_agents": 5, "n_interactions": 20, field: value})
+
+
+@pytest.mark.parametrize(
+    "fraction",
+    [False, "0.1", math.nan, math.inf, 10**400],
+    ids=["bool", "str", "nan", "inf", "huge"],
+)
+def test_newcomer_fraction_is_held_to_the_number_rule(fraction):
+    with pytest.raises(ValueError, match=r"newcomer_fraction must be a finite number in \[0, 1\)"):
+        GenParams(seed=1, newcomer_fraction=fraction)
