@@ -85,10 +85,13 @@ class Interaction:
     time: float
 
     def __post_init__(self):
-        for name in ("trustor", "trustee", "category"):
-            value = getattr(self, name)
-            if not isinstance(value, str) or not value:
-                raise InvalidRecordError(name, f"{name} must be a non-empty string")
+        # Unrolled (every parsed log record is made here), in the rule's order.
+        if not isinstance(self.trustor, str) or not self.trustor:
+            raise InvalidRecordError("trustor", "trustor must be a non-empty string")
+        if not isinstance(self.trustee, str) or not self.trustee:
+            raise InvalidRecordError("trustee", "trustee must be a non-empty string")
+        if not isinstance(self.category, str) or not self.category:
+            raise InvalidRecordError("category", "category must be a non-empty string")
         if self.trustor == self.trustee:
             raise InvalidRecordError("trustee", "trustee must differ from the trustor")
         rating = finite_float(self.rating)
@@ -106,6 +109,8 @@ def is_number(value) -> bool:
 
 def finite_float(value) -> Optional[float]:
     """``value`` as a finite float, or None: the number rule of every input."""
+    if type(value) is float:
+        return value if math.isfinite(value) else None
     if not is_number(value):
         return None
     try:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
@@ -43,7 +44,11 @@ FLOAT_ARRAYS = ("decayed_trust", "mean_rating", "last_time", "vector")
 # The model's scalars, kept in the header line.
 _MODEL_FIELDS = ("iterations_used", "stop_reason", "params")
 
-LOG_FIELDS = ("trustor", "trustee", "rating", "category", "time")
+# A log line's fields are the record's: trustor, trustee, rating, category and
+# time, in the order Interaction takes them as positional arguments.
+LOG_FIELDS = Interaction.__match_args__
+_LOG_KEYS = frozenset(LOG_FIELDS)
+_log_values = operator.itemgetter(*LOG_FIELDS)
 
 # Config file key -> TrustConfig field.
 CONFIG_KEYS = {row[0]: name for name, row in CONFIG_BOUNDS.items()}
@@ -86,17 +91,36 @@ def _text(source: Union[str, Path, TextIO], mode: str = "r") -> Iterator[TextIO]
         yield source
 
 
+# json's C scanner, and the whitespace json skips around a value: not the
+# wider set str.strip() takes with no argument.
+_scan = json.JSONDecoder().scan_once
+_JSON_SPACE = " \t\n\r"
+
+
 def _decode(text: Union[str, bytes], error: Callable[[str], Exception]):
     """The value of outside JSON text; text json cannot read raises ``error("invalid JSON: ...")``.
 
     That includes an int of too many digits and a value nested too deep.
     Text holding a lone surrogate, a byte :func:`_text` read that is not
-    UTF-8, raises ``error("invalid UTF-8")``.
+    UTF-8, raises ``error("invalid UTF-8")``.  A ``str`` goes straight to
+    json's scanner, with what ``json.loads`` does around it and in its
+    words: JSON whitespace around the value is skipped, a leading BOM is
+    refused, text with no value is "Expecting value" and text after the
+    value "Extra data".  ``bytes`` go through ``json.loads``.
     """
     try:
-        if isinstance(text, str) and not text.isascii():
+        if isinstance(text, bytes):
+            return json.loads(text)
+        if not text.isascii():
             text.encode("utf-8")
-        return json.loads(text)
+            if text.startswith("\ufeff"):
+                raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        value, end = _scan(text, len(text) - len(text.lstrip(_JSON_SPACE)))
+        if len(text.rstrip(_JSON_SPACE)) != end:  # no JSON value ends in whitespace
+            raise json.JSONDecodeError("Extra data", text, end)
+        return value
+    except StopIteration:
+        raise error("invalid JSON: Expecting value") from None
     except UnicodeEncodeError:
         raise error("invalid UTF-8") from None
     except (ValueError, RecursionError) as exc:
@@ -167,9 +191,14 @@ def parse_log(
 
 
 def _wire_record(obj) -> Interaction:
-    """The record a log line holds: its shape is checked here, its values when it is made."""
-    _check_shape(obj, "record", LOG_FIELDS, LOG_FIELDS)
-    return Interaction(**obj)
+    """The record a log line holds: its shape is checked here, its values when it is made.
+
+    A line of exactly the log's fields passes one key comparison;
+    :func:`_check_shape` names the problem of any other.
+    """
+    if type(obj) is not dict or obj.keys() != _LOG_KEYS:
+        _check_shape(obj, "record", LOG_FIELDS, LOG_FIELDS)
+    return Interaction(*_log_values(obj))
 
 
 def dump_log(records: Sequence[Interaction], target: Union[str, Path, TextIO]) -> None:

@@ -51,7 +51,7 @@ def model_params(config: TrustConfig) -> dict:
     return {name: getattr(config, name) for name in MODEL_PARAMS}
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ReputationModel:
     """Converged reputation over the node set, max-normalized.
 
@@ -59,7 +59,9 @@ class ReputationModel:
     :func:`model_params`).  ``stop_reason`` says why the power iteration
     ended: ``"converged"``, or the ``"iterations"`` or ``"seconds"`` budget
     ran out; ``converged`` and ``mean_reputation`` are derived.  A model is
-    checked when it is made: one no build could make raises ValueError.
+    checked when it is made: one no build could make raises ValueError.  It
+    is then frozen and holds ``vector`` as a read-only view, so it stays as
+    checked: a snapshot saved with it loads.
     ``matrix`` is the built model's input, kept for the oracle's row-sum
     check and ``perfbench/scaling.py``; being derivable, it is neither saved
     (a loaded model has None) nor compared.  ``env`` is the snapshot object
@@ -105,6 +107,9 @@ class ReputationModel:
         ):
             if not ok:
                 raise ValueError(f"reputation {problem}")
+        vector = vector.view()
+        vector.flags.writeable = False
+        object.__setattr__(self, "vector", vector)
 
     @property
     def converged(self) -> bool:

@@ -335,17 +335,29 @@ def test_interaction_holds_its_fields_in_slots():
 HUGE = 10**400  # an int beyond the float range
 
 
+class Ratio(float):
+    """A float subclass, which the rule takes through ``float()``, not as it is."""
+
+    def __repr__(self):
+        return f"Ratio({float(self)!r})"
+
+
 @pytest.mark.parametrize(
     "value, expected",
     [
         (0, 0.0), (1, 1.0), (0.25, 0.25), (np.float64(0.5), 0.5), (-3, -3.0),
         (True, None), (None, None), ("0.5", None), (math.nan, None), (math.inf, None),
         (-math.inf, None), (HUGE, None), (-HUGE, None), (np.int64(1), None),
+        (-0.0, -0.0), (5e-324, 5e-324), (sys.float_info.max, sys.float_info.max),
+        pytest.param(-math.nan, None, id="-nan-None"), (Ratio(0.5), 0.5), (Ratio("inf"), None),
     ],
     ids=lambda v: repr(v) if len(repr(v)) < 20 else "huge",
 )
 def test_finite_float_is_the_number_rule(value, expected):
-    assert finite_float(value) == expected
+    number = finite_float(value)
+    assert number == expected
+    if expected is not None:
+        assert type(number) is float and math.copysign(1.0, number) == math.copysign(1.0, expected)
 
 
 RECORD_PROBLEMS = {

@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import math
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trustnet
 from trustnet import (
     AgentProfile,
     ConfigError,
@@ -36,7 +38,7 @@ from trustnet import (
 )
 from trustnet.cli import main
 from trustnet.core import CONFIG_BOUNDS
-from trustnet.persist import SNAPSHOT_VERSION, config_from_dict
+from trustnet.persist import LOG_FIELDS, SNAPSHOT_VERSION, _check_shape, config_from_dict
 
 from helpers import (
     AGENTS,
@@ -685,10 +687,20 @@ WORKLOAD_SNAPSHOTS = {
 }
 
 
-@pytest.mark.parametrize("workload, snapshot_time", sorted(WORKLOAD_SNAPSHOTS))
-def test_workload_snapshot_bytes_are_pinned(tmp_path, workload, snapshot_time):
+@pytest.mark.parametrize(
+    "workload, snapshot_time, through_file",
+    [pytest.param(*key, False, id="-".join(map(str, key))) for key in sorted(WORKLOAD_SNAPSHOTS)]
+    + [
+        pytest.param("refresh", time, True, id=f"refresh-{time}-dumped-and-parsed")
+        for time in (BACKLOG_END, HORIZON)
+    ],
+)
+def test_workload_snapshot_bytes_are_pinned(tmp_path, workload, snapshot_time, through_file):
     spec = SPECS[workload]
     profiles, log = generate(spec.params(DEFAULT_SEED))
+    if through_file:  # as the refresh workload reads its records: written, then parsed
+        dump_log(log, tmp_path / "log.jsonl")
+        log = parse_log(tmp_path / "log.jsonl", strict=True)[0]
     env = build_environment(log, snapshot_time, spec.config.decay_rate, profiles)
     checksum = save_snapshot(env, tmp_path / "w.snap", build_reputation(env, spec.config))
     assert checksum == WORKLOAD_SNAPSHOTS[workload, snapshot_time]
@@ -863,20 +875,39 @@ _valid_fields = {
 }
 
 
+_json_space = st.text(" \t\r", max_size=2)
+
+
 @st.composite
 def _lines(draw):
-    """A log line of valid values, up to two of them replaced by odd ones."""
+    """A log line of valid values, up to two of them replaced by odd ones.
+
+    Its fields come in any order, one of them perhaps twice (json keeps the
+    last value), and JSON whitespace pads the object and its tokens.
+    """
     obj = {name: draw(values) for name, values in _valid_fields.items()}
     for name in draw(st.lists(st.sampled_from(sorted(obj)), max_size=2, unique=True)):
         obj[name] = draw(_odd_values)
-    return obj
+    members = draw(st.permutations(list(obj.items())))
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(sorted(obj)))
+        value = draw(st.one_of(_valid_fields[name], _odd_values))
+        members.insert(draw(st.integers(0, len(members))), (name, value))
+
+    def pad(text: str) -> str:
+        return draw(_json_space) + text + draw(_json_space)
+
+    body = ",".join(pad(json.dumps(key)) + ":" + pad(json.dumps(value)) for key, value in members)
+    return pad("{" + body + "}")
 
 
 @given(_lines())
 @settings(max_examples=400, deadline=None)
-def test_a_log_line_passes_exactly_when_its_record_constructs(obj):
-    records, errors = parse_log(io.StringIO(json.dumps(obj) + "\n"))
+def test_a_log_line_passes_exactly_when_its_record_constructs(line):
+    records, errors = parse_log(io.StringIO(line + "\n"))
+    obj = json.loads(line)
     try:
+        _check_shape(obj, "record", LOG_FIELDS, LOG_FIELDS)
         record = Interaction(**obj)
     except InvalidRecordError as exc:
         assert records == [] and len(errors) == 1
@@ -1028,6 +1059,35 @@ def test_snapshot_header_that_is_not_json_is_a_snapshot_error(tmp_path):
         load_snapshot(path)
 
 
+def json_readers(tree: ast.Module) -> set[str]:
+    """The top-level definitions of ``tree`` that call json.loads or json.load, or
+    use JSONDecoder (each named by its def, class or assigned name)."""
+    found = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("json"):
+                used = {alias.name for alias in node.names} & {"loads", "load", "JSONDecoder"}
+            elif isinstance(node, ast.Attribute):
+                json_call = isinstance(node.value, ast.Name) and node.value.id == "json"
+                used = node.attr == "JSONDecoder" or json_call and node.attr in ("loads", "load")
+            else:
+                used = isinstance(node, ast.Name) and node.id == "JSONDecoder"
+            if used:
+                targets = getattr(top, "targets", [top])
+                found.update(getattr(t, "name", getattr(t, "id", "?")) for t in targets)
+    return found
+
+
+def test_every_json_value_read_goes_through_the_one_decoder():
+    package = Path(trustnet.__file__).parent
+    readers = {
+        f"{path.stem}.{name}"
+        for path in sorted(package.glob("*.py"))
+        for name in json_readers(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert readers == {"persist._scan", "persist._decode"}
+
+
 def test_stream_arguments_are_left_open(tmp_path):
     stream = io.StringIO()
     dump_log([rec("A", "B", 0.5, "c1", 1)], stream)
@@ -1036,3 +1096,200 @@ def test_stream_arguments_are_left_open(tmp_path):
     assert parse_log(stream) == ([rec("A", "B", 0.5, "c1", 1)], [])
     assert load_config(io.StringIO("{}")) == TrustConfig()
     assert not stream.closed
+
+
+# --- the golden line table -------------------------------------------------------
+#
+# Each row's outcome was recorded by running the reader whose decoder was
+# json.loads: the items (a record's repr shows its fields' types), the errors
+# as (line, field, message), and the strict-mode LogParseError text (None
+# when the file has no error).  Profiles hold at most one category per set,
+# so that their reprs do not depend on string hashing.
+
+def log_line(**values: bytes) -> bytes:
+    """A log line (no newline) of A rating B 0.5 on c1 at time 1; ``values`` are
+    JSON texts that replace fields, or add them after the others."""
+    fields = {"trustor": b'"A"', "trustee": b'"B"', "rating": b"0.5", "category": b'"c1"',
+              "time": b"1"}
+    fields.update(values)
+    return b"{" + b", ".join(b'"%s": %s' % (k.encode(), v) for k, v in fields.items()) + b"}"
+
+
+AB_LINE = log_line()
+AB_RECORD = "Interaction(trustor='A', trustee='B', rating=0.5, category='c1', time=1)"
+AB_QUARTER = AB_RECORD.replace("0.5", "0.25")
+X_LINE = b'{"id": "x", "able": ["c1"]}'
+X_PROFILE = "AgentProfile(id='x', completed=frozenset(), able=frozenset({'c1'}))"
+BOM = "\ufeff".encode()
+NBSP = "\u00a0".encode()
+EXTRA, NO_VALUE = "invalid JSON: Extra data", "invalid JSON: Expecting value"
+BOM_ERROR = "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"
+NO_NAME = "invalid JSON: Expecting property name enclosed in double quotes"
+DIGITS = (
+    "invalid JSON: Exceeds the limit (4300 digits) for integer string conversion: "
+    "value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit"
+)
+NESTED = (
+    "invalid JSON: maximum recursion depth exceeded while decoding a JSON array from a "
+    "unicode string"
+)
+BAD_RATING = (1, "rating", "rating must be a finite number in [0, 1]")
+BAD_TIME = (1, "time", "time must be a finite number >= 0")
+
+
+def at(line: int, message: str) -> tuple:
+    """A line error naming no field."""
+    return (line, None, message)
+
+
+GOLDEN_LINES = [
+    ("plain", parse_log, AB_LINE + b"\n", [AB_RECORD], [], None),
+    ("json-whitespace-around", parse_log, b" \t " + AB_LINE + b" \t\r\n", [AB_RECORD], [], None),
+    ("whitespace-between-tokens", parse_log,
+     AB_LINE.replace(b": ", b" \t: ").replace(b", ", b" ,\t") + b"\n", [AB_RECORD], [], None),
+    ("trailing-form-feed", parse_log, AB_LINE + b"\x0c\n", [], [at(1, EXTRA)],
+     "line 1: " + EXTRA),
+    ("trailing-vertical-tab", parse_log, AB_LINE + b"\x0b\n", [], [at(1, EXTRA)],
+     "line 1: " + EXTRA),
+    ("trailing-nbsp", parse_log, AB_LINE + NBSP + b"\n", [], [at(1, EXTRA)], "line 1: " + EXTRA),
+    ("leading-form-feed", parse_log, b"\x0c" + AB_LINE + b"\n", [], [at(1, NO_VALUE)],
+     "line 1: " + NO_VALUE),
+    ("leading-nbsp", parse_log, NBSP + AB_LINE + b"\n", [], [at(1, NO_VALUE)],
+     "line 1: " + NO_VALUE),
+    ("blank-unicode-whitespace", parse_log,
+     b"\x0c\x0b \t\n" + NBSP + "\u3000".encode() + b"\n" + AB_LINE + b"\n", [AB_RECORD], [], None),
+    ("bom-first-line", parse_log, BOM + AB_LINE + b"\n" + AB_LINE + b"\n", [AB_RECORD],
+     [at(1, BOM_ERROR)], "line 1: " + BOM_ERROR),
+    ("bom-second-line", parse_log, AB_LINE + b"\n" + BOM + AB_LINE + b"\n", [AB_RECORD],
+     [at(2, BOM_ERROR)], "line 2: " + BOM_ERROR),
+    ("bom-after-whitespace", parse_log, b" " + BOM + AB_LINE + b"\n", [], [at(1, NO_VALUE)],
+     "line 1: " + NO_VALUE),
+    ("bom-after-value", parse_log, AB_LINE + BOM + b"\n", [], [at(1, EXTRA)], "line 1: " + EXTRA),
+    ("two-objects", parse_log, AB_LINE + b" " + AB_LINE + b"\n", [], [at(1, EXTRA)],
+     "line 1: " + EXTRA),
+    ("two-objects-adjacent", parse_log, AB_LINE + AB_LINE + b"\n", [], [at(1, EXTRA)],
+     "line 1: " + EXTRA),
+    ("one-comma-two", parse_log, b"1,2\n", [], [at(1, EXTRA)], "line 1: " + EXTRA),
+    ("value-then-garbage", parse_log, AB_LINE + b" x\n", [], [at(1, EXTRA)], "line 1: " + EXTRA),
+    ("open-brace", parse_log, b"{\n", [], [at(1, NO_NAME)], "line 1: " + NO_NAME),
+    ("not-json", parse_log, b"not json\n", [], [at(1, NO_VALUE)], "line 1: " + NO_VALUE),
+    ("array", parse_log, b"[1, 2]\n", [], [at(1, "record must be a JSON object")],
+     "line 1: record must be a JSON object"),
+    ("empty-object", parse_log, b"{}\n", [], [(1, "trustor", "missing field")],
+     "line 1, field 'trustor': missing field"),
+    ("unknown-field", parse_log, log_line(extra=b"1") + b"\n", [],
+     [(1, "extra", "unexpected field")], "line 1, field 'extra': unexpected field"),
+    ("nan-rating", parse_log, log_line(rating=b"NaN") + b"\n", [], [BAD_RATING],
+     "line 1, field 'rating': rating must be a finite number in [0, 1]"),
+    ("infinity-time", parse_log, log_line(time=b"Infinity") + b"\n", [], [BAD_TIME],
+     "line 1, field 'time': time must be a finite number >= 0"),
+    ("minus-infinity-time", parse_log, log_line(time=b"-Infinity") + b"\n", [], [BAD_TIME],
+     "line 1, field 'time': time must be a finite number >= 0"),
+    ("1e400-rating", parse_log, log_line(rating=b"1e400") + b"\n", [], [BAD_RATING],
+     "line 1, field 'rating': rating must be a finite number in [0, 1]"),
+    ("int-beyond-float-range", parse_log, log_line(time=b"1" + b"0" * 400) + b"\n", [],
+     [BAD_TIME], "line 1, field 'time': time must be a finite number >= 0"),
+    ("5000-digit-int", parse_log, log_line(time=b"1" + b"0" * 4999) + b"\n", [],
+     [at(1, DIGITS)], "line 1: " + DIGITS),
+    ("nested-too-deep", parse_log, DEEP.encode() + b"\n", [], [at(1, NESTED)],
+     "line 1: " + NESTED),
+    ("nested-too-deep-in-field", parse_log, log_line(rating=DEEP.encode()) + b"\n", [],
+     [at(1, NESTED)], "line 1: " + NESTED),
+    ("int-fields", parse_log, log_line(rating=b"1", time=b"5") + b"\n",
+     ["Interaction(trustor='A', trustee='B', rating=1, category='c1', time=5)"], [], None),
+    ("minus-zero", parse_log, log_line(rating=b"-0.0", time=b"-0") + b"\n",
+     ["Interaction(trustor='A', trustee='B', rating=-0.0, category='c1', time=0)"], [], None),
+    ("bool-rating", parse_log, log_line(rating=b"true") + b"\n", [], [BAD_RATING],
+     "line 1, field 'rating': rating must be a finite number in [0, 1]"),
+    ("string-rating", parse_log, log_line(rating=b'"0.5"') + b"\n", [], [BAD_RATING],
+     "line 1, field 'rating': rating must be a finite number in [0, 1]"),
+    ("empty-trustor", parse_log, log_line(trustor=b'""') + b"\n", [],
+     [(1, "trustor", "trustor must be a non-empty string")],
+     "line 1, field 'trustor': trustor must be a non-empty string"),
+    ("self-rating", parse_log, log_line(trustee=b'"A"') + b"\n", [],
+     [(1, "trustee", "trustee must differ from the trustor")],
+     "line 1, field 'trustee': trustee must differ from the trustor"),
+    ("duplicate-key-last-wins", parse_log, AB_LINE[:-1] + b', "rating": 0.7}\n',
+     [AB_RECORD.replace("0.5", "0.7")], [], None),
+    ("duplicate-key-bad-then-good", parse_log, b'{"rating": 7, ' + AB_LINE[1:] + b"\n",
+     [AB_RECORD], [], None),
+    ("duplicate-key-good-then-bad", parse_log, AB_LINE[:-1] + b', "time": -1}\n', [],
+     [BAD_TIME], "line 1, field 'time': time must be a finite number >= 0"),
+    ("crlf", parse_log,
+     AB_LINE + b"\r\n" + b"not json\r\n" + log_line(rating=b"0.25") + b"\r\n",
+     [AB_RECORD, AB_QUARTER], [at(2, NO_VALUE)], "line 2: " + NO_VALUE),
+    ("no-final-newline", parse_log, AB_LINE + b"\n" + log_line(rating=b"0.25"),
+     [AB_RECORD, AB_QUARTER], [], None),
+    ("no-final-newline-bad", parse_log, AB_LINE + b"\n" + b"{", [AB_RECORD], [at(2, NO_NAME)],
+     "line 2: " + NO_NAME),
+    ("non-ascii-ids", parse_log,
+     log_line(trustor='"\u00e9"'.encode(), trustee='"\u65e5\u672c"'.encode(),
+              category='"\U0001F600"'.encode()) + b"\n",
+     ["Interaction(trustor='\u00e9', trustee='\u65e5\u672c', rating=0.5, category='\U0001F600',"
+      " time=1)"], [], None),
+    ("escaped-non-ascii-ids", parse_log,
+     log_line(trustor=b'"\\u00e9"', category=b'"\\ud83d\\ude00"') + b"\n",
+     ["Interaction(trustor='\u00e9', trustee='B', rating=0.5, category='\U0001F600', time=1)"],
+     [], None),
+    ("escaped-lone-surrogate", parse_log, log_line(trustor=b'"\\ud800"') + b"\n",
+     ["Interaction(trustor='\\ud800', trustee='B', rating=0.5, category='c1', time=1)"], [],
+     None),
+    ("not-utf8-byte", parse_log,
+     AB_LINE + b"\n" + log_line(trustor=b'"\xff"') + b"\n" + AB_LINE + b"\n",
+     [AB_RECORD, AB_RECORD], [at(2, "invalid UTF-8")], "line 2: invalid UTF-8"),
+    ("not-utf8-truncated-sequence", parse_log, log_line(trustor=b'"\xc3"') + b"\n", [],
+     [at(1, "invalid UTF-8")], "line 1: invalid UTF-8"),
+    ("profile-plain", parse_profiles, X_LINE + b"\n", [X_PROFILE], [], None),
+    ("profile-json-whitespace-around", parse_profiles, b" \t " + X_LINE + b" \t\r\n",
+     [X_PROFILE], [], None),
+    ("profile-trailing-form-feed", parse_profiles, X_LINE + b"\x0c\n", [], [at(1, EXTRA)],
+     "line 1: " + EXTRA),
+    ("profile-trailing-nbsp", parse_profiles, X_LINE + NBSP + b"\n", [], [at(1, EXTRA)],
+     "line 1: " + EXTRA),
+    ("profile-bom", parse_profiles, BOM + X_LINE + b"\n", [], [at(1, BOM_ERROR)],
+     "line 1: " + BOM_ERROR),
+    ("profile-two-objects", parse_profiles, X_LINE + b" " + X_LINE + b"\n", [], [at(1, EXTRA)],
+     "line 1: " + EXTRA),
+    ("profile-nan", parse_profiles, b'{"id": NaN}\n', [],
+     [(1, "id", "id must be a non-empty string")],
+     "line 1, field 'id': id must be a non-empty string"),
+    ("profile-5000-digit-int", parse_profiles, b'{"id": 1' + b"0" * 4999 + b"}\n", [],
+     [at(1, DIGITS)], "line 1: " + DIGITS),
+    ("profile-nested-too-deep", parse_profiles, DEEP.encode() + b"\n", [], [at(1, NESTED)],
+     "line 1: " + NESTED),
+    ("profile-duplicate-key", parse_profiles,
+     b'{"id": "x", "able": ["c1"], "able": ["c2"], "id": "y"}\n',
+     ["AgentProfile(id='y', completed=frozenset(), able=frozenset({'c2'}))"], [], None),
+    ("profile-crlf-no-final-newline", parse_profiles,
+     X_LINE + b"\r\n" + b'{"id": "y"}\r\n' + X_LINE,
+     [X_PROFILE, "AgentProfile(id='y', completed=frozenset(), able=frozenset())"],
+     [(3, "id", "id 'x' already declared on an earlier line")],
+     "line 3, field 'id': id 'x' already declared on an earlier line"),
+    ("profile-non-ascii-id", parse_profiles, '{"id": "\u00e9\U0001F600"}\n'.encode(),
+     ["AgentProfile(id='\u00e9\U0001F600', completed=frozenset(), able=frozenset())"], [], None),
+    ("profile-not-utf8-byte", parse_profiles, b'{"id": "\xff"}\n' + X_LINE + b"\n",
+     [X_PROFILE], [at(1, "invalid UTF-8")], "line 1: invalid UTF-8"),
+]
+
+
+@pytest.mark.parametrize(
+    "parse, data, items, errors, strict",
+    [row[1:] for row in GOLDEN_LINES],
+    ids=[row[0] for row in GOLDEN_LINES],
+)
+def test_golden_lines_give_the_recorded_items_and_errors(tmp_path, parse, data, items, errors,
+                                                        strict):
+    """Read from a file and from a stream of the same text (with CRLF kept), each
+    file gives the recorded outcome in both modes."""
+    path = tmp_path / "lines.jsonl"
+    path.write_bytes(data)
+    for source in (lambda: path, lambda: io.StringIO(data.decode("utf-8", "surrogateescape"))):
+        found, problems = parse(source())
+        assert [repr(item) for item in found] == items
+        assert [(e.line, e.field, e.message) for e in problems] == errors
+        if strict is None:
+            assert parse(source(), strict=True) == (found, [])
+        else:
+            with pytest.raises(LogParseError) as raised:
+                parse(source(), strict=True)
+            assert str(raised.value) == strict

@@ -309,3 +309,17 @@ def test_convergence_and_mean_are_derived_from_the_model():
     empty = build_reputation(env_of([rec("A", "B", 0.1)]), CFG)
     assert empty.nodes == [] and empty.converged and empty.mean_reputation == 0.5
     assert reputation_of(empty, "A") == 0.5
+
+
+def test_a_model_field_cannot_be_reassigned():
+    model = build_reputation(env_of(CHAIN), CFG)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.iterations_used = -1
+    assert model.iterations_used >= 1
+
+
+def test_a_model_vector_cannot_be_written():
+    model = build_reputation(env_of(CHAIN), CFG)
+    with pytest.raises(ValueError, match="read-only"):
+        model.vector[0] = 7.0
+    assert model.vector.max() == 1.0 and 7.0 not in model.vector
