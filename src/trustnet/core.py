@@ -250,7 +250,7 @@ class Environment:
     rows), ``src``, ``row_edge`` (each row's edge) and ``edges`` are derived.
     All arrays are read-only.  Four caches are filled on first use: the
     ``agents`` dict (the engine reads ``kinds`` and ``profile``), each
-    category's :meth:`activity` and rows by agent index, and per category,
+    category's :meth:`activity` and rows indexed by target, and per category,
     for the latest threshold or recency rate asked, the
     :meth:`trusted_edges` CSR and the :meth:`consultation_terms` list.  So
     the path search keys no per-agent fact by id and derives none twice: it
@@ -347,7 +347,8 @@ class Environment:
 
     @cached_property
     def _by_category(self) -> dict[TaskCategory, tuple]:
-        """Per category: its :class:`CategoryActivity`, rows, and each row's source and target."""
+        """Per category: its :class:`CategoryActivity`, and its rows' CSR by target: ``ptr``,
+        each row's source (ascending within a target) and plain mean rating."""
         n, by_category = len(self.ids), {}
         for k, label in enumerate(self.categories):
             rows = np.flatnonzero(self.cat == k)
@@ -358,7 +359,9 @@ class Environment:
             np.maximum.at(last, ends, np.tile(self.last_time[rows], 2))
             dt_min = max(int(self.count[rows].sum()) / np.count_nonzero(counts), 1.0)
             activity = CategoryActivity(counts.astype(np.int64).tolist(), last.tolist(), dt_min)
-            by_category[label] = (activity, rows, sources, targets)
+            order = np.argsort(targets, kind="stable")  # rows are in source order
+            ptr = np.searchsorted(targets[order], np.arange(n + 1))
+            by_category[label] = (activity, ptr, sources[order], self.mean_rating[rows[order]])
         return by_category
 
     def activity(self, category: TaskCategory) -> CategoryActivity:
@@ -428,9 +431,9 @@ class Environment:
         """
         if category not in self._by_category:
             return {}
-        _, rows, sources, targets = self._by_category[category]
-        mine = targets == trustee
-        return dict(zip(sources[mine].tolist(), self.mean_rating[rows[mine]].tolist()))
+        _, ptr, sources, ratings = self._by_category[category]
+        lo, hi = ptr[trustee], ptr[trustee + 1]
+        return dict(zip(sources[lo:hi].tolist(), ratings[lo:hi].tolist()))
 
     def _edge_rows(
         self, src: AgentId, dst: AgentId, category: Optional[TaskCategory]

@@ -63,6 +63,7 @@ class PropagationTable:
     emptied), ``"steps"`` or ``"seconds"`` (a budget ran out first), and
     ``reattachments`` counts the reached agents moved onto a chain of more
     trust.  Both are left out of :meth:`to_dict`, which dumps only the table.
+    :func:`find_paths` makes each row once, on return; rows share path tuples.
 
     A trustee row keeps the path its advisor had when last expanded.  When a
     budget stops the search after the advisor was re-attached but before it
@@ -245,7 +246,7 @@ def propagation_probabilities(
 
 @dataclass(slots=True)
 class _Prefix:
-    """One node of the index over stored paths, keyed by the path it stands for.
+    """One node of the index over stored paths, holding the one ``path`` tuple it stands for.
 
     ``agents`` are the reached agents (by index) whose stored path is
     exactly this one; ``branches`` maps each next hop ever stored under it
@@ -254,37 +255,9 @@ class _Prefix:
     included.
     """
 
+    path: tuple[AgentId, ...]
     agents: set[int] = field(default_factory=set)
     branches: dict[int, "_Prefix"] = field(default_factory=dict)
-
-
-def _detach(
-    rows: dict[int, TableRow], agent: int, prefix_of: dict[int, _Prefix], moved: set[int]
-) -> None:
-    """Remove a row and rescale the probabilities of its old sibling subtrees.
-
-    Every row whose stored path extends the removed row's path and does not
-    pass through the removed agent is rescaled (capped at 1) and its agent
-    added to ``moved``; the removed agent leaves ``moved``, as it has no row.
-    """
-    old = rows.pop(agent)
-    moved.discard(agent)
-    node = prefix_of.pop(agent)
-    node.agents.discard(agent)
-    if old.cum_prob >= 1.0:
-        # Siblings (if any) carry zero probability; no mass to redistribute.
-        return
-    factor = 1.0 / (1.0 - old.cum_prob)
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        for other in node.agents:
-            row = rows[other]
-            p = row.cum_prob * factor
-            row.cum_prob = p if p < 1.0 else 1.0
-        moved.update(node.agents)
-        if node.branches:
-            stack.extend([child for hop, child in node.branches.items() if hop != agent])
 
 
 def find_paths(
@@ -315,10 +288,13 @@ def find_paths(
     which in ``stop_reason``.
 
     The search runs on agent indices, whose order is id order, so every
-    tie breaks as it would on ids; only the rows it makes hold string ids
-    and paths, each path tuple made once per expansion.  Nothing
-    per-snapshot is derived again per expansion: the threshold and the
-    recency rate are checked once per search (a bad one raises
+    tie breaks as it would on ids.  Lists by index hold each agent's
+    cum_prob, cum_trust (-1: no row) and stored path's :class:`_Prefix`
+    node, and a dict of indices the row order.  A lone attached neighbour
+    takes probability 1.0 unconsulted: every branch of the consultation
+    gives one neighbour exactly that.  Rows are made once, at the return.
+    Nothing per-snapshot is derived again per expansion: the threshold and
+    the recency rate are checked once per search (a bad one raises
     ValueError), the qualifying neighbours of an agent are one slice of
     :meth:`Environment.trusted_edges`, the consultation probabilities come
     from :meth:`Environment.consultation_terms`, and the trustee's advisors
@@ -336,20 +312,23 @@ def find_paths(
     table = PropagationTable(
         trustor=trustor, trustee=trustee, category=category, eval_time=env.snapshot_time
     )
-    threshold = config.trust_threshold
+    threshold, rate = config.trust_threshold, config.recency_rate
     ptr, dst, weight = env.trusted_edges(category, threshold)
-    terms = env.consultation_terms(category, config.recency_rate)
+    terms = env.consultation_terms(category, rate)
     ids = env.ids
     root, target = index[trustor], index[trustee]
     advisors = env.advisor_ratings(target, category)
-    rows = {root: TableRow(agent=trustor, cum_prob=1.0, cum_trust=1.0, path=())}
-    prefix_of = {root: _Prefix(agents={root})}
+    n = len(ids)
+    cum_prob, cum_trust, node_of = [0.0] * n, [-1.0] * n, [None] * n
+    cum_prob[root] = cum_trust[root] = 1.0
+    node_of[root] = _Prefix((), {root})
+    order = {root: None}  # the agents with a row, in row order
     # Never attached: the trustee, and past the trustor's own expansion
     # every agent the trustor trusts directly.
     excluded_first = {target}
     excluded = excluded_first.union(dst[ptr[root] : ptr[root + 1]])
-    # advisor -> its row, in discovery order; a re-expansion replaces the path in place
-    found: dict[int, TrusteeRow] = {}
+    # advisor -> its path when last expanded, in discovery order
+    found: dict[int, tuple[AgentId, ...]] = {}
     steps, seconds = config.search_steps, config.search_seconds
     expansions = reattachments = 0
     frontier = {root}
@@ -369,56 +348,72 @@ def find_paths(
         # with that key; every expansion pushes each key it changed.
         while True:
             key, current = heappop(heap)
-            if current in frontier:
-                row = rows[current]
-                if key == -(row.cum_prob * row.cum_trust):
-                    break
+            if current in frontier and key == -(cum_prob[current] * cum_trust[current]):
+                break
         frontier.discard(current)
         expansions += 1
-        name = row.agent
-        path, cum_trust = row.path + (name,), row.cum_trust
+        node, trust = node_of[current], cum_trust[current]
+        child = node.branches.get(current)
+        path = node.path + (ids[current],) if child is None else child.path
 
         if current in advisors:
-            found[current] = TrusteeRow(advisor=name, rating=advisors[current], path=path)
+            found[current] = path
         skip = excluded if current != root else excluded_first
-        attach: list[int] = []
-        hop_trust: list[float] = []
+        attach, hop_trust = [], []
         for k in range(ptr[current], ptr[current + 1]):
             nbr = dst[k]
             if nbr in skip:
                 continue
-            existing, t = rows.get(nbr), cum_trust * weight[k]
-            if existing is None:
-                attach.append(nbr)
-                hop_trust.append(t)
-            elif existing.cum_trust < t and existing.agent not in path:
+            held, t = cum_trust[nbr], trust * weight[k]
+            # Attach a new agent; re-attach one with less trust that is not on this path.
+            if held >= t or held >= 0.0 and ids[nbr] in path:
+                continue
+            if held >= 0.0:
                 reattachments += 1
-                _detach(rows, nbr, prefix_of, moved)
-                attach.append(nbr)
-                hop_trust.append(t)
+                # Drop nbr's row and rescale the rows stored under its old path,
+                # past any hop through nbr; none when its cum_prob was 1.
+                del order[nbr]
+                moved.discard(nbr)
+                old = node_of[nbr]
+                old.agents.discard(nbr)
+                if cum_prob[nbr] < 1.0:
+                    factor = 1.0 / (1.0 - cum_prob[nbr])
+                    stack = [old]
+                    while stack:
+                        old = stack.pop()
+                        for other in old.agents:
+                            p = cum_prob[other] * factor
+                            cum_prob[other] = p if p < 1.0 else 1.0
+                        moved |= old.agents
+                        if old.branches:
+                            stack.extend([sub for hop, sub in old.branches.items() if hop != nbr])
+            attach.append(nbr)
+            hop_trust.append(t)
 
         if attach:
             # Read after the re-attachments, which may have rescaled this row.
-            cum_prob = row.cum_prob
-            values = _consultation(terms, attach, config.recency_rate)
-            node = prefix_of[current].branches.setdefault(current, _Prefix())
+            parent_prob = cum_prob[current]
+            if child is None:
+                child = node.branches[current] = _Prefix(path)
+            values = _consultation(terms, attach, rate) if len(attach) > 1 else (1.0,)
+            agents = child.agents
             for nbr, value, t in zip(attach, values, hop_trust):
-                p = cum_prob * value
-                rows[nbr] = TableRow(ids[nbr], p, t, path)
-                node.agents.add(nbr)
-                prefix_of[nbr] = node
+                p = parent_prob * value
+                cum_prob[nbr], cum_trust[nbr], node_of[nbr] = p, t, child
+                order[nbr] = None
+                agents.add(nbr)
                 frontier.add(nbr)
                 heappush(heap, (-(p * t), nbr))
         if moved:
             # Rows rescaled by the re-attachments: one entry each, with the final key.
-            for other in moved:
-                if other in frontier:
-                    moved_row = rows[other]
-                    heappush(heap, (-(moved_row.cum_prob * moved_row.cum_trust), other))
+            for other in moved & frontier:
+                heappush(heap, (-(cum_prob[other] * cum_trust[other]), other))
             moved.clear()
 
-    table.rows = {row.agent: row for row in rows.values()}
-    table.trustee_rows = list(found.values())
+    table.rows = {
+        ids[a]: TableRow(ids[a], cum_prob[a], cum_trust[a], node_of[a].path) for a in order
+    }
+    table.trustee_rows = [TrusteeRow(ids[a], advisors[a], path) for a, path in found.items()]
     table.expansions, table.reattachments = expansions, reattachments
     table.check(env, threshold)
     return table

@@ -85,7 +85,8 @@ class SnapshotError(TrustError):
 def _text(source: Union[str, Path, TextIO], mode: str = "r") -> Iterator[TextIO]:
     """``source`` as a text stream; a path is opened as UTF-8, bad bytes escaped, and closed."""
     if isinstance(source, (str, Path)):
-        with open(source, mode, encoding="utf-8", errors="surrogateescape") as stream:
+        # Only \n ends a line, as in an io.StringIO: a lone \r is JSON whitespace in its line.
+        with open(source, mode, encoding="utf-8", errors="surrogateescape", newline="\n") as stream:
             yield stream
     else:
         yield source

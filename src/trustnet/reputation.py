@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import time as _time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -115,9 +116,9 @@ class ReputationModel:
     def converged(self) -> bool:
         return self.stop_reason == "converged"
 
-    @property
+    @cached_property
     def mean_reputation(self) -> float:
-        """The mean of ``vector``, which doubles as the newcomer value; 0.5 with no nodes."""
+        """The mean of ``vector``, the newcomer value (0.5 with no nodes); kept after first use."""
         return float(np.mean(self.vector)) if self.nodes else 0.5
 
     def __eq__(self, other) -> bool:

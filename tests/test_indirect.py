@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
 import types
 
 import pytest
@@ -25,6 +26,7 @@ from trustnet import (
     generate,
     propagation_probabilities,
 )
+from trustnet import indirect
 from trustnet.oracles import (
     best_paths,
     compare_indirect,
@@ -188,6 +190,32 @@ def test_search_weighs_underflowed_recency_terms_from_the_newest():
     share = math.exp(-10) / (1 + math.exp(-10))
     assert table.rows["B"].cum_prob == pytest.approx(share, rel=1e-12)
     assert table.rows["C"].cum_prob == pytest.approx(1 - share, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "log, category, rate, branch",
+    [
+        # B's raw term is log(3) / log(3) * exp(-0.3 * 7), normalized by itself.
+        ([rec("A", "B", 0.9, "c1", 1.0), rec("X", "B", 0.4, "c1", 3.0)], "c1", 0.3, "normal"),
+        # exp(-1000 * 9) is 0.0: the terms are taken again from B's own last time.
+        ([rec("A", "B", 0.9, "c1", 1.0)], "c1", 1000.0, "rebased"),
+        # B has no count on c1: the uniform split over one neighbour.
+        ([rec("A", "B", 0.9, "c2", 1.0)], "c1", 0.1, "uniform"),
+    ],
+    ids=["normal", "rebased", "uniform"],
+)
+def test_a_lone_neighbour_is_consulted_with_probability_exactly_one(log, category, rate, branch):
+    """The search attaches a lone neighbour with 1.0 and no consultation: each
+    branch of the consultation must give exactly that."""
+    env = env_of(log)
+    count, _, recency, _ = env.consultation_terms(category, rate)[env.index["B"]]
+    assert {
+        "normal": count > 0 and sys.float_info.min <= recency < 1.0,
+        "rebased": count > 0 and recency == 0.0,
+        "uniform": count == 0,
+    }[branch]
+    probs = propagation_probabilities(env, "A", ["B"], category, rate)
+    assert probs == {"B": 1.0} and type(probs["B"]) is float
 
 
 @given(st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=6))
@@ -679,6 +707,54 @@ def test_search_output_is_unchanged_when_one_expansion_rescales_a_row_twice():
     assert [row.path for row in map(table.rows.get, ("z", "y1", "y2"))] == [
         ("tr", "a"), ("tr", "b"), ("tr", "b")
     ]
+
+
+def counter_digest(worlds) -> str:
+    """SHA-256 over expansions, reattachments and stop_reason of every search, in order.
+
+    The same searches as :func:`search_digest`, whose records leave out
+    the re-attachment count.
+    """
+    digest = hashlib.sha256()
+    for env, log, trustor, trustee, category, config in worlds:
+        for steps in BUDGETS:
+            cfg = dataclasses.replace(config, search_steps=steps)
+            table = find_paths(env, log, trustor, trustee, category, cfg)
+            record = [table.expansions, table.reattachments, table.stop_reason]
+            digest.update(json.dumps(record).encode())
+    return digest.hexdigest()
+
+
+# Recorded from the search that kept a TableRow per reached agent and a dict
+# from agent to its path's node.
+
+def test_search_counters_are_unchanged_on_indirect_instances():
+    assert counter_digest(instance_worlds(range(60), 30)) == (
+        "5f8c223468dccbb6caff142aaa1722fa677dc7c9834a0b7ab15301af1697596b"
+    )
+
+
+def test_search_counters_are_unchanged_on_dense_worlds():
+    assert counter_digest(dense_worlds()) == (
+        "de50df3d857ab926b8b7890138bb401a046dcb72bcf81b2b84c744bac1ffeb18"
+    )
+
+
+def test_search_makes_one_table_row_per_returned_row(monkeypatch):
+    made = []
+
+    def counted(*args):
+        made.append(TableRow(*args))
+        return made[-1]
+
+    monkeypatch.setattr(indirect, "TableRow", counted)
+    reattached = 0
+    for env, log, trustor, trustee, category, cfg in dense_worlds():
+        made.clear()
+        table = find_paths(env, log, trustor, trustee, category, cfg)
+        assert list(map(id, made)) == list(map(id, table.rows.values()))
+        reattached += table.reattachments
+    assert reattached > 0  # the worlds re-attach, which once made a second row per agent
 
 
 # --- re-attachment counter ---------------------------------------------------

@@ -1218,6 +1218,10 @@ GOLDEN_LINES = [
     ("crlf", parse_log,
      AB_LINE + b"\r\n" + b"not json\r\n" + log_line(rating=b"0.25") + b"\r\n",
      [AB_RECORD, AB_QUARTER], [at(2, NO_VALUE)], "line 2: " + NO_VALUE),
+    ("cr-between-tokens", parse_log, AB_LINE.replace(b", ", b",\r ") + b"\n", [AB_RECORD], [],
+     None),
+    ("two-objects-split-by-cr", parse_log, AB_LINE + b"\r" + AB_LINE + b"\n", [], [at(1, EXTRA)],
+     "line 1: " + EXTRA),
     ("no-final-newline", parse_log, AB_LINE + b"\n" + log_line(rating=b"0.25"),
      [AB_RECORD, AB_QUARTER], [], None),
     ("no-final-newline-bad", parse_log, AB_LINE + b"\n" + b"{", [AB_RECORD], [at(2, NO_NAME)],
