@@ -47,13 +47,8 @@ from .composite import (
     evaluate,
 )
 from .reputation import (
-    PropagationMatrix,
-    ReputationModel,
-    build_reputation,
-    pagerank,
-    propagation_matrix,
-    reputation_nodes,
-    reputation_of,
+    PropagationMatrix, ReputationModel, build_reputation, pagerank, propagation_matrix,
+    reputation_nodes, reputation_of,
 )
 from .persist import (
     ConfigError,

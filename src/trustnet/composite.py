@@ -57,15 +57,8 @@ class TrustReport:
     diagnostics: dict
 
     def to_dict(self) -> dict:
-        return {
-            "trust": self.trust,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "direct": self.direct,
-            "indirect": self.indirect,
-            "reputation": self.reputation,
-            "diagnostics": self.diagnostics,
-        }
+        fields = ("trust", "alpha", "beta", "direct", "indirect", "reputation", "diagnostics")
+        return {name: getattr(self, name) for name in fields}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())

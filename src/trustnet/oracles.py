@@ -428,7 +428,9 @@ def compare_reputation(
             if deviation > REPUTATION_TOLERANCE:
                 problems.append(f"vector deviation {deviation}")
         if model.nodes:
-            row_sums = np.asarray(model.matrix.explicit.sum(axis=1)).ravel() + model.matrix.spread
+            matrix, n = model.matrix, len(model.nodes)
+            rows = np.repeat(np.arange(n), np.diff(matrix.indptr))
+            row_sums = np.bincount(rows, weights=matrix.data, minlength=n) + matrix.spread
             row_err = float(np.max(np.abs(row_sums - 1.0)))
             report["max_row_sum_error"] = max(report["max_row_sum_error"], row_err)
             if row_err > ROW_SUM_TOLERANCE:

@@ -16,31 +16,40 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
 
 from .core import AgentId, Environment, TrustConfig
 
 
 @dataclass(frozen=True, eq=False)
 class PropagationMatrix:
-    """Row-stochastic propagation matrix M = explicit + diag(spread)(J - I)/(n - 1).
+    """Row-stochastic propagation matrix M = E + diag(spread)(J - I)/(n - 1).
 
-    ``explicit`` holds only the out-edge shares.  ``spread[i]`` is the mass
-    row i sends evenly to each of the other n - 1 nodes, so the uniform part
-    of a row costs one scalar instead of n - 1 entries.
+    E holds only the out-edge shares, row-major: row i has ``data[k]`` in
+    column ``cols[k]`` for k in ``indptr[i]:indptr[i+1]``.  ``spread[i]`` is
+    the mass row i sends evenly to each of the other n - 1 nodes, so the
+    uniform part of a row costs one scalar instead of n - 1 entries.  All
+    four arrays are read-only.
     """
 
-    explicit: sparse.csr_matrix
+    indptr: np.ndarray
+    cols: np.ndarray
+    data: np.ndarray
     spread: np.ndarray
+
+    def __post_init__(self):
+        for array in (self.indptr, self.cols, self.data, self.spread):
+            array.flags.writeable = False
 
     @property
     def nnz(self) -> int:
-        return self.explicit.nnz
+        return len(self.data)
 
     def toarray(self) -> np.ndarray:
-        n = self.explicit.shape[0]
+        n = len(self.spread)
+        dense = np.zeros((n, n))
+        np.add.at(dense, (np.repeat(np.arange(n), np.diff(self.indptr)), self.cols), self.data)
         others = (np.ones((n, n)) - np.eye(n)) / max(n - 1, 1)
-        return self.explicit.toarray() + self.spread[:, None] * others
+        return dense + self.spread[:, None] * others
 
 
 # The config fields a reputation model depends on.
@@ -124,13 +133,9 @@ class ReputationModel:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ReputationModel):
             return NotImplemented
-        return (
-            self.nodes == other.nodes
-            and np.array_equal(self.vector, other.vector)
-            and self.iterations_used == other.iterations_used
-            and self.params == other.params
-            and self.stop_reason == other.stop_reason
-        )
+        fields = ("nodes", "iterations_used", "params", "stop_reason")
+        same = all(getattr(self, name) == getattr(other, name) for name in fields)
+        return same and np.array_equal(self.vector, other.vector)
 
 
 def check_bound(model: ReputationModel, env: Environment) -> None:
@@ -163,15 +168,18 @@ def propagation_matrix(
     trusted share when no trusted out-edges exist.  Rows without out-edges
     are uniform over the other nodes (a single-node set keeps its mass).
 
-    Worked out from the environment's edge arrays; per row, sums run in
-    neighbour id order.
+    Worked out from the environment's edge arrays in their (src, dst) order,
+    which is row-major for ascending ``nodes``; per row, sums run in id order.
     """
     n = len(nodes)
+    members = np.fromiter(map(env.index.__getitem__, nodes), np.int64, n)
+    if np.any(np.diff(members) <= 0):
+        raise ValueError("nodes must be ascending and distinct")
     if n == 1:
         # no other node to spread over (edges never loop): it keeps its mass
-        return PropagationMatrix(sparse.csr_matrix([[1.0]]), np.zeros(1))
+        return PropagationMatrix(np.array([0, 1]), np.zeros(1, np.int64), np.ones(1), np.zeros(1))
     position = np.full(len(env.ids), -1)
-    position[np.fromiter(map(env.index.__getitem__, nodes), np.int64, n)] = np.arange(n)
+    position[members] = np.arange(n)
     inside = (position[env.src] >= 0) & (position[env.dst] >= 0)
     rows, cols, weights = position[env.src[inside]], position[env.dst[inside]], env.weight[inside]
 
@@ -194,8 +202,7 @@ def propagation_matrix(
     spread += np.where((degree > 0) & (n_untrusted == degree), r_max, 0.0)
     spread += np.where((degree > 0) & (n_untrusted == 0), 1.0 - r_max, 0.0)
 
-    explicit = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
-    return PropagationMatrix(explicit, spread)
+    return PropagationMatrix(np.concatenate(([0], np.cumsum(degree))), cols, data, spread)
 
 
 def pagerank(
@@ -207,16 +214,18 @@ def pagerank(
 ) -> tuple[np.ndarray, int, str]:
     """Damped power iteration: v <- damping * M^T v + (1 - damping) * e.
 
-    M^T v = explicit^T v + ((s.v) 1 - s*v) / (n - 1) for the spread s.
-    Starts from the uniform vector e and stops when the L1 change drops to
+    M^T v = E^T v + ((s.v) 1 - s*v) / (n - 1) for the shares E and spread s.
+    E^T v is one ``bincount`` over E's row-major entries: each sum runs over
+    ascending source rows from 0.0, as a CSR product with E^T does.  Starts
+    from the uniform vector e and stops when the L1 change drops to
     ``tolerance``, the iteration cap is hit, or the wall-clock budget runs
     out.  Returns (vector, iterations, stop_reason), the reason
     ``"converged"``, ``"iterations"`` or ``"seconds"``.
     """
-    n = matrix.explicit.shape[0]
+    n = len(matrix.spread)
     if n == 0:
         raise ValueError("node set must be non-empty")
-    transposed = matrix.explicit.transpose().tocsr()
+    cols, data, rows = matrix.cols, matrix.data, np.repeat(np.arange(n), np.diff(matrix.indptr))
     share = matrix.spread / max(n - 1, 1)
     uniform = np.full(n, 1.0 / n)
     vec = uniform.copy()
@@ -228,7 +237,8 @@ def pagerank(
             stop_reason = "seconds"
             break
         spread_in = float(share @ vec) - share * vec
-        nxt = damping * (transposed @ vec + spread_in) + (1.0 - damping) * uniform
+        shared_in = np.bincount(cols, weights=data * vec.take(rows), minlength=n)
+        nxt = damping * (shared_in + spread_in) + (1.0 - damping) * uniform
         iterations += 1
         delta = float(np.abs(nxt - vec).sum())
         vec = nxt

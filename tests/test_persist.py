@@ -2,7 +2,9 @@ import ast
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -1086,6 +1088,39 @@ def test_every_json_value_read_goes_through_the_one_decoder():
         for name in json_readers(ast.parse(path.read_text(encoding="utf-8")))
     }
     assert readers == {"persist._scan", "persist._decode"}
+
+
+# Builds a snapshot and a reputation model, evaluates and runs one command,
+# then prints the names of the scipy modules loaded.
+NO_SCIPY = """
+import sys
+import trustnet
+from trustnet.cli import main
+
+log = [trustnet.Interaction(a, b, 0.9, "c1", 1.0) for a, b in ("AB", "BC", "CA", "AC")]
+env = trustnet.build_environment(log, 10.0, 0.0)
+config = trustnet.TrustConfig(decay_rate=0.0)
+model = trustnet.build_reputation(env, config)
+assert model.nodes == ["A", "B", "C"]
+trustnet.evaluate(env, log, "A", "C", "c1", 10.0, config, model)
+trustnet.dump_log(log, sys.argv[1])
+assert main(["eval", "--log", sys.argv[1], "--time", "10", "--trustor", "A", "--trustee", "C",
+             "--category", "c1"]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_the_engine_runs_without_loading_scipy(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(trustnet.__file__).parent.parent), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY, str(tmp_path / "log.jsonl")], env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_stream_arguments_are_left_open(tmp_path):

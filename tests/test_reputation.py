@@ -1,7 +1,11 @@
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from trustnet import (
@@ -17,13 +21,16 @@ from trustnet import (
 )
 from trustnet.oracles import oracle_reputation, reputation_instance
 
-from helpers import rec
+from helpers import logs, rec
 
 CFG = TrustConfig(decay_rate=0.0)
 
 
 def unspread(dense):
-    return PropagationMatrix(sparse.csr_matrix(dense), np.zeros(dense.shape[0]))
+    """The matrix of ``dense`` with no spread; zeros are dropped, as from a dense CSR matrix."""
+    rows, cols = np.nonzero(dense)
+    indptr = np.searchsorted(rows, np.arange(dense.shape[0] + 1))
+    return PropagationMatrix(indptr, cols, dense[rows, cols], np.zeros(dense.shape[0]))
 
 
 def env_of(log, profiles=(), at=10.0):
@@ -323,3 +330,105 @@ def test_a_model_vector_cannot_be_written():
     with pytest.raises(ValueError, match="read-only"):
         model.vector[0] = 7.0
     assert model.vector.max() == 1.0 and 7.0 not in model.vector
+
+
+def test_matrix_arrays_cannot_be_written():
+    env = env_of([rec("A", "B", 0.9), rec("B", "A", 0.4), rec("C", "A", 0.8)])
+    matrix = propagation_matrix(env, ["A", "B"], 0.5)
+    before = matrix.toarray()
+    for name in ("indptr", "cols", "data", "spread"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(matrix, name)[0] = 0
+    assert np.array_equal(matrix.toarray(), before)
+
+
+def test_matrix_nodes_must_be_ascending_and_distinct():
+    env = env_of([rec("A", "B", 0.9), rec("B", "A", 0.9)])
+    for nodes in (["B", "A"], ["A", "A"]):
+        with pytest.raises(ValueError, match="ascending"):
+            propagation_matrix(env, nodes, 0.5)
+
+
+# --- bit-identity with a CSR product -------------------------------------------
+#
+# The examples cover a single-node set (SINGLE_NODE's B), rows with no
+# out-edges (that B, and ALL_UNTRUSTED_ROW's D), a row whose every edge is
+# untrusted (B -> A at 0.2, B -> C at 0.1), and theta_r = 0.
+SINGLE_NODE = [rec("A", "B", 0.9)]
+ALL_UNTRUSTED_ROW = [
+    rec("A", "B", 0.9), rec("C", "B", 0.9), rec("C", "A", 0.9), rec("A", "C", 0.7),
+    rec("B", "A", 0.2), rec("B", "C", 0.1), rec("A", "D", 0.6),
+]
+thresholds = st.sampled_from([0.0, 0.3, 0.5, 0.9])
+
+
+def scipy_pagerank(matrix, damping, tolerance, max_iterations):
+    """The power iteration with E^T v as scipy's CSR product, as the engine computed it before."""
+    n = len(matrix.spread)
+    transposed = sparse.csr_matrix((matrix.data, matrix.cols, matrix.indptr), shape=(n, n)).T
+    transposed = transposed.tocsr()
+    share = matrix.spread / max(n - 1, 1)
+    uniform = np.full(n, 1.0 / n)
+    vec, iterations, stop_reason = uniform.copy(), 0, "iterations"
+    while iterations < max_iterations:
+        spread_in = float(share @ vec) - share * vec
+        nxt = damping * (transposed @ vec + spread_in) + (1.0 - damping) * uniform
+        iterations += 1
+        delta = float(np.abs(nxt - vec).sum())
+        vec = nxt
+        if delta <= tolerance:
+            stop_reason = "converged"
+            break
+    return vec, iterations, stop_reason
+
+
+@settings(max_examples=150, deadline=None)
+@given(logs(max_size=40), thresholds)
+@example(SINGLE_NODE, 0.5)
+@example(ALL_UNTRUSTED_ROW, 0.5)
+@example(ALL_UNTRUSTED_ROW, 0.0)
+@example([rec("A", "B", 0.0), rec("B", "A", 0.0)], 0.0)
+def test_shares_product_equals_the_csr_product(log, threshold):
+    env = env_of(log, at=100.0)
+    nodes = reputation_nodes(env, threshold)
+    if not nodes:
+        return
+    matrix = propagation_matrix(env, nodes, threshold)
+    n = len(nodes)
+    csr = sparse.csr_matrix((matrix.data, matrix.cols, matrix.indptr), shape=(n, n))
+    # With damping 1 and no spread each step is v <- E^T v + 0.0, which is E^T v exactly.
+    shares = PropagationMatrix(matrix.indptr, matrix.cols, matrix.data, np.zeros(n))
+    vec = np.full(n, 1.0 / n)
+    for steps in range(1, 6):
+        stepped, _, _ = pagerank(shares, 1.0, -1.0, steps)
+        assert np.array_equal(stepped, csr.T @ vec)
+        vec = stepped
+    for damping in (0.85, 0.5):
+        engine = pagerank(matrix, damping, 1e-10, 1000)
+        reference = scipy_pagerank(matrix, damping, 1e-10, 1000)
+        assert np.array_equal(engine[0], reference[0]) and engine[1:] == reference[1:]
+
+
+def reputation_digest(seeds) -> str:
+    """SHA-256 over each model's vector bytes, iterations_used and stop_reason, in order."""
+    digest = hashlib.sha256()
+    configs = (
+        TrustConfig(),
+        TrustConfig(decay_rate=0.0, trust_threshold=0.0),
+        TrustConfig(trust_threshold=0.9),
+    )
+    for seed in seeds:
+        profiles, log = reputation_instance(seed)
+        for config in configs:
+            env = build_environment(log, 100.0, config.decay_rate, profiles)
+            model = build_reputation(env, config)
+            digest.update(model.vector.tobytes())
+            digest.update(json.dumps([model.iterations_used, model.stop_reason]).encode())
+    return digest.hexdigest()
+
+
+# Recorded from the engine that multiplied by E^T as a scipy CSR matrix.
+def test_reputation_output_is_unchanged_on_oracle_instances():
+    assert reputation_digest(range(200)) == (
+        "602ef4a4627fe9edb52b854c30e0e671fffb7e09405c92765669a275d1c428f4"
+    )
