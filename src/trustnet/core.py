@@ -13,11 +13,12 @@ evidence bar) is derived from this snapshot alone; no query reads the log.
 from __future__ import annotations
 
 import math
-import operator
+from array import array
 from collections.abc import Mapping as MappingABC, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, repeat
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Optional
 
 import numpy as np
@@ -195,9 +196,10 @@ class CategoryActivity:
     dt_min: float
 
 
-# A CSR over agent indices as plain lists: agent ``i``'s edges are
-# positions ``ptr[i]:ptr[i+1]`` of ``dst`` (ascending) and ``weight``.
-TrustedEdges = tuple[list[int], list[int], list[float]]
+# A CSR over agent indices: agent ``i``'s edges are positions
+# ``ptr[i]:ptr[i+1]`` of ``dst`` (ascending) and ``weight``; ``ptr`` and
+# ``dst`` are lists of int, ``weight`` an ``array('d')`` read back as floats.
+TrustedEdges = tuple[list[int], list[int], array]
 
 
 class EdgeView(MappingABC):
@@ -247,7 +249,7 @@ class Environment:
     ``cat_ptr[e]:cat_ptr[e+1]`` of the per-(edge, category) arrays, whose
     ``cat`` indexes ``categories`` (ascending within an edge).  ``weight``
     (the one weight rule: the unweighted mean of an edge's ``decayed_trust``
-    rows), ``src``, ``row_edge`` (each row's edge) and ``edges`` are derived.
+    rows), ``src`` and ``edges`` are derived.
     All arrays are read-only.  Four caches are filled on first use: the
     ``agents`` dict (the engine reads ``kinds`` and ``profile``), each
     category's :meth:`activity` and rows indexed by target, and per category,
@@ -255,7 +257,7 @@ class Environment:
     :meth:`trusted_edges` CSR and the :meth:`consultation_terms` list.  So
     the path search keys no per-agent fact by id and derives none twice: it
     checks its threshold and rate once per search, reads each expanded
-    agent's qualifying neighbours as one slice of plain lists, and takes
+    agent's qualifying neighbours as one slice of its CSR, and takes
     every consultation term, and the trustee's advisors, from a cache.  The
     caches hold lists and arrays, never the snapshot itself.  Concurrent
     readers are safe (a cache filled on first use holds the same value
@@ -281,7 +283,6 @@ class Environment:
     _category_index: dict[TaskCategory, int] = field(init=False, repr=False)
     id_array: np.ndarray = field(init=False, repr=False)
     src: np.ndarray = field(init=False, repr=False)
-    row_edge: np.ndarray = field(init=False, repr=False)
     weight: np.ndarray = field(init=False, repr=False)
     _trusted: dict[TaskCategory, tuple[float, TrustedEdges]] = field(
         default_factory=dict, init=False, repr=False
@@ -302,15 +303,15 @@ class Environment:
         self.id_array = np.array(self.ids, dtype=object)
         self.src = np.repeat(np.arange(len(self.ids)), np.diff(self.indptr))
         per_edge = np.diff(self.cat_ptr)
-        row_edge = self.row_edge = np.repeat(np.arange(len(self.dst)), per_edge)
         # bincount adds in row order, i.e. in category id order within an edge.
         self.weight = (
-            np.bincount(row_edge, weights=self.decayed_trust, minlength=len(self.dst)) / per_edge
+            np.bincount(self._row_edges(), weights=self.decayed_trust, minlength=len(self.dst))
+            / per_edge
         )
-        for array in (self.id_array, self.src, self.row_edge, self.weight) + tuple(
+        for values in (self.id_array, self.src, self.weight) + tuple(
             getattr(self, name) for name in self.ARRAYS
         ):
-            array.flags.writeable = False
+            values.flags.writeable = False
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Environment):
@@ -329,6 +330,10 @@ class Environment:
                 if name != "profile"
             )
         )
+
+    def _row_edges(self) -> np.ndarray:
+        """Each (edge, category) row's edge; made where it is read, not kept."""
+        return np.repeat(np.arange(len(self.dst)), np.diff(self.cat_ptr))
 
     @cached_property
     def agents(self) -> dict[AgentId, AgentProfile]:
@@ -349,10 +354,10 @@ class Environment:
     def _by_category(self) -> dict[TaskCategory, tuple]:
         """Per category: its :class:`CategoryActivity`, and its rows' CSR by target: ``ptr``,
         each row's source (ascending within a target) and plain mean rating."""
-        n, by_category = len(self.ids), {}
+        n, by_category, row_edge = len(self.ids), {}, self._row_edges()
         for k, label in enumerate(self.categories):
             rows = np.flatnonzero(self.cat == k)
-            sources, targets = self.src[self.row_edge[rows]], self.dst[self.row_edge[rows]]
+            sources, targets = self.src[row_edge[rows]], self.dst[row_edge[rows]]
             ends = np.concatenate((sources, targets))
             counts = np.bincount(ends, weights=np.tile(self.count[rows], 2), minlength=n)
             last = np.full(n, -np.inf)
@@ -375,10 +380,13 @@ class Environment:
 
         ``(ptr, dst, weight)``: the CSR of the edges whose weight is at
         least ``threshold`` and whose target's ``completed`` holds
-        ``category``, as plain lists over agent indices.  Cached per
-        category for the latest threshold asked.  A threshold that is not a
-        finite number by :func:`finite_float`'s rule raises ValueError,
-        whatever the cache holds.  Callers must not modify the lists.
+        ``category``, over agent indices: ``ptr`` and ``dst`` are lists of
+        int, and ``weight`` is an ``array('d')`` of the kept edges'
+        :attr:`weight` entries, 8 bytes each, read back as floats.  Cached
+        per category for the latest threshold asked.  A threshold that is
+        not a finite number by :func:`finite_float`'s rule raises
+        ValueError, whatever the cache holds.  Callers must not modify the
+        columns.
         """
         number = finite_float(threshold)
         if number is None:
@@ -392,7 +400,7 @@ class Environment:
                 (
                     np.searchsorted(kept, self.indptr).tolist(),
                     self.dst[kept].tolist(),
-                    self.weight[kept].tolist(),
+                    array("d", self.weight[kept].tobytes()),
                 ),
             )
         return held[1]
@@ -548,7 +556,91 @@ def group_codes(src: np.ndarray, dst: np.ndarray, cat: np.ndarray, n_ids: int, n
             f"{n_ids} agents and {n_cats} categories are too many for the group codes: "
             "agents² · categories must not exceed 2⁶³"
         )
-    return (src * n_ids + dst) * n_cats + cat
+    code = src * n_ids  # then in place: one array of codes, no temporaries
+    code += dst
+    code *= n_cats
+    code += cat
+    return code
+
+
+# How many discounts :func:`_exp` takes at a time: each chunk passes through a
+# list of Python floats, so that list is bounded by this, not by the log.
+EXP_CHUNK = 4096
+
+
+def _exp(exponents: np.ndarray) -> np.ndarray:
+    """``math.exp`` of each entry, written over ``exponents``, ``EXP_CHUNK`` entries at a time.
+
+    :func:`decay_weight` takes ``math.exp``, which ``np.exp`` does not match
+    in the last bit.
+    """
+    for lo in range(0, len(exponents), EXP_CHUNK):
+        part = exponents[lo : lo + EXP_CHUNK]
+        part[:] = np.fromiter(map(math.exp, part.tolist()), float, len(part))
+    return exponents
+
+
+def _boundaries(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each entry of the sorted ``key`` starts, and whether it ends, its run of equals."""
+    change = np.empty(len(key) + 1, dtype=bool)
+    change[0] = change[-1] = True
+    np.not_equal(key[1:], key[:-1], out=change[1:-1])
+    return change[:-1], change[1:]
+
+
+def _record_codes(
+    records: Sequence[Interaction], declared: Mapping[AgentId, object]
+) -> tuple[list[AgentId], list[TaskCategory], np.ndarray]:
+    """The sorted agent ids (``declared`` ones too) and categories, and each record's group code.
+
+    Ids are coded through dicts, not numpy string arrays, which would drop
+    trailing NUL characters.  Each column is read from the records where it
+    is used, so no column is held as a list; the dicts and the per-column
+    codes die on return.
+    """
+    trustor, trustee, label = map(attrgetter, ("trustor", "trustee", "category"))
+    ids = sorted(set(map(trustor, records)).union(map(trustee, records), declared))
+    categories = sorted(set(map(label, records)))
+    n = len(records)
+    index = {a: i for i, a in enumerate(ids)}
+    src = np.fromiter(map(index.__getitem__, map(trustor, records)), np.int64, n)
+    dst = np.fromiter(map(index.__getitem__, map(trustee, records)), np.int64, n)
+    index = {c: k for k, c in enumerate(categories)}
+    cat = np.fromiter(map(index.__getitem__, map(label, records)), np.int64, n)
+    return ids, categories, group_codes(src, dst, cat, len(ids), len(categories))
+
+
+def _kinds(
+    ids: list[AgentId],
+    categories: list[TaskCategory],
+    declared: Mapping[AgentId, tuple[frozenset, frozenset]],
+    targets: np.ndarray,
+    cat: np.ndarray,
+) -> tuple[tuple, np.ndarray]:
+    """The distinct ``(completed, able)`` kinds, numbered by first use, and each agent's kind.
+
+    Agent i completed the categories of its rows as a target (``targets``,
+    ``cat``, one entry per row); each distinct (codes, declaration) makes
+    its kind once.
+    """
+    n_cats = len(categories)
+    pairs = np.sort(targets * n_cats + cat)
+    pairs = pairs[_boundaries(pairs)[0]]
+    # Agent i completed the categories codes[bounds[i]:bounds[i + 1]].
+    bounds = np.searchsorted(pairs, np.arange(len(ids) + 1) * n_cats).tolist()
+    codes = (pairs % n_cats).tolist()
+    kinds: dict[tuple[frozenset, frozenset], int] = {}
+    memo: dict[tuple, int] = {}
+    profile = []
+    for agent_id, lo, hi in zip(ids, bounds, bounds[1:]):
+        signature = (tuple(codes[lo:hi]), declared.get(agent_id))
+        if signature not in memo:
+            done, decl = signature
+            names = frozenset(map(categories.__getitem__, done))
+            kind = (names, names) if decl is None else (decl[0] | names, decl[1])
+            memo[signature] = kinds.setdefault(kind, len(kinds))
+        profile.append(memo[signature])
+    return tuple(kinds), np.array(profile, dtype=np.int64)
 
 
 def build_environment(
@@ -577,6 +669,12 @@ def build_environment(
     is not a normal float is weighed from its newest time instead: the same
     mean, without the underflow.
 
+    The build is staged so that it holds no record-sized value past its
+    last use: ``rating`` and ``time`` are read straight into arrays, the
+    string columns are coded in :func:`_record_codes`, each record-sized
+    array is dropped once read, and the discounts go through ``math.exp``
+    in chunks of ``EXP_CHUNK``.
+
     ``log`` must be a sequence of :class:`Interaction` records and
     ``profiles`` an iterable of :class:`AgentProfile`, both valid by
     construction: a log that is not a sequence, or an item of either that
@@ -597,89 +695,65 @@ def build_environment(
     if not all(map(isinstance, log, repeat(Interaction))):
         idx, item = next((i, r) for i, r in enumerate(log) if not isinstance(r, Interaction))
         raise TypeError(f"log item {idx} must be an Interaction, not {type(item).__name__}")
-    trustors, trustees, labels, ratings, times = (
-        list(map(operator.attrgetter(name), log))
-        for name in ("trustor", "trustee", "category", "rating", "time")
-    )
-    rating, time = np.array(ratings, dtype=float), np.array(times, dtype=float)
-
+    n = len(log)
+    rating = np.fromiter(map(attrgetter("rating"), log), float, n)
+    time = np.fromiter(map(attrgetter("time"), log), float, n)
+    records = log
     keep = time < snapshot_time
     if not keep.all():
-        trustors, trustees, labels = (
-            list(compress(column, keep)) for column in (trustors, trustees, labels)
-        )
+        records = list(compress(log, keep))
         rating, time = rating[keep], time[keep]
+    ids, categories, key = _record_codes(records, declared)
+    del records
+    n_ids, n_cats = len(ids), len(categories)
 
-    # Ids are coded through dicts, not numpy string arrays, which would drop
-    # trailing NUL characters.
-    ids = sorted(set(trustors).union(trustees, declared))
-    categories = sorted(set(labels))
-    index = {a: i for i, a in enumerate(ids)}
-    cat_index = {c: k for k, c in enumerate(categories)}
-    n, n_ids, n_cats = len(trustors), len(ids), len(categories)
-    src = np.fromiter(map(index.__getitem__, trustors), np.int64, n)
-    dst = np.fromiter(map(index.__getitem__, trustees), np.int64, n)
-    cat = np.fromiter(map(cat_index.__getitem__, labels), np.int64, n)
-
-    key = group_codes(src, dst, cat, n_ids, n_cats)
     order = np.argsort(key)
     key = key[order]
-    group_start, group_end = np.diff(key, prepend=-1) != 0, np.diff(key, append=-1) != 0
+    starts, ends = _boundaries(key)
     # Records that share a group are put in (time, rating) order within its positions.
-    shared = np.flatnonzero(~(group_start & group_end))
+    shared = np.flatnonzero(~(starts & ends))
     moved = order[shared]
     order[shared] = moved[np.lexsort((rating[moved], time[moved], key[shared]))]
+    del shared, moved
     rating, time = rating[order], time[order]
-    exponents = -decay_rate * (snapshot_time - time)  # decay_weight's, bit for bit
-    discount = np.fromiter(map(math.exp, exponents.tolist()), float, n)
+    del order
+    key = key[starts]  # one code per group, ascending
 
-    group = np.cumsum(group_start) - 1
-    first = np.flatnonzero(group_start)
-    last_time = time[group_end]  # a group's last record is its latest
+    group = np.cumsum(starts)
+    group -= 1
+    last_time = time[ends]  # a group's last record is its latest
+    discount = _exp(-decay_rate * (snapshot_time - time))  # decay_weight's, bit for bit
     # Rebase the groups whose newest discount is not a normal float.
-    stale = np.flatnonzero((discount[group_end] < np.finfo(float).tiny)[group])
-    exponents = -decay_rate * (last_time[group[stale]] - time[stale])
-    discount[stale] = np.fromiter(map(math.exp, exponents.tolist()), float, len(stale))
+    stale = np.flatnonzero((discount[ends] < np.finfo(float).tiny)[group])
+    discount[stale] = _exp(-decay_rate * (last_time[group[stale]] - time[stale]))
+    del time, starts, ends, stale
     count = np.bincount(group)
     weighted = np.bincount(group, weights=rating * discount)
     decayed_trust = weighted / np.bincount(group, weights=discount)
     mean_rating = np.bincount(group, weights=rating) / count
-    edge, g_cat = np.divmod(key[first], n_cats)  # n_cats is 0 only with no groups
-    g_src, g_dst = np.divmod(edge, n_ids)
+    del group, rating, discount, weighted
 
-    edge_first = np.flatnonzero(np.diff(edge, prepend=-1))
+    edge, cat = np.divmod(key, n_cats)  # n_cats is 0 only with no groups
+    del key
+    edge_first = np.flatnonzero(_boundaries(edge)[0])
+    sources, targets = np.divmod(edge, n_ids)
+    del edge
     indptr = np.zeros(n_ids + 1, dtype=np.int64)
-    np.cumsum(np.bincount(g_src[edge_first], minlength=n_ids), out=indptr[1:])
-
-    # Agent i completed the categories codes[bounds[i]:bounds[i + 1]]; each distinct
-    # (codes, declaration) makes its kind once, and kinds are numbered by first use.
-    pairs = np.sort(g_dst * n_cats + g_cat)
-    pairs = pairs[np.diff(pairs, prepend=-1) != 0]
-    bounds = np.searchsorted(pairs, np.arange(n_ids + 1) * n_cats).tolist()
-    codes = (pairs % n_cats).tolist()
-    kinds: dict[tuple[frozenset, frozenset], int] = {}
-    memo: dict[tuple, int] = {}
-    profile = []
-    for agent_id, lo, hi in zip(ids, bounds, bounds[1:]):
-        signature = (tuple(codes[lo:hi]), declared.get(agent_id))
-        if signature not in memo:
-            done, decl = signature
-            names = frozenset(map(categories.__getitem__, done))
-            kind = (names, names) if decl is None else (decl[0] | names, decl[1])
-            memo[signature] = kinds.setdefault(kind, len(kinds))
-        profile.append(memo[signature])
+    np.cumsum(np.bincount(sources[edge_first], minlength=n_ids), out=indptr[1:])
+    del sources
+    kinds, profile = _kinds(ids, categories, declared, targets, cat)
 
     return Environment(
         ids=tuple(ids),
-        kinds=tuple(kinds),
+        kinds=kinds,
         snapshot_time=snapshot_time,
         decay_rate=decay_rate,
         categories=tuple(categories),
-        profile=np.array(profile, dtype=np.int64),
+        profile=profile,
         indptr=indptr,
-        dst=g_dst[edge_first],
-        cat_ptr=np.append(edge_first, len(first)),
-        cat=g_cat,
+        dst=targets[edge_first],
+        cat_ptr=np.append(edge_first, len(cat)),
+        cat=cat,
         count=count,
         decayed_trust=decayed_trust,
         mean_rating=mean_rating,

@@ -296,7 +296,8 @@ def find_paths(
     Nothing per-snapshot is derived again per expansion: the threshold and
     the recency rate are checked once per search (a bad one raises
     ValueError), the qualifying neighbours of an agent are one slice of
-    :meth:`Environment.trusted_edges`, the consultation probabilities come
+    :meth:`Environment.trusted_edges` (int lists, and an ``array('d')`` of
+    their weights), the consultation probabilities come
     from :meth:`Environment.consultation_terms`, and the trustee's advisors
     on the category come from one :meth:`Environment.advisor_ratings` call.
     The finished table goes through :meth:`PropagationTable.check`.

@@ -186,22 +186,24 @@ def oracle_indirect(
     return sum(r * w for r, w, _ in kept) / sum(w for _, w, _ in kept)
 
 
-def oracle_reputation(env: Environment, config: TrustConfig) -> tuple[list[AgentId], np.ndarray]:
+def oracle_reputation(
+    env: Environment, config: TrustConfig
+) -> tuple[tuple[AgentId, ...], np.ndarray]:
     """Dense re-derivation of the reputation pipeline.
 
     Rebuilds the node set, the propagation matrix, and the damped power
     iteration with plain numpy arrays, then max-normalizes.  Returns the
-    node order and the normalized vector.
+    node order, a tuple as a model holds it, and the normalized vector.
     """
     threshold = config.trust_threshold
-    members = sorted(
-        {dst for (_, dst), stats in env.edges.items() if stats.weight >= threshold}
+    members = tuple(
+        sorted({dst for (_, dst), stats in env.edges.items() if stats.weight >= threshold})
     )
     n = len(members)
     if n > 200:
         raise ValueError("oracle limited to node sets of at most 200 agents")
     if n == 0:
-        return [], np.zeros(0)
+        return (), np.zeros(0)
     pos = {a: i for i, a in enumerate(members)}
 
     matrix = np.zeros((n, n))

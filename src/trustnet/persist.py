@@ -8,7 +8,6 @@ line, the environment's raw arrays and a trailing SHA-256 checksum line.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import operator
 from contextlib import contextmanager
@@ -272,7 +271,8 @@ def save_snapshot(
     The body is one JSON line (header, agent ids, distinct profiles,
     categories and the model's scalars), padded so that the arrays start
     64-byte aligned, then the raw bytes of the arrays of ``ENV_ARRAYS`` (and
-    ``MODEL_ARRAYS`` with a model), back to back.  A model that was not built
+    ``MODEL_ARRAYS`` with a model), back to back; each part is hashed and
+    written in turn, so no copy of the body is made.  A model that was not built
     from, or loaded with, ``env`` itself raises ValueError (see
     :func:`check_bound`).
     """
@@ -291,31 +291,39 @@ def save_snapshot(
         "reputation": None if model is None else {k: getattr(model, k) for k in _MODEL_FIELDS},
     }
     line = json.dumps(document).encode("utf-8")
-    buffer = io.BytesIO()
-    buffer.write(line + b" " * (-(len(line) + 1) % 64) + b"\n")
-    for name, values in arrays.items():
-        buffer.write(np.ascontiguousarray(values, "<f8" if name in FLOAT_ARRAYS else "<i8"))
-    body = buffer.getbuffer()
-    checksum = hashlib.sha256(body).hexdigest()
+    parts = [line + b" " * (-(len(line) + 1) % 64) + b"\n"]
+    parts += (
+        np.ascontiguousarray(values, "<f8" if name in FLOAT_ARRAYS else "<i8")
+        for name, values in arrays.items()
+    )
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write(body)
+        for part in parts:
+            digest.update(part)
+            fh.write(part)
+        checksum = digest.hexdigest()
         fh.write(b"\nsha256:" + checksum.encode("ascii") + b"\n")
     return checksum
 
 
 def load_snapshot(path: Union[str, Path]) -> tuple[Environment, Optional[ReputationModel]]:
-    """Read a snapshot file, verifying checksum and version before parsing."""
+    """Read a snapshot file, verifying checksum and version before parsing.
+
+    The body is hashed through a view of the bytes read and parsed in
+    place, not copied.
+    """
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise SnapshotError(f"cannot read snapshot: {exc}") from None
-    body, separator, tail = data.rpartition(b"\nsha256:")
-    if not separator:
+    end = data.rfind(b"\nsha256:")
+    if end < 0:
         raise SnapshotError("checksum mismatch: truncated or malformed snapshot")
-    if hashlib.sha256(body).hexdigest().encode("ascii") != tail.rstrip(b"\n"):
+    checksum = hashlib.sha256(memoryview(data)[:end]).hexdigest().encode("ascii")
+    if checksum != data[end + len(b"\nsha256:") :].rstrip(b"\n"):
         raise SnapshotError("checksum mismatch: snapshot is corrupt")
     try:
-        return _parse_body(body)
+        return _parse_body(data, end)
     except (KeyError, TypeError, AttributeError, ValueError, IndexError, OverflowError) as exc:
         raise SnapshotError(f"malformed snapshot: {type(exc).__name__}: {exc}") from None
 
@@ -355,8 +363,8 @@ def _within(values: np.ndarray, stop: int) -> bool:
     return bool(np.all((values >= 0) & (values < stop)))
 
 
-def _parse_body(body: bytes) -> tuple[Environment, Optional[ReputationModel]]:
-    """Rebuild the environment and model from a checksum-verified body.
+def _parse_body(data: bytes, size: int) -> tuple[Environment, Optional[ReputationModel]]:
+    """Rebuild the environment and model from a checksum-verified body, ``data[:size]``.
 
     The header's time, rate and model ``params`` get the engine's own checks,
     its other values are type-checked, the arrays checked whole (CSR pointers,
@@ -370,8 +378,8 @@ def _parse_body(body: bytes) -> tuple[Environment, Optional[ReputationModel]]:
     one more, the five row arrays ``cat_ptr[-1]`` each, and ``nodes`` and
     ``vector`` one per node of the environment at the model's threshold.
     """
-    end = body.find(b"\n")
-    document = _decode(body[: end if end >= 0 else len(body)], _malformed)
+    end = data.find(b"\n", 0, size)
+    document = _decode(data[: end if end >= 0 else size], _malformed)
     header = document.get("header", {})
     if header.get("format") != SNAPSHOT_FORMAT:
         raise SnapshotError("not a snapshot file")
@@ -389,15 +397,15 @@ def _parse_body(body: bytes) -> tuple[Environment, Optional[ReputationModel]]:
         for done, able in document["profiles"]
     )
     rep = document["reputation"]
-    offset = end + 1 if end >= 0 else len(body)
+    offset = end + 1 if end >= 0 else size
 
     def take(name: str, count) -> np.ndarray:
-        """The next ``count`` entries of array ``name``, a read-only view of ``body``."""
+        """The next ``count`` entries of array ``name``, a read-only view of ``data``."""
         nonlocal offset
         start, count = offset, int(count)
         offset += 8 * count  # every entry is 8 bytes
-        _require(offset <= len(body), f"array {name} is truncated")
-        return np.frombuffer(body, "<f8" if name in FLOAT_ARRAYS else "<i8", count, start)
+        _require(offset <= size, f"array {name} is truncated")
+        return np.frombuffer(data, "<f8" if name in FLOAT_ARRAYS else "<i8", count, start)
 
     n = len(ids)
     profile = take("profile", n)
@@ -430,13 +438,13 @@ def _parse_body(body: bytes) -> tuple[Environment, Optional[ReputationModel]]:
         **dict(zip(ENV_ARRAYS, arrays)),
     )
     if rep is None:
-        _require(offset == len(body), "unexpected bytes after the arrays")
+        _require(offset == size, "unexpected bytes after the arrays")
         return env, None
 
     # The config rule, then the node set at the model's threshold.
     expected = node_indices(env, TrustConfig(**rep["params"]).trust_threshold)
     nodes, vector = take("nodes", len(expected)), take("vector", len(expected))
-    _require(offset == len(body), "unexpected bytes after the arrays")
+    _require(offset == size, "unexpected bytes after the arrays")
     _require(
         np.array_equal(nodes, expected),
         "reputation nodes are not the environment's node set at the model's trust threshold",

@@ -70,8 +70,8 @@ class ReputationModel:
     ended: ``"converged"``, or the ``"iterations"`` or ``"seconds"`` budget
     ran out; ``converged`` and ``mean_reputation`` are derived.  A model is
     checked when it is made: one no build could make raises ValueError.  It
-    is then frozen and holds ``vector`` as a read-only view, so it stays as
-    checked: a snapshot saved with it loads.
+    is then frozen and holds ``nodes`` as a tuple and ``vector`` as a
+    read-only view, so it stays as checked: a snapshot saved with it loads.
     ``matrix`` is the built model's input, kept for the oracle's row-sum
     check and ``perfbench/scaling.py``; being derivable, it is neither saved
     (a loaded model has None) nor compared.  ``env`` is the snapshot object
@@ -79,7 +79,7 @@ class ReputationModel:
     it to; it is not saved, compared or shown.
     """
 
-    nodes: list[AgentId]
+    nodes: tuple[AgentId, ...]
     vector: np.ndarray
     iterations_used: int
     params: dict
@@ -88,6 +88,7 @@ class ReputationModel:
     env: Optional[Environment] = field(default=None, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "nodes", tuple(self.nodes))
         used, params, stop = self.iterations_used, self.params, self.stop_reason
         for name, ok in (
             ("iterations_used", type(used) is int),

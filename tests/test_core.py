@@ -5,6 +5,7 @@ import math
 import operator
 import pickle
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -14,11 +15,14 @@ from hypothesis import strategies as st
 
 from trustnet import (
     AgentProfile,
+    GenParams,
     Interaction,
     InvalidProfileError,
     InvalidRecordError,
+    RatingModel,
     TrustConfig,
     build_environment,
+    generate,
 )
 
 from trustnet.core import finite_float, group_codes
@@ -318,6 +322,30 @@ def test_build_equals_a_sequential_reference_bit_for_bit(log, rate, random):
         for category, s in edge.per_category.items()
     }
     assert built == reference_groups(log, 100.0, rate)
+
+
+def test_build_peak_memory_stays_within_twice_the_snapshot():
+    # A generated world of 3,000 records: the build holds no record-sized
+    # copy past its last use, so its traced peak above the start stays
+    # within twice what the finished snapshot keeps.
+    profiles, log = generate(
+        GenParams(
+            seed=2026, n_agents=100, n_categories=4, n_interactions=3000,
+            rating_model=RatingModel.PER_AGENT_QUALITY,
+        )
+    )
+    build_environment(log, 100.0, 0.01, profiles)  # imports and caches load untraced
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        env = build_environment(log, 100.0, 0.01, profiles)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(env.dst) > 1000
+    assert peak - start <= 2 * (held - start)
 
 
 def test_interaction_holds_its_fields_in_slots():

@@ -4,6 +4,7 @@ import json
 import math
 import sys
 import types
+from array import array
 
 import pytest
 from hypothesis import assume, given, settings
@@ -71,12 +72,17 @@ def test_category_history_required():
     assert trusted(env, "c2", 0.5, "A") == ("D",)
 
 
-def test_trusted_edges_are_plain_lists_over_agent_indices():
+def test_trusted_edges_are_int_lists_and_a_double_array_over_agent_indices():
     env = env_of([rec("A", "B", 0.9), rec("A", "C", 0.3), rec("X", "C", 0.9), rec("B", "A", 0.6)])
     # Agents A, B, C, X; C is trusted by X only, and A has history in c1.
-    assert env.trusted_edges("c1", 0.5) == ([0, 1, 2, 2, 3], [1, 0, 2], [0.9, 0.6, 0.9])
-    for column in env.trusted_edges("c1", 0.5):
-        assert all(type(x) in (int, float) for x in column)
+    ptr, dst, weight = env.trusted_edges("c1", 0.5)
+    assert (ptr, dst, list(weight)) == ([0, 1, 2, 2, 3], [1, 0, 2], [0.9, 0.6, 0.9])
+    assert type(ptr) is list and type(dst) is list
+    assert all(type(x) is int for x in ptr + dst)
+    assert isinstance(weight, array) and weight.typecode == "d"
+    assert all(type(x) is float for x in weight)
+    # Edges in (src, dst) order: A->B, A->C, B->A, X->C; all but A->C are kept.
+    assert list(weight) == env.weight[[0, 2, 3]].tolist()
 
 
 def test_unknown_agent_rejected():
@@ -799,7 +805,9 @@ def test_trusted_neighbours_equal_a_filter_over_edges(log, category, thresholds)
             assert neighbours == tuple(sorted(expected))
             ptr, _, weight = env.trusted_edges(category, threshold)
             i = env.index[agent]
-            assert weight[ptr[i] : ptr[i + 1]] == [env.edges[(agent, b)].weight for b in neighbours]
+            assert list(weight[ptr[i] : ptr[i + 1]]) == [
+                env.edges[(agent, b)].weight for b in neighbours
+            ]
 
 
 @given(logs(min_size=1, max_size=30), st.sampled_from([0.0, 0.05, 0.5]))

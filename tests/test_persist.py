@@ -508,7 +508,7 @@ OTHER_WORLD = [rec("B", "A", 0.9), rec("A", "B", 0.8), rec("C", "A", 0.2)]
 def test_model_of_another_environment_is_refused_on_save(tmp_path):
     stale = build_reputation(build_environment(SMALL_WORLD, 42.0), TrustConfig())
     env = build_environment(OTHER_WORLD, 42.0)
-    assert stale.nodes == ["B", "C"] and list(env.agents) == ["A", "B", "C"]
+    assert stale.nodes == ("B", "C") and list(env.agents) == ["A", "B", "C"]
     path = tmp_path / "t.snap"
     with pytest.raises(ValueError, match="another snapshot"):
         save_snapshot(env, path, stale)
@@ -525,7 +525,7 @@ TWO_LOGS = (
 def test_model_of_another_log_over_the_same_node_set_is_refused(tmp_path):
     built, env = (build_environment(log, 10.0, 0.01) for log in TWO_LOGS)
     stale, own = build_reputation(built, TrustConfig()), build_reputation(env, TrustConfig())
-    assert stale.nodes == own.nodes == ["A", "B", "C"]
+    assert stale.nodes == own.nodes == ("A", "B", "C")
     assert np.allclose(stale.vector, [0.904, 0.639, 1.0], atol=1e-3)
     assert np.allclose(own.vector, [0.989, 1.0, 0.573], atol=1e-3)
     path = tmp_path / "t.snap"
@@ -569,7 +569,7 @@ def test_model_of_another_environment_is_refused_on_load(tmp_path):
 def test_model_is_checked_at_its_own_threshold(tmp_path):
     env = build_environment(OTHER_WORLD, 42.0)
     model = build_reputation(env, TrustConfig(trust_threshold=0.85))
-    assert model.nodes == ["A"] != build_reputation(env, TrustConfig()).nodes
+    assert model.nodes == ("A",) != build_reputation(env, TrustConfig()).nodes
     path = tmp_path / "t.snap"
     save_snapshot(env, path, model)
     assert load_snapshot(path) == (env, model)
@@ -1101,7 +1101,7 @@ log = [trustnet.Interaction(a, b, 0.9, "c1", 1.0) for a, b in ("AB", "BC", "CA",
 env = trustnet.build_environment(log, 10.0, 0.0)
 config = trustnet.TrustConfig(decay_rate=0.0)
 model = trustnet.build_reputation(env, config)
-assert model.nodes == ["A", "B", "C"]
+assert model.nodes == ("A", "B", "C")
 trustnet.evaluate(env, log, "A", "C", "c1", 10.0, config, model)
 trustnet.dump_log(log, sys.argv[1])
 assert main(["eval", "--log", sys.argv[1], "--time", "10", "--trustor", "A", "--trustee", "C",

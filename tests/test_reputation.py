@@ -124,7 +124,7 @@ def test_zero_threshold_row_of_zero_weights_spreads_its_unit():
     assert np.array_equal(matrix.toarray(), [[0.0, 1.0], [1.0, 0.0]])
     model = build_reputation(env, cfg)
     nodes, reference = oracle_reputation(env, cfg)
-    assert model.nodes == nodes == ["A", "B"]
+    assert model.nodes == nodes == ("A", "B")
     assert np.max(np.abs(model.vector - reference)) <= 1e-8
 
 
@@ -177,7 +177,7 @@ def test_pagerank_preserves_probability_mass():
 def test_reputation_of_member_and_outsider():
     env = env_of([rec("A", "B", 0.9)])
     model = build_reputation(env, CFG)
-    assert model.nodes == ["B"]
+    assert model.nodes == ("B",)
     assert reputation_of(model, "B") == pytest.approx(1.0, abs=1e-12)
     assert reputation_of(model, "A") == model.mean_reputation
 
@@ -192,7 +192,7 @@ def test_two_symmetric_nodes_normalize_to_one():
 def test_empty_node_set_returns_neutral_prior():
     env = env_of([rec("A", "B", 0.3)])
     model = build_reputation(env, CFG)
-    assert model.nodes == []
+    assert model.nodes == ()
     assert reputation_of(model, "B") == 0.5
 
 
@@ -301,7 +301,7 @@ def test_each_way_a_build_ends_makes_a_model(budget, stop):
 def test_reputation_of_outsiders_around_and_between_nodes():
     env = env_of([rec("A", "B", 0.9), rec("C", "D", 0.9), rec("D", "B", 0.6), rec("E", "A", 0.2)])
     model = build_reputation(env, CFG)
-    assert model.nodes == ["B", "D"]
+    assert model.nodes == ("B", "D")
     assert reputation_of(model, "B") == float(model.vector[0])
     assert reputation_of(model, "D") == float(model.vector[1])
     for outsider in ("A", "C", "E", "", "Z"):
@@ -314,7 +314,7 @@ def test_convergence_and_mean_are_derived_from_the_model():
     capped = build_reputation(env_of(CHAIN), dataclasses.replace(CFG, max_iterations=1))
     assert capped.stop_reason == "iterations" and not capped.converged
     empty = build_reputation(env_of([rec("A", "B", 0.1)]), CFG)
-    assert empty.nodes == [] and empty.converged and empty.mean_reputation == 0.5
+    assert empty.nodes == () and empty.converged and empty.mean_reputation == 0.5
     assert reputation_of(empty, "A") == 0.5
 
 
@@ -323,6 +323,14 @@ def test_a_model_field_cannot_be_reassigned():
     with pytest.raises(dataclasses.FrozenInstanceError):
         model.iterations_used = -1
     assert model.iterations_used >= 1
+
+
+def test_a_model_node_list_cannot_be_changed():
+    model = build_reputation(env_of(CHAIN), CFG)
+    nodes = model.nodes
+    with pytest.raises(AttributeError):
+        model.nodes.append("Z")
+    assert model.nodes == nodes and reputation_of(model, "Z") == model.mean_reputation
 
 
 def test_a_model_vector_cannot_be_written():
