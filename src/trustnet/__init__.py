@@ -30,12 +30,15 @@ from .core import (
 from .direct import DirectTrustResult, DirectTrustSource, direct_trust
 from .indirect import (
     PropagationTable,
+    SettledPaths,
     TableRow,
     TrusteeRow,
     aggregate,
+    aggregate_settled,
     find_paths,
     propagation_probabilities,
     retained_paths,
+    settle_paths,
 )
 from .composite import (
     CompositeInputs,
@@ -90,6 +93,7 @@ __all__ = [
     "PropagationTable",
     "RatingModel",
     "ReputationModel",
+    "SettledPaths",
     "SnapshotError",
     "SplitMix64",
     "TableRow",
@@ -100,6 +104,7 @@ __all__ = [
     "TrusteeRow",
     "UnknownAgentError",
     "aggregate",
+    "aggregate_settled",
     "alpha",
     "beta",
     "build_environment",
@@ -125,4 +130,5 @@ __all__ = [
     "reputation_of",
     "retained_paths",
     "save_snapshot",
+    "settle_paths",
 ]

@@ -4,7 +4,9 @@ The direct weight grows with the pair's interaction count on the category,
 the indirect weight with the number of surviving propagation paths, and
 whatever weight the evidence cannot claim falls to reputation, which is
 always computable.  The evidence bar is the average per-participant
-interaction count on the category.
+interaction count on the category.  The paths come from the label-setting
+search (:func:`settle_paths`) unless the config sets a search budget, which
+only the best-first :func:`find_paths` can honour (see :func:`evaluate`).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .core import (
     UnknownAgentError,
 )
 from .direct import direct_trust
-from .indirect import aggregate, find_paths, retained_paths
+from .indirect import aggregate, aggregate_settled, find_paths, retained_paths, settle_paths
 from .reputation import (
     ReputationModel, _node_position, build_reputation, check_bound, model_params, reputation_of,
 )
@@ -122,6 +124,21 @@ def evaluate(
     ``reputation_model`` to reuse one across evaluations of the same
     snapshot; it must have been built from ``env`` itself (or loaded with
     it), and with this config, or the call raises ValueError.
+
+    The indirect component comes from one of two searches:
+
+    - a config that sets neither ``search_steps`` nor ``search_seconds``
+      runs :func:`settle_paths`.  ``diagnostics.paths`` lists the kept
+      advisors in settle order, ``search_expansions`` counts the agents
+      settled, ``search_reattached`` is 0 and ``search_stop`` "exhausted";
+    - a config with a budget runs :func:`find_paths`.  ``diagnostics.paths``
+      lists the kept advisors in discovery order, ``search_expansions``
+      counts its expansions, ``search_reattached`` its re-attachments, and
+      ``search_stop`` says whether the search ran out or a budget stopped it.
+
+    Both feed :func:`indirect.combine_paths`, so on a search that runs to
+    its end the two agree on every report number (to summation order,
+    within 1e-12).
     """
     for agent in (trustor, trustee):
         if agent not in env.index:
@@ -153,9 +170,32 @@ def evaluate(
         )
 
     direct_result = direct_trust(env, trustor, trustee, category)
-    table = find_paths(env, log, trustor, trustee, category, config)
-    indirect_value = aggregate(table, config.path_threshold, config.path_decay)
-    kept = retained_paths(table, config.path_threshold)
+    if config.search_steps is None and config.search_seconds is None:
+        tree = settle_paths(env, trustor, trustee, category, config)
+        indirect_value = aggregate_settled(tree, config.path_threshold, config.path_decay)
+        kept = [
+            (tree.ids[a], rating, path_trust, tree.chain(a))
+            for a, rating, path_trust in tree.retained(config.path_threshold)
+        ]
+        search = {
+            "paths_discovered": tree.discovered,
+            "search_expansions": len(tree.order),
+            "search_reattached": 0,
+            "search_stop": "exhausted",
+        }
+    else:
+        table = find_paths(env, log, trustor, trustee, category, config)
+        indirect_value = aggregate(table, config.path_threshold, config.path_decay)
+        kept = [
+            (advisor, rating, path_trust, list(table.rows[advisor].path) + [advisor])
+            for advisor, rating, path_trust in retained_paths(table, config.path_threshold)
+        ]
+        search = {
+            "paths_discovered": len(table.trustee_rows),
+            "search_expansions": table.expansions,
+            "search_reattached": table.reattachments,
+            "search_stop": table.stop_reason,
+        }
 
     model = reputation_model if reputation_model is not None else build_reputation(env, config)
     reputation_value = reputation_of(model, trustee)
@@ -177,18 +217,10 @@ def evaluate(
         **asdict(inputs),
         "direct_source": direct_result.source.value,
         "paths": [
-            {
-                "advisor": advisor,
-                "rating": rating,
-                "path_trust": path_trust,
-                "path": list(table.rows[advisor].path) + [advisor],
-            }
-            for advisor, rating, path_trust in kept
+            {"advisor": advisor, "rating": rating, "path_trust": path_trust, "path": path}
+            for advisor, rating, path_trust, path in kept
         ],
-        "paths_discovered": len(table.trustee_rows),
-        "search_expansions": table.expansions,
-        "search_reattached": table.reattachments,
-        "search_stop": table.stop_reason,
+        **search,
         "reputation": {
             "in_node_set": _node_position(model, trustee) is not None,
             "nodes": len(model.nodes),

@@ -1,11 +1,22 @@
-"""Indirect trust: best-first propagation through trusted neighbours.
+"""Indirect trust: propagation through trusted neighbours.
 
-The search grows a table of reached agents ordered by the product of
-cumulative propagation probability and cumulative trust.  Paths never
-revisit an agent, and a hop into an agent the trustor already trusts
-directly is skipped (first-hand evidence outranks a recommendation chain).
+Two searches follow the same qualifying edges.  Paths never revisit an
+agent, and a hop into an agent the trustor already trusts directly is
+skipped (first-hand evidence outranks a recommendation chain).
+
+- :func:`settle_paths`, a label-setting search, settles each reached agent
+  once with its best chain: the largest product of hop weights, then the
+  fewest hops.  It answers every ``evaluate`` whose config sets neither
+  ``search_steps`` nor ``search_seconds``.
+- :func:`find_paths`, a best-first search, grows a table of reached agents
+  ordered by the product of cumulative propagation probability and
+  cumulative trust, re-attaching an agent when a chain of more trust
+  reaches it.  It answers budgeted ``evaluate`` calls, since only it can
+  stop after k expansions or at a deadline, and the CLI ``paths`` command.
+
 Each agent holding ratings of the trustee contributes one candidate path;
-the aggregation step combines the survivors of the path-trust filter.
+the aggregation step (:func:`combine_paths`, shared by both searches)
+combines the survivors of the path-trust filter.
 """
 
 from __future__ import annotations
@@ -270,7 +281,13 @@ def find_paths(
 ) -> PropagationTable:
     """Best-first search for trust propagation paths from trustor to trustee.
 
-    Only ``env`` is read; ``log`` is ignored.
+    Only ``env`` is read; ``log`` is ignored.  ``evaluate`` runs it only
+    under a search budget (``search_steps`` or ``search_seconds``); without
+    one it runs :func:`settle_paths`, which reaches the same agents with the
+    same trust, and this table stays what the CLI ``paths`` command prints.
+    ``expansions`` counts the agents popped and expanded, an agent once per
+    chain it was attached on, and ``reattachments`` the moves onto a chain
+    of more trust.
 
     Each step expands the frontier agent with the largest cum_prob * cum_trust
     (ties go to the lexicographically smallest agent id), taken from a heap
@@ -420,6 +437,172 @@ def find_paths(
     return table
 
 
+@dataclass
+class SettledPaths:
+    """The tree of best chains that :func:`settle_paths` settles from the trustor.
+
+    Lists by agent index: ``trust`` holds each settled agent's chain product
+    (-1.0 when it was never reached), ``hops`` its chain's hop count and
+    ``parent`` the agent before it (-1 for the trustor and the unreached).
+    ``order`` lists the settled agents in settle order, the trustor first,
+    and ``advisors`` maps each agent that rated the trustee on the category
+    to its plain mean rating, as :meth:`Environment.advisor_ratings` does.
+    """
+
+    trustor: AgentId
+    trustee: AgentId
+    category: TaskCategory
+    ids: Sequence[AgentId]
+    order: list[int]
+    trust: list[float]
+    hops: list[int]
+    parent: list[int]
+    advisors: dict[int, float]
+
+    @property
+    def discovered(self) -> int:
+        """The settled advisors, each one discovered path."""
+        return sum(1 for a in self.order if a in self.advisors)
+
+    def chain(self, agent: int) -> list[AgentId]:
+        """The ids of the best chain from the trustor to settled ``agent``, both included."""
+        ids, parent, chain = self.ids, self.parent, []
+        while agent >= 0:
+            chain.append(ids[agent])
+            agent = parent[agent]
+        chain.reverse()
+        return chain
+
+    def retained(self, path_threshold: float) -> list[tuple[int, float, float]]:
+        """(advisor index, rating, path trust) of each advisor past the filter, in settle order."""
+        advisors, trust = self.advisors, self.trust
+        return [
+            (a, advisors[a], trust[a])
+            for a in self.order
+            if a in advisors and trust[a] > path_threshold
+        ]
+
+    def check(self, env: Environment, trust_threshold: float) -> None:
+        """Assert that the settled agents form a tree of kept edges from the trustor.
+
+        The trustor is settled first, with product 1.0 and no parent.  Every
+        other agent is settled once, after its parent, with one hop more;
+        the hop is an edge of :meth:`Environment.trusted_edges` at
+        ``trust_threshold`` on the category, into neither the trustee nor,
+        past the trustor's own hops, an agent the trustor trusts directly;
+        and the parent's product times the hop's weight is within 1e-12 of
+        the agent's.  One pass over ``order`` with one ``bisect`` per agent:
+        O(settled · log degree).
+        Raises InvariantError naming the first agent that breaks a rule.
+        """
+        ptr, dst, weight = env.trusted_edges(self.category, trust_threshold)
+        ids, trust, hops, parent, order = self.ids, self.trust, self.hops, self.parent, self.order
+        root, target = env.index[self.trustor], env.index[self.trustee]
+        if not order or order[0] != root or parent[root] != -1 or trust[root] != 1.0:
+            raise InvariantError(f"trustor {self.trustor!r} is not settled first at product 1")
+        settled = bytearray(len(ids))
+        settled[root] = 1
+        for v in order[1:]:
+            u = parent[v]
+            if settled[v]:
+                raise InvariantError(f"{ids[v]!r} is settled twice")
+            if u < 0 or not settled[u] or hops[v] != hops[u] + 1:
+                raise InvariantError(f"parent of {ids[v]!r} is not settled before it, one hop less")
+            settled[v] = 1
+            lo, hi = ptr[u], ptr[u + 1]
+            k = bisect_left(dst, v, lo, hi)
+            if k == hi or dst[k] != v:
+                raise InvariantError(f"untrusted hop {ids[u]!r}->{ids[v]!r} in the settled tree")
+            if abs(trust[u] * weight[k] - trust[v]) > 1e-12:
+                raise InvariantError(f"trust of {ids[v]!r} is not its parent's times the hop")
+        if settled[target]:
+            raise InvariantError(f"trustee {self.trustee!r} is settled")
+        for v in dst[ptr[root] : ptr[root + 1]]:
+            if settled[v] and parent[v] != root:
+                raise InvariantError(f"{ids[v]!r}, trusted directly, is entered past the trustor")
+
+
+def settle_paths(
+    env: Environment,
+    trustor: AgentId,
+    trustee: AgentId,
+    category: TaskCategory,
+    config: TrustConfig,
+) -> SettledPaths:
+    """Label-setting search (Dijkstra, 1959): each agent's best chain, each agent settled once.
+
+    A chain follows the same qualifying edges as :func:`find_paths`: the
+    edges of :meth:`Environment.trusted_edges` at the config's threshold,
+    never into the trustee, and past the trustor's own hops never into an
+    agent the trustor trusts directly.  An agent's label is its chain's
+    (product of hop weights, hops), the product multiplied from the trustor
+    on as ``cum_trust`` is; the heap pops the largest product, then the
+    fewest hops, then the smallest agent index, and the popped agent is
+    settled with that label.  Weights lie in [0, 1], so extending a chain
+    never improves its label, and the settled label is the best over every
+    qualifying simple path: the one :func:`oracles.best_paths` enumerates.
+    Each agent keeps one parent index; nothing is re-attached or rescaled.
+    ``config``'s search budgets and recency rate are not read: the search
+    always runs to the end, and it ranks by trust alone.  The tree goes
+    through :meth:`SettledPaths.check`.
+    """
+    index = env.index
+    if trustor not in index:
+        raise UnknownAgentError(trustor)
+    if trustee not in index:
+        raise UnknownAgentError(trustee)
+    if trustor == trustee:
+        raise ValueError("trustor and trustee must differ")
+
+    threshold = config.trust_threshold
+    ptr, dst, weight = env.trusted_edges(category, threshold)
+    root, target = index[trustor], index[trustee]
+    n = len(env.ids)
+    trust, hops, parent = [-1.0] * n, [0] * n, [-1] * n
+    # closed: never relaxed again (settled, the trustee, and once the
+    # trustor has settled, every agent it trusts directly); settled: popped.
+    closed, settled = bytearray(n), bytearray(n)
+    closed[target] = 1
+    trust[root] = 1.0
+    order: list[int] = []
+    heap = [(-1.0, 0, root)]
+    heappush, heappop = heapq.heappush, heapq.heappop
+    while heap:
+        _, h, u = heappop(heap)
+        if settled[u]:
+            continue
+        settled[u] = closed[u] = 1
+        order.append(u)
+        t, h = trust[u], h + 1
+        lo, hi = ptr[u], ptr[u + 1]
+        for k in range(lo, hi):
+            v = dst[k]
+            if closed[v]:
+                continue
+            p = t * weight[k]
+            held = trust[v]
+            if p > held or p == held and h < hops[v]:
+                trust[v], hops[v], parent[v] = p, h, u
+                heappush(heap, (-p, h, v))
+        if u == root:
+            for v in dst[lo:hi]:
+                closed[v] = 1
+
+    tree = SettledPaths(
+        trustor=trustor,
+        trustee=trustee,
+        category=category,
+        ids=env.ids,
+        order=order,
+        trust=trust,
+        hops=hops,
+        parent=parent,
+        advisors=env.advisor_ratings(target, category),
+    )
+    tree.check(env, threshold)
+    return tree
+
+
 def retained_paths(
     table: PropagationTable, path_threshold: float
 ) -> list[tuple[AgentId, float, float]]:
@@ -432,22 +615,52 @@ def retained_paths(
     return kept
 
 
-def aggregate(
-    table: PropagationTable, path_threshold: float, path_decay: float
+def combine_paths(
+    kept: Sequence[tuple[float, float, int]], path_decay: float
 ) -> Optional[float]:
-    """Combine the discovered paths into one indirect trust value.
+    """One indirect trust value from the kept paths' (rating, path trust, hops).
 
-    Multiple surviving paths are averaged with their path trusts as weights.
-    A single path is discounted by ``path_decay`` per hop of the chain
-    trustor -> advisor -> trustee.  Returns None when nothing survives.
+    ``hops`` counts the chain trustor -> advisor -> trustee.  Multiple
+    paths are averaged with their path trusts as weights, summed in the
+    order given.  A single path is discounted by ``path_decay`` per hop.
+    Returns None when nothing is kept.
     """
-    kept = retained_paths(table, path_threshold)
     if not kept:
         return None
     if len(kept) == 1:
-        advisor, rating, _ = kept[0]
-        hops = len(table.rows[advisor].path) + 1
+        rating, _, hops = kept[0]
         return rating * path_decay**hops
-    num = sum(rating * w for _, rating, w in kept)
-    den = sum(w for _, _, w in kept)
+    num = sum(rating * w for rating, w, _ in kept)
+    den = sum(w for _, w, _ in kept)
     return num / den
+
+
+def aggregate(
+    table: PropagationTable, path_threshold: float, path_decay: float
+) -> Optional[float]:
+    """Combine the discovered paths of ``table`` into one indirect trust value.
+
+    The trustee rows that pass the path-trust filter, in discovery order,
+    go through :func:`combine_paths`.  Returns None when nothing survives.
+    """
+    return combine_paths(
+        [
+            (rating, w, len(table.rows[advisor].path) + 1)
+            for advisor, rating, w in retained_paths(table, path_threshold)
+        ],
+        path_decay,
+    )
+
+
+def aggregate_settled(
+    tree: SettledPaths, path_threshold: float, path_decay: float
+) -> Optional[float]:
+    """Combine the settled advisors' chains into one indirect trust value.
+
+    The advisors that pass the path-trust filter, in settle order, go
+    through :func:`combine_paths`.  Returns None when nothing survives.
+    """
+    return combine_paths(
+        [(rating, w, tree.hops[a] + 1) for a, rating, w in tree.retained(path_threshold)],
+        path_decay,
+    )

@@ -25,7 +25,7 @@ from .core import (
     TrustConfig,
     build_environment,
 )
-from .indirect import aggregate, find_paths
+from .indirect import aggregate, aggregate_settled, find_paths, settle_paths
 from .reputation import build_reputation
 from .simulate import SplitMix64, agent_name, category_name
 
@@ -315,11 +315,16 @@ def compare_indirect(
     max_agents: int = 8,
     max_categories: int = 3,
 ) -> dict:
-    """Engine vs exhaustive oracle over seeded instances; returns a report.
+    """Both engine searches vs the exhaustive oracle over seeded instances; returns a report.
 
-    Every instance, cyclic or not, must agree within ``INDIRECT_TOLERANCE``.
-    ``mismatches`` counts those that do not and ``deviations`` lists them
-    (a value on one side only has deviation None); ``max_deviation`` is the
+    Per instance the oracle's value is compared with two engine values:
+    :func:`find_paths` through :func:`aggregate`, and :func:`settle_paths`
+    through :func:`aggregate_settled`, which is what an unbudgeted
+    ``evaluate`` computes.  Every instance, cyclic or not, must agree within
+    ``INDIRECT_TOLERANCE`` on both.  ``mismatches`` counts the instances
+    where either does not and ``deviations`` lists them, with both engine
+    values (``engine`` and ``settled``) and the larger ``deviation`` (None
+    when either engine value is on one side only); ``max_deviation`` is the
     largest numeric one.  ``acyclic`` and ``cyclic`` count the instances of
     each kind, as a record of coverage.  A search budget raises ValueError.
     """
@@ -345,15 +350,20 @@ def compare_indirect(
             cfg.path_threshold,
             cfg.path_decay,
         )
+        settled = aggregate_settled(
+            settle_paths(env, trustor, trustee, category, cfg),
+            cfg.path_threshold,
+            cfg.path_decay,
+        )
         reference = oracle_indirect(env, log, trustor, trustee, category, cfg)
         report["instances"] += 1
         report["acyclic" if acyclic else "cyclic"] += 1
-        if engine is None and reference is None:
+        if engine is None and settled is None and reference is None:
             continue
         report["with_paths"] += 1
         deviation = None
-        if engine is not None and reference is not None:
-            deviation = abs(engine - reference)
+        if engine is not None and settled is not None and reference is not None:
+            deviation = max(abs(engine - reference), abs(settled - reference))
             report["max_deviation"] = max(report["max_deviation"], deviation)
         if deviation is None or deviation > INDIRECT_TOLERANCE:
             report["mismatches"] += 1
@@ -362,6 +372,7 @@ def compare_indirect(
                     "seed": seed,
                     "acyclic": acyclic,
                     "engine": engine,
+                    "settled": settled,
                     "oracle": reference,
                     "deviation": deviation,
                 }

@@ -54,6 +54,22 @@ class RatingModel(enum.Enum):
     PER_AGENT_QUALITY = "per-agent-quality"
 
 
+# Upper bounds on the generator's counts: ten times the largest world the
+# benchmark's scaling record measures (50k agents, 500k interactions), so a
+# mistyped count is refused before anything is allocated rather than drawn
+# until memory runs out.  A parsed record holds about 287 bytes, so the
+# largest log takes about 1.4 GB.
+MAX_AGENTS = 500_000
+MAX_CATEGORIES = 1_000
+MAX_INTERACTIONS = 5_000_000
+# Per count: its least and its largest value.
+COUNT_BOUNDS = {
+    "n_agents": (2, MAX_AGENTS),
+    "n_categories": (1, MAX_CATEGORIES),
+    "n_interactions": (0, MAX_INTERACTIONS),
+}
+
+
 @dataclass(frozen=True)
 class GenParams:
     """Generator parameters, checked when they are made.
@@ -61,6 +77,9 @@ class GenParams:
     ``seed`` and the three counts are ints (not bools) and ``rating_model``
     a :class:`RatingModel`, or TypeError; the two floats follow
     :func:`finite_float`'s rule, and a value out of bounds raises ValueError.
+    Each count lies in its range of ``COUNT_BOUNDS``: ``n_agents`` in
+    [2, ``MAX_AGENTS``], ``n_categories`` in [1, ``MAX_CATEGORIES``] and
+    ``n_interactions`` in [0, ``MAX_INTERACTIONS``].
     """
 
     seed: int
@@ -78,8 +97,9 @@ class GenParams:
                 raise TypeError(f"{name} must be an integer")
         if not isinstance(self.rating_model, RatingModel):
             raise TypeError(f"rating_model must be a RatingModel, not {self.rating_model!r}")
-        if self.n_agents < 2 or self.n_categories < 1 or self.n_interactions < 0:
-            raise ValueError("agent/category/interaction counts out of range")
+        for name, (low, high) in COUNT_BOUNDS.items():
+            if not low <= getattr(self, name) <= high:
+                raise ValueError(f"{name} must lie in [{low}, {high}]")
         fraction = finite_float(self.newcomer_fraction)
         if fraction is None or not 0.0 <= fraction < 1.0:
             raise ValueError("newcomer_fraction must be a finite number in [0, 1)")
@@ -123,10 +143,8 @@ def generate(params: GenParams) -> tuple[list[AgentProfile], list[Interaction]]:
     if params.n_interactions > 0 and len(active) < 2:
         raise ValueError("need at least 2 non-newcomer agents to draw interactions")
 
-    profiles = [
-        AgentProfile(id=a, completed=frozenset(), able=frozenset(categories))
-        for a in agents
-    ]
+    able = frozenset(categories)  # one set shared by every profile
+    profiles = [AgentProfile(id=a, completed=frozenset(), able=able) for a in agents]
 
     log: list[Interaction] = []
     for _ in range(params.n_interactions):

@@ -589,6 +589,14 @@ def test_generate_with_a_non_finite_time_horizon_is_input_error(capsys, tmp_path
     assert not out.exists()
 
 
+def test_generate_with_a_count_past_its_bound_is_input_error(capsys, tmp_path):
+    # Refused when the parameters are made, before anything is drawn or allocated.
+    out = tmp_path / "g.jsonl"
+    argv = ["generate", "--seed", "1", "--agents", "100000000000", "--out", str(out)]
+    assert_input_error(*run(capsys, argv), "error: n_agents must lie in [2, 500000]")
+    assert not out.exists()
+
+
 def test_version_4_snapshot_is_input_error(capsys, world):
     snap = world["tmp"] / "world.snap"
     run(capsys, ["snapshot", "save", "--log", world["log"], "--time", "100", "--out", str(snap)])

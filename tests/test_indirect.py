@@ -38,7 +38,7 @@ from trustnet.oracles import (
     reputation_instance,
 )
 
-from helpers import logs, rec
+from helpers import AGENTS, logs, rec
 
 CFG = TrustConfig(decay_rate=0.0, recency_rate=0.0)
 
@@ -773,13 +773,159 @@ def test_reattachments_are_counted_and_reported():
     assert "reattachments" not in table.to_dict()
     budgeted = find_paths(env, log, "tr", "te", "c1", dataclasses.replace(CFG, search_steps=2))
     assert budgeted.reattachments == 0
+    # A budget too large to stop still runs find_paths, which reports its re-attachments.
+    large = evaluate(env, log, "tr", "te", "c1", 10.0, dataclasses.replace(CFG, search_steps=1000))
+    assert large.diagnostics["search_reattached"] == 2
+    assert large.diagnostics["search_stop"] == "exhausted"
+    # Without a budget the label-setting search settles each agent once.
     report = evaluate(env, log, "tr", "te", "c1", 10.0, CFG)
-    assert report.diagnostics["search_reattached"] == 2
+    tree = indirect.settle_paths(env, "tr", "te", "c1", CFG)
+    assert report.diagnostics["search_reattached"] == 0
+    assert report.diagnostics["search_expansions"] == len(tree.order) == len(table.rows)
 
 
 def test_search_without_a_better_chain_reattaches_nothing():
     log = two_chain_log()
     assert find_paths(env_of(log), log, "tr", "te", "c1", CFG).reattachments == 0
+
+
+# --- label-setting search ----------------------------------------------------
+
+def settled_labels(tree) -> dict:
+    """agent id -> (product, hops) of every settled agent."""
+    return {tree.ids[a]: (tree.trust[a], tree.hops[a]) for a in tree.order}
+
+
+def test_settle_paths_keeps_each_agents_best_chain():
+    log = twice_rescaled_log()
+    env = env_of(log)
+    tree = indirect.settle_paths(env, "tr", "te", "c1", CFG)
+    assert tree.ids[tree.order[0]] == "tr"
+    assert tree.chain(env.index["y1"]) == ["tr", "b", "y1"]
+    assert tree.chain(env.index["z"]) == ["tr", "a", "z"]
+    table = find_paths(env, log, "tr", "te", "c1", CFG)
+    assert settled_labels(tree) == {
+        agent: (row.cum_trust, len(row.path)) for agent, row in table.rows.items()
+    }
+    assert tree.discovered == len(table.trustee_rows) == 3
+    assert [tree.ids[a] for a, _, _ in tree.retained(0.5)] == ["y1", "y2", "z"]
+
+
+def test_settle_paths_breaks_a_tied_product_by_fewer_hops():
+    # tr -> x -> m -> a and tr -> y -> a both carry 0.5.  m settles before y
+    # and reaches a first, then y's shorter chain replaces it.
+    log = [
+        rec("tr", "x", 1.0),
+        rec("x", "m", 1.0),
+        rec("m", "a", 0.5),
+        rec("tr", "y", 0.5),
+        rec("y", "a", 1.0),
+        rec("a", "te", 0.6),
+    ]
+    env = env_of(log)
+    tree = indirect.settle_paths(env, "tr", "te", "c1", CFG)
+    assert [tree.ids[a] for a in tree.order] == ["tr", "x", "m", "y", "a"]
+    assert tree.chain(env.index["a"]) == ["tr", "y", "a"]
+    assert (tree.trust[env.index["a"]], tree.hops[env.index["a"]]) == (0.5, 2)
+    value = indirect.aggregate_settled(tree, 0.4, 0.9)
+    assert value == 0.6 * 0.9**3
+
+
+def test_settle_paths_rejects_what_find_paths_rejects():
+    env = env_of(two_chain_log())
+    with pytest.raises(UnknownAgentError):
+        indirect.settle_paths(env, "nobody", "te", "c1", CFG)
+    with pytest.raises(UnknownAgentError):
+        indirect.settle_paths(env, "tr", "nobody", "c1", CFG)
+    with pytest.raises(ValueError, match="must differ"):
+        indirect.settle_paths(env, "tr", "tr", "c1", CFG)
+
+
+def corrupt(tree, **changes):
+    """A copy of ``tree`` whose lists are copied, then changed per agent index."""
+    copy = dataclasses.replace(
+        tree,
+        order=list(tree.order),
+        trust=list(tree.trust),
+        hops=list(tree.hops),
+        parent=list(tree.parent),
+    )
+    for name, (agent, value) in changes.items():
+        getattr(copy, name)[agent] = value
+    return copy
+
+
+def test_tree_check_names_the_broken_rule():
+    log = two_chain_log()
+    env = env_of(log)
+    tree = indirect.settle_paths(env, "tr", "te", "c1", CFG)
+    at = env.index
+    tree.check(env, CFG.trust_threshold)
+    cases = [
+        (corrupt(tree, trust=(at["a1"], 0.7)), "is not its parent's times the hop"),
+        (corrupt(tree, parent=(at["a1"], at["a2"])), "not settled before it"),
+        (corrupt(tree, hops=(at["a1"], 5)), "not settled before it"),
+        (corrupt(tree, parent=(at["a2"], at["x1"])), "untrusted hop 'x1'->'a2'"),
+        (corrupt(tree, trust=(at["tr"], 0.5)), "is not settled first"),
+    ]
+    twice = corrupt(tree)
+    twice.order.append(twice.order[-1])
+    cases.append((twice, "is settled twice"))
+    for broken, message in cases:
+        with pytest.raises(InvariantError, match=message):
+            broken.check(env, CFG.trust_threshold)
+
+
+def test_tree_check_refuses_a_hop_into_the_trustee_or_a_directly_trusted_agent():
+    # x1 -> x2 carries 0.81, more than tr -> x2, but tr trusts x2 directly.
+    log = [rec("tr", "x1", 0.9), rec("tr", "x2", 0.8), rec("x1", "x2", 0.9), rec("x1", "te", 0.9)]
+    env = env_of(log)
+    tree = indirect.settle_paths(env, "tr", "te", "c1", CFG)
+    at = env.index
+    reparented = corrupt(tree, parent=(at["x2"], at["x1"]), hops=(at["x2"], 2))
+    reparented.trust[at["x2"]] = tree.trust[at["x1"]] * 0.9
+    with pytest.raises(InvariantError, match="'x2', trusted directly, is entered past"):
+        reparented.check(env, CFG.trust_threshold)
+    entered = corrupt(tree, parent=(at["te"], at["x1"]), hops=(at["te"], 2))
+    entered.trust[at["te"]] = tree.trust[at["x1"]] * 0.9
+    entered.order.append(at["te"])
+    with pytest.raises(InvariantError, match="trustee 'te' is settled"):
+        entered.check(env, CFG.trust_threshold)
+
+
+TIED_RATINGS = [0.5, 0.75, 1.0, 1.0]
+
+
+@st.composite
+def tied_logs(draw):
+    """Chains from A, each through B or C and on over up to three of D-G.
+
+    Each hop is rated 0.5, 0.75 or 1 (twice as often), mostly on c1.  An
+    edge keeps its first rating per category, so each edge weight is one
+    rating or the mean of two: every chain's product is exact in doubles,
+    and many chains tie on their product.  A trusts only B and C directly,
+    so the other agents are reached over chains of two hops or more.
+    """
+    rated = {}
+    for _ in range(draw(st.integers(2, 6))):
+        first = draw(st.sampled_from(["B", "C"]))
+        chain = [first] + draw(st.lists(st.sampled_from(AGENTS[3:7]), max_size=3, unique=True))
+        for a, b in zip(["A"] + chain, chain):
+            key = (a, b, draw(st.sampled_from(["c1", "c1", "c2"])))
+            rated.setdefault(key, draw(st.sampled_from(TIED_RATINGS)))
+    return [rec(a, b, rating, c) for (a, b, c), rating in rated.items()]
+
+
+@given(tied_logs(), st.sampled_from([0.0, 0.5, 0.6, 0.8]))
+@settings(max_examples=300, deadline=None)
+def test_settled_labels_equal_the_exhaustive_best_paths_on_tied_products(log, threshold):
+    env = env_of(log)
+    cfg = dataclasses.replace(CFG, trust_threshold=threshold)
+    for trustee in sorted(env.agents.keys() - {"A"}):
+        for category in ("c1", "c2"):
+            tree = indirect.settle_paths(env, "A", trustee, category, cfg)
+            labels = best_paths(env, "A", trustee, category, threshold)
+            assert settled_labels(tree) == {a: (p, h) for a, (p, h, _) in labels.items()}
 
 
 # --- the search's rules, against references built from the inputs ----------

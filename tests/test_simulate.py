@@ -12,6 +12,7 @@ from trustnet import (
     generate,
     latent_qualities,
 )
+from trustnet import simulate
 
 
 def serialized(params):
@@ -123,6 +124,23 @@ def test_param_validation():
         GenParams(seed=1, time_horizon=0.0)
     with pytest.raises(ValueError):
         generate(GenParams(seed=1, n_agents=2, n_interactions=5, newcomer_fraction=0.6))
+
+
+@pytest.mark.parametrize(
+    "field, low, high",
+    [
+        ("n_agents", 2, simulate.MAX_AGENTS),
+        ("n_categories", 1, simulate.MAX_CATEGORIES),
+        ("n_interactions", 0, simulate.MAX_INTERACTIONS),
+    ],
+)
+def test_counts_are_bounded_on_both_sides(field, low, high):
+    # Only GenParams is made: nothing is drawn or allocated at these counts.
+    for value in (low, high):
+        assert getattr(GenParams(seed=1, **{field: value}), field) == value
+    for value in (low - 1, high + 1, 10**11):
+        with pytest.raises(ValueError, match=rf"^{field} must lie in \[{low}, {high}\]$"):
+            GenParams(seed=1, **{field: value})
 
 
 @pytest.mark.parametrize(
