@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 from .composite import evaluate
 from .core import InvariantError, TrustConfig, TrustError, build_environment
 from .indirect import find_paths
-from .oracles import compare_indirect, compare_reputation, refuse_budgets
+from .oracles import compare_indirect, compare_reputation
 from .persist import (
     dump_log,
     dump_profiles,
@@ -203,7 +203,7 @@ def _cmd_snapshot(args) -> int:
             {
                 "path": args.out,
                 "agents": len(env.ids),
-                "edges": len(env.edges),
+                "edges": len(env.dst),
                 "with_reputation": model is not None,
                 "checksum": checksum,
             }
@@ -215,7 +215,7 @@ def _cmd_snapshot(args) -> int:
             "snapshot_time": env.snapshot_time,
             "decay_rate": env.decay_rate,
             "agents": len(env.ids),
-            "edges": len(env.edges),
+            "edges": len(env.dst),
             "has_reputation": model is not None,
         }
     )
@@ -225,8 +225,6 @@ def _cmd_snapshot(args) -> int:
 def _cmd_oracle(args) -> int:
     config = load_config(args.config) if args.config else TrustConfig()
     suites = ("indirect", "reputation") if args.suite == "all" else (args.suite,)
-    for suite in suites:  # refuse every budget before the first suite runs
-        refuse_budgets(config, suite)
     payload = {}
     if "indirect" in suites:
         payload["indirect"] = compare_indirect(

@@ -5,8 +5,9 @@ the indirect weight with the number of surviving propagation paths, and
 whatever weight the evidence cannot claim falls to reputation, which is
 always computable.  The evidence bar is the average per-participant
 interaction count on the category.  The paths come from the label-setting
-search (:func:`settle_paths`) unless the config sets a search budget, which
+search (:func:`settle_paths`) unless the config sets ``search_steps``, which
 only the best-first :func:`find_paths` can honour (see :func:`evaluate`).
+Nothing here reads the clock: a report depends only on its snapshot and config.
 """
 
 from __future__ import annotations
@@ -127,14 +128,15 @@ def evaluate(
 
     The indirect component comes from one of two searches:
 
-    - a config that sets neither ``search_steps`` nor ``search_seconds``
-      runs :func:`settle_paths`.  ``diagnostics.paths`` lists the kept
+    - a config that leaves ``search_steps`` unset runs
+      :func:`settle_paths`.  ``diagnostics.paths`` lists the kept
       advisors in settle order, ``search_expansions`` counts the agents
       settled, ``search_reattached`` is 0 and ``search_stop`` "exhausted";
-    - a config with a budget runs :func:`find_paths`.  ``diagnostics.paths``
-      lists the kept advisors in discovery order, ``search_expansions``
-      counts its expansions, ``search_reattached`` its re-attachments, and
-      ``search_stop`` says whether the search ran out or a budget stopped it.
+    - a config that sets ``search_steps`` runs :func:`find_paths`.
+      ``diagnostics.paths`` lists the kept advisors in discovery order,
+      ``search_expansions`` counts its expansions, ``search_reattached`` its
+      re-attachments, and ``search_stop`` says whether the search ran out
+      ("exhausted") or the step budget stopped it ("steps").
 
     Both feed :func:`indirect.combine_paths`, so on a search that runs to
     its end the two agree on every report number (to summation order,
@@ -170,7 +172,7 @@ def evaluate(
         )
 
     direct_result = direct_trust(env, trustor, trustee, category)
-    if config.search_steps is None and config.search_seconds is None:
+    if config.search_steps is None:
         tree = settle_paths(env, trustor, trustee, category, config)
         indirect_value = aggregate_settled(tree, config.path_threshold, config.path_decay)
         kept = [

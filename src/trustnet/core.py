@@ -472,8 +472,8 @@ class TrustConfig:
     trust_threshold / path_threshold in [0, 1]; decay_rate / recency_rate
     >= 0; path_decay in (0, 1]; damping in (0, 1); tolerance > 0;
     max_iterations >= 1.  ``search_steps`` caps the number of node
-    expansions for reproducible searches; ``search_seconds`` and
-    ``pagerank_seconds`` are wall-clock budgets.  ``None`` means unlimited.
+    expansions of the path search; ``None`` means unlimited.  No field is a
+    wall-clock budget, so an answer depends only on its snapshot and config.
     Each field is checked when the config is made, by its row of
     ``CONFIG_BOUNDS``, and errors name the wire key: a value of the wrong
     type raises TypeError, a non-finite or out-of-bound one ValueError.
@@ -488,8 +488,6 @@ class TrustConfig:
     tolerance: float = 1e-10
     max_iterations: int = 1000
     search_steps: Optional[int] = None
-    search_seconds: Optional[float] = None
-    pagerank_seconds: Optional[float] = None
 
     def __post_init__(self):
         for name, (key, kind, unlimited, bound, within) in CONFIG_BOUNDS.items():
@@ -521,8 +519,6 @@ CONFIG_BOUNDS = {
     "tolerance": ("epsilon", "number", False, "must be > 0", lambda x: x > 0),
     "max_iterations": ("max_iter", "integer", False, "must be >= 1", lambda x: x >= 1),
     "search_steps": ("search_steps", "integer", True, "must be >= 0", lambda x: x >= 0),
-    "search_seconds": ("search_seconds", "number", True, "must be >= 0", lambda x: x >= 0),
-    "pagerank_seconds": ("pagerank_seconds", "number", True, "must be >= 0", lambda x: x >= 0),
 }
 
 

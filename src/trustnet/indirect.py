@@ -6,13 +6,13 @@ skipped (first-hand evidence outranks a recommendation chain).
 
 - :func:`settle_paths`, a label-setting search, settles each reached agent
   once with its best chain: the largest product of hop weights, then the
-  fewest hops.  It answers every ``evaluate`` whose config sets neither
-  ``search_steps`` nor ``search_seconds``.
+  fewest hops.  It answers every ``evaluate`` whose config leaves
+  ``search_steps`` unset.
 - :func:`find_paths`, a best-first search, grows a table of reached agents
   ordered by the product of cumulative propagation probability and
   cumulative trust, re-attaching an agent when a chain of more trust
-  reaches it.  It answers budgeted ``evaluate`` calls, since only it can
-  stop after k expansions or at a deadline, and the CLI ``paths`` command.
+  reaches it.  It answers ``evaluate`` calls under ``search_steps``, since
+  only it can stop after k expansions, and the CLI ``paths`` command.
 
 Each agent holding ratings of the trustee contributes one candidate path;
 the aggregation step (:func:`combine_paths`, shared by both searches)
@@ -24,7 +24,6 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-import time as _time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -71,7 +70,7 @@ class PropagationTable:
     """Search state and result: reached agents plus trustee-path records.
 
     ``stop_reason`` says why the search ended: ``"exhausted"`` (the frontier
-    emptied), ``"steps"`` or ``"seconds"`` (a budget ran out first), and
+    emptied) or ``"steps"`` (the ``search_steps`` budget ran out first), and
     ``reattachments`` counts the reached agents moved onto a chain of more
     trust.  Both are left out of :meth:`to_dict`, which dumps only the table.
     :func:`find_paths` makes each row once, on return; rows share path tuples.
@@ -282,9 +281,9 @@ def find_paths(
     """Best-first search for trust propagation paths from trustor to trustee.
 
     Only ``env`` is read; ``log`` is ignored.  ``evaluate`` runs it only
-    under a search budget (``search_steps`` or ``search_seconds``); without
-    one it runs :func:`settle_paths`, which reaches the same agents with the
-    same trust, and this table stays what the CLI ``paths`` command prints.
+    under ``search_steps``; without it, it runs :func:`settle_paths`, which
+    reaches the same agents with the same trust, and this table stays what
+    the CLI ``paths`` command prints.
     ``expansions`` counts the agents popped and expanded, an agent once per
     chain it was attached on, and ``reattachments`` the moves onto a chain
     of more trust.
@@ -301,8 +300,8 @@ def find_paths(
     subtrees; each rescaled frontier row is pushed once per expansion, with
     its final key, so a step costs O(qualifying neighbours · log frontier)
     plus the rows its re-attachments rescale.  The search stops when the
-    frontier empties or the step / wall-clock budget runs out, and records
-    which in ``stop_reason``.
+    frontier empties or the step budget runs out, and records which in
+    ``stop_reason``.
 
     The search runs on agent indices, whose order is id order, so every
     tie breaks as it would on ids.  Lists by index hold each agent's
@@ -347,20 +346,16 @@ def find_paths(
     excluded = excluded_first.union(dst[ptr[root] : ptr[root + 1]])
     # advisor -> its path when last expanded, in discovery order
     found: dict[int, tuple[AgentId, ...]] = {}
-    steps, seconds = config.search_steps, config.search_seconds
+    steps = config.search_steps
     expansions = reattachments = 0
     frontier = {root}
     heap = [(-1.0, root)]
     heappush, heappop = heapq.heappush, heapq.heappop
     moved: set[int] = set()
-    started = _time.monotonic()
 
     while frontier:
         if steps is not None and expansions >= steps:
             table.stop_reason = "steps"
-            break
-        if seconds is not None and _time.monotonic() - started >= seconds:
-            table.stop_reason = "seconds"
             break
         # Lazy deletion: an entry is live while its agent is on the frontier
         # with that key; every expansion pushes each key it changed.
@@ -542,7 +537,7 @@ def settle_paths(
     never improves its label, and the settled label is the best over every
     qualifying simple path: the one :func:`oracles.best_paths` enumerates.
     Each agent keeps one parent index; nothing is re-attached or rescaled.
-    ``config``'s search budgets and recency rate are not read: the search
+    ``config``'s ``search_steps`` and recency rate are not read: the search
     always runs to the end, and it ranks by trust alone.  The tree goes
     through :meth:`SettledPaths.check`.
     """

@@ -326,10 +326,13 @@ def compare_indirect(
     values (``engine`` and ``settled``) and the larger ``deviation`` (None
     when either engine value is on one side only); ``max_deviation`` is the
     largest numeric one.  ``acyclic`` and ``cyclic`` count the instances of
-    each kind, as a record of coverage.  A search budget raises ValueError.
+    each kind, as a record of coverage.  A config that sets
+    ``search_steps`` raises ValueError: a search it stops is not expected to
+    match the exhaustive answer.
     """
     cfg = config or TrustConfig()
-    refuse_budgets(cfg, "indirect")
+    if cfg.search_steps is not None:
+        raise ValueError("search_steps must be null for an oracle comparison")
     report = {
         "instances": 0,
         "acyclic": 0,
@@ -380,18 +383,6 @@ def compare_indirect(
     return report
 
 
-# The config fields each suite refuses: a budgeted run is not expected to
-# match the exhaustive answer.
-BUDGETS = {"indirect": ("search_steps", "search_seconds"), "reputation": ("pagerank_seconds",)}
-
-
-def refuse_budgets(cfg: TrustConfig, suite: str) -> None:
-    """Raise ValueError naming the first of ``BUDGETS[suite]`` that ``cfg`` sets."""
-    for name in BUDGETS[suite]:
-        if getattr(cfg, name) is not None:
-            raise ValueError(f"{name} must be null for an oracle comparison")
-
-
 def reputation_instance(
     seed: int, max_agents: int = 50
 ) -> tuple[list[AgentProfile], list[Interaction]]:
@@ -407,10 +398,9 @@ def compare_reputation(
 ) -> dict:
     """Sparse engine pipeline vs dense oracle over seeded instances.
 
-    A node-set mismatch has no deviation; a pagerank budget raises ValueError.
+    A node-set mismatch has no deviation.
     """
     cfg = config or TrustConfig()
-    refuse_budgets(cfg, "reputation")
     report = {
         "instances": 0,
         "mismatches": 0,

@@ -31,14 +31,16 @@ from .core import (
 from .reputation import ReputationModel, check_bound, node_indices
 
 SNAPSHOT_FORMAT = "trustnet-snapshot"
-SNAPSHOT_VERSION = 6
+SNAPSHOT_VERSION = 7
 
-# The arrays after a snapshot's header line, in file order; the model's two
-# follow only when the header has a reputation block.  ``profile`` indexes
-# the header's distinct profiles and ``nodes`` the agents.  The float arrays
-# are "<f8", the others "<i8"; no array stores its length (see _parse_body).
+# The arrays after a snapshot's header line, in file order; the model's
+# ``vector`` follows only when the header has a reputation block.  ``profile``
+# indexes the header's distinct profiles.  The model's nodes are not stored:
+# they are the environment's node set at the model's threshold.  The float
+# arrays are "<f8", the others "<i8"; no array stores its length (see
+# _parse_body).
 ENV_ARRAYS = Environment.ARRAYS
-MODEL_ARRAYS = ("nodes", "vector")
+MODEL_ARRAYS = ("vector",)
 FLOAT_ARRAYS = ("decayed_trust", "mean_rating", "last_time", "vector")
 # The model's scalars, kept in the header line.
 _MODEL_FIELDS = ("iterations_used", "stop_reason", "params")
@@ -279,8 +281,7 @@ def save_snapshot(
     arrays = {name: getattr(env, name) for name in ENV_ARRAYS}
     if model is not None:
         check_bound(model, env)
-        nodes = node_indices(env, model.params["trust_threshold"])
-        arrays.update(nodes=nodes, vector=model.vector)
+        arrays.update(vector=model.vector)
     header = {"format": SNAPSHOT_FORMAT, "version": SNAPSHOT_VERSION}
     header.update(snapshot_time=env.snapshot_time, decay_rate=env.decay_rate)
     document = {
@@ -375,8 +376,9 @@ def _parse_body(data: bytes, size: int) -> tuple[Environment, Optional[Reputatio
     No array stores its length: each is read, in file order, from what was
     read and checked before it.  ``profile`` has one entry per agent and
     ``indptr`` one more, ``dst`` has ``indptr[-1]`` entries and ``cat_ptr``
-    one more, the five row arrays ``cat_ptr[-1]`` each, and ``nodes`` and
-    ``vector`` one per node of the environment at the model's threshold.
+    one more, the five row arrays ``cat_ptr[-1]`` each, and ``vector`` one
+    per node of the environment at the model's threshold, which gives the
+    model its nodes.
     """
     end = data.find(b"\n", 0, size)
     document = _decode(data[: end if end >= 0 else size], _malformed)
@@ -442,13 +444,9 @@ def _parse_body(data: bytes, size: int) -> tuple[Environment, Optional[Reputatio
         return env, None
 
     # The config rule, then the node set at the model's threshold.
-    expected = node_indices(env, TrustConfig(**rep["params"]).trust_threshold)
-    nodes, vector = take("nodes", len(expected)), take("vector", len(expected))
+    nodes = node_indices(env, TrustConfig(**rep["params"]).trust_threshold)
+    vector = take("vector", len(nodes))
     _require(offset == size, "unexpected bytes after the arrays")
-    _require(
-        np.array_equal(nodes, expected),
-        "reputation nodes are not the environment's node set at the model's trust threshold",
-    )
     fields = {k: rep[k] for k in _MODEL_FIELDS}
     try:
         return env, ReputationModel(env.id_array[nodes].tolist(), vector, **fields, env=env)

@@ -10,7 +10,6 @@ damped chain, max-normalized to [0, 1], is the reputation.
 from __future__ import annotations
 
 import bisect
-import time as _time
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -53,7 +52,7 @@ class PropagationMatrix:
 
 
 # The config fields a reputation model depends on.
-MODEL_PARAMS = ("trust_threshold", "damping", "tolerance", "max_iterations", "pagerank_seconds")
+MODEL_PARAMS = ("trust_threshold", "damping", "tolerance", "max_iterations")
 
 
 def model_params(config: TrustConfig) -> dict:
@@ -67,8 +66,8 @@ class ReputationModel:
 
     ``params`` holds the config values the model was built with (see
     :func:`model_params`).  ``stop_reason`` says why the power iteration
-    ended: ``"converged"``, or the ``"iterations"`` or ``"seconds"`` budget
-    ran out; ``converged`` and ``mean_reputation`` are derived.  A model is
+    ended: ``"converged"``, or ``"iterations"`` when ``max_iterations`` ran
+    out; ``converged`` and ``mean_reputation`` are derived.  A model is
     checked when it is made: one no build could make raises ValueError.  It
     is then frozen and holds ``nodes`` as a tuple and ``vector`` as a
     read-only view, so it stays as checked: a snapshot saved with it loads.
@@ -92,7 +91,7 @@ class ReputationModel:
         used, params, stop = self.iterations_used, self.params, self.stop_reason
         for name, ok in (
             ("iterations_used", type(used) is int),
-            ("stop_reason", stop in ("converged", "iterations", "seconds")),
+            ("stop_reason", stop in ("converged", "iterations")),
             ("params", type(params) is dict and set(params) == set(MODEL_PARAMS)),
         ):
             if not ok:
@@ -100,13 +99,9 @@ class ReputationModel:
                 raise ValueError(f"reputation {name} {value!r} has the wrong type or value")
         TrustConfig(**params)
         cap = params["max_iterations"]
-        # How a build ends: an empty node set at once, the power iteration after
-        # at least one step, at the cap, or below it on a time budget.
-        ends = {
-            "converged": used >= 1,
-            "iterations": used == cap,
-            "seconds": used < cap and params["pagerank_seconds"] is not None,
-        }
+        # How a build ends: an empty node set at once, the power iteration
+        # converged after at least one step, or at the cap.
+        ends = {"converged": used >= 1, "iterations": used == cap}
         nodes, vector = self.nodes, self.vector
         ended = ends[stop] if nodes else (used, stop) == (0, "converged")
         for ok, problem in (
@@ -211,7 +206,6 @@ def pagerank(
     damping: float,
     tolerance: float,
     max_iterations: int,
-    time_budget: Optional[float] = None,
 ) -> tuple[np.ndarray, int, str]:
     """Damped power iteration: v <- damping * M^T v + (1 - damping) * e.
 
@@ -219,9 +213,8 @@ def pagerank(
     E^T v is one ``bincount`` over E's row-major entries: each sum runs over
     ascending source rows from 0.0, as a CSR product with E^T does.  Starts
     from the uniform vector e and stops when the L1 change drops to
-    ``tolerance``, the iteration cap is hit, or the wall-clock budget runs
-    out.  Returns (vector, iterations, stop_reason), the reason
-    ``"converged"``, ``"iterations"`` or ``"seconds"``.
+    ``tolerance`` or the iteration cap is hit.  Returns (vector, iterations,
+    stop_reason), the reason ``"converged"`` or ``"iterations"``.
     """
     n = len(matrix.spread)
     if n == 0:
@@ -230,13 +223,9 @@ def pagerank(
     share = matrix.spread / max(n - 1, 1)
     uniform = np.full(n, 1.0 / n)
     vec = uniform.copy()
-    started = _time.monotonic()
     iterations = 0
     stop_reason = "iterations"
     while iterations < max_iterations:
-        if time_budget is not None and _time.monotonic() - started >= time_budget:
-            stop_reason = "seconds"
-            break
         spread_in = float(share @ vec) - share * vec
         shared_in = np.bincount(cols, weights=data * vec.take(rows), minlength=n)
         nxt = damping * (shared_in + spread_in) + (1.0 - damping) * uniform
@@ -256,7 +245,7 @@ def build_reputation(env: Environment, config: TrustConfig) -> ReputationModel:
     if nodes:
         matrix = propagation_matrix(env, nodes, config.trust_threshold)
         raw, iterations, stop_reason = pagerank(
-            matrix, config.damping, config.tolerance, config.max_iterations, config.pagerank_seconds
+            matrix, config.damping, config.tolerance, config.max_iterations
         )
         vector = raw / raw.max()
     return ReputationModel(

@@ -13,6 +13,7 @@ from trustnet import (
     AgentProfile, Interaction, TrustConfig, build_environment, build_reputation, save_snapshot,
 )
 from trustnet.persist import ENV_ARRAYS, FLOAT_ARRAYS, MODEL_ARRAYS
+from trustnet.reputation import node_indices
 
 AGENTS = ["A", "B", "C", "D", "E", "F", "G", "H"]
 CATEGORIES = ["c1", "c2", "c3"]
@@ -61,8 +62,8 @@ def snapshot_body(path) -> bytes:
 
 
 # Each snapshot array's entry count, from the header's agent count ``n``, the
-# arrays read before it and the bytes ``left`` after those, which ``nodes``
-# and ``vector`` share evenly; no array stores its own.
+# arrays read before it and the bytes ``left`` after those, all ``vector``'s;
+# no array stores its own.
 ARRAY_LENGTHS = {
     "profile": lambda n, arrays, left: n,
     "indptr": lambda n, arrays, left: n + 1,
@@ -70,8 +71,7 @@ ARRAY_LENGTHS = {
     "cat_ptr": lambda n, arrays, left: len(arrays["dst"]) + 1,
     # the five row arrays after cat_ptr
     **{name: lambda n, arrays, left: int(arrays["cat_ptr"][-1]) for name in ENV_ARRAYS[4:]},
-    "nodes": lambda n, arrays, left: left // 16,
-    "vector": lambda n, arrays, left: len(arrays["nodes"]),
+    "vector": lambda n, arrays, left: left // 8,
 }
 
 
@@ -102,15 +102,39 @@ def write_snapshot(path, document: dict, arrays: dict) -> None:
     rewrite_body(path, b"".join(parts))
 
 
-def write_version_5_snapshot(path, log) -> None:
-    """Write a version 5 file of ``log``'s environment at time 42 and its model.
+def version_6_snapshot(path, log) -> tuple[dict, dict]:
+    """The header document and arrays of a version 6 file of ``log``'s environment
+    at time 42 and its model, as :func:`read_snapshot` gives them.
 
-    Version 5 wrote each array in ``.npy`` format, its length and dtype in
-    a header of its own.
+    Version 6 stored the model's node indices in a ``nodes`` array before
+    ``vector``, and its ``params`` held ``pagerank_seconds``.  ``path`` is
+    left holding the current version's file.
     """
     env = build_environment(log, 42.0)
     save_snapshot(env, path, build_reputation(env, TrustConfig()))
     document, arrays = read_snapshot(path)
+    document["header"]["version"] = 6
+    document["reputation"]["params"]["pagerank_seconds"] = None
+    vector = arrays.pop("vector")
+    arrays.update(nodes=node_indices(env, TrustConfig().trust_threshold), vector=vector)
+    return document, arrays
+
+
+def write_version_6_snapshot(path, log) -> None:
+    """Write a version 6 file (see :func:`version_6_snapshot`): raw arrays back to back."""
+    document, arrays = version_6_snapshot(path, log)
+    parts = [json.dumps(document).encode() + b"\n"]
+    parts += [np.ascontiguousarray(values).tobytes() for values in arrays.values()]
+    rewrite_body(path, b"".join(parts))
+
+
+def write_version_5_snapshot(path, log) -> None:
+    """Write a version 5 file of ``log``'s environment at time 42 and its model.
+
+    Version 5 held version 6's arrays, each written in ``.npy`` format, its
+    length and dtype in a header of its own.
+    """
+    document, arrays = version_6_snapshot(path, log)
     document["header"]["version"] = 5
     buffer = io.BytesIO()
     buffer.write(json.dumps(document).encode() + b"\n")

@@ -1,18 +1,20 @@
 import hashlib
 import json
 
-import numpy as np
 import pytest
 
 from trustnet import (
     GenParams, Interaction, InvariantError, PropagationTable, aggregate, build_environment,
-    dump_log, dump_profiles, generate, oracles, parse_log, parse_profiles,
+    dump_log, dump_profiles, generate, load_snapshot, oracles, parse_log, parse_profiles,
+    reputation_nodes,
 )
 from trustnet import cli
 from trustnet.cli import main
 from trustnet.persist import SNAPSHOT_VERSION
 
-from helpers import read_snapshot, rec, write_snapshot, write_version_5_snapshot
+from helpers import (
+    read_snapshot, rec, write_snapshot, write_version_5_snapshot, write_version_6_snapshot,
+)
 
 
 @pytest.fixture
@@ -154,12 +156,22 @@ def test_reputation_with_zero_threshold_and_zero_ratings(capsys, tmp_path):
     assert payload["vector"] == [1.0, 1.0]
 
 
+# The keys of the removed wall-clock budgets: a config file that holds one
+# is refused like any other unknown key, before its value is read.
+REMOVED_KEYS = ("search_seconds", "pagerank_seconds")
+
+
+def problem_of(key: str, problem: str) -> str:
+    """The error a config file holding ``key`` ends in: ``problem``, or unknown for a removed key."""
+    return f"error: unknown config key: {key!r}" if key in REMOVED_KEYS else f"error: {problem}"
+
+
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
 @pytest.mark.parametrize(
     "key",
     [
         "theta_r", "theta_r_p", "lambda_d", "lambda_p", "d", "q", "epsilon",
-        "max_iter", "search_steps", "search_seconds", "pagerank_seconds",
+        "max_iter", "search_steps", *REMOVED_KEYS,
     ],
 )
 def test_non_finite_config_value_is_input_error(capsys, world, key, value):
@@ -171,7 +183,23 @@ def test_non_finite_config_value_is_input_error(capsys, world, key, value):
     )
     assert code == 1
     assert out == ""
-    assert f"error: {key} must be" in err
+    assert problem_of(key, f"{key} must be") in err
+
+
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+@pytest.mark.parametrize("command", ["eval", "oracle"])
+def test_removed_budget_key_is_an_unknown_config_key(capsys, world, key, command):
+    config = world["tmp"] / "cfg.json"
+    config.write_text(json.dumps({key: 1.0}))
+    argv = {
+        "eval": ["eval", "--log", world["log"], "--trustor", "a0", "--trustee", "a3",
+                 "--category", "c0", "--time", "100"],
+        "oracle": ["oracle", "--seeds", "1", "--rep-seeds", "1"],
+    }[command]
+    code, out, err = run(capsys, argv + ["--config", str(config)])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: unknown config key: {key!r}\n"
 
 
 @pytest.mark.parametrize("time", ["inf", "nan"])
@@ -362,20 +390,22 @@ def test_oracle_refuses_a_budgeted_config_naming_the_key(capsys, tmp_path, key, 
     code, out, err = run(capsys, ["oracle", "--suite", suite, "--config", str(config)])
     assert code == 1
     assert out == ""
-    assert f"error: {key} must be null for an oracle comparison" in err
+    assert problem_of(key, f"{key} must be null for an oracle comparison") in err
 
 
 def test_oracle_refuses_every_budget_before_running_a_suite(capsys, tmp_path, monkeypatch):
     def ran(*args, **kwargs):
-        raise AssertionError("the indirect suite ran before the budget was refused")
+        raise AssertionError("a suite did work before the budget was refused")
 
-    monkeypatch.setattr(cli, "compare_indirect", ran)
+    # The indirect suite runs first and refuses the budget before its first instance.
+    monkeypatch.setattr(oracles, "indirect_instance", ran)
+    monkeypatch.setattr(cli, "compare_reputation", ran)
     config = tmp_path / "budget.json"
-    config.write_text(json.dumps({"pagerank_seconds": 0}))
+    config.write_text(json.dumps({"search_steps": 0}))
     code, out, err = run(capsys, ["oracle", "--suite", "all", "--config", str(config)])
     assert code == 1
     assert out == ""
-    assert "error: pagerank_seconds must be null for an oracle comparison" in err
+    assert err == "error: search_steps must be null for an oracle comparison\n"
 
 
 def test_invariant_violation_exits_two(capsys, world, monkeypatch):
@@ -424,8 +454,8 @@ def test_snapshot_with_a_stale_model_is_input_error(capsys, world):
     assert run(capsys, argv + ["--with-reputation"])[0] == 0
     document, arrays = read_snapshot(snap)
     # A model over one node fewer than the environment's node set: the file
-    # holds as many nodes as the environment has, so it ends too soon.
-    arrays.update(nodes=arrays["nodes"][1:], vector=arrays["vector"][1:])
+    # ends too soon for the node set its threshold gives.
+    arrays.update(vector=arrays["vector"][1:])
     write_snapshot(snap, document, arrays)
     code, out, err = run(capsys, ["snapshot", "load", "--in", str(snap)])
     assert code == 1
@@ -440,14 +470,15 @@ def test_snapshot_with_a_model_over_another_node_set_is_input_error(capsys, worl
     argv = ["snapshot", "save", "--log", world["log"], "--time", "100", "--out", str(snap)]
     assert run(capsys, argv + ["--config", str(config), "--with-reputation"])[0] == 0
     document, arrays = read_snapshot(snap)
-    # As many nodes as the environment's node set, one of them another agent.
-    outside = np.setdiff1d(np.arange(len(document["agents"])), arrays["nodes"])
-    arrays["nodes"][-1] = outside[-1]
-    arrays["nodes"].sort()
+    # The vector of the node set at theta_r 0.9, its params saying the
+    # default 0.5: the file holds no nodes, and the larger node set at 0.5
+    # wants a longer vector.
+    env, _ = load_snapshot(snap)
+    assert len(reputation_nodes(env, 0.5)) > len(arrays["vector"])
+    document["reputation"]["params"]["trust_threshold"] = 0.5
     write_snapshot(snap, document, arrays)
     assert_input_error(
-        *run(capsys, ["snapshot", "load", "--in", str(snap)]),
-        "reputation nodes are not the environment's node set",
+        *run(capsys, ["snapshot", "load", "--in", str(snap)]), "array vector is truncated"
     )
 
 
@@ -615,6 +646,15 @@ def test_version_5_snapshot_is_input_error(capsys, tmp_path):
     assert_input_error(
         *run(capsys, ["snapshot", "load", "--in", str(snap)]),
         f"error: unsupported snapshot version 5, expected {SNAPSHOT_VERSION}",
+    )
+
+
+def test_version_6_snapshot_is_input_error(capsys, tmp_path):
+    snap = tmp_path / "v6.snap"
+    write_version_6_snapshot(snap, [rec("A", "B", 0.9), rec("B", "C", 0.6)])
+    assert_input_error(
+        *run(capsys, ["snapshot", "load", "--in", str(snap)]),
+        f"error: unsupported snapshot version 6, expected {SNAPSHOT_VERSION}",
     )
 
 

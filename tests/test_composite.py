@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from trustnet import (
     dt_min,
     evaluate,
     find_paths,
+    load_snapshot,
+    save_snapshot,
 )
 
 from helpers import rec
@@ -297,10 +300,11 @@ def test_full_blend_combines_all_three_components():
 
 @pytest.mark.parametrize(
     "budget, reason",
-    [({}, "exhausted"), ({"search_steps": 2}, "steps"), ({"search_seconds": 0.0}, "seconds")],
+    [({}, "exhausted"), ({"search_steps": 2}, "steps"), ({"search_steps": 3}, "exhausted")],
 )
 def test_search_stop_reason_is_reported(budget, reason):
-    # the chain A -> C -> D -> B takes three expansions to exhaust
+    # the chain A -> C -> D -> B takes three expansions to exhaust, so a
+    # budget of three is never reached
     log = [
         rec("A", "C", 0.9, "c1", 1.0),
         rec("C", "D", 0.9, "c1", 2.0),
@@ -323,6 +327,23 @@ def test_reputation_stop_reason_is_reported():
     report = evaluate(env, log, "C", "E", "c1", 10.0, cfg)
     assert report.diagnostics["reputation_stop"] == "iterations"
     assert report.diagnostics["reputation"]["converged"] is False
+
+
+def test_the_engine_never_reads_the_clock(tmp_path, monkeypatch):
+    # No budget is in wall-clock time, so no answer depends on the host's speed.
+    def clock():
+        raise AssertionError("the engine read the clock")
+
+    for name in ("monotonic", "perf_counter", "time"):
+        monkeypatch.setattr(time, name, clock)
+    log = backdrop_log()
+    env = build_environment(log, 10.0, 0.0)
+    model = build_reputation(env, CFG)
+    for config in (CFG, TrustConfig(decay_rate=0.0, recency_rate=0.0, search_steps=1000)):
+        evaluate(env, log, "C", "E", "c1", 10.0, config, model)
+    find_paths(env, log, "C", "E", "c1", CFG)
+    save_snapshot(env, tmp_path / "w.snap", model)
+    assert load_snapshot(tmp_path / "w.snap") == (env, model)
 
 
 def test_reports_are_byte_identical_across_runs():

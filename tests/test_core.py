@@ -188,8 +188,6 @@ def test_config_defaults():
         ("tolerance", math.inf),
         ("max_iterations", math.inf),
         ("search_steps", math.nan),
-        ("search_seconds", math.inf),
-        ("pagerank_seconds", -math.inf),
         ("trust_threshold", math.nan),
     ],
 )
@@ -199,7 +197,7 @@ def test_config_rejects_non_finite_values(field, value):
 
 
 def test_config_none_means_unlimited_only_for_budgets():
-    TrustConfig(search_steps=None, search_seconds=None, pagerank_seconds=None)
+    TrustConfig(search_steps=None)
     with pytest.raises(TypeError):
         TrustConfig(tolerance=None)
 
@@ -436,7 +434,7 @@ def test_int_fields_of_the_config_take_only_ints():
         TrustConfig(damping=True)
 
 
-@pytest.mark.parametrize("field", ["tolerance", "max_iterations", "search_seconds"])
+@pytest.mark.parametrize("field", ["tolerance", "max_iterations", "search_steps"])
 def test_config_rejects_ints_beyond_the_float_range(field):
     with pytest.raises(ValueError, match="must be finite"):
         TrustConfig(**{field: HUGE})

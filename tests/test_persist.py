@@ -36,6 +36,7 @@ from trustnet import (
     load_snapshot,
     parse_log,
     parse_profiles,
+    reputation_nodes,
     save_snapshot,
 )
 from trustnet.cli import main
@@ -52,6 +53,7 @@ from helpers import (
     snapshot_body,
     write_snapshot,
     write_version_5_snapshot,
+    write_version_6_snapshot,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -196,8 +198,6 @@ def test_all_keys_accepted(tmp_path):
                 "epsilon": 1e-9,
                 "max_iter": 500,
                 "search_steps": 100,
-                "search_seconds": 1.5,
-                "pagerank_seconds": 2.0,
             }
         )
     )
@@ -211,8 +211,6 @@ def test_all_keys_accepted(tmp_path):
     assert cfg.tolerance == 1e-9
     assert cfg.max_iterations == 500
     assert cfg.search_steps == 100
-    assert cfg.search_seconds == 1.5
-    assert cfg.pagerank_seconds == 2.0
 
 
 # --- snapshots -----------------------------------------------------------------
@@ -336,19 +334,23 @@ def model_stops(used, stop, **params):
     return corrupt
 
 
-def no_nodes(used, stop, **params):
+def no_nodes(used, stop):
     """The model block of an empty node set (no edge of SMALL_WORLD weighs 1), stopping as given."""
     def corrupt(document, arrays):
-        model_stops(used, stop, trust_threshold=1.0, **params)(document, arrays)
-        arrays.update(nodes=np.zeros(0, np.int64), vector=np.zeros(0))
+        model_stops(used, stop, trust_threshold=1.0)(document, arrays)
+        arrays.update(vector=np.zeros(0))
     return corrupt
+
+
+# The model rule's words for the stop reason a removed wall-clock budget gave.
+SECONDS_STOP = "reputation stop_reason 'seconds' has the wrong type or value"
 
 
 # A snapshot corruption and the problem its load names, with its id below.
 CORRUPTIONS = [
     (replace("cat_ptr", [0, 0, 3, 4]), "edge has no categories"),
     # An array written at another width shifts every byte after it.
-    (lambda d, a: a.update(count=a["count"].astype(bool)), "category count below 1"),
+    (lambda d, a: a.update(count=a["count"].astype(bool)), "array last_time is truncated"),
     (set_item("count", 0, -3), "category count below 1"),
     (set_item("decayed_trust", 0, 1.5), "category trust outside"),
     (set_item("mean_rating", 0, -0.1), "category rating outside"),
@@ -362,7 +364,7 @@ CORRUPTIONS = [
     (set_item("dst", 0, 5), "edge to an unknown agent"),
     (lambda d, a: a.update(vector=np.append(a["vector"], 0.5)), "unexpected bytes after"),
     (lambda d, a: a.update(decayed_trust=a["decayed_trust"].astype(np.float32)),
-     "reputation nodes are not the environment's node set"),
+     "array vector is truncated"),
     (replace("indptr", [0, 3, 2, 3]), "indptr is not a CSR pointer"),
     (replace("dst", [2, 1, 2]), "neighbours must be distinct and ascending"),
     (replace("dst", [1, 1, 2]), "neighbours must be distinct and ascending"),
@@ -371,8 +373,6 @@ CORRUPTIONS = [
     (set_item("cat", 1, 7), "category index out of range"),
     (set_item("profile", 0, 9), "agent profile out of range"),
     (lambda d, a: d.update(agents=["B", "A", "C"]), "agent ids must be distinct"),
-    (replace("nodes", [2, 1]), "reputation nodes are not the environment's node set"),
-    (set_item("nodes", 1, 3), "reputation nodes are not the environment's node set"),
     (set_item("vector", 0, 1.5), "reputation vector outside"),
     (lambda d, a: d["reputation"].update(stop_reason="tired"), "reputation stop_reason"),
     (lambda d, a: a.pop("vector"), "array vector is truncated"),
@@ -384,10 +384,10 @@ CORRUPTIONS = [
     ),
     (lambda d, a: a.update(vector=a["vector"] * 0.5), "not max-normalized"),
     (model_stops(0, "converged"), "reputation stop_reason converged at 0$"),
-    (model_stops(1000, "seconds", pagerank_seconds=1.0), "stop_reason seconds at 1000$"),
-    (model_stops(5, "seconds"), "reputation stop_reason seconds at 5$"),
+    (model_stops(1000, "seconds"), SECONDS_STOP),
+    (model_stops(5, "seconds"), SECONDS_STOP),
     (no_nodes(1000, "iterations"), "reputation stop_reason iterations at 1000$"),
-    (no_nodes(3, "seconds", pagerank_seconds=1.0), "reputation stop_reason seconds at 3$"),
+    (no_nodes(3, "seconds"), SECONDS_STOP),
     (no_nodes(5, "converged"), "reputation stop_reason converged at 5$"),
     (set_item("vector", 0, 0.0), r"reputation vector outside \(0, 1\]"),
 ]
@@ -412,8 +412,6 @@ CORRUPTION_IDS = [
     "category-index",
     "profile-index",
     "unsorted-agents",
-    "unsorted-nodes",
-    "unknown-node",
     "vector-range",
     "stop-reason",
     "missing-array",
@@ -463,7 +461,8 @@ def test_value_of_wrong_type_rejected(tmp_path, corrupt, problem):
 )
 def test_model_block_no_build_makes_is_refused_by_the_model(tmp_path, capsys, corrupt, problem):
     document, arrays = corrupted_small_world(tmp_path, corrupt)
-    nodes = [document["agents"][i] for i in arrays["nodes"]]
+    env = build_environment(SMALL_WORLD, 42.0)
+    nodes = reputation_nodes(env, document["reputation"]["params"]["trust_threshold"])
     with pytest.raises((TypeError, ValueError), match=problem):
         ReputationModel(nodes, arrays["vector"], **document["reputation"])
     path = tmp_path / "t.snap"
@@ -486,10 +485,9 @@ def test_uncorrupted_rewrite_loads(tmp_path):
     [
         (TrustConfig(), ("converged", 1)),
         (TrustConfig(max_iterations=1, tolerance=1e-300), ("iterations", 1)),
-        (TrustConfig(pagerank_seconds=0), ("seconds", 0)),
         (TrustConfig(trust_threshold=1.0), ("converged", 0)),
     ],
-    ids=["converged", "iteration-cap", "time-budget", "no-nodes"],
+    ids=["converged", "iteration-cap", "no-nodes"],
 )
 def test_every_way_a_build_ends_loads(tmp_path, config, stop):
     env = build_environment(SMALL_WORLD, 42.0)
@@ -554,15 +552,17 @@ def test_loaded_model_is_bound_to_the_loaded_snapshot(tmp_path):
 
 
 def test_model_of_another_environment_is_refused_on_load(tmp_path):
-    stale = build_reputation(build_environment(SMALL_WORLD, 42.0), TrustConfig())
+    stale = build_reputation(build_environment(TWO_LOGS[0], 10.0, 0.01), TrustConfig())
     env = build_environment(OTHER_WORLD, 42.0)
+    assert len(stale.nodes) == 3 != len(build_reputation(env, TrustConfig()).nodes)
     path = tmp_path / "t.snap"
     save_snapshot(env, path, build_reputation(env, TrustConfig()))
     document, arrays = read_snapshot(path)
-    # What a save without the check wrote for ``env`` with ``stale``.
-    arrays.update(nodes=np.array([env.index[a] for a in stale.nodes]), vector=stale.vector)
+    # What a save without the check wrote for ``env`` with ``stale``.  The file
+    # holds no nodes, so a vector over another node set shows by its length.
+    arrays.update(vector=stale.vector)
     write_snapshot(path, document, arrays)
-    with pytest.raises(SnapshotError, match="not the environment's node set"):
+    with pytest.raises(SnapshotError, match="unexpected bytes after the arrays"):
         load_snapshot(path)
 
 
@@ -673,19 +673,19 @@ def test_snapshot_bytes_are_pinned(tmp_path):
     assert env.agents["a00"].completed == {"c0", "c1", "c2", "c9"} and "c9" not in env.categories
     assert {"a18", "a19"}.isdisjoint(agent for pair in env.edges for agent in pair)
     checksum = save_snapshot(env, tmp_path / "w.snap", build_reputation(env, TrustConfig()))
-    # The checksum of this world's file in snapshot format version 6.
-    assert checksum == "fe8aa0dce75a72ec3cf9a34deeb3b6d89c3925eed31cb4e11fd97f685d0fb29f"
+    # The checksum of this world's file in snapshot format version 7.
+    assert checksum == "02be1e8731dbedd2ece56b1a47d8fb6835708d2780666e19cc95681941cbca3a"
 
 
-# The checksum of each benchmark world's file in snapshot format version 6,
+# The checksum of each benchmark world's file in snapshot format version 7,
 # with its workload's reputation model: the file holds every array bit, so a
 # one-ulp change of the build shows here, where report numbers are compared
 # to 1e-12 only.
 WORKLOAD_SNAPSHOTS = {
-    ("query-explore", HORIZON): "a128f6bcac6c28e10602705a6d9829ec9ae0c82094f7b636f98ef0bd2e6658b1",
-    ("query-history", HORIZON): "0433193d58d5fe35b6682b5482458181bb3580da531e19c014ff9c85720bd861",
-    ("refresh", HORIZON): "8ad22e41829f44dc1b4cf5c166f49532ff872712b9417de5d941d8fe05031f74",
-    ("refresh", BACKLOG_END): "d08828ff45ed2dfb95fcade49c223c9c1203ceaf342b85c02eacf48f08798144",
+    ("query-explore", HORIZON): "71f19c4bb3f8b166ee242f7b025f7cab64a731ce3191b13287e814a065da0b46",
+    ("query-history", HORIZON): "a4631dea3717435c3149b54b40e24025ccbecbffbecec47a6cebd2e3d74b5d9e",
+    ("refresh", HORIZON): "3bdf9c5bde53d0ab429f39f77a31dd1da974c3951396a896740218164f9eb531",
+    ("refresh", BACKLOG_END): "50212a8c40642be0391e5e1675dd189360c83087aa6ddcb5c355f05066561a5a",
 }
 
 
@@ -814,6 +814,20 @@ def test_version_5_snapshot_refused(tmp_path):
     write_version_5_snapshot(path, SMALL_WORLD)
     with pytest.raises(
         SnapshotError, match=f"^unsupported snapshot version 5, expected {SNAPSHOT_VERSION}$"
+    ):
+        load_snapshot(path)
+
+
+def test_version_6_snapshot_refused(tmp_path):
+    path = tmp_path / "v6.snap"
+    write_version_6_snapshot(path, SMALL_WORLD)
+    document, arrays = read_snapshot(path)  # the nodes array reads as part of the vector
+    assert document["reputation"]["params"]["pagerank_seconds"] is None
+    assert len(arrays["vector"]) == 2 * len(build_reputation(
+        build_environment(SMALL_WORLD, 42.0), TrustConfig()
+    ).nodes)
+    with pytest.raises(
+        SnapshotError, match=f"^unsupported snapshot version 6, expected {SNAPSHOT_VERSION}$"
     ):
         load_snapshot(path)
 

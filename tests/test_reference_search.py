@@ -38,7 +38,7 @@ WORLDS = {
     "1k agents, 10k interactions": (1000, 10000, 2, 0.05),
 }
 QUERIES = 20
-CONFIG = TrustConfig(search_steps=None, search_seconds=None)
+CONFIG = TrustConfig()
 
 
 def reference_trust(env, trustor, trustee, category, threshold) -> dict:

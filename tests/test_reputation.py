@@ -250,7 +250,6 @@ def test_convergence_within_iteration_budget():
     [
         ({}, "converged"),
         ({"max_iterations": 1}, "iterations"),
-        ({"pagerank_seconds": 0.0}, "seconds"),
     ],
 )
 def test_power_iteration_stop_reason_is_recorded(budget, reason):
@@ -261,20 +260,19 @@ def test_power_iteration_stop_reason_is_recorded(budget, reason):
     assert model.stop_reason == reason
     assert model.converged == (reason == "converged")
     matrix = propagation_matrix(env, model.nodes, cfg.trust_threshold)
-    _, iterations, stop_reason = pagerank(
-        matrix, cfg.damping, cfg.tolerance, cfg.max_iterations, cfg.pagerank_seconds
-    )
+    _, iterations, stop_reason = pagerank(matrix, cfg.damping, cfg.tolerance, cfg.max_iterations)
     assert stop_reason == reason
     assert iterations == model.iterations_used
 
 
 def test_stop_reason_takes_part_in_equality():
-    # Under a time budget a run that converged could as well have stopped on it.
-    budgeted = dataclasses.replace(CFG, pagerank_seconds=60.0)
-    model = build_reputation(env_of([rec("A", "B", 0.9), rec("B", "C", 0.8)]), budgeted)
-    assert model.stop_reason == "converged"
+    # A run that converges on its last allowed iteration could as well have stopped at the cap.
+    env = env_of([rec("A", "B", 0.9), rec("B", "C", 0.8)])
+    used = build_reputation(env, CFG).iterations_used
+    model = build_reputation(env, dataclasses.replace(CFG, max_iterations=used))
+    assert (model.stop_reason, model.iterations_used) == ("converged", used)
     assert model == dataclasses.replace(model)
-    assert model != dataclasses.replace(model, stop_reason="seconds")
+    assert model != dataclasses.replace(model, stop_reason="iterations")
 
 
 # Nodes B, C and D, which the power iteration takes 36 steps to converge on.
@@ -286,10 +284,9 @@ CHAIN = [rec("A", "B", 0.9), rec("B", "C", 0.8), rec("C", "D", 0.7)]
     [
         ({}, "converged"),
         ({"max_iterations": 1, "tolerance": 1e-300}, "iterations"),
-        ({"pagerank_seconds": 0}, "seconds"),
         ({"trust_threshold": 1.0}, "converged"),
     ],
-    ids=["converged", "iteration-cap", "time-budget", "no-nodes"],
+    ids=["converged", "iteration-cap", "no-nodes"],
 )
 def test_each_way_a_build_ends_makes_a_model(budget, stop):
     built = build_reputation(env_of(CHAIN), dataclasses.replace(CFG, **budget))
