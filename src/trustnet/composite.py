@@ -129,9 +129,12 @@ def evaluate(
     The indirect component comes from one of two searches:
 
     - a config that leaves ``search_steps`` unset runs
-      :func:`settle_paths`.  ``diagnostics.paths`` lists the kept
-      advisors in settle order, ``search_expansions`` counts the agents
-      settled, ``search_reattached`` is 0 and ``search_stop`` "exhausted";
+      :func:`settle_paths`, which settles only the chains above
+      ``path_threshold``.  ``diagnostics.paths`` lists the kept advisors in
+      settle order, ``search_expansions`` counts every agent the search
+      reached (``tree.reached``: settled, or swept below the threshold),
+      ``paths_discovered`` the advisors among them, ``search_reattached``
+      is 0 and ``search_stop`` "exhausted";
     - a config that sets ``search_steps`` runs :func:`find_paths`.
       ``diagnostics.paths`` lists the kept advisors in discovery order,
       ``search_expansions`` counts its expansions, ``search_reattached`` its
@@ -174,14 +177,14 @@ def evaluate(
     direct_result = direct_trust(env, trustor, trustee, category)
     if config.search_steps is None:
         tree = settle_paths(env, trustor, trustee, category, config)
-        indirect_value = aggregate_settled(tree, config.path_threshold, config.path_decay)
+        indirect_value = aggregate_settled(tree, config.path_decay)
         kept = [
             (tree.ids[a], rating, path_trust, tree.chain(a))
-            for a, rating, path_trust in tree.retained(config.path_threshold)
+            for a, rating, path_trust in tree.retained()
         ]
         search = {
             "paths_discovered": tree.discovered,
-            "search_expansions": len(tree.order),
+            "search_expansions": tree.reached,
             "search_reattached": 0,
             "search_stop": "exhausted",
         }

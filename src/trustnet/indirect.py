@@ -4,9 +4,11 @@ Two searches follow the same qualifying edges.  Paths never revisit an
 agent, and a hop into an agent the trustor already trusts directly is
 skipped (first-hand evidence outranks a recommendation chain).
 
-- :func:`settle_paths`, a label-setting search, settles each reached agent
-  once with its best chain: the largest product of hop weights, then the
-  fewest hops.  It answers every ``evaluate`` whose config leaves
+- :func:`settle_paths`, a label-setting search, settles each agent whose
+  best chain lies above the path threshold once, with that chain: the
+  largest product of hop weights, then the fewest hops.  The agents reached
+  only below the threshold, whose paths could never be kept, are counted
+  by a plain sweep.  It answers every ``evaluate`` whose config leaves
   ``search_steps`` unset.
 - :func:`find_paths`, a best-first search, grows a table of reached agents
   ordered by the product of cumulative propagation probability and
@@ -436,28 +438,30 @@ def find_paths(
 class SettledPaths:
     """The tree of best chains that :func:`settle_paths` settles from the trustor.
 
-    Lists by agent index: ``trust`` holds each settled agent's chain product
-    (-1.0 when it was never reached), ``hops`` its chain's hop count and
-    ``parent`` the agent before it (-1 for the trustor and the unreached).
-    ``order`` lists the settled agents in settle order, the trustor first,
-    and ``advisors`` maps each agent that rated the trustee on the category
-    to its plain mean rating, as :meth:`Environment.advisor_ratings` does.
+    Only chains whose product lies above ``path_threshold`` are settled:
+    the trustor, then every agent whose best product exceeds it.  Lists by
+    agent index: ``trust`` holds each settled agent's chain product (-1.0
+    when it was not settled), ``hops`` its chain's hop count and ``parent``
+    the agent before it (-1 for the trustor and the unsettled).  ``order``
+    lists the settled agents in settle order, the trustor first, and
+    ``advisors`` maps each agent that rated the trustee on the category to
+    its plain mean rating, as :meth:`Environment.advisor_ratings` does.
+    ``reached`` counts every agent a qualifying chain reaches, settled or
+    not, and ``discovered`` the advisors among them.
     """
 
     trustor: AgentId
     trustee: AgentId
     category: TaskCategory
     ids: Sequence[AgentId]
+    path_threshold: float
     order: list[int]
     trust: list[float]
     hops: list[int]
     parent: list[int]
     advisors: dict[int, float]
-
-    @property
-    def discovered(self) -> int:
-        """The settled advisors, each one discovered path."""
-        return sum(1 for a in self.order if a in self.advisors)
+    reached: int
+    discovered: int
 
     def chain(self, agent: int) -> list[AgentId]:
         """The ids of the best chain from the trustor to settled ``agent``, both included."""
@@ -468,31 +472,35 @@ class SettledPaths:
         chain.reverse()
         return chain
 
-    def retained(self, path_threshold: float) -> list[tuple[int, float, float]]:
-        """(advisor index, rating, path trust) of each advisor past the filter, in settle order."""
-        advisors, trust = self.advisors, self.trust
+    def retained(self) -> list[tuple[int, float, float]]:
+        """(advisor index, rating, path trust) of each advisor past the filter, in settle order.
+
+        Every settled agent but the trustor lies above the path threshold;
+        the trustor's product 1.0 passes unless the threshold is 1.
+        """
+        advisors, trust, floor = self.advisors, self.trust, self.path_threshold
         return [
-            (a, advisors[a], trust[a])
-            for a in self.order
-            if a in advisors and trust[a] > path_threshold
+            (a, advisors[a], trust[a]) for a in self.order if a in advisors and trust[a] > floor
         ]
 
     def check(self, env: Environment, trust_threshold: float) -> None:
         """Assert that the settled agents form a tree of kept edges from the trustor.
 
         The trustor is settled first, with product 1.0 and no parent.  Every
-        other agent is settled once, after its parent, with one hop more;
-        the hop is an edge of :meth:`Environment.trusted_edges` at
-        ``trust_threshold`` on the category, into neither the trustee nor,
-        past the trustor's own hops, an agent the trustor trusts directly;
-        and the parent's product times the hop's weight is within 1e-12 of
-        the agent's.  One pass over ``order`` with one ``bisect`` per agent:
+        other agent is settled once, after its parent, with one hop more and
+        a product above ``path_threshold``; the hop is an edge of
+        :meth:`Environment.trusted_edges` at ``trust_threshold`` on the
+        category, into neither the trustee nor, past the trustor's own hops,
+        an agent the trustor trusts directly; and the parent's product times
+        the hop's weight is within 1e-12 of the agent's.  No more agents are
+        settled than ``reached``, nor more advisors discovered than there
+        are.  One pass over ``order`` with one ``bisect`` per agent:
         O(settled · log degree).
         Raises InvariantError naming the first agent that breaks a rule.
         """
         ptr, dst, weight = env.trusted_edges(self.category, trust_threshold)
         ids, trust, hops, parent, order = self.ids, self.trust, self.hops, self.parent, self.order
-        root, target = env.index[self.trustor], env.index[self.trustee]
+        root, target, floor = env.index[self.trustor], env.index[self.trustee], self.path_threshold
         if not order or order[0] != root or parent[root] != -1 or trust[root] != 1.0:
             raise InvariantError(f"trustor {self.trustor!r} is not settled first at product 1")
         settled = bytearray(len(ids))
@@ -503,6 +511,8 @@ class SettledPaths:
                 raise InvariantError(f"{ids[v]!r} is settled twice")
             if u < 0 or not settled[u] or hops[v] != hops[u] + 1:
                 raise InvariantError(f"parent of {ids[v]!r} is not settled before it, one hop less")
+            if not trust[v] > floor:
+                raise InvariantError(f"{ids[v]!r} is settled at or below the path threshold")
             settled[v] = 1
             lo, hi = ptr[u], ptr[u + 1]
             k = bisect_left(dst, v, lo, hi)
@@ -515,6 +525,12 @@ class SettledPaths:
         for v in dst[ptr[root] : ptr[root + 1]]:
             if settled[v] and parent[v] != root:
                 raise InvariantError(f"{ids[v]!r}, trusted directly, is entered past the trustor")
+        if len(order) > self.reached:
+            raise InvariantError(f"{len(order)} agents settled, but only {self.reached} reached")
+        if self.discovered > len(self.advisors):
+            raise InvariantError(
+                f"{self.discovered} advisors discovered, but only {len(self.advisors)} exist"
+            )
 
 
 def settle_paths(
@@ -524,7 +540,7 @@ def settle_paths(
     category: TaskCategory,
     config: TrustConfig,
 ) -> SettledPaths:
-    """Label-setting search (Dijkstra, 1959): each agent's best chain, each agent settled once.
+    """Label-setting search (Dijkstra, 1959): each agent's best chain above the path threshold.
 
     A chain follows the same qualifying edges as :func:`find_paths`: the
     edges of :meth:`Environment.trusted_edges` at the config's threshold,
@@ -537,9 +553,18 @@ def settle_paths(
     never improves its label, and the settled label is the best over every
     qualifying simple path: the one :func:`oracles.best_paths` enumerates.
     Each agent keeps one parent index; nothing is re-attached or rescaled.
-    ``config``'s ``search_steps`` and recency rate are not read: the search
-    always runs to the end, and it ranks by trust alone.  The tree goes
-    through :meth:`SettledPaths.check`.
+
+    A relaxation whose product is at or below the config's
+    ``path_threshold`` pushes nothing: products never rise along a chain,
+    so nothing past it could be kept, and every agent whose best product
+    lies above the threshold is still settled with the same label, parent
+    and settle order.  The agents such relaxations reach are counted by
+    one plain sweep after the heap empties, over the same edges, with no
+    products or heap, so ``reached`` and ``discovered`` count the whole
+    reach.  The cost is O(relaxations above the threshold · log heap) plus
+    the sweep.  ``config``'s ``search_steps`` and recency rate are not
+    read: the search runs to the end, and it ranks by trust alone.  The
+    tree goes through :meth:`SettledPaths.check`.
     """
     index = env.index
     if trustor not in index:
@@ -549,17 +574,20 @@ def settle_paths(
     if trustor == trustee:
         raise ValueError("trustor and trustee must differ")
 
-    threshold = config.trust_threshold
+    threshold, floor = config.trust_threshold, config.path_threshold
     ptr, dst, weight = env.trusted_edges(category, threshold)
     root, target = index[trustor], index[trustee]
+    advisors = env.advisor_ratings(target, category)
     n = len(env.ids)
     trust, hops, parent = [-1.0] * n, [0] * n, [-1] * n
     # closed: never relaxed again (settled, the trustee, and once the
-    # trustor has settled, every agent it trusts directly); settled: popped.
-    closed, settled = bytearray(n), bytearray(n)
+    # trustor has settled, every agent it trusts directly); settled: popped;
+    # seen: reached by a relaxation at or below the floor, or by the sweep.
+    closed, settled, seen = bytearray(n), bytearray(n), bytearray(n)
     closed[target] = 1
     trust[root] = 1.0
     order: list[int] = []
+    below: list[int] = []
     heap = [(-1.0, 0, root)]
     heappush, heappop = heapq.heappush, heapq.heappop
     while heap:
@@ -575,6 +603,11 @@ def settle_paths(
             if closed[v]:
                 continue
             p = t * weight[k]
+            if p <= floor:
+                if not seen[v]:
+                    seen[v] = 1
+                    below.append(v)
+                continue
             held = trust[v]
             if p > held or p == held and h < hops[v]:
                 trust[v], hops[v], parent[v] = p, h, u
@@ -583,16 +616,32 @@ def settle_paths(
             for v in dst[lo:hi]:
                 closed[v] = 1
 
+    # Every pushed agent was settled; the rest of the reach hangs off the
+    # unsettled agents below the floor.  Directly trusted agents are
+    # settled or below it, so closed and seen skip them here too.
+    stack = [v for v in below if not settled[v]]
+    reached = len(order) + len(stack)
+    while stack:
+        u = stack.pop()
+        for v in dst[ptr[u] : ptr[u + 1]]:
+            if not (closed[v] or seen[v]):
+                seen[v] = 1
+                reached += 1
+                stack.append(v)
+
     tree = SettledPaths(
         trustor=trustor,
         trustee=trustee,
         category=category,
         ids=env.ids,
+        path_threshold=floor,
         order=order,
         trust=trust,
         hops=hops,
         parent=parent,
-        advisors=env.advisor_ratings(target, category),
+        advisors=advisors,
+        reached=reached,
+        discovered=sum(1 for a in advisors if settled[a] or seen[a]),
     )
     tree.check(env, threshold)
     return tree
@@ -647,15 +696,12 @@ def aggregate(
     )
 
 
-def aggregate_settled(
-    tree: SettledPaths, path_threshold: float, path_decay: float
-) -> Optional[float]:
+def aggregate_settled(tree: SettledPaths, path_decay: float) -> Optional[float]:
     """Combine the settled advisors' chains into one indirect trust value.
 
-    The advisors that pass the path-trust filter, in settle order, go
+    The advisors that pass the tree's path-trust filter, in settle order, go
     through :func:`combine_paths`.  Returns None when nothing survives.
     """
     return combine_paths(
-        [(rating, w, tree.hops[a] + 1) for a, rating, w in tree.retained(path_threshold)],
-        path_decay,
+        [(rating, w, tree.hops[a] + 1) for a, rating, w in tree.retained()], path_decay
     )

@@ -354,9 +354,7 @@ def compare_indirect(
             cfg.path_decay,
         )
         settled = aggregate_settled(
-            settle_paths(env, trustor, trustee, category, cfg),
-            cfg.path_threshold,
-            cfg.path_decay,
+            settle_paths(env, trustor, trustee, category, cfg), cfg.path_decay
         )
         reference = oracle_indirect(env, log, trustor, trustee, category, cfg)
         report["instances"] += 1

@@ -33,6 +33,7 @@ from trustnet.oracles import (
     compare_indirect,
     indirect_instance,
     is_acyclic,
+    oracle_advisor_ratings,
     oracle_category_activity,
     oracle_indirect,
     reputation_instance,
@@ -808,7 +809,8 @@ def test_settle_paths_keeps_each_agents_best_chain():
         agent: (row.cum_trust, len(row.path)) for agent, row in table.rows.items()
     }
     assert tree.discovered == len(table.trustee_rows) == 3
-    assert [tree.ids[a] for a, _, _ in tree.retained(0.5)] == ["y1", "y2", "z"]
+    assert tree.reached == len(table.rows)
+    assert [tree.ids[a] for a, _, _ in tree.retained()] == ["y1", "y2", "z"]
 
 
 def test_settle_paths_breaks_a_tied_product_by_fewer_hops():
@@ -823,12 +825,20 @@ def test_settle_paths_breaks_a_tied_product_by_fewer_hops():
         rec("a", "te", 0.6),
     ]
     env = env_of(log)
-    tree = indirect.settle_paths(env, "tr", "te", "c1", CFG)
+    below_a = dataclasses.replace(CFG, path_threshold=0.4)
+    tree = indirect.settle_paths(env, "tr", "te", "c1", below_a)
     assert [tree.ids[a] for a in tree.order] == ["tr", "x", "m", "y", "a"]
     assert tree.chain(env.index["a"]) == ["tr", "y", "a"]
     assert (tree.trust[env.index["a"]], tree.hops[env.index["a"]]) == (0.5, 2)
-    value = indirect.aggregate_settled(tree, 0.4, 0.9)
+    value = indirect.aggregate_settled(tree, 0.9)
     assert value == 0.6 * 0.9**3
+    # At the default path threshold of 0.5, y and a lie on it: both are
+    # reached, a is discovered, and neither is settled.
+    floored = indirect.settle_paths(env, "tr", "te", "c1", CFG)
+    assert [floored.ids[a] for a in floored.order] == ["tr", "x", "m"]
+    assert (floored.reached, floored.discovered) == (5, 1)
+    assert floored.retained() == []
+    assert indirect.aggregate_settled(floored, 0.9) is None
 
 
 def test_settle_paths_rejects_what_find_paths_rejects():
@@ -871,6 +881,10 @@ def test_tree_check_names_the_broken_rule():
     twice = corrupt(tree)
     twice.order.append(twice.order[-1])
     cases.append((twice, "is settled twice"))
+    # a1's chain carries 0.63, a2's 0.72
+    cases.append((dataclasses.replace(tree, path_threshold=0.7), "'a1' is settled at or below"))
+    cases.append((dataclasses.replace(tree, reached=len(tree.order) - 1), "but only 4 reached"))
+    cases.append((dataclasses.replace(tree, discovered=3), "but only 2 exist"))
     for broken, message in cases:
         with pytest.raises(InvariantError, match=message):
             broken.check(env, CFG.trust_threshold)
@@ -897,14 +911,15 @@ TIED_RATINGS = [0.5, 0.75, 1.0, 1.0]
 
 
 @st.composite
-def tied_logs(draw):
+def tied_logs(draw, ratings=TIED_RATINGS):
     """Chains from A, each through B or C and on over up to three of D-G.
 
-    Each hop is rated 0.5, 0.75 or 1 (twice as often), mostly on c1.  An
-    edge keeps its first rating per category, so each edge weight is one
-    rating or the mean of two: every chain's product is exact in doubles,
-    and many chains tie on their product.  A trusts only B and C directly,
-    so the other agents are reached over chains of two hops or more.
+    Each hop draws one of ``ratings`` (by default 0.5, 0.75 or 1, twice as
+    often), mostly on c1.  An edge keeps its first rating per category, so
+    each edge weight is one rating or the mean of two: every chain's product
+    is exact in doubles, and many chains tie on their product.  A trusts
+    only B and C directly, so the other agents are reached over chains of
+    two hops or more.
     """
     rated = {}
     for _ in range(draw(st.integers(2, 6))):
@@ -912,7 +927,7 @@ def tied_logs(draw):
         chain = [first] + draw(st.lists(st.sampled_from(AGENTS[3:7]), max_size=3, unique=True))
         for a, b in zip(["A"] + chain, chain):
             key = (a, b, draw(st.sampled_from(["c1", "c1", "c2"])))
-            rated.setdefault(key, draw(st.sampled_from(TIED_RATINGS)))
+            rated.setdefault(key, draw(st.sampled_from(ratings)))
     return [rec(a, b, rating, c) for (a, b, c), rating in rated.items()]
 
 
@@ -920,12 +935,35 @@ def tied_logs(draw):
 @settings(max_examples=300, deadline=None)
 def test_settled_labels_equal_the_exhaustive_best_paths_on_tied_products(log, threshold):
     env = env_of(log)
-    cfg = dataclasses.replace(CFG, trust_threshold=threshold)
+    # Every product here is positive, so a path threshold of 0 settles every reached agent.
+    cfg = dataclasses.replace(CFG, trust_threshold=threshold, path_threshold=0.0)
     for trustee in sorted(env.agents.keys() - {"A"}):
         for category in ("c1", "c2"):
             tree = indirect.settle_paths(env, "A", trustee, category, cfg)
             labels = best_paths(env, "A", trustee, category, threshold)
             assert settled_labels(tree) == {a: (p, h) for a, (p, h, _) in labels.items()}
+
+
+@given(
+    tied_logs(TIED_RATINGS + [0.0]),
+    st.sampled_from([0.0, 0.5]),
+    st.sampled_from([0.0, 0.5, 0.75, 1.0]),
+)
+@settings(max_examples=300, deadline=None)
+def test_the_search_settles_the_best_paths_above_the_path_threshold(log, threshold, floor):
+    # Products land exactly on 0, 0.5, 0.75 and 1, so each floor is met with ties.
+    env = env_of(log)
+    cfg = dataclasses.replace(CFG, trust_threshold=threshold, path_threshold=floor)
+    for trustee in sorted(env.agents.keys() - {"A"}):
+        for category in ("c1", "c2"):
+            tree = indirect.settle_paths(env, "A", trustee, category, cfg)
+            labels = best_paths(env, "A", trustee, category, threshold)
+            assert settled_labels(tree) == {
+                a: (p, h) for a, (p, h, _) in labels.items() if a == "A" or p > floor
+            }
+            assert tree.reached == len(labels)
+            advisors = oracle_advisor_ratings(log, trustee, category, env.snapshot_time)
+            assert tree.discovered == len(advisors.keys() & labels.keys())
 
 
 # --- the search's rules, against references built from the inputs ----------

@@ -18,6 +18,7 @@ against those of ``find_paths`` with ``aggregate``.
 """
 
 import dataclasses
+import hashlib
 from functools import lru_cache
 
 import numpy as np
@@ -108,16 +109,23 @@ def test_unbounded_search_reaches_the_reference_set_with_its_trust(name):
 
 @pytest.mark.parametrize("name", sorted(WORLDS))
 def test_label_setting_search_reaches_the_reference_set_with_its_trust(name):
-    params, _, env = world(name)
+    params, log, env = world(name)
+    # At a path threshold of 0 every reached agent is settled (weights here are positive).
+    configs = (CONFIG, dataclasses.replace(CONFIG, path_threshold=0.0))
     settled = 0
     for trustor, trustee, category in queries(env, params, QUERIES):
-        tree = settle_paths(env, trustor, trustee, category, CONFIG)
         expected = reference_trust(env, trustor, trustee, category, CONFIG.trust_threshold)
-        trust = {tree.ids[a]: tree.trust[a] for a in tree.order}
-        assert set(trust) == set(expected), (trustor, trustee, category)
-        for agent, value in trust.items():
-            assert value == pytest.approx(expected[agent], rel=1e-12, abs=0.0)
-        settled += len(tree.order)
+        advisors = {r.trustor for r in log if r.trustee == trustee and r.category == category}
+        for config in configs:
+            tree = settle_paths(env, trustor, trustee, category, config)
+            trust = {tree.ids[a]: tree.trust[a] for a in tree.order}
+            above = {agent for agent, value in expected.items() if value > config.path_threshold}
+            assert set(trust) == above, (trustor, trustee, category, config.path_threshold)
+            for agent, value in trust.items():
+                assert value == pytest.approx(expected[agent], rel=1e-12, abs=0.0)
+            assert tree.reached == len(expected)
+            assert tree.discovered == len(advisors & expected.keys())
+            settled += len(tree.order)
     assert settled > 10 * QUERIES
 
 
@@ -161,3 +169,46 @@ def test_unbudgeted_evaluate_agrees_with_find_paths_and_aggregate(name, seed):
         assert settled.diagnostics["paths_discovered"] == searched.diagnostics["paths_discovered"]
         with_indirect += settled.indirect is not None
     assert with_indirect > 0
+
+
+PINNED_QUERIES = 100
+# sha256 over the to_json() of each unbudgeted report, recorded when
+# settle_paths still settled every reachable agent: stopping the search at
+# the path threshold must leave every report, diagnostics included, as it was.
+REPORT_DIGESTS = {
+    ("1k agents, 10k interactions", 2026): (
+        "45b2c65fc5037afda8b6494446a967023f5fbbe056bff405b215f8343e9a9093"
+    ),
+    ("1k agents, 10k interactions", 7919): (
+        "ec74b58955faf28fd6470c50601af183c770fb224e04c68f188df1458dbc6ce5"
+    ),
+    ("2k agents, 20k interactions", 2026): (
+        "b812c6f9a03ecb30cc251858408103ff163d82181f03417cddef99c8d7d059c8"
+    ),
+    ("2k agents, 20k interactions", 7919): (
+        "3f7850ac7d230635dcd2e900486b7d65d2a4eddf858d097d4024324d910effe9"
+    ),
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(REPORT_DIGESTS))
+def test_unbudgeted_reports_are_unchanged(name, seed):
+    params, log, env = world(name, seed)
+    model = build_reputation(env, CONFIG)
+    digest = hashlib.sha256()
+    for trustor, trustee, category in queries(env, params, PINNED_QUERIES):
+        report = evaluate(env, log, trustor, trustee, category, params.time_horizon, CONFIG, model)
+        digest.update(report.to_json().encode())
+    assert digest.hexdigest() == REPORT_DIGESTS[name, seed]
+
+
+def test_the_search_settles_only_the_chains_it_can_keep():
+    # It counts work, not time: about 25% of the reach lies above the path
+    # threshold here, and a search that settled it all would read 100%.
+    params, _, env = world("2k agents, 20k interactions")
+    settled = reached = 0
+    for trustor, trustee, category in queries(env, params, PINNED_QUERIES):
+        tree = settle_paths(env, trustor, trustee, category, CONFIG)
+        settled += len(tree.order)
+        reached += tree.reached
+    assert settled <= 0.35 * reached
