@@ -13,7 +13,7 @@ Nothing here reads the clock: a report depends only on its snapshot and config.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import (
@@ -205,13 +205,15 @@ def evaluate(
     model = reputation_model if reputation_model is not None else build_reputation(env, config)
     reputation_value = reputation_of(model, trustee)
 
-    inputs = CompositeInputs(
-        n_same=direct_result.n_same,
-        n_other=direct_result.n_other,
-        n_paths=len(kept),
-        dt_min=dt_min(env, category),
-        trustee_did_category=category in completed,
-    )
+    # The diagnostics list these first, in this order (asdict would deep-copy them).
+    counts = {
+        "n_same": direct_result.n_same,
+        "n_other": direct_result.n_other,
+        "n_paths": len(kept),
+        "dt_min": dt_min(env, category),
+        "trustee_did_category": category in completed,
+    }
+    inputs = CompositeInputs(**counts)
     alpha_value = alpha(inputs)
     beta_value = beta(alpha_value, inputs)
     trust = combine(
@@ -219,7 +221,7 @@ def evaluate(
     )
 
     diagnostics = {
-        **asdict(inputs),
+        **counts,
         "direct_source": direct_result.source.value,
         "paths": [
             {"advisor": advisor, "rating": rating, "path_trust": path_trust, "path": path}

@@ -253,16 +253,16 @@ class Environment:
     All arrays are read-only.  Four caches are filled on first use: the
     ``agents`` dict (the engine reads ``kinds`` and ``profile``), each
     category's :meth:`activity` and rows indexed by target, and per category,
-    for the latest threshold or recency rate asked, the
-    :meth:`trusted_edges` CSR and the :meth:`consultation_terms` list.  So
-    the path search keys no per-agent fact by id and derives none twice: it
-    checks its threshold and rate once per search, reads each expanded
-    agent's qualifying neighbours as one slice of its CSR, and takes
-    every consultation term, and the trustee's advisors, from a cache.  The
-    caches hold lists and arrays, never the snapshot itself.  Concurrent
-    readers are safe (a cache filled on first use holds the same value
-    whichever reader fills it).  ``decay_rate`` records the discount rate
-    the snapshot was built with.
+    for the latest threshold or recency rate asked, the kept edges (the
+    :meth:`trusted_edges` CSR and its :meth:`trusted_arcs` arrays, in one
+    entry) and the :meth:`consultation_terms` list.  So the path search
+    keys no per-agent fact by id and derives none twice: it reads each
+    expanded agent's qualifying neighbours as one slice of its CSR, and
+    takes every consultation term, and the trustee's advisors, from a
+    cache.  The caches hold lists and arrays, never the snapshot itself.
+    Concurrent readers are safe (a cache filled on first use holds the same
+    value whichever reader fills it).  ``decay_rate`` records the discount
+    rate the snapshot was built with.
     """
 
     ids: tuple[AgentId, ...]
@@ -284,7 +284,7 @@ class Environment:
     id_array: np.ndarray = field(init=False, repr=False)
     src: np.ndarray = field(init=False, repr=False)
     weight: np.ndarray = field(init=False, repr=False)
-    _trusted: dict[TaskCategory, tuple[float, TrustedEdges]] = field(
+    _trusted: dict[TaskCategory, tuple[float, TrustedEdges, tuple]] = field(
         default_factory=dict, init=False, repr=False
     )
     _terms: dict[TaskCategory, tuple[float, list[tuple[int, float, float, float]]]] = field(
@@ -383,11 +383,23 @@ class Environment:
         ``category``, over agent indices: ``ptr`` and ``dst`` are lists of
         int, and ``weight`` is an ``array('d')`` of the kept edges'
         :attr:`weight` entries, 8 bytes each, read back as floats.  Cached
-        per category for the latest threshold asked.  A threshold that is
-        not a finite number by :func:`finite_float`'s rule raises
+        per category for the latest threshold asked, in one entry with
+        :meth:`trusted_arcs`, which holds the same edges.  A threshold that
+        is not a finite number by :func:`finite_float`'s rule raises
         ValueError, whatever the cache holds.  Callers must not modify the
         columns.
         """
+        return self._kept_edges(category, threshold)[1]
+
+    def trusted_arcs(
+        self, category: TaskCategory, threshold: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The edges of :meth:`trusted_edges`, from its cache entry and threshold check, as
+        read-only ``intp`` arrays of their sources and targets, in CSR order."""
+        return self._kept_edges(category, threshold)[2]
+
+    def _kept_edges(self, category: TaskCategory, threshold: float) -> tuple:
+        """The cache entry ``(threshold, CSR, (sources, targets))`` of the kept edges."""
         number = finite_float(threshold)
         if number is None:
             raise ValueError(f"threshold {threshold!r} must be a finite number")
@@ -395,15 +407,13 @@ class Environment:
         if held is None or held[0] != number:
             completed = np.array([category in done for done, _ in self.kinds], dtype=bool)
             kept = np.flatnonzero((self.weight >= number) & completed[self.profile[self.dst]])
-            held = self._trusted[category] = (
-                number,
-                (
-                    np.searchsorted(kept, self.indptr).tolist(),
-                    self.dst[kept].tolist(),
-                    array("d", self.weight[kept].tobytes()),
-                ),
-            )
-        return held[1]
+            arcs = tuple(np.asarray(column[kept], np.intp) for column in (self.src, self.dst))
+            for column in arcs:
+                column.flags.writeable = False
+            csr = np.searchsorted(kept, self.indptr).tolist(), arcs[1].tolist()
+            weight = array("d", self.weight[kept].tobytes())
+            held = self._trusted[category] = (number, (*csr, weight), arcs)
+        return held
 
     def consultation_terms(
         self, category: TaskCategory, recency_rate: float

@@ -6,10 +6,10 @@ skipped (first-hand evidence outranks a recommendation chain).
 
 - :func:`settle_paths`, a label-setting search, settles each agent whose
   best chain lies above the path threshold once, with that chain: the
-  largest product of hop weights, then the fewest hops.  The agents reached
-  only below the threshold, whose paths could never be kept, are counted
-  by a plain sweep.  It answers every ``evaluate`` whose config leaves
-  ``search_steps`` unset.
+  largest product of hop weights, then the fewest hops.  The whole reach,
+  agents seen only below the threshold included, is counted by one numpy
+  level sweep seeded by the settled agents.  It answers every ``evaluate``
+  whose config leaves ``search_steps`` unset.
 - :func:`find_paths`, a best-first search, grows a table of reached agents
   ordered by the product of cumulative propagation probability and
   cumulative trust, re-attaching an agent when a chain of more trust
@@ -29,6 +29,8 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .core import (
     AgentId,
@@ -446,8 +448,10 @@ class SettledPaths:
     lists the settled agents in settle order, the trustor first, and
     ``advisors`` maps each agent that rated the trustee on the category to
     its plain mean rating, as :meth:`Environment.advisor_ratings` does.
-    ``reached`` counts every agent a qualifying chain reaches, settled or
-    not, and ``discovered`` the advisors among them.
+    ``reached`` counts the trustor and every agent the kept edges lead to
+    from it without passing the trustee, settled or not (the closed rule
+    never shrinks this set: what the trustor trusts directly is one hop
+    away), and ``discovered`` the advisors among them.
     """
 
     trustor: AgentId
@@ -558,13 +562,14 @@ def settle_paths(
     ``path_threshold`` pushes nothing: products never rise along a chain,
     so nothing past it could be kept, and every agent whose best product
     lies above the threshold is still settled with the same label, parent
-    and settle order.  The agents such relaxations reach are counted by
-    one plain sweep after the heap empties, over the same edges, with no
-    products or heap, so ``reached`` and ``discovered`` count the whole
-    reach.  The cost is O(relaxations above the threshold · log heap) plus
-    the sweep.  ``config``'s ``search_steps`` and recency rate are not
-    read: the search runs to the end, and it ranks by trust alone.  The
-    tree goes through :meth:`SettledPaths.check`.
+    and settle order.  After the heap empties, ``reached`` and
+    ``discovered`` are counted by a breadth-first sweep over
+    :meth:`Environment.trusted_arcs`, one numpy step per level, seeded by
+    every settled agent (they lie in the reach) with the trustee marked
+    seen in advance.  The cost is O(relaxations above the threshold · log
+    heap) plus O(kept edges) per level.  ``config``'s ``search_steps`` and
+    recency rate are not read: the search runs to the end, and it ranks by
+    trust alone.  The tree goes through :meth:`SettledPaths.check`.
     """
     index = env.index
     if trustor not in index:
@@ -581,13 +586,11 @@ def settle_paths(
     n = len(env.ids)
     trust, hops, parent = [-1.0] * n, [0] * n, [-1] * n
     # closed: never relaxed again (settled, the trustee, and once the
-    # trustor has settled, every agent it trusts directly); settled: popped;
-    # seen: reached by a relaxation at or below the floor, or by the sweep.
-    closed, settled, seen = bytearray(n), bytearray(n), bytearray(n)
+    # trustor has settled, every agent it trusts directly); settled: popped.
+    closed, settled = bytearray(n), bytearray(n)
     closed[target] = 1
     trust[root] = 1.0
     order: list[int] = []
-    below: list[int] = []
     heap = [(-1.0, 0, root)]
     heappush, heappop = heapq.heappush, heapq.heappop
     while heap:
@@ -604,9 +607,6 @@ def settle_paths(
                 continue
             p = t * weight[k]
             if p <= floor:
-                if not seen[v]:
-                    seen[v] = 1
-                    below.append(v)
                 continue
             held = trust[v]
             if p > held or p == held and h < hops[v]:
@@ -616,18 +616,19 @@ def settle_paths(
             for v in dst[lo:hi]:
                 closed[v] = 1
 
-    # Every pushed agent was settled; the rest of the reach hangs off the
-    # unsettled agents below the floor.  Directly trusted agents are
-    # settled or below it, so closed and seen skip them here too.
-    stack = [v for v in below if not settled[v]]
-    reached = len(order) + len(stack)
-    while stack:
-        u = stack.pop()
-        for v in dst[ptr[u] : ptr[u + 1]]:
-            if not (closed[v] or seen[v]):
-                seen[v] = 1
-                reached += 1
-                stack.append(v)
+    # The reach: every agent the kept edges lead to from the trustor, not
+    # through the trustee.  The settled agents lie in it, so a sweep seeded
+    # by all of them finds it level by level, one numpy step per level.
+    tails, heads = env.trusted_arcs(category, threshold)
+    seen = np.zeros(n, dtype=bool)
+    seen[target] = True
+    level = np.array(order)
+    while len(level):
+        seen[level] = True
+        front = np.zeros(n, dtype=bool)
+        front[level] = True
+        level = heads[front[tails]]
+        level = level[~seen[level]]
 
     tree = SettledPaths(
         trustor=trustor,
@@ -640,8 +641,8 @@ def settle_paths(
         hops=hops,
         parent=parent,
         advisors=advisors,
-        reached=reached,
-        discovered=sum(1 for a in advisors if settled[a] or seen[a]),
+        reached=int(np.count_nonzero(seen)) - 1,
+        discovered=int(np.count_nonzero(seen[list(advisors)])),
     )
     tree.check(env, threshold)
     return tree

@@ -6,6 +6,7 @@ import sys
 import types
 from array import array
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -84,6 +85,21 @@ def test_trusted_edges_are_int_lists_and_a_double_array_over_agent_indices():
     assert all(type(x) is float for x in weight)
     # Edges in (src, dst) order: A->B, A->C, B->A, X->C; all but A->C are kept.
     assert list(weight) == env.weight[[0, 2, 3]].tolist()
+    # trusted_arcs holds the same edges, read-only, from the same cache entry.
+    tails, heads = env.trusted_arcs("c1", 0.5)
+    assert (tails.tolist(), heads.tolist()) == ([0, 1, 3], dst)
+    for column in (tails, heads):
+        assert column.dtype == np.intp and not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[0] = 2
+    tails, heads = env.trusted_arcs("c1", 0.95)
+    assert (tails.tolist(), heads.tolist()) == ([], [])
+    assert env.trusted_edges("c1", 0.95)[1] == []
+    tails, heads = env.trusted_arcs("c1", 0.3)
+    assert (tails.tolist(), heads.tolist()) == ([0, 0, 1, 3], [1, 2, 0, 2])
+    for threshold in (math.nan, math.inf, None):
+        with pytest.raises(ValueError, match="must be a finite number"):
+            env.trusted_arcs("c1", threshold)
 
 
 def test_unknown_agent_rejected():
@@ -815,7 +831,10 @@ def test_settle_paths_keeps_each_agents_best_chain():
 
 def test_settle_paths_breaks_a_tied_product_by_fewer_hops():
     # tr -> x -> m -> a and tr -> y -> a both carry 0.5.  m settles before y
-    # and reaches a first, then y's shorter chain replaces it.
+    # and reaches a first, then y's shorter chain replaces it.  b hangs off
+    # y alone, below either floor; advisor w only off x -> w, an edge below
+    # the trust threshold; advisor z only off the trustee.  None of the three
+    # is settled, and only b is reached.
     log = [
         rec("tr", "x", 1.0),
         rec("x", "m", 1.0),
@@ -823,6 +842,11 @@ def test_settle_paths_breaks_a_tied_product_by_fewer_hops():
         rec("tr", "y", 0.5),
         rec("y", "a", 1.0),
         rec("a", "te", 0.6),
+        rec("y", "b", 0.7),
+        rec("x", "w", 0.3),
+        rec("w", "te", 0.8),
+        rec("te", "z", 1.0),
+        rec("z", "te", 0.7),
     ]
     env = env_of(log)
     below_a = dataclasses.replace(CFG, path_threshold=0.4)
@@ -830,13 +854,15 @@ def test_settle_paths_breaks_a_tied_product_by_fewer_hops():
     assert [tree.ids[a] for a in tree.order] == ["tr", "x", "m", "y", "a"]
     assert tree.chain(env.index["a"]) == ["tr", "y", "a"]
     assert (tree.trust[env.index["a"]], tree.hops[env.index["a"]]) == (0.5, 2)
+    assert (tree.reached, tree.discovered) == (6, 1)
     value = indirect.aggregate_settled(tree, 0.9)
     assert value == 0.6 * 0.9**3
-    # At the default path threshold of 0.5, y and a lie on it: both are
-    # reached, a is discovered, and neither is settled.
+    # At the default path threshold of 0.5, y and a lie on it: y, trusted
+    # directly, is reached only below the floor, and so are a (discovered)
+    # and b; none of them is settled.
     floored = indirect.settle_paths(env, "tr", "te", "c1", CFG)
     assert [floored.ids[a] for a in floored.order] == ["tr", "x", "m"]
-    assert (floored.reached, floored.discovered) == (5, 1)
+    assert (floored.reached, floored.discovered) == (6, 1)
     assert floored.retained() == []
     assert indirect.aggregate_settled(floored, 0.9) is None
 
