@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections import defaultdict
 from collections.abc import Mapping as MappingABC, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import compress, count as counter, repeat
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Optional
 
@@ -252,7 +253,8 @@ class Environment:
     rows), ``src`` and ``edges`` are derived.
     All arrays are read-only.  Four caches are filled on first use: the
     ``agents`` dict (the engine reads ``kinds`` and ``profile``), each
-    category's :meth:`activity` and rows indexed by target, and per category,
+    category's :meth:`activity` (one empty activity serves every category
+    without rows) and rows indexed by target, and per category,
     for the latest threshold or recency rate asked, the kept edges (the
     :meth:`trusted_edges` CSR and its :meth:`trusted_arcs` arrays, in one
     entry) and the :meth:`consultation_terms` list.  So the path search
@@ -370,9 +372,15 @@ class Environment:
         return by_category
 
     def activity(self, category: TaskCategory) -> CategoryActivity:
-        """Per-agent activity on ``category`` (none without rows); all are made on first use."""
+        """Per-agent activity on ``category``; all are made on first use, and every category
+        without rows shares one empty activity."""
         if category in self._by_category:
             return self._by_category[category][0]
+        return self._no_activity
+
+    @cached_property
+    def _no_activity(self) -> CategoryActivity:
+        """The activity of a category without rows: no agent active, and the bar at 1."""
         return CategoryActivity([0] * len(self.ids), [-math.inf] * len(self.ids), 1.0)
 
     def trusted_edges(self, category: TaskCategory, threshold: float) -> TrustedEdges:
@@ -594,25 +602,37 @@ def _boundaries(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return change[:-1], change[1:]
 
 
+def _ranked(codes: Mapping[str, int], *columns: np.ndarray) -> list[str]:
+    """The keys of ``codes`` in ascending order; each column's codes are rewritten in place
+    to their key's position in that order."""
+    names = sorted(codes)
+    rank = np.empty(len(names), np.int64)
+    rank[np.fromiter(map(codes.__getitem__, names), np.int64, len(names))] = np.arange(len(names))
+    for column in columns:
+        np.take(rank, column, out=column)
+    return names
+
+
 def _record_codes(
     records: Sequence[Interaction], declared: Mapping[AgentId, object]
 ) -> tuple[list[AgentId], list[TaskCategory], np.ndarray]:
     """The sorted agent ids (``declared`` ones too) and categories, and each record's group code.
 
-    Ids are coded through dicts, not numpy string arrays, which would drop
-    trailing NUL characters.  Each column is read from the records where it
-    is used, so no column is held as a list; the dicts and the per-column
-    codes die on return.
+    Each string column is read from the records once: a value takes the
+    next code the first time it is seen (declared ids first), and
+    :func:`_ranked` then sorts the values once and remaps the codes to
+    their ranks.  Ids are coded through dicts, not numpy string arrays,
+    which would drop trailing NUL characters.  No column is held as a
+    list; the dicts and the per-column codes die on return.
     """
-    trustor, trustee, label = map(attrgetter, ("trustor", "trustee", "category"))
-    ids = sorted(set(map(trustor, records)).union(map(trustee, records), declared))
-    categories = sorted(set(map(label, records)))
     n = len(records)
-    index = {a: i for i, a in enumerate(ids)}
-    src = np.fromiter(map(index.__getitem__, map(trustor, records)), np.int64, n)
-    dst = np.fromiter(map(index.__getitem__, map(trustee, records)), np.int64, n)
-    index = {c: k for k, c in enumerate(categories)}
-    cat = np.fromiter(map(index.__getitem__, map(label, records)), np.int64, n)
+    codes = defaultdict(counter(len(declared)).__next__, zip(declared, counter()))
+    src = np.fromiter(map(codes.__getitem__, map(attrgetter("trustor"), records)), np.int64, n)
+    dst = np.fromiter(map(codes.__getitem__, map(attrgetter("trustee"), records)), np.int64, n)
+    ids = _ranked(codes, src, dst)
+    codes = defaultdict(counter().__next__)
+    cat = np.fromiter(map(codes.__getitem__, map(attrgetter("category"), records)), np.int64, n)
+    categories = _ranked(codes, cat)
     return ids, categories, group_codes(src, dst, cat, len(ids), len(categories))
 
 
@@ -677,9 +697,10 @@ def build_environment(
 
     The build is staged so that it holds no record-sized value past its
     last use: ``rating`` and ``time`` are read straight into arrays, the
-    string columns are coded in :func:`_record_codes`, each record-sized
-    array is dropped once read, and the discounts go through ``math.exp``
-    in chunks of ``EXP_CHUNK``.
+    string columns are coded in :func:`_record_codes`, so that each field
+    of a kept record is read once, each record-sized array is dropped once
+    read, and the discounts go through ``math.exp`` in chunks of
+    ``EXP_CHUNK``.
 
     ``log`` must be a sequence of :class:`Interaction` records and
     ``profiles`` an iterable of :class:`AgentProfile`, both valid by

@@ -1,3 +1,4 @@
+import collections
 import copy
 import dataclasses
 import gc
@@ -303,23 +304,102 @@ tied_records = st.builds(
 )
 
 
-@given(st.lists(tied_records, max_size=40), st.sampled_from([0.0, 0.05, 10.0]), st.randoms())
+# Declared and logged ids around the log's "A".."D": "0" sorts before them,
+# "A\x00" (a trailing NUL) and "AB" between them, and "Z" after them.
+NUL_PAIRS = [(a, b) for a in ("A", "A\x00", "B", "D") for b in ("A", "A\x00", "C") if a != b]
+nul_records = st.builds(
+    lambda pair, rating, category, time: rec(*pair, rating, category, time),
+    st.sampled_from(NUL_PAIRS),
+    st.sampled_from([0.0, 0.35, 1.0]),
+    st.sampled_from(["c1", "c2", "c2\x00"]),
+    st.sampled_from([0.0, 1.11, 99.5, 100.0]),
+)
+declared_profiles = st.builds(
+    AgentProfile,
+    st.sampled_from(["0", "A", "A\x00", "AB", "C", "Z"]),
+    st.frozensets(st.sampled_from(["c0", "c1", "c3"]), max_size=2),
+    st.frozensets(st.sampled_from(["c0", "c2"]), max_size=2),
+)
+
+
+@given(
+    st.lists(st.one_of(tied_records, nul_records), max_size=40),
+    st.lists(declared_profiles, max_size=5, unique_by=lambda p: p.id),
+    st.sampled_from([0.0, 0.05, 10.0]),
+    st.randoms(),
+)
 @example(
     [rec("A", "B", r, "c1", t) for r, t in [(0.1, 0.24), (0.7, 0.0), (0.1, 0.24), (0.35, 1.11)]],
+    [],
     10.0,
     None,
 )
+@example(
+    [rec("D", "C", 0.5, "c2", 1.0), rec("A\x00", "A", 0.7, "c1", 2.0), rec("B", "A", 0.1, "c1", 3.0)],
+    [AgentProfile("Z"), AgentProfile("0", able={"c0"}), AgentProfile("AB", completed={"c3"})],
+    0.05,
+    None,
+)
 @settings(max_examples=300)
-def test_build_equals_a_sequential_reference_bit_for_bit(log, rate, random):
+def test_build_equals_a_sequential_reference_bit_for_bit(log, profiles, rate, random):
+    # Shuffled, so that first use (declared ids, then trustors, then trustees)
+    # differs from id order.
     if random is not None:
         random.shuffle(log)
-    env = build_environment(log, 100.0, rate)
+        random.shuffle(profiles)
+    env = build_environment(log, 100.0, rate, profiles)
+    kept = [r for r in log if r.time < 100.0]
+    declared = {p.id: p for p in profiles}
+    assert env.ids == tuple(sorted({r.trustor for r in kept} | {r.trustee for r in kept} | set(declared)))
+    assert env.categories == tuple(sorted({r.category for r in kept}))
     built = {
         (src, dst, category): (s.count, s.decayed_trust, s.mean_rating, s.last_time)
         for (src, dst), edge in env.edges.items()
         for category, s in edge.per_category.items()
     }
     assert built == reference_groups(log, 100.0, rate)
+    for agent in env.ids:
+        completed = {r.category for r in kept if r.trustee == agent}
+        profile = declared.get(agent)
+        if profile is not None:
+            completed |= profile.completed
+        assert env.agents[agent].completed == completed
+        assert env.agents[agent].able == (completed if profile is None else profile.able)
+
+
+FIELDS = ("trustor", "trustee", "rating", "category", "time")
+
+
+def counting_reads(log):
+    """Make each record of ``log`` count the reads of its fields; returns the counter."""
+    reads = collections.Counter()
+
+    def counted(name):
+        slot = getattr(Interaction, name)
+
+        def read(record):
+            reads[name] += 1
+            return slot.__get__(record)
+
+        return property(read)
+
+    counting = type("Counting", (Interaction,), {"__slots__": (), **{f: counted(f) for f in FIELDS}})
+    for record in log:
+        object.__setattr__(record, "__class__", counting)
+    return reads
+
+
+@pytest.mark.parametrize("snapshot_time", [100.0, 50.0], ids=["all-kept", "half-kept"])
+def test_build_reads_each_field_of_a_record_once(snapshot_time):
+    profiles, log = generate(GenParams(seed=7, n_agents=30, n_categories=3, n_interactions=400))
+    expected = build_environment(log, snapshot_time, 0.01, profiles)
+    reads = counting_reads(log)
+    assert build_environment(log, snapshot_time, 0.01, profiles) == expected
+    kept = sum(Interaction.time.__get__(r) < snapshot_time for r in log)
+    assert 0 < kept <= len(log) and (kept == len(log)) == (snapshot_time == 100.0)
+    # The numbers are read from every record, the strings from the kept ones.
+    assert reads == {"rating": len(log), "time": len(log), "trustor": kept, "trustee": kept,
+                     "category": kept}
 
 
 def test_build_peak_memory_stays_within_twice_the_snapshot():
@@ -489,6 +569,26 @@ def test_dropped_snapshot_is_freed_without_the_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_a_category_without_rows_shares_one_empty_activity():
+    profiles, log = generate(GenParams(seed=3, n_agents=2000, n_categories=2, n_interactions=4000))
+    env = build_environment(log, 100.0, 0.01, profiles)
+    idle = env.activity("c9")
+    assert idle.counts == [0] * len(env.ids) and idle.last == [-math.inf] * len(env.ids)
+    assert idle.dt_min == 1.0
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        again = [env.activity(category) for category in ("c9", "c9", "zz", "")]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(activity is idle for activity in again)
+    # One agent-sized list of 2,000 entries takes 16 kB.
+    assert peak - start < 1024
+    assert env.activity(env.categories[0]) is not idle
 
 
 def test_valid_profile_passes_the_rule():
