@@ -253,8 +253,7 @@ class Environment:
     rows), ``src`` and ``edges`` are derived.
     All arrays are read-only.  Four caches are filled on first use: the
     ``agents`` dict (the engine reads ``kinds`` and ``profile``), each
-    category's :meth:`activity` (one empty activity serves every category
-    without rows) and rows indexed by target, and per category,
+    category's :meth:`activity` and rows indexed by target, and per category,
     for the latest threshold or recency rate asked, the kept edges (the
     :meth:`trusted_edges` CSR and its :meth:`trusted_arcs` arrays, in one
     entry) and the :meth:`consultation_terms` list.  So the path search
@@ -372,15 +371,9 @@ class Environment:
         return by_category
 
     def activity(self, category: TaskCategory) -> CategoryActivity:
-        """Per-agent activity on ``category``; all are made on first use, and every category
-        without rows shares one empty activity."""
+        """Per-agent activity on ``category`` (none without rows); all are made on first use."""
         if category in self._by_category:
             return self._by_category[category][0]
-        return self._no_activity
-
-    @cached_property
-    def _no_activity(self) -> CategoryActivity:
-        """The activity of a category without rows: no agent active, and the bar at 1."""
         return CategoryActivity([0] * len(self.ids), [-math.inf] * len(self.ids), 1.0)
 
     def trusted_edges(self, category: TaskCategory, threshold: float) -> TrustedEdges:

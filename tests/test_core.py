@@ -571,26 +571,6 @@ def test_dropped_snapshot_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
-def test_a_category_without_rows_shares_one_empty_activity():
-    profiles, log = generate(GenParams(seed=3, n_agents=2000, n_categories=2, n_interactions=4000))
-    env = build_environment(log, 100.0, 0.01, profiles)
-    idle = env.activity("c9")
-    assert idle.counts == [0] * len(env.ids) and idle.last == [-math.inf] * len(env.ids)
-    assert idle.dt_min == 1.0
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        again = [env.activity(category) for category in ("c9", "c9", "zz", "")]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert all(activity is idle for activity in again)
-    # One agent-sized list of 2,000 entries takes 16 kB.
-    assert peak - start < 1024
-    assert env.activity(env.categories[0]) is not idle
-
-
 def test_valid_profile_passes_the_rule():
     profile = AgentProfile(id="N", completed=["c1", "c1"], able=("c2", "c1"))
     assert profile.completed == frozenset({"c1"}) and type(profile.completed) is frozenset
