@@ -130,11 +130,13 @@ def evaluate(
 
     - a config that leaves ``search_steps`` unset runs
       :func:`settle_paths`, which settles only the chains above
-      ``path_threshold``.  ``diagnostics.paths`` lists the kept advisors in
-      settle order, ``search_expansions`` counts every agent the search
-      reached (``tree.reached``: settled, or swept below the threshold),
-      ``paths_discovered`` the advisors among them, ``search_reattached``
-      is 0 and ``search_stop`` "exhausted";
+      ``path_threshold``, and stops once the trustee's advisors are
+      decided.  ``diagnostics.paths`` lists the kept advisors in settle
+      order, ``search_expansions`` counts every agent the search reached
+      (``tree.reached``: settled, or swept), ``paths_discovered`` the
+      advisors among them, ``search_reattached`` is 0 and ``search_stop``
+      "exhausted": no budget stopped the search (the stop at the decided
+      advisors leaves every report as a search run to the end gives);
     - a config that sets ``search_steps`` runs :func:`find_paths`.
       ``diagnostics.paths`` lists the kept advisors in discovery order,
       ``search_expansions`` counts its expansions, ``search_reattached`` its

@@ -255,8 +255,9 @@ class Environment:
     ``agents`` dict (the engine reads ``kinds`` and ``profile``), each
     category's :meth:`activity` and rows indexed by target, and per category,
     for the latest threshold or recency rate asked, the kept edges (the
-    :meth:`trusted_edges` CSR and its :meth:`trusted_arcs` arrays, in one
-    entry) and the :meth:`consultation_terms` list.  So the path search
+    :meth:`trusted_edges` CSR, its :meth:`trusted_arcs` arrays and each
+    agent's :meth:`trusted_in_weight`, in one entry) and the
+    :meth:`consultation_terms` list.  So the path search
     keys no per-agent fact by id and derives none twice: it reads each
     expanded agent's qualifying neighbours as one slice of its CSR, and
     takes every consultation term, and the trustee's advisors, from a
@@ -285,7 +286,7 @@ class Environment:
     id_array: np.ndarray = field(init=False, repr=False)
     src: np.ndarray = field(init=False, repr=False)
     weight: np.ndarray = field(init=False, repr=False)
-    _trusted: dict[TaskCategory, tuple[float, TrustedEdges, tuple]] = field(
+    _trusted: dict[TaskCategory, tuple[float, TrustedEdges, tuple, list[float]]] = field(
         default_factory=dict, init=False, repr=False
     )
     _terms: dict[TaskCategory, tuple[float, list[tuple[int, float, float, float]]]] = field(
@@ -399,8 +400,14 @@ class Environment:
         read-only ``intp`` arrays of their sources and targets, in CSR order."""
         return self._kept_edges(category, threshold)[2]
 
+    def trusted_in_weight(self, category: TaskCategory, threshold: float) -> list[float]:
+        """Each agent's largest weight among the edges of :meth:`trusted_edges` that enter it,
+        0.0 for an agent none enters, as a list by agent index, from the same cache entry."""
+        return self._kept_edges(category, threshold)[3]
+
     def _kept_edges(self, category: TaskCategory, threshold: float) -> tuple:
-        """The cache entry ``(threshold, CSR, (sources, targets))`` of the kept edges."""
+        """The cache entry ``(threshold, CSR, (sources, targets), largest in-weights)``
+        of the kept edges."""
         number = finite_float(threshold)
         if number is None:
             raise ValueError(f"threshold {threshold!r} must be a finite number")
@@ -413,7 +420,9 @@ class Environment:
                 column.flags.writeable = False
             csr = np.searchsorted(kept, self.indptr).tolist(), arcs[1].tolist()
             weight = array("d", self.weight[kept].tobytes())
-            held = self._trusted[category] = (number, (*csr, weight), arcs)
+            largest_in = np.zeros(len(self.ids))
+            np.maximum.at(largest_in, arcs[1], self.weight[kept])
+            held = self._trusted[category] = (number, (*csr, weight), arcs, largest_in.tolist())
         return held
 
     def consultation_terms(

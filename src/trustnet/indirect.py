@@ -4,12 +4,14 @@ Two searches follow the same qualifying edges.  Paths never revisit an
 agent, and a hop into an agent the trustor already trusts directly is
 skipped (first-hand evidence outranks a recommendation chain).
 
-- :func:`settle_paths`, a label-setting search, settles each agent whose
-  best chain lies above the path threshold once, with that chain: the
-  largest product of hop weights, then the fewest hops.  The whole reach,
-  agents seen only below the threshold included, is counted by one numpy
-  level sweep seeded by the settled agents.  It answers every ``evaluate``
-  whose config leaves ``search_steps`` unset.
+- :func:`settle_paths`, a label-setting search, settles agents whose best
+  chain lies above the path threshold once each, with that chain: the
+  largest product of hop weights, then the fewest hops.  It stops once
+  every advisor of the trustee is settled or can no longer rise above the
+  threshold.  The whole reach, agents seen only below the threshold or
+  left unsettled included, is counted by one numpy level sweep seeded by
+  the agents the search met.  It answers every ``evaluate`` whose config
+  leaves ``search_steps`` unset.
 - :func:`find_paths`, a best-first search, grows a table of reached agents
   ordered by the product of cumulative propagation probability and
   cumulative trust, re-attaching an agent when a chain of more trust
@@ -441,17 +443,21 @@ class SettledPaths:
     """The tree of best chains that :func:`settle_paths` settles from the trustor.
 
     Only chains whose product lies above ``path_threshold`` are settled:
-    the trustor, then every agent whose best product exceeds it.  Lists by
-    agent index: ``trust`` holds each settled agent's chain product (-1.0
-    when it was not settled), ``hops`` its chain's hop count and ``parent``
-    the agent before it (-1 for the trustor and the unsettled).  ``order``
-    lists the settled agents in settle order, the trustor first, and
+    the trustor, then agents whose best product exceeds it, by falling
+    product, until every advisor is decided.  Lists by agent index:
+    ``trust`` holds each settled agent's chain product, each agent left on
+    the heap its best product found so far (above the threshold), and -1.0
+    for the rest; ``hops`` holds the chain's hop count and ``parent`` the
+    agent before it (-1 for the trustor and agents never pushed).
+    ``order`` lists the settled agents in settle order, the trustor first:
+    a prefix of the order a search run to the end would settle in.
     ``advisors`` maps each agent that rated the trustee on the category to
     its plain mean rating, as :meth:`Environment.advisor_ratings` does.
-    ``reached`` counts the trustor and every agent the kept edges lead to
-    from it without passing the trustee, settled or not (the closed rule
-    never shrinks this set: what the trustor trusts directly is one hop
-    away), and ``discovered`` the advisors among them.
+    ``stopped_at`` is the heap's top product when the search stopped, None
+    when the heap emptied.  ``reached`` counts the trustor and every agent
+    the kept edges lead to from it without passing the trustee, settled or
+    not (the closed rule never shrinks this set: what the trustor trusts
+    directly is one hop away), and ``discovered`` the advisors among them.
     """
 
     trustor: AgentId
@@ -464,6 +470,7 @@ class SettledPaths:
     hops: list[int]
     parent: list[int]
     advisors: dict[int, float]
+    stopped_at: Optional[float]
     reached: int
     discovered: int
 
@@ -496,10 +503,13 @@ class SettledPaths:
         :meth:`Environment.trusted_edges` at ``trust_threshold`` on the
         category, into neither the trustee nor, past the trustor's own hops,
         an agent the trustor trusts directly; and the parent's product times
-        the hop's weight is within 1e-12 of the agent's.  No more agents are
+        the hop's weight is within 1e-12 of the agent's.  Every advisor left
+        unsettled is decided: its ``trust`` is at or below the threshold,
+        and so is ``stopped_at`` times its largest kept in-edge weight
+        (:meth:`Environment.trusted_in_weight`).  No more agents are
         settled than ``reached``, nor more advisors discovered than there
-        are.  One pass over ``order`` with one ``bisect`` per agent:
-        O(settled · log degree).
+        are.  One pass over ``order`` with one ``bisect`` per agent, and
+        one over the advisors: O(settled · log degree + advisors).
         Raises InvariantError naming the first agent that breaks a rule.
         """
         ptr, dst, weight = env.trusted_edges(self.category, trust_threshold)
@@ -526,6 +536,18 @@ class SettledPaths:
                 raise InvariantError(f"trust of {ids[v]!r} is not its parent's times the hop")
         if settled[target]:
             raise InvariantError(f"trustee {self.trustee!r} is settled")
+        in_weight, stop = env.trusted_in_weight(self.category, trust_threshold), self.stopped_at
+        for a in self.advisors:
+            if settled[a]:
+                continue
+            if trust[a] > floor:
+                raise InvariantError(
+                    f"advisor {ids[a]!r} is left unsettled above the path threshold"
+                )
+            if stop is not None and stop * in_weight[a] > floor:
+                raise InvariantError(
+                    f"advisor {ids[a]!r} could still rise above the path threshold"
+                )
         for v in dst[ptr[root] : ptr[root + 1]]:
             if settled[v] and parent[v] != root:
                 raise InvariantError(f"{ids[v]!r}, trusted directly, is entered past the trustor")
@@ -562,14 +584,24 @@ def settle_paths(
     ``path_threshold`` pushes nothing: products never rise along a chain,
     so nothing past it could be kept, and every agent whose best product
     lies above the threshold is still settled with the same label, parent
-    and settle order.  After the heap empties, ``reached`` and
+    and settle order.  Only the trustee's advisors (the trustor aside,
+    which is settled first) reach the answer, so the search stops once
+    each is decided: settled, or unable to rise above the threshold.  An
+    unsettled advisor is so when its best product so far is at or below
+    the threshold, and so is the heap's top product times its largest kept
+    in-edge weight (:meth:`Environment.trusted_in_weight`): the heap pops
+    in falling product, so no chain through an unsettled agent can carry
+    more.  A stale top only delays the stop.  The settled agents are then
+    a prefix of those a search run to the end would settle, with the same
+    labels, and every kept advisor is among them.  ``reached`` and
     ``discovered`` are counted by a breadth-first sweep over
     :meth:`Environment.trusted_arcs`, one numpy step per level, seeded by
-    every settled agent (they lie in the reach) with the trustee marked
-    seen in advance.  The cost is O(relaxations above the threshold · log
-    heap) plus O(kept edges) per level.  ``config``'s ``search_steps`` and
-    recency rate are not read: the search runs to the end, and it ranks by
-    trust alone.  The tree goes through :meth:`SettledPaths.check`.
+    the settled agents and those left on the heap (they lie in the reach)
+    with the trustee marked seen in advance.  The cost is O(relaxations
+    above the threshold before the stop · log heap) plus O(kept edges) per
+    level.  ``config``'s ``search_steps`` and recency rate are not read: no
+    budget stops the search, and it ranks by trust alone.  The tree goes
+    through :meth:`SettledPaths.check`.
     """
     index = env.index
     if trustor not in index:
@@ -583,6 +615,7 @@ def settle_paths(
     ptr, dst, weight = env.trusted_edges(category, threshold)
     root, target = index[trustor], index[trustee]
     advisors = env.advisor_ratings(target, category)
+    in_weight = env.trusted_in_weight(category, threshold)
     n = len(env.ids)
     trust, hops, parent = [-1.0] * n, [0] * n, [-1] * n
     # closed: never relaxed again (settled, the trustee, and once the
@@ -593,6 +626,10 @@ def settle_paths(
     order: list[int] = []
     heap = [(-1.0, 0, root)]
     heappush, heappop = heapq.heappush, heapq.heappop
+    # The advisors not settled yet, and the largest weight of a kept edge into one.
+    pending = advisors.keys() - {root}
+    cap = max(map(in_weight.__getitem__, pending), default=0.0)
+    stop = None
     while heap:
         _, h, u = heappop(heap)
         if settled[u]:
@@ -615,14 +652,24 @@ def settle_paths(
         if u == root:
             for v in dst[lo:hi]:
                 closed[v] = 1
+        if u in pending:
+            pending.discard(u)
+            cap = max(map(in_weight.__getitem__, pending), default=0.0)
+        # Stop once every advisor is decided: none waits on the heap above
+        # the floor, and no chain through an unsettled agent can lift one
+        # above it, since none carries more than the heap's top product.
+        if heap and -heap[0][0] * cap <= floor and not any(trust[a] > floor for a in pending):
+            stop = -heap[0][0]
+            break
 
     # The reach: every agent the kept edges lead to from the trustor, not
-    # through the trustee.  The settled agents lie in it, so a sweep seeded
-    # by all of them finds it level by level, one numpy step per level.
+    # through the trustee.  The settled agents and those left on the heap
+    # lie in it, so a sweep seeded by all of them finds it level by level,
+    # one numpy step per level.
     tails, heads = env.trusted_arcs(category, threshold)
     seen = np.zeros(n, dtype=bool)
     seen[target] = True
-    level = np.array(order)
+    level = np.array(order + [v for _, _, v in heap])
     while len(level):
         seen[level] = True
         front = np.zeros(n, dtype=bool)
@@ -641,6 +688,7 @@ def settle_paths(
         hops=hops,
         parent=parent,
         advisors=advisors,
+        stopped_at=stop,
         reached=int(np.count_nonzero(seen)) - 1,
         discovered=int(np.count_nonzero(seen[list(advisors)])),
     )

@@ -40,7 +40,7 @@ from trustnet.oracles import (
     reputation_instance,
 )
 
-from helpers import AGENTS, logs, rec
+from helpers import AGENTS, logs, profiles_able_everywhere, rec
 
 CFG = TrustConfig(decay_rate=0.0, recency_rate=0.0)
 
@@ -95,11 +95,16 @@ def test_trusted_edges_are_int_lists_and_a_double_array_over_agent_indices():
     tails, heads = env.trusted_arcs("c1", 0.95)
     assert (tails.tolist(), heads.tolist()) == ([], [])
     assert env.trusted_edges("c1", 0.95)[1] == []
+    assert env.trusted_in_weight("c1", 0.95) == [0.0] * 4
     tails, heads = env.trusted_arcs("c1", 0.3)
     assert (tails.tolist(), heads.tolist()) == ([0, 0, 1, 3], [1, 2, 0, 2])
+    # Each agent's largest kept in-edge weight: C takes X->C's 0.9 over A->C's 0.3.
+    assert env.trusted_in_weight("c1", 0.3) == [0.6, 0.9, 0.9, 0.0]
     for threshold in (math.nan, math.inf, None):
         with pytest.raises(ValueError, match="must be a finite number"):
             env.trusted_arcs("c1", threshold)
+        with pytest.raises(ValueError, match="must be a finite number"):
+            env.trusted_in_weight("c1", threshold)
 
 
 def test_unknown_agent_rejected():
@@ -911,6 +916,14 @@ def test_tree_check_names_the_broken_rule():
     cases.append((dataclasses.replace(tree, path_threshold=0.7), "'a1' is settled at or below"))
     cases.append((dataclasses.replace(tree, reached=len(tree.order) - 1), "but only 4 reached"))
     cases.append((dataclasses.replace(tree, discovered=3), "but only 2 exist"))
+    # The search settled both advisors, a2 (0.72), then a1 (0.63), and emptied its heap.
+    assert tree.stopped_at is None
+    unsettled = corrupt(tree)
+    assert unsettled.order.pop() == at["a1"]
+    cases.append((unsettled, "advisor 'a1' is left unsettled above the path threshold"))
+    # Had the search stopped at 0.9 with a1 never pushed, x1 -> a1 (0.7) could lift it to 0.63.
+    unpushed = corrupt(dataclasses.replace(unsettled, stopped_at=0.9), trust=(at["a1"], -1.0))
+    cases.append((unpushed, "advisor 'a1' could still rise above the path threshold"))
     for broken, message in cases:
         with pytest.raises(InvariantError, match=message):
             broken.check(env, CFG.trust_threshold)
@@ -918,10 +931,18 @@ def test_tree_check_names_the_broken_rule():
 
 def test_tree_check_refuses_a_hop_into_the_trustee_or_a_directly_trusted_agent():
     # x1 -> x2 carries 0.81, more than tr -> x2, but tr trusts x2 directly.
-    log = [rec("tr", "x1", 0.9), rec("tr", "x2", 0.8), rec("x1", "x2", 0.9), rec("x1", "te", 0.9)]
+    # x2 is an advisor, so the search settles it before it stops.
+    log = [
+        rec("tr", "x1", 0.9),
+        rec("tr", "x2", 0.8),
+        rec("x1", "x2", 0.9),
+        rec("x1", "te", 0.9),
+        rec("x2", "te", 0.7),
+    ]
     env = env_of(log)
     tree = indirect.settle_paths(env, "tr", "te", "c1", CFG)
     at = env.index
+    assert tree.order == [at["tr"], at["x1"], at["x2"]]
     reparented = corrupt(tree, parent=(at["x2"], at["x1"]), hops=(at["x2"], 2))
     reparented.trust[at["x2"]] = tree.trust[at["x1"]] * 0.9
     with pytest.raises(InvariantError, match="'x2', trusted directly, is entered past"):
@@ -957,17 +978,41 @@ def tied_logs(draw, ratings=TIED_RATINGS):
     return [rec(a, b, rating, c) for (a, b, c), rating in rated.items()]
 
 
+def check_settled_prefix(tree, env, log, trustee, category, threshold):
+    """Assert the stopped search's contract against the exhaustive best paths from A.
+
+    The agents whose best product lies above the path threshold (and the
+    trustor) are listed by (-product, hops, id), the order a search run to
+    the end settles them in.  The settled agents must be a prefix of that
+    list, with its labels, and hold every advisor in it; the reach and the
+    advisors discovered in it are counted in full.
+    """
+    labels = best_paths(env, "A", trustee, category, threshold)
+    floor = tree.path_threshold
+    keepable = sorted(
+        (a for a, (p, _, _) in labels.items() if a == "A" or p > floor),
+        key=lambda a: (-labels[a][0], labels[a][1], a),
+    )
+    settled = [tree.ids[a] for a in tree.order]
+    assert settled == keepable[: len(settled)]
+    assert settled_labels(tree) == {a: labels[a][:2] for a in settled}
+    advisors = oracle_advisor_ratings(log, trustee, category, env.snapshot_time)
+    assert advisors.keys() & keepable <= set(settled)
+    assert tree.reached == len(labels)
+    assert tree.discovered == len(advisors.keys() & labels.keys())
+
+
 @given(tied_logs(), st.sampled_from([0.0, 0.5, 0.6, 0.8]))
 @settings(max_examples=300, deadline=None)
 def test_settled_labels_equal_the_exhaustive_best_paths_on_tied_products(log, threshold):
     env = env_of(log)
-    # Every product here is positive, so a path threshold of 0 settles every reached agent.
+    # Every product here is positive, so at a path threshold of 0 the
+    # search settles reached agents until every advisor is settled.
     cfg = dataclasses.replace(CFG, trust_threshold=threshold, path_threshold=0.0)
     for trustee in sorted(env.agents.keys() - {"A"}):
         for category in ("c1", "c2"):
             tree = indirect.settle_paths(env, "A", trustee, category, cfg)
-            labels = best_paths(env, "A", trustee, category, threshold)
-            assert settled_labels(tree) == {a: (p, h) for a, (p, h, _) in labels.items()}
+            check_settled_prefix(tree, env, log, trustee, category, threshold)
 
 
 @given(
@@ -983,13 +1028,50 @@ def test_the_search_settles_the_best_paths_above_the_path_threshold(log, thresho
     for trustee in sorted(env.agents.keys() - {"A"}):
         for category in ("c1", "c2"):
             tree = indirect.settle_paths(env, "A", trustee, category, cfg)
-            labels = best_paths(env, "A", trustee, category, threshold)
-            assert settled_labels(tree) == {
-                a: (p, h) for a, (p, h, _) in labels.items() if a == "A" or p > floor
-            }
-            assert tree.reached == len(labels)
-            advisors = oracle_advisor_ratings(log, trustee, category, env.snapshot_time)
-            assert tree.discovered == len(advisors.keys() & labels.keys())
+            check_settled_prefix(tree, env, log, trustee, category, threshold)
+
+
+def advisor_cases(env, log, category, threshold) -> dict:
+    """Trustees of A on ``category`` by case: A among their advisors, none, or an
+    advisor that A trusts directly at ``threshold``."""
+    ptr, dst, _ = env.trusted_edges(category, threshold)
+    root = env.index["A"]
+    direct = set(env.id_array[dst[ptr[root] : ptr[root + 1]]].tolist())
+    cases = {"trustor": [], "none": [], "trusted directly": []}
+    for trustee in sorted(env.agents.keys() - {"A"}):
+        advisors = oracle_advisor_ratings(log, trustee, category, env.snapshot_time)
+        if "A" in advisors:
+            cases["trustor"].append(trustee)
+        if not advisors:
+            cases["none"].append(trustee)
+        if advisors.keys() & direct:
+            cases["trusted directly"].append(trustee)
+    return cases
+
+
+@pytest.mark.parametrize("case", ["trustor", "none", "trusted directly"])
+@given(
+    tied_logs(),
+    st.sampled_from(["c1", "c2"]),
+    st.sampled_from([0.0, 0.5]),
+    st.sampled_from([0.0, 1.0]),
+)
+@settings(max_examples=100, deadline=None)
+def test_the_search_stops_once_the_advisors_are_decided(case, log, category, threshold, floor):
+    # H rates nobody and nobody rates it: a trustee without advisors on either category.
+    env = env_of(log, profiles_able_everywhere(["H"]))
+    trustees = advisor_cases(env, log, category, threshold)[case]
+    assume(trustees)
+    cfg = dataclasses.replace(CFG, trust_threshold=threshold, path_threshold=floor)
+    for trustee in trustees:
+        tree = indirect.settle_paths(env, "A", trustee, category, cfg)
+        check_settled_prefix(tree, env, log, trustee, category, threshold)
+        if floor == 1.0:
+            # No product lies above 1: the trustor alone is settled, with nothing pushed.
+            assert (tree.order, tree.stopped_at) == ([env.index["A"]], None)
+        if case == "none":
+            # Nothing is left to decide once the trustor is settled.
+            assert tree.order == [env.index["A"]]
 
 
 # --- the search's rules, against references built from the inputs ----------
@@ -1018,6 +1100,14 @@ def test_trusted_neighbours_equal_a_filter_over_edges(log, category, thresholds)
             assert list(weight[ptr[i] : ptr[i + 1]]) == [
                 env.edges[(agent, b)].weight for b in neighbours
             ]
+            entering = [
+                stats.weight
+                for (src, dst), stats in env.edges.items()
+                if dst == agent
+                and stats.weight >= threshold
+                and category in env.agents[agent].completed
+            ]
+            assert env.trusted_in_weight(category, threshold)[i] == max(entering, default=0.0)
 
 
 @given(logs(min_size=1, max_size=30), st.sampled_from([0.0, 0.05, 0.5]))

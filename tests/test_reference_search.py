@@ -13,8 +13,10 @@ solves over the filtered graph:
 
 The worlds have the sizes of the benchmark's three workload worlds, drawn
 here with ``GenParams``.  The label-setting search that answers unbudgeted
-``evaluate`` calls is checked against the reference, and its reports
-against those of ``find_paths`` with ``aggregate``.
+``evaluate`` calls stops once the trustee's advisors are decided: the
+agents it settles are checked against the head of the reference's agents
+above the path threshold, by falling trust, and its reports against those
+of ``find_paths`` with ``aggregate``.
 """
 
 import dataclasses
@@ -110,17 +112,26 @@ def test_unbounded_search_reaches_the_reference_set_with_its_trust(name):
 @pytest.mark.parametrize("name", sorted(WORLDS))
 def test_label_setting_search_reaches_the_reference_set_with_its_trust(name):
     params, log, env = world(name)
-    # At a path threshold of 0 every reached agent is settled (weights here are positive).
+    # At a path threshold of 0 every reached agent can be kept (weights here are positive).
     configs = (CONFIG, dataclasses.replace(CONFIG, path_threshold=0.0))
     settled = 0
     for trustor, trustee, category in queries(env, params, QUERIES):
         expected = reference_trust(env, trustor, trustee, category, CONFIG.trust_threshold)
         advisors = {r.trustor for r in log if r.trustee == trustee and r.category == category}
         for config in configs:
+            where = (trustor, trustee, category, config.path_threshold)
             tree = settle_paths(env, trustor, trustee, category, config)
             trust = {tree.ids[a]: tree.trust[a] for a in tree.order}
             above = {agent for agent, value in expected.items() if value > config.path_threshold}
-            assert set(trust) == above, (trustor, trustee, category, config.path_threshold)
+            # The settled agents are the head of the agents above the path
+            # threshold by trust: settled in falling trust, none skipped
+            # above the last one, and every advisor among them.
+            assert trust.keys() <= above, where
+            values = list(trust.values())
+            assert values == sorted(values, reverse=True), where
+            higher = {agent for agent in above if expected[agent] > values[-1] * (1 + 1e-12)}
+            assert higher <= trust.keys(), where
+            assert advisors & above <= trust.keys(), where
             for agent, value in trust.items():
                 assert value == pytest.approx(expected[agent], rel=1e-12, abs=0.0)
             assert tree.reached == len(expected)
@@ -202,13 +213,25 @@ def test_unbudgeted_reports_are_unchanged(name, seed):
     assert digest.hexdigest() == REPORT_DIGESTS[name, seed]
 
 
-def test_the_search_settles_only_the_chains_it_can_keep():
-    # It counts work, not time: about 25% of the reach lies above the path
-    # threshold here, and a search that settled it all would read 100%.
-    params, _, env = world("2k agents, 20k interactions")
+def settled_share(name: str) -> float:
+    """Agents settled over agents reached, summed over the pinned queries on ``name``."""
+    params, _, env = world(name)
     settled = reached = 0
     for trustor, trustee, category in queries(env, params, PINNED_QUERIES):
         tree = settle_paths(env, trustor, trustee, category, CONFIG)
         settled += len(tree.order)
         reached += tree.reached
-    assert settled <= 0.35 * reached
+    return settled / reached
+
+
+def test_the_search_settles_only_the_chains_it_can_keep():
+    # It counts work, not time: about 25% of the reach lies above the path
+    # threshold here, and a search that settled it all would read 100%.
+    assert settled_share("2k agents, 20k interactions") <= 0.35
+
+
+def test_the_search_stops_before_settling_every_chain_it_can_keep():
+    # About half of the chains above the path threshold here are settled
+    # before every advisor is decided: the share reads about 0.14, against
+    # about 0.25 for a search that settles every chain it can keep.
+    assert settled_share("2k agents, 20k interactions") <= 0.2
