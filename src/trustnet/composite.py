@@ -133,7 +133,7 @@ def evaluate(
       ``path_threshold``, and stops once the trustee's advisors are
       decided.  ``diagnostics.paths`` lists the kept advisors in settle
       order, ``search_expansions`` counts every agent the search reached
-      (``tree.reached``: settled, or swept), ``paths_discovered`` the
+      (``tree.reached``: settled or not), ``paths_discovered`` the
       advisors among them, ``search_reattached`` is 0 and ``search_stop``
       "exhausted": no budget stopped the search (the stop at the decided
       advisors leaves every report as a search run to the end gives);

@@ -24,6 +24,8 @@ from typing import Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
+from .reach import Reach, build_reach
+
 AgentId = str
 TaskCategory = str
 
@@ -255,8 +257,9 @@ class Environment:
     ``agents`` dict (the engine reads ``kinds`` and ``profile``), each
     category's :meth:`activity` and rows indexed by target, and per category,
     for the latest threshold or recency rate asked, the kept edges (the
-    :meth:`trusted_edges` CSR, its :meth:`trusted_arcs` arrays and each
-    agent's :meth:`trusted_in_weight`, in one entry) and the
+    :meth:`trusted_edges` CSR, its :meth:`trusted_arcs` arrays, each
+    agent's :meth:`trusted_in_weight` and, once the label-setting search
+    first asks, their :meth:`trusted_reach`, in one entry) and the
     :meth:`consultation_terms` list.  So the path search
     keys no per-agent fact by id and derives none twice: it reads each
     expanded agent's qualifying neighbours as one slice of its CSR, and
@@ -286,9 +289,7 @@ class Environment:
     id_array: np.ndarray = field(init=False, repr=False)
     src: np.ndarray = field(init=False, repr=False)
     weight: np.ndarray = field(init=False, repr=False)
-    _trusted: dict[TaskCategory, tuple[float, TrustedEdges, tuple, list[float]]] = field(
-        default_factory=dict, init=False, repr=False
-    )
+    _trusted: dict[TaskCategory, list] = field(default_factory=dict, init=False, repr=False)
     _terms: dict[TaskCategory, tuple[float, list[tuple[int, float, float, float]]]] = field(
         default_factory=dict, init=False, repr=False
     )
@@ -397,7 +398,10 @@ class Environment:
         self, category: TaskCategory, threshold: float
     ) -> tuple[np.ndarray, np.ndarray]:
         """The edges of :meth:`trusted_edges`, from its cache entry and threshold check, as
-        read-only ``intp`` arrays of their sources and targets, in CSR order."""
+        read-only ``intp`` arrays of their sources and targets, in CSR order.
+
+        Only the building of :meth:`trusted_reach`, the fallback sweep of
+        :func:`indirect.settle_paths` and the tests read them."""
         return self._kept_edges(category, threshold)[2]
 
     def trusted_in_weight(self, category: TaskCategory, threshold: float) -> list[float]:
@@ -405,9 +409,21 @@ class Environment:
         0.0 for an agent none enters, as a list by agent index, from the same cache entry."""
         return self._kept_edges(category, threshold)[3]
 
-    def _kept_edges(self, category: TaskCategory, threshold: float) -> tuple:
-        """The cache entry ``(threshold, CSR, (sources, targets), largest in-weights)``
-        of the kept edges."""
+    def trusted_reach(self, category: TaskCategory, threshold: float) -> Reach:
+        """The :class:`reach.Reach` of the edges of :meth:`trusted_edges`: their strongly
+        connected components, condensation and strong articulation points.
+
+        Built on first use, by :func:`indirect.settle_paths`, and kept in the
+        same cache entry, so a new threshold drops it with the edges.
+        """
+        held = self._kept_edges(category, threshold)
+        if held[4] is None:
+            held[4] = build_reach(*held[1][:2], *held[2])
+        return held[4]
+
+    def _kept_edges(self, category: TaskCategory, threshold: float) -> list:
+        """The cache entry ``[threshold, CSR, (sources, targets), largest in-weights, reach]``
+        of the kept edges; ``reach`` is None until :meth:`trusted_reach` builds it."""
         number = finite_float(threshold)
         if number is None:
             raise ValueError(f"threshold {threshold!r} must be a finite number")
@@ -422,7 +438,8 @@ class Environment:
             weight = array("d", self.weight[kept].tobytes())
             largest_in = np.zeros(len(self.ids))
             np.maximum.at(largest_in, arcs[1], self.weight[kept])
-            held = self._trusted[category] = (number, (*csr, weight), arcs, largest_in.tolist())
+            held = [number, (*csr, weight), arcs, largest_in.tolist(), None]
+            self._trusted[category] = held
         return held
 
     def consultation_terms(

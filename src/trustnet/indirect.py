@@ -9,9 +9,11 @@ skipped (first-hand evidence outranks a recommendation chain).
   largest product of hop weights, then the fewest hops.  It stops once
   every advisor of the trustee is settled or can no longer rise above the
   threshold.  The whole reach, agents seen only below the threshold or
-  left unsettled included, is counted by one numpy level sweep seeded by
-  the agents the search met.  It answers every ``evaluate`` whose config
-  leaves ``search_steps`` unset.
+  left unsettled included, is counted by a walk over the condensation of
+  the kept edges' strongly connected components
+  (:meth:`Environment.trusted_reach`), or, when the trustee splits its
+  component, by a numpy level sweep seeded by the agents the search met.
+  It answers every ``evaluate`` whose config leaves ``search_steps`` unset.
 - :func:`find_paths`, a best-first search, grows a table of reached agents
   ordered by the product of cumulative propagation probability and
   cumulative trust, re-attaching an agent when a chain of more trust
@@ -457,7 +459,8 @@ class SettledPaths:
     when the heap emptied.  ``reached`` counts the trustor and every agent
     the kept edges lead to from it without passing the trustee, settled or
     not (the closed rule never shrinks this set: what the trustor trusts
-    directly is one hop away), and ``discovered`` the advisors among them.
+    directly is one hop away), and ``discovered`` the advisors among them;
+    both are counted over the kept edges' components, not from the tree.
     """
 
     trustor: AgentId
@@ -507,9 +510,10 @@ class SettledPaths:
         unsettled is decided: its ``trust`` is at or below the threshold,
         and so is ``stopped_at`` times its largest kept in-edge weight
         (:meth:`Environment.trusted_in_weight`).  No more agents are
-        settled than ``reached``, nor more advisors discovered than there
-        are.  One pass over ``order`` with one ``bisect`` per agent, and
-        one over the advisors: O(settled · log degree + advisors).
+        settled than ``reached``, and no more advisors discovered than
+        there are, nor fewer than are settled.  One pass over ``order``
+        with one ``bisect`` per agent, and one over the advisors:
+        O(settled · log degree + advisors).
         Raises InvariantError naming the first agent that breaks a rule.
         """
         ptr, dst, weight = env.trusted_edges(self.category, trust_threshold)
@@ -537,8 +541,10 @@ class SettledPaths:
         if settled[target]:
             raise InvariantError(f"trustee {self.trustee!r} is settled")
         in_weight, stop = env.trusted_in_weight(self.category, trust_threshold), self.stopped_at
+        kept = 0
         for a in self.advisors:
             if settled[a]:
+                kept += 1
                 continue
             if trust[a] > floor:
                 raise InvariantError(
@@ -557,6 +563,8 @@ class SettledPaths:
             raise InvariantError(
                 f"{self.discovered} advisors discovered, but only {len(self.advisors)} exist"
             )
+        if self.discovered < kept:
+            raise InvariantError(f"{self.discovered} advisors discovered, but {kept} are settled")
 
 
 def settle_paths(
@@ -594,14 +602,19 @@ def settle_paths(
     more.  A stale top only delays the stop.  The settled agents are then
     a prefix of those a search run to the end would settle, with the same
     labels, and every kept advisor is among them.  ``reached`` and
-    ``discovered`` are counted by a breadth-first sweep over
-    :meth:`Environment.trusted_arcs`, one numpy step per level, seeded by
-    the settled agents and those left on the heap (they lie in the reach)
-    with the trustee marked seen in advance.  The cost is O(relaxations
-    above the threshold before the stop · log heap) plus O(kept edges) per
-    level.  ``config``'s ``search_steps`` and recency rate are not read: no
-    budget stops the search, and it ranks by trust alone.  The tree goes
-    through :meth:`SettledPaths.check`.
+    ``discovered`` are counted by :meth:`reach.Reach.count`, a walk over
+    the condensation of :meth:`Environment.trusted_reach` (built on the
+    first call per category and threshold), from the trustor's component
+    and around the trustee.  When the trustee is a strong articulation
+    point of its component, they are counted instead by a breadth-first
+    sweep over :meth:`Environment.trusted_arcs`, one numpy step per level,
+    seeded by the settled agents and those left on the heap (they lie in
+    the reach) with the trustee marked seen in advance.  The cost is
+    O(relaxations above the threshold before the stop · log heap) plus
+    O(condensation arcs out of the components reached), or O(kept edges)
+    per level of the sweep.  ``config``'s ``search_steps`` and recency
+    rate are not read: no budget stops the search, and it ranks by trust
+    alone.  The tree goes through :meth:`SettledPaths.check`.
     """
     index = env.index
     if trustor not in index:
@@ -663,19 +676,24 @@ def settle_paths(
             break
 
     # The reach: every agent the kept edges lead to from the trustor, not
-    # through the trustee.  The settled agents and those left on the heap
-    # lie in it, so a sweep seeded by all of them finds it level by level,
-    # one numpy step per level.
-    tails, heads = env.trusted_arcs(category, threshold)
-    seen = np.zeros(n, dtype=bool)
-    seen[target] = True
-    level = np.array(order + [v for _, _, v in heap])
-    while len(level):
-        seen[level] = True
-        front = np.zeros(n, dtype=bool)
-        front[level] = True
-        level = heads[front[tails]]
-        level = level[~seen[level]]
+    # through the trustee, counted over the components of the kept edges.
+    counted = env.trusted_reach(category, threshold).count(root, target, advisors)
+    if counted is None:
+        # The trustee splits its component: sweep level by level instead.  The
+        # settled agents and those left on the heap lie in the reach, so a
+        # sweep seeded by all of them finds it, one numpy step per level.
+        tails, heads = env.trusted_arcs(category, threshold)
+        seen = np.zeros(n, dtype=bool)
+        seen[target] = True
+        level = np.array(order + [v for _, _, v in heap])
+        while len(level):
+            seen[level] = True
+            front = np.zeros(n, dtype=bool)
+            front[level] = True
+            level = heads[front[tails]]
+            level = level[~seen[level]]
+        counted = int(np.count_nonzero(seen)) - 1, int(np.count_nonzero(seen[list(advisors)]))
+    reached, discovered = counted
 
     tree = SettledPaths(
         trustor=trustor,
@@ -689,8 +707,8 @@ def settle_paths(
         parent=parent,
         advisors=advisors,
         stopped_at=stop,
-        reached=int(np.count_nonzero(seen)) - 1,
-        discovered=int(np.count_nonzero(seen[list(advisors)])),
+        reached=reached,
+        discovered=discovered,
     )
     tree.check(env, threshold)
     return tree

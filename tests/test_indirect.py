@@ -8,7 +8,7 @@ from array import array
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from trustnet import (
@@ -23,12 +23,15 @@ from trustnet import (
     UnknownAgentError,
     aggregate,
     build_environment,
+    build_reputation,
+    dump_log,
     evaluate,
     find_paths,
     generate,
     propagation_probabilities,
 )
-from trustnet import indirect
+from trustnet import core, indirect
+from trustnet.cli import main as cli_main
 from trustnet.oracles import (
     best_paths,
     compare_indirect,
@@ -39,6 +42,7 @@ from trustnet.oracles import (
     oracle_indirect,
     reputation_instance,
 )
+from trustnet.reach import Reach, build_reach
 
 from helpers import AGENTS, logs, profiles_able_everywhere, rec
 
@@ -916,6 +920,7 @@ def test_tree_check_names_the_broken_rule():
     cases.append((dataclasses.replace(tree, path_threshold=0.7), "'a1' is settled at or below"))
     cases.append((dataclasses.replace(tree, reached=len(tree.order) - 1), "but only 4 reached"))
     cases.append((dataclasses.replace(tree, discovered=3), "but only 2 exist"))
+    cases.append((dataclasses.replace(tree, discovered=1), "1 advisors discovered, but 2 are"))
     # The search settled both advisors, a2 (0.72), then a1 (0.63), and emptied its heap.
     assert tree.stopped_at is None
     unsettled = corrupt(tree)
@@ -1072,6 +1077,191 @@ def test_the_search_stops_once_the_advisors_are_decided(case, log, category, thr
         if case == "none":
             # Nothing is left to decide once the trustor is settled.
             assert tree.order == [env.index["A"]]
+
+
+# --- the reach over the kept edges' components ----------------------------------
+
+def graph_reach(n, edges):
+    """:func:`build_reach` of the graph on agents ``0..n-1`` with ``edges``, and its
+    adjacency lists forwards and backwards."""
+    edges = sorted(set(edges))
+    tails = np.array([u for u, _ in edges], dtype=np.intp)
+    heads = np.array([v for _, v in edges], dtype=np.intp)
+    ptr = np.searchsorted(tails, np.arange(n + 1)).tolist()
+    out, into = [[] for _ in range(n)], [[] for _ in range(n)]
+    for u, v in edges:
+        out[u].append(v)
+        into[v].append(u)
+    return build_reach(ptr, heads.tolist(), tails, heads), out, into
+
+
+def reached_by_bfs(adjacency, start, closed=None) -> set:
+    """The agents ``adjacency`` leads to from ``start``, never through ``closed``."""
+    seen, queue = {start, closed}, [start]
+    for v in queue:
+        for w in adjacency[v]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return seen - {closed}
+
+
+small_graphs = st.integers(1, 8).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n),
+    )
+)
+
+
+# 0 is the root of {0, 1, 2} and its only cut, which no dominator from 0 shows.
+@example((3, [(0, 1), (1, 0), (0, 2), (2, 0)]))
+# 2 is a cut only as a dominator of the reversed edges: 1 reaches 0 only through it.
+@example((3, [(0, 1), (1, 2), (2, 0), (0, 2)]))
+@given(small_graphs)
+@settings(max_examples=200, deadline=None)
+def test_cut_flags_and_arcs_equal_a_brute_force(graph):
+    n, edges = graph
+    edges = [(u, v) for u, v in edges if u != v]
+    reach, out, into = graph_reach(n, edges)
+    component = reach.component
+    for a in range(n):
+        # Each component's first agent, the root of its dominators, is checked too.
+        members = reached_by_bfs(out, a) & reached_by_bfs(into, a)
+        assert members == {b for b in range(n) if component[b] == component[a]}
+        assert reach.size[component[a]] == len(members)
+        rest = members - {a}
+        split = len(members) >= 3 and not (
+            rest <= reached_by_bfs(out, min(rest), a) and rest <= reached_by_bfs(into, min(rest), a)
+        )
+        assert reach.cut[a] == split
+    arcs = {}
+    for u, v in edges:
+        if component[u] != component[v]:
+            tails, heads = arcs.setdefault((component[u], component[v]), (set(), set()))
+            tails.add(u)
+            heads.add(v)
+    expected = {
+        pair: (min(tails) if len(tails) == 1 else -1, min(heads) if len(heads) == 1 else -1)
+        for pair, (tails, heads) in arcs.items()
+    }
+    got = {
+        (c, reach.dst[k]): (reach.tail[k], reach.head[k])
+        for c in range(len(reach.size))
+        for k in range(reach.ptr[c], reach.ptr[c + 1])
+    }
+    assert got == expected
+
+
+# Kept-edge shapes on c1, each edge rated 0.9.
+REACH_SHAPES = {
+    # Every member splits the cycle: the trustee is a cut, in the trustor's component.
+    "3-cycle": [("A", "B"), ("B", "C"), ("C", "A")],
+    # A 2-cycle never splits.
+    "2-cycle": [("A", "B"), ("B", "A")],
+    # Two components joined by the one edge B -> C: its sole tail and sole head.
+    "joined": [("A", "B"), ("B", "A"), ("B", "C"), ("C", "D"), ("D", "C")],
+    # B is the only link of the chain, and C of the rest of it.
+    "chain": [("A", "B"), ("B", "C"), ("C", "D")],
+    # C and D lie out of A's reach.
+    "cut off": [("A", "B"), ("C", "D"), ("D", "C")],
+}
+
+
+def test_the_forced_shapes_have_their_cuts_and_counts():
+    expected_cuts = {"3-cycle": "ABC", "2-cycle": "", "joined": "", "chain": "", "cut off": ""}
+    # (trustor, trustee) -> (reached, advisors reached), None where the trustee is a cut.
+    # On "joined", A -> B skips the arc whose sole tail is B, and A -> C the one
+    # whose sole head is C: only D's rating of C lies past it.
+    expected_counts = {
+        "3-cycle": {("A", "B"): None, ("B", "C"): None},
+        "2-cycle": {("A", "B"): (1, 1), ("B", "A"): (1, 1)},
+        "joined": {("A", "B"): (1, 1), ("A", "C"): (2, 1), ("B", "D"): (3, 1), ("C", "B"): (2, 0)},
+        "chain": {("A", "B"): (1, 1), ("A", "C"): (2, 1), ("A", "D"): (3, 1), ("C", "A"): (2, 0)},
+        "cut off": {("A", "C"): (2, 0), ("C", "A"): (2, 0), ("C", "D"): (1, 1)},
+    }
+    for shape, edges in REACH_SHAPES.items():
+        log = [rec(a, b, 0.9) for a, b in edges]
+        env = env_of(log)
+        reach = env.trusted_reach("c1", 0.5)
+        assert [a for a in env.ids if reach.cut[env.index[a]]] == list(expected_cuts[shape])
+        for (trustor, trustee), counts in expected_counts[shape].items():
+            advisors = env.advisor_ratings(env.index[trustee], "c1")
+            got = reach.count(env.index[trustor], env.index[trustee], advisors)
+            assert got == counts, (shape, trustor, trustee)
+
+
+@st.composite
+def shaped_logs(draw):
+    """One of :data:`REACH_SHAPES`, then up to 8 random ratings among A-F on c1 or c2."""
+    log = [rec(a, b, 0.9) for a, b in REACH_SHAPES[draw(st.sampled_from(sorted(REACH_SHAPES)))]]
+    agents, ratings = st.sampled_from(AGENTS[:6]), st.sampled_from([0.2, 0.6, 0.9])
+    for a, b, rating, category in draw(
+        st.lists(st.tuples(agents, agents, ratings, st.sampled_from(["c1", "c2"])), max_size=8)
+    ):
+        if a != b:
+            log.append(rec(a, b, rating, category))
+    return log
+
+
+def swept(call):
+    """``call()`` with :meth:`Reach.count` declining every query, so that
+    :func:`settle_paths` counts every reach with its level sweep."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Reach, "count", lambda *args: None)
+        return call()
+
+
+@given(shaped_logs(), st.sampled_from(["c1", "c2"]), st.sampled_from([0.0, 0.5]))
+@settings(max_examples=100, deadline=None)
+def test_the_components_count_the_reach_as_the_sweep_does(log, category, threshold):
+    env = env_of(log, profiles_able_everywhere(AGENTS[:6]))
+    cfg = dataclasses.replace(CFG, trust_threshold=threshold)
+    model = build_reputation(env, cfg)
+    for trustor in env.ids:
+        for trustee in env.ids:
+            if trustor == trustee:
+                continue
+            query = (env, trustor, trustee, category, cfg)
+            tree = indirect.settle_paths(*query)
+            reference = swept(lambda: indirect.settle_paths(*query))
+            assert (tree.reached, tree.discovered) == (reference.reached, reference.discovered)
+            report = evaluate(env, log, trustor, trustee, category, 10.0, cfg, model)
+            assert report.to_json() == swept(
+                lambda: evaluate(env, log, trustor, trustee, category, 10.0, cfg, model)
+            ).to_json()
+
+
+def test_the_reach_follows_the_threshold_and_only_the_label_setting_search_builds_it(
+    monkeypatch, tmp_path
+):
+    log, profiles = cache_world()
+    env = build_environment(log, 100.0, 0.01, profiles)
+    agents = sorted(env.agents)
+    queries = [(agents[q], agents[-1 - q], "c0" if q % 2 else "c1") for q in range(6)]
+    # A budgeted evaluate and the CLI paths command run find_paths alone.
+    built = []
+    monkeypatch.setattr(core, "build_reach", lambda *args: built.append(args))
+    budgeted = TrustConfig(search_steps=16)
+    for query in queries:
+        evaluate(env, log, *query, 100.0, budgeted)
+    dump_log(log, tmp_path / "log.jsonl")
+    trustor, trustee, category = queries[0]
+    argv = ["paths", "--log", str(tmp_path / "log.jsonl"), "--time", "100"]
+    argv += ["--trustor", trustor, "--trustee", trustee, "--category", category]
+    assert cli_main(argv) == 0
+    assert built == [] and all(entry[4] is None for entry in env._trusted.values())
+    monkeypatch.undo()
+    # Switching the threshold on one snapshot drops the structure with the
+    # kept edges, and every count still equals the sweep's.
+    for threshold in (0.5, 0.3, 0.5, 0.7, 0.3):
+        cfg = TrustConfig(trust_threshold=threshold)
+        for query in queries:
+            tree = indirect.settle_paths(env, *query, cfg)
+            reference = swept(lambda: indirect.settle_paths(env, *query, cfg))
+            assert (tree.reached, tree.discovered) == (reference.reached, reference.discovered)
+        held = env._trusted["c1"]
+        assert held[0] == threshold and held[4] is env.trusted_reach("c1", threshold)
 
 
 # --- the search's rules, against references built from the inputs ----------
