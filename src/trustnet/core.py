@@ -257,9 +257,9 @@ class Environment:
     ``agents`` dict (the engine reads ``kinds`` and ``profile``), each
     category's :meth:`activity` and rows indexed by target, and per category,
     for the latest threshold or recency rate asked, the kept edges (the
-    :meth:`trusted_edges` CSR, its :meth:`trusted_arcs` arrays, each
-    agent's :meth:`trusted_in_weight` and, once the label-setting search
-    first asks, their :meth:`trusted_reach`, in one entry) and the
+    :meth:`trusted_edges` CSR, each agent's :meth:`trusted_in_weight`
+    and, once the label-setting search first asks, their
+    :meth:`trusted_reach`, in one entry) and the
     :meth:`consultation_terms` list.  So the path search
     keys no per-agent fact by id and derives none twice: it reads each
     expanded agent's qualifying neighbours as one slice of its CSR, and
@@ -386,44 +386,34 @@ class Environment:
         ``category``, over agent indices: ``ptr`` and ``dst`` are lists of
         int, and ``weight`` is an ``array('d')`` of the kept edges'
         :attr:`weight` entries, 8 bytes each, read back as floats.  Cached
-        per category for the latest threshold asked, in one entry with
-        :meth:`trusted_arcs`, which holds the same edges.  A threshold that
-        is not a finite number by :func:`finite_float`'s rule raises
+        per category for the latest threshold asked.  A threshold that is
+        not a finite number by :func:`finite_float`'s rule raises
         ValueError, whatever the cache holds.  Callers must not modify the
         columns.
         """
         return self._kept_edges(category, threshold)[1]
 
-    def trusted_arcs(
-        self, category: TaskCategory, threshold: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The edges of :meth:`trusted_edges`, from its cache entry and threshold check, as
-        read-only ``intp`` arrays of their sources and targets, in CSR order.
-
-        Only the building of :meth:`trusted_reach`, the fallback sweep of
-        :func:`indirect.settle_paths` and the tests read them."""
-        return self._kept_edges(category, threshold)[2]
-
     def trusted_in_weight(self, category: TaskCategory, threshold: float) -> list[float]:
         """Each agent's largest weight among the edges of :meth:`trusted_edges` that enter it,
         0.0 for an agent none enters, as a list by agent index, from the same cache entry."""
-        return self._kept_edges(category, threshold)[3]
+        return self._kept_edges(category, threshold)[2]
 
     def trusted_reach(self, category: TaskCategory, threshold: float) -> Reach:
         """The :class:`reach.Reach` of the edges of :meth:`trusted_edges`: their strongly
         connected components, condensation and strong articulation points.
 
-        Built on first use, by :func:`indirect.settle_paths`, and kept in the
-        same cache entry, so a new threshold drops it with the edges.
+        Built from the CSR lists on first use, by :func:`indirect.settle_paths`,
+        and kept in the same cache entry, so a new threshold drops it with
+        the edges.
         """
         held = self._kept_edges(category, threshold)
-        if held[4] is None:
-            held[4] = build_reach(*held[1][:2], *held[2])
-        return held[4]
+        if held[3] is None:
+            held[3] = build_reach(*held[1][:2])
+        return held[3]
 
     def _kept_edges(self, category: TaskCategory, threshold: float) -> list:
-        """The cache entry ``[threshold, CSR, (sources, targets), largest in-weights, reach]``
-        of the kept edges; ``reach`` is None until :meth:`trusted_reach` builds it."""
+        """The cache entry ``[threshold, CSR, largest in-weights, reach]`` of the kept
+        edges; ``reach`` is None until :meth:`trusted_reach` builds it."""
         number = finite_float(threshold)
         if number is None:
             raise ValueError(f"threshold {threshold!r} must be a finite number")
@@ -431,14 +421,12 @@ class Environment:
         if held is None or held[0] != number:
             completed = np.array([category in done for done, _ in self.kinds], dtype=bool)
             kept = np.flatnonzero((self.weight >= number) & completed[self.profile[self.dst]])
-            arcs = tuple(np.asarray(column[kept], np.intp) for column in (self.src, self.dst))
-            for column in arcs:
-                column.flags.writeable = False
-            csr = np.searchsorted(kept, self.indptr).tolist(), arcs[1].tolist()
+            targets = self.dst[kept]
+            csr = np.searchsorted(kept, self.indptr).tolist(), targets.tolist()
             weight = array("d", self.weight[kept].tobytes())
             largest_in = np.zeros(len(self.ids))
-            np.maximum.at(largest_in, arcs[1], self.weight[kept])
-            held = [number, (*csr, weight), arcs, largest_in.tolist(), None]
+            np.maximum.at(largest_in, targets, self.weight[kept])
+            held = [number, (*csr, weight), largest_in.tolist(), None]
             self._trusted[category] = held
         return held
 

@@ -9,10 +9,9 @@ skipped (first-hand evidence outranks a recommendation chain).
   largest product of hop weights, then the fewest hops.  It stops once
   every advisor of the trustee is settled or can no longer rise above the
   threshold.  The whole reach, agents seen only below the threshold or
-  left unsettled included, is counted by a walk over the condensation of
+  left unsettled included, is counted by :meth:`reach.Reach.count` over
   the kept edges' strongly connected components
-  (:meth:`Environment.trusted_reach`), or, when the trustee splits its
-  component, by a numpy level sweep seeded by the agents the search met.
+  (:meth:`Environment.trusted_reach`).
   It answers every ``evaluate`` whose config leaves ``search_steps`` unset.
 - :func:`find_paths`, a best-first search, grows a table of reached agents
   ordered by the product of cumulative propagation probability and
@@ -33,8 +32,6 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .core import (
     AgentId,
@@ -460,7 +457,8 @@ class SettledPaths:
     the kept edges lead to from it without passing the trustee, settled or
     not (the closed rule never shrinks this set: what the trustor trusts
     directly is one hop away), and ``discovered`` the advisors among them;
-    both are counted over the kept edges' components, not from the tree.
+    both are one :meth:`reach.Reach.count` of the kept edges, not read
+    from the tree.
     """
 
     trustor: AgentId
@@ -602,19 +600,15 @@ def settle_paths(
     more.  A stale top only delays the stop.  The settled agents are then
     a prefix of those a search run to the end would settle, with the same
     labels, and every kept advisor is among them.  ``reached`` and
-    ``discovered`` are counted by :meth:`reach.Reach.count`, a walk over
-    the condensation of :meth:`Environment.trusted_reach` (built on the
-    first call per category and threshold), from the trustor's component
-    and around the trustee.  When the trustee is a strong articulation
-    point of its component, they are counted instead by a breadth-first
-    sweep over :meth:`Environment.trusted_arcs`, one numpy step per level,
-    seeded by the settled agents and those left on the heap (they lie in
-    the reach) with the trustee marked seen in advance.  The cost is
-    O(relaxations above the threshold before the stop · log heap) plus
-    O(condensation arcs out of the components reached), or O(kept edges)
-    per level of the sweep.  ``config``'s ``search_steps`` and recency
-    rate are not read: no budget stops the search, and it ranks by trust
-    alone.  The tree goes through :meth:`SettledPaths.check`.
+    ``discovered`` are counted by one :meth:`reach.Reach.count` call on
+    :meth:`Environment.trusted_reach` (built on the first call per category
+    and threshold), from the trustor and around the trustee.  The cost is
+    O(relaxations above the threshold before the stop · log heap) plus the
+    count's: O(condensation arcs out of the components reached), or, when
+    the trustee is a strong articulation point of its component, O(kept
+    edges) per level of its sweep.  ``config``'s ``search_steps`` and
+    recency rate are not read: no budget stops the search, and it ranks by
+    trust alone.  The tree goes through :meth:`SettledPaths.check`.
     """
     index = env.index
     if trustor not in index:
@@ -677,23 +671,7 @@ def settle_paths(
 
     # The reach: every agent the kept edges lead to from the trustor, not
     # through the trustee, counted over the components of the kept edges.
-    counted = env.trusted_reach(category, threshold).count(root, target, advisors)
-    if counted is None:
-        # The trustee splits its component: sweep level by level instead.  The
-        # settled agents and those left on the heap lie in the reach, so a
-        # sweep seeded by all of them finds it, one numpy step per level.
-        tails, heads = env.trusted_arcs(category, threshold)
-        seen = np.zeros(n, dtype=bool)
-        seen[target] = True
-        level = np.array(order + [v for _, _, v in heap])
-        while len(level):
-            seen[level] = True
-            front = np.zeros(n, dtype=bool)
-            front[level] = True
-            level = heads[front[tails]]
-            level = level[~seen[level]]
-        counted = int(np.count_nonzero(seen)) - 1, int(np.count_nonzero(seen[list(advisors)]))
-    reached, discovered = counted
+    reached, discovered = env.trusted_reach(category, threshold).count(root, target, advisors)
 
     tree = SettledPaths(
         trustor=trustor,

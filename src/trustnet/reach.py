@@ -2,8 +2,9 @@
 
 Built once per kept-edge graph (:meth:`Environment.trusted_reach`) so that
 :func:`indirect.settle_paths` can count the agents the trustor reaches
-without passing the trustee, and the advisors among them, by a walk over
-the graph's condensation instead of a sweep over every edge.
+without passing the trustee, and the advisors among them, in one call,
+:meth:`Reach.count`: a walk over the graph's condensation, or a level sweep
+over every edge when the trustee is a strong articulation point.
 
 - The strongly connected components (Tarjan, 1972), found by an iterative
   depth-first search over the CSR lists.
@@ -26,19 +27,20 @@ survives unless all its edges leave t or all enter t.  So unless t is a
 strong articulation point, the agents reached from s without passing t are
 those of the components reached by a walk of the condensation from s's
 component, skipping the arcs whose sole tail or sole head is t (every arc
-into a component of t alone is one), t itself not counted.
+into a component of t alone is one), t itself not counted.  When t is one,
+the reach is swept from s level by level over the edges, t left out.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Union
 
 import numpy as np
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Reach:
     """The components of a directed graph over agent indices, its condensation and its cuts.
 
@@ -48,7 +50,10 @@ class Reach:
     ``tail`` and ``head`` (the sole tail and sole head of the arc's edges,
     -1 when there are several).  ``cut[i]`` is 1 when agent ``i`` is a
     strong articulation point of a component of at least 3 agents.  Every
-    column is an ``array('q')`` but ``cut``, a ``bytearray``.
+    column is an ``array('q')`` but ``cut``, a ``bytearray``.  The graph's
+    own edges, in CSR order, run from ``edge_source`` to ``edge_target``,
+    read-only ``intp`` arrays that only :meth:`sweep` reads.  Compared by
+    identity.
     """
 
     component: array
@@ -58,20 +63,23 @@ class Reach:
     tail: array
     head: array
     cut: bytearray
+    edge_source: np.ndarray
+    edge_target: np.ndarray
 
-    def count(self, source: int, closed: int, marked: Iterable[int]) -> Optional[tuple[int, int]]:
+    def count(self, source: int, closed: int, marked: Iterable[int]) -> tuple[int, int]:
         """The number of agents reached from ``source`` without passing ``closed``, and of
-        ``marked`` agents among them; None when ``closed`` is a strong articulation point.
+        ``marked`` agents among them.
 
         ``closed`` differs from ``source`` and is not among ``marked``.  One
         walk over the arcs out of the components reached, then one look per
-        marked agent.
+        marked agent; when ``closed`` is a strong articulation point, the
+        :meth:`sweep` instead.
         """
         component, size, ptr, dst, tail, head = (
             self.component, self.size, self.ptr, self.dst, self.tail, self.head,
         )
         if self.cut[closed]:
-            return None
+            return self.sweep(source, closed, marked)
         seen = bytearray(len(size))
         start = component[source]
         seen[start] = 1
@@ -89,16 +97,28 @@ class Reach:
             reached -= 1
         return reached, sum([seen[component[a]] for a in marked])
 
+    def sweep(self, source: int, closed: int, marked: Iterable[int]) -> tuple[int, int]:
+        """What :meth:`count` answers, by a breadth-first sweep from ``source`` over every
+        edge, one numpy step per level, that never enters ``closed``."""
+        reached = _levels(
+            np.array([source]), self.edge_source, self.edge_target, len(self.component), closed
+        ) >= 0
+        return int(np.count_nonzero(reached)), int(np.count_nonzero(reached[list(marked)]))
 
-def build_reach(ptr: list[int], dst: list[int], tails: np.ndarray, heads: np.ndarray) -> Reach:
-    """The :class:`Reach` of the graph whose CSR lists are ``ptr`` and ``dst`` and whose
-    edges, in CSR order, run from ``tails`` to ``heads`` (``intp`` arrays).
 
-    The components take one pass over the lists, the arcs and the levels
-    numpy steps; the dominator iteration repeats until nothing changes,
-    three passes over the giant component's edges on the generated worlds.
+def build_reach(ptr: list[int], dst: list[int]) -> Reach:
+    """The :class:`Reach` of the graph whose CSR lists over agent indices are ``ptr`` and ``dst``.
+
+    The components take one pass over the lists, the edge arrays, the arcs
+    and the levels numpy steps; the dominator iteration repeats until
+    nothing changes, three passes over the giant component's edges on the
+    generated worlds.
     """
     n = len(ptr) - 1
+    tails = np.repeat(np.arange(n, dtype=np.intp), np.diff(ptr))
+    heads = np.array(dst, dtype=np.intp)
+    for column in (tails, heads):
+        column.flags.writeable = False
     comp = np.array(_components(ptr, dst, n), dtype=np.int64)
     size = np.bincount(comp, minlength=int(comp.max(initial=-1)) + 1)
 
@@ -126,6 +146,8 @@ def build_reach(ptr: list[int], dst: list[int], tails: np.ndarray, heads: np.nda
         tail=column(sole(tails[cross])),
         head=column(sole(heads[cross])),
         cut=bytearray(_cuts(comp, size, tails, heads).tobytes()),
+        edge_source=tails,
+        edge_target=heads,
     )
 
 
@@ -211,10 +233,15 @@ def _cuts(comp: np.ndarray, size: np.ndarray, tails: np.ndarray, heads: np.ndarr
 
 
 def _levels(
-    seeds: np.ndarray, src: np.ndarray, dst: np.ndarray, n: int, closed: Optional[np.ndarray] = None
+    seeds: np.ndarray,
+    src: np.ndarray,
+    dst: np.ndarray,
+    n: int,
+    closed: Union[int, np.ndarray, None] = None,
 ) -> np.ndarray:
     """Each agent's breadth-first level from ``seeds`` over the edges ``src -> dst``, never
-    entering ``closed``: -1 for an agent not reached, -2 for a closed one."""
+    entering ``closed`` (an agent index, an array of them, or none): -1 for an agent not
+    reached, -2 for a closed one."""
     level = np.full(n, -1, dtype=np.int64)
     if closed is not None:
         level[closed] = -2

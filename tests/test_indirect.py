@@ -30,7 +30,7 @@ from trustnet import (
     generate,
     propagation_probabilities,
 )
-from trustnet import core, indirect
+from trustnet import cli, core, indirect
 from trustnet.cli import main as cli_main
 from trustnet.oracles import (
     best_paths,
@@ -89,24 +89,14 @@ def test_trusted_edges_are_int_lists_and_a_double_array_over_agent_indices():
     assert all(type(x) is float for x in weight)
     # Edges in (src, dst) order: A->B, A->C, B->A, X->C; all but A->C are kept.
     assert list(weight) == env.weight[[0, 2, 3]].tolist()
-    # trusted_arcs holds the same edges, read-only, from the same cache entry.
-    tails, heads = env.trusted_arcs("c1", 0.5)
-    assert (tails.tolist(), heads.tolist()) == ([0, 1, 3], dst)
-    for column in (tails, heads):
-        assert column.dtype == np.intp and not column.flags.writeable
-        with pytest.raises(ValueError):
-            column[0] = 2
-    tails, heads = env.trusted_arcs("c1", 0.95)
-    assert (tails.tolist(), heads.tolist()) == ([], [])
-    assert env.trusted_edges("c1", 0.95)[1] == []
+    assert env.trusted_edges("c1", 0.95)[:2] == ([0, 0, 0, 0, 0], [])
     assert env.trusted_in_weight("c1", 0.95) == [0.0] * 4
-    tails, heads = env.trusted_arcs("c1", 0.3)
-    assert (tails.tolist(), heads.tolist()) == ([0, 0, 1, 3], [1, 2, 0, 2])
+    assert env.trusted_edges("c1", 0.3)[:2] == ([0, 2, 3, 3, 4], [1, 2, 0, 2])
     # Each agent's largest kept in-edge weight: C takes X->C's 0.9 over A->C's 0.3.
     assert env.trusted_in_weight("c1", 0.3) == [0.6, 0.9, 0.9, 0.0]
     for threshold in (math.nan, math.inf, None):
         with pytest.raises(ValueError, match="must be a finite number"):
-            env.trusted_arcs("c1", threshold)
+            env.trusted_edges("c1", threshold)
         with pytest.raises(ValueError, match="must be a finite number"):
             env.trusted_in_weight("c1", threshold)
 
@@ -1082,17 +1072,15 @@ def test_the_search_stops_once_the_advisors_are_decided(case, log, category, thr
 # --- the reach over the kept edges' components ----------------------------------
 
 def graph_reach(n, edges):
-    """:func:`build_reach` of the graph on agents ``0..n-1`` with ``edges``, and its
-    adjacency lists forwards and backwards."""
+    """:func:`build_reach` of the CSR lists of the graph on agents ``0..n-1`` with
+    ``edges``, and its adjacency lists forwards and backwards."""
     edges = sorted(set(edges))
-    tails = np.array([u for u, _ in edges], dtype=np.intp)
-    heads = np.array([v for _, v in edges], dtype=np.intp)
-    ptr = np.searchsorted(tails, np.arange(n + 1)).tolist()
+    ptr = np.searchsorted([u for u, _ in edges], np.arange(n + 1)).tolist()
     out, into = [[] for _ in range(n)], [[] for _ in range(n)]
     for u, v in edges:
         out[u].append(v)
         into[v].append(u)
-    return build_reach(ptr, heads.tolist(), tails, heads), out, into
+    return build_reach(ptr, [v for _, v in edges]), out, into
 
 
 def reached_by_bfs(adjacency, start, closed=None) -> set:
@@ -1124,6 +1112,10 @@ def test_cut_flags_and_arcs_equal_a_brute_force(graph):
     n, edges = graph
     edges = [(u, v) for u, v in edges if u != v]
     reach, out, into = graph_reach(n, edges)
+    # The sweep's edges, in CSR order, as read-only intp arrays.
+    assert list(zip(reach.edge_source.tolist(), reach.edge_target.tolist())) == sorted(set(edges))
+    for column in (reach.edge_source, reach.edge_target):
+        assert column.dtype == np.intp and not column.flags.writeable
     component = reach.component
     for a in range(n):
         # Each component's first agent, the root of its dominators, is checked too.
@@ -1135,6 +1127,16 @@ def test_cut_flags_and_arcs_equal_a_brute_force(graph):
             rest <= reached_by_bfs(out, min(rest), a) and rest <= reached_by_bfs(into, min(rest), a)
         )
         assert reach.cut[a] == split
+    # Every count, cut agents closed included, and the sweep it falls back on.
+    for source in range(n):
+        for closed in range(n):
+            if closed == source:
+                continue
+            marked = [b for b in range(0, n, 2) if b != closed]
+            reached = reached_by_bfs(out, source, closed)
+            expected = (len(reached), len(reached.intersection(marked)))
+            assert reach.count(source, closed, marked) == expected, (source, closed)
+            assert reach.sweep(source, closed, marked) == expected, (source, closed)
     arcs = {}
     for u, v in edges:
         if component[u] != component[v]:
@@ -1170,11 +1172,11 @@ REACH_SHAPES = {
 
 def test_the_forced_shapes_have_their_cuts_and_counts():
     expected_cuts = {"3-cycle": "ABC", "2-cycle": "", "joined": "", "chain": "", "cut off": ""}
-    # (trustor, trustee) -> (reached, advisors reached), None where the trustee is a cut.
+    # (trustor, trustee) -> (reached, advisors reached); a cut trustee is swept.
     # On "joined", A -> B skips the arc whose sole tail is B, and A -> C the one
     # whose sole head is C: only D's rating of C lies past it.
     expected_counts = {
-        "3-cycle": {("A", "B"): None, ("B", "C"): None},
+        "3-cycle": {("A", "B"): (1, 1), ("B", "C"): (1, 1)},
         "2-cycle": {("A", "B"): (1, 1), ("B", "A"): (1, 1)},
         "joined": {("A", "B"): (1, 1), ("A", "C"): (2, 1), ("B", "D"): (3, 1), ("C", "B"): (2, 0)},
         "chain": {("A", "B"): (1, 1), ("A", "C"): (2, 1), ("A", "D"): (3, 1), ("C", "A"): (2, 0)},
@@ -1205,10 +1207,10 @@ def shaped_logs(draw):
 
 
 def swept(call):
-    """``call()`` with :meth:`Reach.count` declining every query, so that
-    :func:`settle_paths` counts every reach with its level sweep."""
+    """``call()`` with :meth:`Reach.count` replaced by :meth:`Reach.sweep`, so that
+    :func:`settle_paths` counts every reach with the level sweep."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Reach, "count", lambda *args: None)
+        patch.setattr(Reach, "count", Reach.sweep)
         return call()
 
 
@@ -1239,9 +1241,16 @@ def test_the_reach_follows_the_threshold_and_only_the_label_setting_search_build
     env = build_environment(log, 100.0, 0.01, profiles)
     agents = sorted(env.agents)
     queries = [(agents[q], agents[-1 - q], "c0" if q % 2 else "c1") for q in range(6)]
-    # A budgeted evaluate and the CLI paths command run find_paths alone.
-    built = []
+    # A budgeted evaluate and the CLI paths command run find_paths alone,
+    # and hold the kept edges once, as lists: no numpy array beside them.
+    built, envs = [], [env]
+
+    def find_paths(snapshot, *args):
+        envs.append(snapshot)
+        return indirect.find_paths(snapshot, *args)
+
     monkeypatch.setattr(core, "build_reach", lambda *args: built.append(args))
+    monkeypatch.setattr(cli, "find_paths", find_paths)
     budgeted = TrustConfig(search_steps=16)
     for query in queries:
         evaluate(env, log, *query, 100.0, budgeted)
@@ -1250,7 +1259,10 @@ def test_the_reach_follows_the_threshold_and_only_the_label_setting_search_build
     argv = ["paths", "--log", str(tmp_path / "log.jsonl"), "--time", "100"]
     argv += ["--trustor", trustor, "--trustee", trustee, "--category", category]
     assert cli_main(argv) == 0
-    assert built == [] and all(entry[4] is None for entry in env._trusted.values())
+    assert built == [] and len(envs) == 2
+    for held in (entry for snapshot in envs for entry in snapshot._trusted.values()):
+        assert held[3] is None
+        assert not any(isinstance(part, np.ndarray) for part in (*held, *held[1]))
     monkeypatch.undo()
     # Switching the threshold on one snapshot drops the structure with the
     # kept edges, and every count still equals the sweep's.
@@ -1261,7 +1273,7 @@ def test_the_reach_follows_the_threshold_and_only_the_label_setting_search_build
             reference = swept(lambda: indirect.settle_paths(env, *query, cfg))
             assert (tree.reached, tree.discovered) == (reference.reached, reference.discovered)
         held = env._trusted["c1"]
-        assert held[0] == threshold and held[4] is env.trusted_reach("c1", threshold)
+        assert held[0] == threshold and held[3] is env.trusted_reach("c1", threshold)
 
 
 # --- the search's rules, against references built from the inputs ----------
