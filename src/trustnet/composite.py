@@ -23,10 +23,9 @@ from .core import (
     Interaction,
     TaskCategory,
     TrustConfig,
-    UnknownAgentError,
 )
 from .direct import direct_trust
-from .indirect import aggregate, aggregate_settled, find_paths, retained_paths, settle_paths
+from .indirect import aggregate, combine_paths, find_paths, retained_paths, settle_paths
 from .reputation import (
     ReputationModel, _node_position, build_reputation, check_bound, model_params, reputation_of,
 )
@@ -147,11 +146,7 @@ def evaluate(
     its end the two agree on every report number (to summation order,
     within 1e-12).
     """
-    for agent in (trustor, trustee):
-        if agent not in env.index:
-            raise UnknownAgentError(agent)
-    if trustor == trustee:
-        raise ValueError("trustor and trustee must differ")
+    _, target = env.pair(trustor, trustee)
     if env.snapshot_time != eval_time:
         raise ValueError(
             f"environment snapshot_time {env.snapshot_time!r} does not match "
@@ -170,7 +165,7 @@ def evaluate(
                 f"the config's {model_params(config)!r}"
             )
 
-    completed, able = env.kinds[env.profile[env.index[trustee]]]
+    completed, able = env.kinds[env.profile[target]]
     if category not in able:
         raise CapabilityError(
             f"trustee {trustee!r} lacks capability for category {category!r}"
@@ -179,11 +174,11 @@ def evaluate(
     direct_result = direct_trust(env, trustor, trustee, category)
     if config.search_steps is None:
         tree = settle_paths(env, trustor, trustee, category, config)
-        indirect_value = aggregate_settled(tree, config.path_decay)
-        kept = [
-            (tree.ids[a], rating, path_trust, tree.chain(a))
-            for a, rating, path_trust in tree.retained()
-        ]
+        retained = tree.retained()
+        indirect_value = combine_paths(
+            [(rating, w, tree.hops[a] + 1) for a, rating, w in retained], config.path_decay
+        )
+        kept = [(tree.ids[a], rating, w, tree.chain(a)) for a, rating, w in retained]
         search = {
             "paths_discovered": tree.discovered,
             "search_expansions": tree.reached,

@@ -199,10 +199,36 @@ class CategoryActivity:
     dt_min: float
 
 
-# A CSR over agent indices: agent ``i``'s edges are positions
-# ``ptr[i]:ptr[i+1]`` of ``dst`` (ascending) and ``weight``; ``ptr`` and
-# ``dst`` are lists of int, ``weight`` an ``array('d')`` read back as floats.
-TrustedEdges = tuple[list[int], list[int], array]
+@dataclass(frozen=True, eq=False)
+class KeptEdges:
+    """The edges kept at ``threshold`` into agents with history in one category.
+
+    A CSR over agent indices: agent ``i``'s kept edges are positions
+    ``ptr[i]:ptr[i+1]`` of ``dst`` (ascending) and ``weight``; ``ptr`` and
+    ``dst`` are lists of int, ``weight`` an ``array('d')`` of the edges'
+    :attr:`Environment.weight` entries, read back as floats.
+    :attr:`in_weight` and :attr:`reach` are built the first time each is
+    read, by the label-setting search only.  Compared by identity; callers
+    must not modify the columns.
+    """
+
+    threshold: float
+    ptr: list[int]
+    dst: list[int]
+    weight: array
+
+    @cached_property
+    def in_weight(self) -> list[float]:
+        """Each agent's largest weight among the kept edges that enter it, 0.0 for none."""
+        largest = np.zeros(len(self.ptr) - 1)
+        np.maximum.at(largest, np.array(self.dst, dtype=np.intp), np.frombuffer(self.weight))
+        return largest.tolist()
+
+    @cached_property
+    def reach(self) -> Reach:
+        """The :class:`reach.Reach` of the kept edges: their strongly connected components,
+        condensation and strong articulation points."""
+        return build_reach(self.ptr, self.dst)
 
 
 class EdgeView(MappingABC):
@@ -256,11 +282,9 @@ class Environment:
     All arrays are read-only.  Four caches are filled on first use: the
     ``agents`` dict (the engine reads ``kinds`` and ``profile``), each
     category's :meth:`activity` and rows indexed by target, and per category,
-    for the latest threshold or recency rate asked, the kept edges (the
-    :meth:`trusted_edges` CSR, each agent's :meth:`trusted_in_weight`
-    and, once the label-setting search first asks, their
-    :meth:`trusted_reach`, in one entry) and the
-    :meth:`consultation_terms` list.  So the path search
+    for the latest threshold or recency rate asked, the :meth:`kept_edges`
+    record (which builds its in-weights and reach only when they are read)
+    and the :meth:`consultation_terms` list.  So the path search
     keys no per-agent fact by id and derives none twice: it reads each
     expanded agent's qualifying neighbours as one slice of its CSR, and
     takes every consultation term, and the trustee's advisors, from a
@@ -289,7 +313,7 @@ class Environment:
     id_array: np.ndarray = field(init=False, repr=False)
     src: np.ndarray = field(init=False, repr=False)
     weight: np.ndarray = field(init=False, repr=False)
-    _trusted: dict[TaskCategory, list] = field(default_factory=dict, init=False, repr=False)
+    _kept: dict[TaskCategory, KeptEdges] = field(default_factory=dict, init=False, repr=False)
     _terms: dict[TaskCategory, tuple[float, list[tuple[int, float, float, float]]]] = field(
         default_factory=dict, init=False, repr=False
     )
@@ -378,57 +402,39 @@ class Environment:
             return self._by_category[category][0]
         return CategoryActivity([0] * len(self.ids), [-math.inf] * len(self.ids), 1.0)
 
-    def trusted_edges(self, category: TaskCategory, threshold: float) -> TrustedEdges:
-        """The edges trusted at ``threshold`` into agents with history in ``category``.
+    def pair(self, trustor: AgentId, trustee: AgentId) -> tuple[int, int]:
+        """A query's two agents as indices ``(root, target)``, by the one rule for them: an
+        unknown trustor, then an unknown trustee, raises UnknownAgentError; equal agents
+        raise ValueError."""
+        root, target = self.index.get(trustor), self.index.get(trustee)
+        if root is None:
+            raise UnknownAgentError(trustor)
+        if target is None:
+            raise UnknownAgentError(trustee)
+        if root == target:
+            raise ValueError("trustor and trustee must differ")
+        return root, target
 
-        ``(ptr, dst, weight)``: the CSR of the edges whose weight is at
-        least ``threshold`` and whose target's ``completed`` holds
-        ``category``, over agent indices: ``ptr`` and ``dst`` are lists of
-        int, and ``weight`` is an ``array('d')`` of the kept edges'
-        :attr:`weight` entries, 8 bytes each, read back as floats.  Cached
+    def kept_edges(self, category: TaskCategory, threshold: float) -> KeptEdges:
+        """The :class:`KeptEdges` of ``category`` at ``threshold``.
+
+        The edges whose weight is at least ``threshold`` and whose target's
+        ``completed`` holds ``category``, filtered by one numpy mask.  Cached
         per category for the latest threshold asked.  A threshold that is
         not a finite number by :func:`finite_float`'s rule raises
-        ValueError, whatever the cache holds.  Callers must not modify the
-        columns.
+        ValueError, whatever the cache holds.
         """
-        return self._kept_edges(category, threshold)[1]
-
-    def trusted_in_weight(self, category: TaskCategory, threshold: float) -> list[float]:
-        """Each agent's largest weight among the edges of :meth:`trusted_edges` that enter it,
-        0.0 for an agent none enters, as a list by agent index, from the same cache entry."""
-        return self._kept_edges(category, threshold)[2]
-
-    def trusted_reach(self, category: TaskCategory, threshold: float) -> Reach:
-        """The :class:`reach.Reach` of the edges of :meth:`trusted_edges`: their strongly
-        connected components, condensation and strong articulation points.
-
-        Built from the CSR lists on first use, by :func:`indirect.settle_paths`,
-        and kept in the same cache entry, so a new threshold drops it with
-        the edges.
-        """
-        held = self._kept_edges(category, threshold)
-        if held[3] is None:
-            held[3] = build_reach(*held[1][:2])
-        return held[3]
-
-    def _kept_edges(self, category: TaskCategory, threshold: float) -> list:
-        """The cache entry ``[threshold, CSR, largest in-weights, reach]`` of the kept
-        edges; ``reach`` is None until :meth:`trusted_reach` builds it."""
         number = finite_float(threshold)
         if number is None:
             raise ValueError(f"threshold {threshold!r} must be a finite number")
-        held = self._trusted.get(category)
-        if held is None or held[0] != number:
+        kept = self._kept.get(category)
+        if kept is None or kept.threshold != number:
             completed = np.array([category in done for done, _ in self.kinds], dtype=bool)
-            kept = np.flatnonzero((self.weight >= number) & completed[self.profile[self.dst]])
-            targets = self.dst[kept]
-            csr = np.searchsorted(kept, self.indptr).tolist(), targets.tolist()
-            weight = array("d", self.weight[kept].tobytes())
-            largest_in = np.zeros(len(self.ids))
-            np.maximum.at(largest_in, targets, self.weight[kept])
-            held = [number, (*csr, weight), largest_in.tolist(), None]
-            self._trusted[category] = held
-        return held
+            edges = np.flatnonzero((self.weight >= number) & completed[self.profile[self.dst]])
+            ptr, dst = np.searchsorted(edges, self.indptr).tolist(), self.dst[edges].tolist()
+            weight = array("d", self.weight[edges].tobytes())
+            kept = self._kept[category] = KeptEdges(number, ptr, dst, weight)
+        return kept
 
     def consultation_terms(
         self, category: TaskCategory, recency_rate: float

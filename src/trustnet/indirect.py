@@ -11,7 +11,7 @@ skipped (first-hand evidence outranks a recommendation chain).
   threshold.  The whole reach, agents seen only below the threshold or
   left unsettled included, is counted by :meth:`reach.Reach.count` over
   the kept edges' strongly connected components
-  (:meth:`Environment.trusted_reach`).
+  (:attr:`core.KeptEdges.reach`).
   It answers every ``evaluate`` whose config leaves ``search_steps`` unset.
 - :func:`find_paths`, a best-first search, grows a table of reached agents
   ordered by the product of cumulative propagation probability and
@@ -104,46 +104,48 @@ class PropagationTable:
         The trustor's row has the empty path and every other path starts at
         the trustor.  Every row's chain (its path, then its agent) repeats
         no agent, its path does not hold the trustee, each hop is an edge of
-        :meth:`Environment.trusted_edges` at ``trust_threshold`` on the
+        :meth:`Environment.kept_edges` at ``trust_threshold`` on the
         table's category (weighted at least the threshold, into an agent with
-        history in the category), and the product of the hop weights, taken
-        from the trustor on, is within 1e-12 of ``cum_trust``; ``cum_prob``
-        and ``cum_trust`` lie in [0, 1], and every trustee row's advisor has
-        a row.  Each distinct path is walked once, one hop past its longest
-        walked prefix; each row then adds only its last hop.  Raises
-        InvariantError naming the first row that breaks a rule.
+        history in the category) and, past the trustor's own hop, into no
+        agent the trustor trusts directly, and the product of the hop
+        weights, taken from the trustor on, is within 1e-12 of
+        ``cum_trust``; ``cum_prob`` and ``cum_trust`` lie in [0, 1].  Every
+        trustee row's advisor has a row, and its path, which ends at the
+        advisor, keeps the rows' path rules.  Each distinct path is walked
+        once, one hop past its longest walked prefix; each row then adds
+        only its last hop.  Raises InvariantError naming the first row that
+        breaks a rule.
         """
-        ptr, dst, weight = env.trusted_edges(self.category, trust_threshold)
+        kept = env.kept_edges(self.category, trust_threshold)
+        ptr, dst, weight = kept.ptr, kept.dst, kept.weight
         index, trustor, trustee = env.index, self.trustor, self.trustee
-
-        def hop(lo: int, hi: int, a: AgentId, b: AgentId) -> float:
-            """The weight of ``a -> b``, whose edges are ``lo:hi``; raise when it is untrusted."""
-            j = index.get(b)
-            k = hi if j is None else bisect_left(dst, j, lo, hi)
-            if k == hi or dst[k] != j:
-                raise InvariantError(f"untrusted hop {a!r}->{b!r} on stored path")
-            return weight[k]
-
+        r = index.get(trustor)
+        lo, hi = (0, 0) if r is None else (ptr[r], ptr[r + 1])
+        direct = set(dst[lo:hi])
         # path -> (its hop product, the edge span of its last agent)
-        walked = {(): (1.0, 0, 0)}
+        walked = {(): (1.0, 0, 0), (trustor,): (1.0, lo, hi)}
 
-        def walk(path: tuple[AgentId, ...], agent: AgentId) -> tuple[float, int, int]:
+        def walk(path: tuple[AgentId, ...], owner: str) -> tuple[float, int, int]:
             """Walk ``path`` on from its longest walked prefix, adding each prefix to ``walked``."""
             n = len(path) - 1
             while (seen := walked.get(path[:n])) is None:
                 n -= 1
+            if n == 0:
+                raise InvariantError(f"path of {owner} does not start at the trustor")
             product, lo, hi = seen
             for end in range(n + 1, len(path) + 1):
-                b = path[end - 1]
+                a, b = path[end - 2], path[end - 1]
                 if path.index(b) < end - 1:
-                    raise InvariantError(f"repeated agent on path of {agent!r}: {path + (agent,)}")
+                    raise InvariantError(f"repeated agent on path of {owner}: {path[:end]}")
                 if b == trustee:
-                    raise InvariantError(f"trustee inside path of {agent!r}")
-                if end > 1:
-                    product *= hop(lo, hi, path[end - 2], b)
-                elif b != trustor:
-                    raise InvariantError(f"path of {agent!r} does not start at the trustor")
+                    raise InvariantError(f"trustee inside path of {owner}")
                 i = index.get(b)
+                k = hi if i is None else bisect_left(dst, i, lo, hi)
+                if k == hi or dst[k] != i:
+                    raise InvariantError(f"untrusted hop {a!r}->{b!r} on stored path")
+                if end > 2 and i in direct:
+                    raise InvariantError(f"{b!r}, trusted directly, is entered past the trustor")
+                product *= weight[k]
                 lo, hi = (0, 0) if i is None else (ptr[i], ptr[i + 1])
                 walked[path[:end]] = seen = (product, lo, hi)
             return seen
@@ -153,25 +155,34 @@ class PropagationTable:
             raise InvariantError(f"trustor {trustor!r} has no row with the empty path")
         for row in self.rows.values():
             agent, path = row.agent, row.path
-            product, lo, hi = walked.get(path) or walk(path, agent)
+            product, lo, hi = walked.get(path) or walk(path, repr(agent))
             if agent in path:
                 raise InvariantError(f"repeated agent on path of {agent!r}: {path + (agent,)}")
             if not (0.0 <= row.cum_prob <= 1.0) or not (0.0 <= row.cum_trust <= 1.0):
                 raise InvariantError(f"cumulative values out of range for {agent!r}")
             if path:
-                # hop(lo, hi, path[-1], agent), inlined: this runs once per row
+                # walk's hop, inlined: this runs once per row
                 j = index.get(agent)
                 k = hi if j is None else bisect_left(dst, j, lo, hi)
                 if k == hi or dst[k] != j:
                     raise InvariantError(f"untrusted hop {path[-1]!r}->{agent!r} on stored path")
+                if j in direct and len(path) > 1:
+                    raise InvariantError(
+                        f"{agent!r}, trusted directly, is entered past the trustor"
+                    )
                 product *= weight[k]
             elif agent != trustor:
                 raise InvariantError(f"path of {agent!r} does not start at the trustor")
             if abs(product - row.cum_trust) > 1e-12:
                 raise InvariantError(f"cum_trust of {agent!r} diverges from its path product")
         for trow in self.trustee_rows:
-            if trow.advisor not in self.rows:
-                raise InvariantError(f"advisor {trow.advisor!r} has no table row")
+            advisor, path = trow.advisor, trow.path
+            if advisor not in self.rows:
+                raise InvariantError(f"advisor {advisor!r} has no table row")
+            if not path or path[-1] != advisor:
+                raise InvariantError(f"path of advisor {advisor!r} does not end at it")
+            if path not in walked:
+                walk(path, f"advisor {advisor!r}")
 
     def to_dict(self) -> dict:
         """Stable-field-order dump used by the CLI ``paths`` command."""
@@ -244,7 +255,7 @@ def propagation_probabilities(
     number raises ValueError).  The agent and every neighbour must be
     agents of ``env`` (UnknownAgentError); the neighbour set must be
     non-empty and repeat no agent (ValueError).  Callers are expected to
-    pass neighbours that qualify under :meth:`Environment.trusted_edges`.
+    pass neighbours that qualify under :meth:`Environment.kept_edges`.
     """
     index = env.index
     for a in (agent, *neighbours):
@@ -317,28 +328,21 @@ def find_paths(
     Nothing per-snapshot is derived again per expansion: the threshold and
     the recency rate are checked once per search (a bad one raises
     ValueError), the qualifying neighbours of an agent are one slice of
-    :meth:`Environment.trusted_edges` (int lists, and an ``array('d')`` of
+    :meth:`Environment.kept_edges` (int lists, and an ``array('d')`` of
     their weights), the consultation probabilities come
     from :meth:`Environment.consultation_terms`, and the trustee's advisors
     on the category come from one :meth:`Environment.advisor_ratings` call.
     The finished table goes through :meth:`PropagationTable.check`.
     """
-    index = env.index
-    if trustor not in index:
-        raise UnknownAgentError(trustor)
-    if trustee not in index:
-        raise UnknownAgentError(trustee)
-    if trustor == trustee:
-        raise ValueError("trustor and trustee must differ")
-
+    root, target = env.pair(trustor, trustee)
     table = PropagationTable(
         trustor=trustor, trustee=trustee, category=category, eval_time=env.snapshot_time
     )
     threshold, rate = config.trust_threshold, config.recency_rate
-    ptr, dst, weight = env.trusted_edges(category, threshold)
+    kept = env.kept_edges(category, threshold)
+    ptr, dst, weight = kept.ptr, kept.dst, kept.weight
     terms = env.consultation_terms(category, rate)
     ids = env.ids
-    root, target = index[trustor], index[trustee]
     advisors = env.advisor_ratings(target, category)
     n = len(ids)
     cum_prob, cum_trust, node_of = [0.0] * n, [-1.0] * n, [None] * n
@@ -501,20 +505,21 @@ class SettledPaths:
         The trustor is settled first, with product 1.0 and no parent.  Every
         other agent is settled once, after its parent, with one hop more and
         a product above ``path_threshold``; the hop is an edge of
-        :meth:`Environment.trusted_edges` at ``trust_threshold`` on the
+        :meth:`Environment.kept_edges` at ``trust_threshold`` on the
         category, into neither the trustee nor, past the trustor's own hops,
         an agent the trustor trusts directly; and the parent's product times
         the hop's weight is within 1e-12 of the agent's.  Every advisor left
         unsettled is decided: its ``trust`` is at or below the threshold,
         and so is ``stopped_at`` times its largest kept in-edge weight
-        (:meth:`Environment.trusted_in_weight`).  No more agents are
+        (the record's ``in_weight``).  No more agents are
         settled than ``reached``, and no more advisors discovered than
         there are, nor fewer than are settled.  One pass over ``order``
         with one ``bisect`` per agent, and one over the advisors:
         O(settled · log degree + advisors).
         Raises InvariantError naming the first agent that breaks a rule.
         """
-        ptr, dst, weight = env.trusted_edges(self.category, trust_threshold)
+        kept = env.kept_edges(self.category, trust_threshold)
+        ptr, dst, weight = kept.ptr, kept.dst, kept.weight
         ids, trust, hops, parent, order = self.ids, self.trust, self.hops, self.parent, self.order
         root, target, floor = env.index[self.trustor], env.index[self.trustee], self.path_threshold
         if not order or order[0] != root or parent[root] != -1 or trust[root] != 1.0:
@@ -538,11 +543,11 @@ class SettledPaths:
                 raise InvariantError(f"trust of {ids[v]!r} is not its parent's times the hop")
         if settled[target]:
             raise InvariantError(f"trustee {self.trustee!r} is settled")
-        in_weight, stop = env.trusted_in_weight(self.category, trust_threshold), self.stopped_at
-        kept = 0
+        in_weight, stop = kept.in_weight, self.stopped_at
+        n_kept = 0
         for a in self.advisors:
             if settled[a]:
-                kept += 1
+                n_kept += 1
                 continue
             if trust[a] > floor:
                 raise InvariantError(
@@ -561,8 +566,8 @@ class SettledPaths:
             raise InvariantError(
                 f"{self.discovered} advisors discovered, but only {len(self.advisors)} exist"
             )
-        if self.discovered < kept:
-            raise InvariantError(f"{self.discovered} advisors discovered, but {kept} are settled")
+        if self.discovered < n_kept:
+            raise InvariantError(f"{self.discovered} advisors discovered, but {n_kept} are settled")
 
 
 def settle_paths(
@@ -575,7 +580,7 @@ def settle_paths(
     """Label-setting search (Dijkstra, 1959): each agent's best chain above the path threshold.
 
     A chain follows the same qualifying edges as :func:`find_paths`: the
-    edges of :meth:`Environment.trusted_edges` at the config's threshold,
+    edges of one :meth:`Environment.kept_edges` record at the config's threshold,
     never into the trustee, and past the trustor's own hops never into an
     agent the trustor trusts directly.  An agent's label is its chain's
     (product of hop weights, hops), the product multiplied from the trustor
@@ -595,14 +600,14 @@ def settle_paths(
     each is decided: settled, or unable to rise above the threshold.  An
     unsettled advisor is so when its best product so far is at or below
     the threshold, and so is the heap's top product times its largest kept
-    in-edge weight (:meth:`Environment.trusted_in_weight`): the heap pops
+    in-edge weight (:attr:`core.KeptEdges.in_weight`): the heap pops
     in falling product, so no chain through an unsettled agent can carry
     more.  A stale top only delays the stop.  The settled agents are then
     a prefix of those a search run to the end would settle, with the same
     labels, and every kept advisor is among them.  ``reached`` and
     ``discovered`` are counted by one :meth:`reach.Reach.count` call on
-    :meth:`Environment.trusted_reach` (built on the first call per category
-    and threshold), from the trustor and around the trustee.  The cost is
+    the record's ``reach`` (built on the first call per category and
+    threshold), from the trustor and around the trustee.  The cost is
     O(relaxations above the threshold before the stop · log heap) plus the
     count's: O(condensation arcs out of the components reached), or, when
     the trustee is a strong articulation point of its component, O(kept
@@ -610,19 +615,11 @@ def settle_paths(
     recency rate are not read: no budget stops the search, and it ranks by
     trust alone.  The tree goes through :meth:`SettledPaths.check`.
     """
-    index = env.index
-    if trustor not in index:
-        raise UnknownAgentError(trustor)
-    if trustee not in index:
-        raise UnknownAgentError(trustee)
-    if trustor == trustee:
-        raise ValueError("trustor and trustee must differ")
-
+    root, target = env.pair(trustor, trustee)
     threshold, floor = config.trust_threshold, config.path_threshold
-    ptr, dst, weight = env.trusted_edges(category, threshold)
-    root, target = index[trustor], index[trustee]
+    kept = env.kept_edges(category, threshold)
+    ptr, dst, weight, in_weight = kept.ptr, kept.dst, kept.weight, kept.in_weight
     advisors = env.advisor_ratings(target, category)
-    in_weight = env.trusted_in_weight(category, threshold)
     n = len(env.ids)
     trust, hops, parent = [-1.0] * n, [0] * n, [-1] * n
     # closed: never relaxed again (settled, the trustee, and once the
@@ -671,7 +668,7 @@ def settle_paths(
 
     # The reach: every agent the kept edges lead to from the trustor, not
     # through the trustee, counted over the components of the kept edges.
-    reached, discovered = env.trusted_reach(category, threshold).count(root, target, advisors)
+    reached, discovered = kept.reach.count(root, target, advisors)
 
     tree = SettledPaths(
         trustor=trustor,

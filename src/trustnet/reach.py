@@ -1,6 +1,6 @@
 """Reach structure of a directed graph: what closing one agent cuts off.
 
-Built once per kept-edge graph (:meth:`Environment.trusted_reach`) so that
+Built once per kept-edge graph (:attr:`core.KeptEdges.reach`) so that
 :func:`indirect.settle_paths` can count the agents the trustor reaches
 without passing the trustee, and the advisors among them, in one call,
 :meth:`Reach.count`: a walk over the graph's condensation, or a level sweep

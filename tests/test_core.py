@@ -559,9 +559,9 @@ def test_profile_declaring_an_id_again_is_rejected():
 def test_dropped_snapshot_is_freed_without_the_cycle_collector():
     env = build_environment([rec("A", "B", 0.5, "c1", 1), rec("B", "C", 0.9, "c1", 2)], 10, 0.1)
     assert env.edges[("A", "B")].weight == 0.5
-    env.trusted_edges("c1", 0.5)
+    env.kept_edges("c1", 0.5).reach
     env.consultation_terms("c1", 0.01)
-    assert env._trusted and env._terms and env._by_category
+    assert env._kept and env._terms and env._by_category
     ref = weakref.ref(env)
     gc.disable()
     try:
@@ -587,6 +587,10 @@ DELETED_NAMES = (
     "PropagationProbability",
     "check_profile",
     "advisor_rating",
+    "trusted_edges",
+    "trusted_in_weight",
+    "trusted_reach",
+    "TrustedEdges",
 )
 
 

@@ -56,10 +56,10 @@ def env_of(log, profiles=(), at=10.0, decay=0.0):
 # --- trusted neighbours -------------------------------------------------
 
 def trusted(env, category, threshold, agent):
-    """``agent``'s out-neighbours in ``env.trusted_edges(category, threshold)``, as ids."""
-    ptr, dst, _ = env.trusted_edges(category, threshold)
+    """``agent``'s out-neighbours in ``env.kept_edges(category, threshold)``, as ids."""
+    kept = env.kept_edges(category, threshold)
     i = env.index[agent]
-    return tuple(env.id_array[dst[ptr[i] : ptr[i + 1]]].tolist())
+    return tuple(env.id_array[kept.dst[kept.ptr[i] : kept.ptr[i + 1]]].tolist())
 
 
 def test_no_out_edges_means_no_neighbours():
@@ -81,7 +81,8 @@ def test_category_history_required():
 def test_trusted_edges_are_int_lists_and_a_double_array_over_agent_indices():
     env = env_of([rec("A", "B", 0.9), rec("A", "C", 0.3), rec("X", "C", 0.9), rec("B", "A", 0.6)])
     # Agents A, B, C, X; C is trusted by X only, and A has history in c1.
-    ptr, dst, weight = env.trusted_edges("c1", 0.5)
+    kept = env.kept_edges("c1", 0.5)
+    ptr, dst, weight = kept.ptr, kept.dst, kept.weight
     assert (ptr, dst, list(weight)) == ([0, 1, 2, 2, 3], [1, 0, 2], [0.9, 0.6, 0.9])
     assert type(ptr) is list and type(dst) is list
     assert all(type(x) is int for x in ptr + dst)
@@ -89,16 +90,15 @@ def test_trusted_edges_are_int_lists_and_a_double_array_over_agent_indices():
     assert all(type(x) is float for x in weight)
     # Edges in (src, dst) order: A->B, A->C, B->A, X->C; all but A->C are kept.
     assert list(weight) == env.weight[[0, 2, 3]].tolist()
-    assert env.trusted_edges("c1", 0.95)[:2] == ([0, 0, 0, 0, 0], [])
-    assert env.trusted_in_weight("c1", 0.95) == [0.0] * 4
-    assert env.trusted_edges("c1", 0.3)[:2] == ([0, 2, 3, 3, 4], [1, 2, 0, 2])
+    kept = env.kept_edges("c1", 0.95)
+    assert (kept.ptr, kept.dst, kept.in_weight) == ([0, 0, 0, 0, 0], [], [0.0] * 4)
+    kept = env.kept_edges("c1", 0.3)
+    assert (kept.ptr, kept.dst) == ([0, 2, 3, 3, 4], [1, 2, 0, 2])
     # Each agent's largest kept in-edge weight: C takes X->C's 0.9 over A->C's 0.3.
-    assert env.trusted_in_weight("c1", 0.3) == [0.6, 0.9, 0.9, 0.0]
+    assert kept.in_weight == [0.6, 0.9, 0.9, 0.0]
     for threshold in (math.nan, math.inf, None):
         with pytest.raises(ValueError, match="must be a finite number"):
-            env.trusted_edges("c1", threshold)
-        with pytest.raises(ValueError, match="must be a finite number"):
-            env.trusted_in_weight("c1", threshold)
+            env.kept_edges("c1", threshold)
 
 
 def test_unknown_agent_rejected():
@@ -111,8 +111,8 @@ def test_unknown_agent_rejected():
 def test_threshold_that_is_not_a_finite_number_rejected(threshold):
     env = env_of([rec("A", "B", 0.9)])
     with pytest.raises(ValueError, match="must be a finite number"):
-        env.trusted_edges("c1", threshold)
-    assert not env._trusted
+        env.kept_edges("c1", threshold)
+    assert not env._kept
 
 
 def test_threshold_rule_does_not_depend_on_the_cache():
@@ -120,7 +120,7 @@ def test_threshold_rule_does_not_depend_on_the_cache():
     assert trusted(env, "c1", 1, "A") == ()
     # True == 1 and hashes alike, but is not a number by the input rule.
     with pytest.raises(ValueError, match="must be a finite number"):
-        env.trusted_edges("c1", True)
+        env.kept_edges("c1", True)
 
 
 def test_neighbour_cache_keeps_one_threshold_per_category():
@@ -130,8 +130,8 @@ def test_neighbour_cache_keeps_one_threshold_per_category():
         threshold = step / 100
         expected = tuple(b for b in ("B", "C") if weights[b] >= threshold)
         assert trusted(env, "c1", threshold, "A") == expected
-    assert list(env._trusted) == ["c1"]
-    assert env._trusted["c1"][0] == 0.99
+    assert list(env._kept) == ["c1"]
+    assert env._kept["c1"].threshold == 0.99
 
 
 # --- propagation probabilities ------------------------------------------
@@ -1029,9 +1029,7 @@ def test_the_search_settles_the_best_paths_above_the_path_threshold(log, thresho
 def advisor_cases(env, log, category, threshold) -> dict:
     """Trustees of A on ``category`` by case: A among their advisors, none, or an
     advisor that A trusts directly at ``threshold``."""
-    ptr, dst, _ = env.trusted_edges(category, threshold)
-    root = env.index["A"]
-    direct = set(env.id_array[dst[ptr[root] : ptr[root + 1]]].tolist())
+    direct = set(trusted(env, category, threshold, "A"))
     cases = {"trustor": [], "none": [], "trusted directly": []}
     for trustee in sorted(env.agents.keys() - {"A"}):
         advisors = oracle_advisor_ratings(log, trustee, category, env.snapshot_time)
@@ -1185,7 +1183,7 @@ def test_the_forced_shapes_have_their_cuts_and_counts():
     for shape, edges in REACH_SHAPES.items():
         log = [rec(a, b, 0.9) for a, b in edges]
         env = env_of(log)
-        reach = env.trusted_reach("c1", 0.5)
+        reach = env.kept_edges("c1", 0.5).reach
         assert [a for a in env.ids if reach.cut[env.index[a]]] == list(expected_cuts[shape])
         for (trustor, trustee), counts in expected_counts[shape].items():
             advisors = env.advisor_ratings(env.index[trustee], "c1")
@@ -1242,7 +1240,8 @@ def test_the_reach_follows_the_threshold_and_only_the_label_setting_search_build
     agents = sorted(env.agents)
     queries = [(agents[q], agents[-1 - q], "c0" if q % 2 else "c1") for q in range(6)]
     # A budgeted evaluate and the CLI paths command run find_paths alone,
-    # and hold the kept edges once, as lists: no numpy array beside them.
+    # and hold the kept edges once, as lists: no numpy array beside them,
+    # and neither the in-weights nor the reach.
     built, envs = [], [env]
 
     def find_paths(snapshot, *args):
@@ -1260,9 +1259,11 @@ def test_the_reach_follows_the_threshold_and_only_the_label_setting_search_build
     argv += ["--trustor", trustor, "--trustee", trustee, "--category", category]
     assert cli_main(argv) == 0
     assert built == [] and len(envs) == 2
-    for held in (entry for snapshot in envs for entry in snapshot._trusted.values()):
-        assert held[3] is None
-        assert not any(isinstance(part, np.ndarray) for part in (*held, *held[1]))
+    records = [kept for snapshot in envs for kept in snapshot._kept.values()]
+    assert records
+    for kept in records:
+        assert vars(kept).keys() == {"threshold", "ptr", "dst", "weight"}
+        assert not any(isinstance(part, np.ndarray) for part in vars(kept).values())
     monkeypatch.undo()
     # Switching the threshold on one snapshot drops the structure with the
     # kept edges, and every count still equals the sweep's.
@@ -1272,8 +1273,48 @@ def test_the_reach_follows_the_threshold_and_only_the_label_setting_search_build
             tree = indirect.settle_paths(env, *query, cfg)
             reference = swept(lambda: indirect.settle_paths(env, *query, cfg))
             assert (tree.reached, tree.discovered) == (reference.reached, reference.discovered)
-        held = env._trusted["c1"]
-        assert held[0] == threshold and held[3] is env.trusted_reach("c1", threshold)
+        kept = env._kept["c1"]
+        assert kept is env.kept_edges("c1", threshold)
+        assert kept.threshold == threshold and "reach" in vars(kept)
+
+
+def test_a_query_reads_the_kept_edges_once_per_search_and_once_per_check(monkeypatch):
+    log, profiles = cache_world()
+    env = build_environment(log, 100.0, 0.01, profiles)
+    agents = sorted(env.agents)
+    calls = []
+    kept_edges = core.Environment.kept_edges
+
+    def counted(snapshot, *args):
+        calls.append(args)
+        return kept_edges(snapshot, *args)
+
+    monkeypatch.setattr(core.Environment, "kept_edges", counted)
+    for config in (TrustConfig(), TrustConfig(search_steps=16)):
+        calls.clear()
+        evaluate(env, log, agents[0], agents[-1], "c1", 100.0, config)
+        assert calls == [("c1", 0.5)] * 2
+
+
+@pytest.mark.parametrize(
+    "trustor, trustee, error, message",
+    [
+        ("Z", "Y", UnknownAgentError, "unknown agent: 'Z'"),
+        ("A", "Y", UnknownAgentError, "unknown agent: 'Y'"),
+        ("A", "A", ValueError, "trustor and trustee must differ"),
+    ],
+)
+def test_every_query_reads_its_agents_by_the_pair_rule(trustor, trustee, error, message):
+    env = env_of([rec("A", "B", 0.9)])
+    assert env.pair("A", "B") == (0, 1)
+    for call in (
+        lambda: env.pair(trustor, trustee),
+        lambda: find_paths(env, [], trustor, trustee, "c1", CFG),
+        lambda: indirect.settle_paths(env, trustor, trustee, "c1", CFG),
+        lambda: evaluate(env, [], trustor, trustee, "c1", 10.0, CFG),
+    ):
+        with pytest.raises(error, match=message):
+            call()
 
 
 # --- the search's rules, against references built from the inputs ----------
@@ -1297,9 +1338,9 @@ def test_trusted_neighbours_equal_a_filter_over_edges(log, category, thresholds)
             }
             neighbours = trusted(env, category, threshold, agent)
             assert neighbours == tuple(sorted(expected))
-            ptr, _, weight = env.trusted_edges(category, threshold)
+            kept = env.kept_edges(category, threshold)
             i = env.index[agent]
-            assert list(weight[ptr[i] : ptr[i + 1]]) == [
+            assert list(kept.weight[kept.ptr[i] : kept.ptr[i + 1]]) == [
                 env.edges[(agent, b)].weight for b in neighbours
             ]
             entering = [
@@ -1309,7 +1350,7 @@ def test_trusted_neighbours_equal_a_filter_over_edges(log, category, thresholds)
                 and stats.weight >= threshold
                 and category in env.agents[agent].completed
             ]
-            assert env.trusted_in_weight(category, threshold)[i] == max(entering, default=0.0)
+            assert kept.in_weight[i] == max(entering, default=0.0)
 
 
 @given(logs(min_size=1, max_size=30), st.sampled_from([0.0, 0.05, 0.5]))
@@ -1351,11 +1392,17 @@ CHECK_LOG = [
     rec("b", "d", 0.7),
     rec("b", "tr", 0.9),
     rec("a", "f", 0.9, "c2"),  # f has no history in c1
+    rec("tr", "g", 0.9),  # tr trusts g directly
+    rec("b", "g", 0.9),
 ]
 
 
 def checked_table():
-    """A sound table: b and e were attached in one expansion and share one path tuple."""
+    """A sound table: b and e were attached in one expansion and share one path tuple.
+
+    g, which the trustor trusts directly, has no row: a row stored past b
+    would enter it past the trustor's own hop.
+    """
     table = PropagationTable(trustor="tr", trustee="te", category="c1", eval_time=10.0)
     via_a = ("tr", "a")
     for agent, cum_trust, path in [
@@ -1394,6 +1441,13 @@ def add_child_sharing_b_path(agent, cum_trust):
     return put
 
 
+def add_trustee_row(advisor, path):
+    def put(table):
+        table.trustee_rows.append(TrusteeRow(advisor, 0.5, path))
+
+    return put
+
+
 def test_table_check_passes_a_sound_table():
     table = checked_table()
     assert table.rows["b"].path is table.rows["e"].path
@@ -1421,13 +1475,20 @@ def test_table_check_passes_a_sound_table():
         (put_row("d", 0.56, ("a", "b")), "path of 'd' does not start at the trustor"),
         (put_row("e", 1.0, ()), "path of 'e' does not start at the trustor"),
         (lambda table: table.rows.pop("tr"), "trustor 'tr' has no row with the empty path"),
+        (put_row("g", 0.9 * 0.8 * 0.9, ("tr", "a", "b")), "'g', trusted directly, is entered"),
+        (put_row("x", 0.5, ("tr", "a", "b", "g")), "'g', trusted directly, is entered"),
+        (add_trustee_row("b", ("a", "b")), "path of advisor 'b' does not start at the trustor"),
+        (add_trustee_row("b", ("tr", "a")), "path of advisor 'b' does not end at it"),
+        (add_trustee_row("d", ("tr", "a", "d")), "untrusted hop 'a'->'d'"),
     ],
     ids=[
         "repeat-in-path", "agent-in-own-path", "trustee-inside", "last-hop-below-threshold",
         "inner-hop-below-threshold", "hop-without-edge", "product-off-by-1e-9",
         "prob-above-1", "prob-below-0", "trustee-row-without-row", "shared-path-second-row",
         "hop-into-agent-without-category-history", "path-not-from-trustor", "second-root",
-        "no-trustor-row",
+        "no-trustor-row", "row-entering-a-direct-agent", "path-through-a-direct-agent",
+        "trustee-row-path-not-from-trustor", "trustee-row-path-not-at-its-advisor",
+        "trustee-row-hop-without-edge",
     ],
 )
 def test_table_check_rejects_a_broken_table(corrupt, message):
@@ -1489,6 +1550,6 @@ def test_bad_threshold_or_rate_raises_when_the_caches_are_filled(bad):
         with pytest.raises(ValueError, match="must be a finite number"):
             find_paths(env, log, agents[0], agents[-1], "c1", config)
     with pytest.raises(ValueError, match="must be a finite number"):
-        env.trusted_edges("c1", bad)
+        env.kept_edges("c1", bad)
     with pytest.raises(ValueError, match="must be a finite number"):
         propagation_probabilities(env, agents[0], neighbours, "c1", bad)
