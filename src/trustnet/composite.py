@@ -25,7 +25,7 @@ from .core import (
     TrustConfig,
 )
 from .direct import direct_trust
-from .indirect import aggregate, combine_paths, find_paths, retained_paths, settle_paths
+from .indirect import aggregate, aggregate_settled, find_paths, retained_paths, settle_paths
 from .reputation import (
     ReputationModel, _node_position, build_reputation, check_bound, model_params, reputation_of,
 )
@@ -175,9 +175,7 @@ def evaluate(
     if config.search_steps is None:
         tree = settle_paths(env, trustor, trustee, category, config)
         retained = tree.retained()
-        indirect_value = combine_paths(
-            [(rating, w, tree.hops[a] + 1) for a, rating, w in retained], config.path_decay
-        )
+        indirect_value = aggregate_settled(tree, retained, config.path_decay)
         kept = [(tree.ids[a], rating, w, tree.chain(a)) for a, rating, w in retained]
         search = {
             "paths_discovered": tree.discovered,

@@ -207,9 +207,10 @@ class KeptEdges:
     ``ptr[i]:ptr[i+1]`` of ``dst`` (ascending) and ``weight``; ``ptr`` and
     ``dst`` are lists of int, ``weight`` an ``array('d')`` of the edges'
     :attr:`Environment.weight` entries, read back as floats.
-    :attr:`in_weight` and :attr:`reach` are built the first time each is
-    read, by the label-setting search only.  Compared by identity; callers
-    must not modify the columns.
+    :attr:`reach` is built the first time it or :attr:`in_weight` is read,
+    which only the label-setting search does; ``in_weight`` reads the
+    reach's target array.  Compared by identity; callers must not modify
+    the columns.
     """
 
     threshold: float
@@ -221,7 +222,7 @@ class KeptEdges:
     def in_weight(self) -> list[float]:
         """Each agent's largest weight among the kept edges that enter it, 0.0 for none."""
         largest = np.zeros(len(self.ptr) - 1)
-        np.maximum.at(largest, np.array(self.dst, dtype=np.intp), np.frombuffer(self.weight))
+        np.maximum.at(largest, self.reach.edge_target, np.frombuffer(self.weight))
         return largest.tolist()
 
     @cached_property

@@ -738,12 +738,13 @@ def aggregate(
     )
 
 
-def aggregate_settled(tree: SettledPaths, path_decay: float) -> Optional[float]:
+def aggregate_settled(
+    tree: SettledPaths, retained: list[tuple[int, float, float]], path_decay: float
+) -> Optional[float]:
     """Combine the settled advisors' chains into one indirect trust value.
 
-    The advisors that pass the tree's path-trust filter, in settle order, go
-    through :func:`combine_paths`.  Returns None when nothing survives.
+    ``retained`` is ``tree.retained()``: the advisors that pass the tree's
+    path-trust filter, in settle order.  They go through
+    :func:`combine_paths`.  Returns None when nothing survives.
     """
-    return combine_paths(
-        [(rating, w, tree.hops[a] + 1) for a, rating, w in tree.retained()], path_decay
-    )
+    return combine_paths([(rating, w, tree.hops[a] + 1) for a, rating, w in retained], path_decay)

@@ -353,9 +353,8 @@ def compare_indirect(
             cfg.path_threshold,
             cfg.path_decay,
         )
-        settled = aggregate_settled(
-            settle_paths(env, trustor, trustee, category, cfg), cfg.path_decay
-        )
+        tree = settle_paths(env, trustor, trustee, category, cfg)
+        settled = aggregate_settled(tree, tree.retained(), cfg.path_decay)
         reference = oracle_indirect(env, log, trustor, trustee, category, cfg)
         report["instances"] += 1
         report["acyclic" if acyclic else "cyclic"] += 1

@@ -854,7 +854,7 @@ def test_settle_paths_breaks_a_tied_product_by_fewer_hops():
     assert tree.chain(env.index["a"]) == ["tr", "y", "a"]
     assert (tree.trust[env.index["a"]], tree.hops[env.index["a"]]) == (0.5, 2)
     assert (tree.reached, tree.discovered) == (6, 1)
-    value = indirect.aggregate_settled(tree, 0.9)
+    value = indirect.aggregate_settled(tree, tree.retained(), 0.9)
     assert value == 0.6 * 0.9**3
     # At the default path threshold of 0.5, y and a lie on it: y, trusted
     # directly, is reached only below the floor, and so are a (discovered)
@@ -863,7 +863,7 @@ def test_settle_paths_breaks_a_tied_product_by_fewer_hops():
     assert [floored.ids[a] for a in floored.order] == ["tr", "x", "m"]
     assert (floored.reached, floored.discovered) == (6, 1)
     assert floored.retained() == []
-    assert indirect.aggregate_settled(floored, 0.9) is None
+    assert indirect.aggregate_settled(floored, floored.retained(), 0.9) is None
 
 
 def test_settle_paths_rejects_what_find_paths_rejects():
